@@ -156,10 +156,16 @@ _FLOAT_KEYS = {"newton_tol", "min_step", "damping", "domain.radius",
                "barrier.gamma", "barrier.sigma", "barrier.epsilon"}
 _BOOL_KEYS = {"verify_barriers", "force"}
 _LIST_KEYS = {"domain.center", "domain.semi_axes"}
+_STR_KEYS = {"domain.kind", "f.file", "phi.file"}
+_KNOWN_KEYS = set(DEFAULTS) | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _LIST_KEYS | _STR_KEYS
 
 
 def parse_config(path) -> dict:
-    """Flat ``key = value`` file into a typed dict over the defaults."""
+    """Flat ``key = value`` file into a typed dict over the defaults.
+
+    Raises ValueError naming ``path:lineno`` for a malformed line or a key
+    the command line does not read.
+    """
     cfg = dict(DEFAULTS)
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -169,6 +175,11 @@ def parse_config(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KNOWN_KEYS:
+            raise ValueError(
+                f"{path}:{lineno}: unknown key {key!r}; known keys: "
+                f"{', '.join(sorted(_KNOWN_KEYS))}"
+            )
         cfg[key] = _coerce(key, value)
     return cfg
 

@@ -6,6 +6,12 @@ the Robin rows are linear and precomputed on the grid.  Every accepted
 iterate must keep the smallest lifted eigenvalue of W positive at all
 active points (the discrete ellipticity certificate), which the line
 search enforces alongside plain residual decrease.
+
+Each Newton step eliminates the trace unknowns exactly (the Robin block
+on them is a multiple of the identity) and solves the remaining system on
+the active points by GMRES, preconditioned with one LU of the seed
+Jacobian that is kept for the whole continuation; a step GMRES cannot
+finish falls back to a direct factorization of the current system.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from nconvex import woperator
 from nconvex.discretize import (
@@ -36,6 +42,7 @@ __all__ = [
     "BoundMonitors",
     "HomotopyState",
     "PathReport",
+    "CondensedSolver",
     "StepFailure",
     "ContinuationFailure",
     "residual_vector",
@@ -48,6 +55,13 @@ __all__ = [
 ]
 
 REPORT_COLUMNS = ("t", "residual", "margin", "sup_u", "sup_du", "sup_d2u", "N", "ratio")
+
+# GMRES on the condensed Newton system.  With the seed LU as preconditioner
+# a step takes 5-7 iterations along the manufactured paths, so these caps
+# only bound the work spent on a stalled solve before the direct fallback.
+GMRES_RTOL = 1e-12
+GMRES_RESTART = 30
+GMRES_MAX_RESTARTS = 2
 
 
 class StepFailure(RuntimeError):
@@ -112,6 +126,8 @@ class PathReport:
     barriers: dict | None = None
     config_digest: str | None = None
     exact_error: float | None = None  # sup |u - reference| when one is known
+    krylov_iters: list = field(default_factory=list)  # GMRES iterations per Newton step
+    direct_fallbacks: int = 0  # Newton steps solved by a direct factorization instead
 
     def add(self, state: HomotopyState):
         m = state.monitors
@@ -135,7 +151,11 @@ class PathReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {"rows": self.rows}
+        payload = {
+            "rows": self.rows,
+            "krylov_iters": self.krylov_iters,
+            "direct_fallbacks": self.direct_fallbacks,
+        }
         if self.config_digest is not None:
             payload["config_digest"] = self.config_digest
         if self.exact_error is not None:
@@ -210,6 +230,64 @@ def assemble_jacobian(x: np.ndarray, t: float, grid: Grid,
     return sp.vstack([interior, grid.robin_jac], format="csc")
 
 
+class CondensedSolver:
+    """Newton-step solver for one continuation: condensed system, frozen LU.
+
+    The Jacobian is J = [[A, B], [R, d I]] with d = 3/(2 delta) + 1, because
+    the Robin rows touch each trace unknown only through its own value.  The
+    trace unknowns are eliminated exactly: S du = g1 - B g2 / d on the active
+    points with S = A - B R / d, then db = (g2 - R du) / d.
+
+    The Jacobian does not depend on t, and every continuation starts at the
+    quadratic seed, so the first system handed to ``solve`` is the seed's.
+    Its S is factorized then, once, and preconditions GMRES on every later
+    step.  A step GMRES does not finish is solved by a direct factorization
+    of its own S.  GMRES iterations and fallbacks are recorded on ``report``.
+    """
+
+    def __init__(self, grid: Grid, report: PathReport):
+        self.n_active = grid.n_active
+        self.d = 3.0 / (2.0 * grid.delta) + 1.0
+        self.robin_u = grid.robin_jac[:, : grid.n_active]
+        self.report = report
+        self._seed_lu = None
+
+    def solve(self, jac: sp.spmatrix, rhs: np.ndarray, t: float) -> np.ndarray:
+        """Solve jac @ delta = rhs; raises StepFailure if no path succeeds."""
+        n, d = self.n_active, self.d
+        jac = sp.csr_matrix(jac)
+        a, b = jac[:n, :n], jac[:n, n:]
+        schur = (a - b @ self.robin_u / d).tocsc()
+        g1, g2 = rhs[:n], rhs[n:]
+        rhs_u = g1 - b @ g2 / d
+        if self._seed_lu is None:
+            self._seed_lu = _factor(schur, t)
+        iters = 0
+
+        def count(_):
+            nonlocal iters
+            iters += 1
+
+        precond = LinearOperator(schur.shape, matvec=self._seed_lu.solve)
+        du, info = gmres(schur, rhs_u, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
+                         maxiter=GMRES_MAX_RESTARTS, M=precond, callback=count,
+                         callback_type="pr_norm")
+        self.report.krylov_iters.append(iters)
+        if info != 0 or not np.all(np.isfinite(du)):
+            self.report.direct_fallbacks += 1
+            du = _factor(schur, t).solve(rhs_u)
+            if not np.all(np.isfinite(du)):
+                raise StepFailure(f"singular Jacobian at t={t:.6g}")
+        return np.concatenate([du, (g2 - self.robin_u @ du) / d])
+
+
+def _factor(matrix: sp.csc_matrix, t: float):
+    try:
+        return splu(matrix)
+    except RuntimeError as exc:
+        raise StepFailure(f"Jacobian factorization failed at t={t:.6g}: {exc}")
+
+
 def bound_monitors(fld: DiscreteField, grid: Grid) -> BoundMonitors:
     """Norm monitors: sup|u|, sup|Du|, sup|D2u| and the boundary N."""
     fld.check(grid)
@@ -236,18 +314,23 @@ def _make_state(t: float, fld: DiscreteField, grid: Grid,
 
 
 def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
-                 config: SolverConfig) -> HomotopyState:
+                 config: SolverConfig,
+                 linear: CondensedSolver | None = None) -> HomotopyState:
     """Damped Newton at fixed t with the cone guard in the line search.
 
-    Each step factorizes the sparse Jacobian and backtracks until the trial
-    iterate both decreases the sup-norm residual and keeps the ellipticity
-    margin positive at every active point.  Raises StepFailure when the
-    iteration budget, the line-search floor, or the factorization gives out.
+    Each step solves the Jacobian system with ``linear`` (a fresh
+    CondensedSolver when none is passed, frozen at this start state) and
+    backtracks until the trial iterate both decreases the sup-norm residual
+    and keeps the ellipticity margin positive at every active point.  Raises
+    StepFailure when the iteration budget, the line-search floor, or the
+    linear solve gives out.
     """
     if state.ellipticity_margin <= 0.0:
         raise ValueError(
             f"inadmissible start: ellipticity margin {state.ellipticity_margin:.3g} <= 0"
         )
+    if linear is None:
+        linear = CondensedSolver(grid, PathReport())
     t = state.t
     x = state.field.pack()
     r = residual_vector(x, t, grid, problem)
@@ -255,14 +338,7 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     for _ in range(config.max_newton_iters):
         if rnorm <= config.newton_tol:
             return _make_state(t, DiscreteField.unpack(x, grid), grid, problem)
-        jac = assemble_jacobian(x, t, grid, problem)
-        try:
-            lu = splu(jac)
-        except RuntimeError as exc:
-            raise StepFailure(f"Jacobian factorization failed at t={t:.6g}: {exc}")
-        delta = lu.solve(-r)
-        if not np.all(np.isfinite(delta)):
-            raise StepFailure(f"singular Jacobian at t={t:.6g}")
+        delta = linear.solve(assemble_jacobian(x, t, grid, problem), -r, t)
         alpha = 1.0
         while True:
             trial = x + alpha * delta
@@ -295,7 +371,9 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     """March t from 0 to 1 with adaptive halving; returns (state, report).
 
     The curvature-pinching gate runs first unless ``force`` is set; the
-    start iterate is the exact t = 0 solution.  On persistent step failure
+    start iterate is the exact t = 0 solution.  One CondensedSolver serves
+    every Newton step, so the seed LU is built at most once per call and
+    only when some step needs a linear solve.  On persistent step failure
     raises ContinuationFailure carrying the last accepted state and report.
     """
     gate = pinching_check(grid.domain)
@@ -306,10 +384,11 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
             f"{np.round(gate.worst_point, 6)}); pass force=True to override"
         )
     report = PathReport()
+    linear = CondensedSolver(grid, report)
     state = _make_state(0.0, quadratic_seed(grid), grid, problem)
     if state.ellipticity_margin <= 0.0:
         raise ValueError("quadratic seed is not admissible on this grid")
-    state = newton_solve(state, grid, problem, config)
+    state = newton_solve(state, grid, problem, config, linear)
     report.add(state)
     dt_init = 1.0 / config.homotopy_steps
     dt = dt_init
@@ -325,7 +404,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
             monitors=state.monitors,
         )
         try:
-            state = newton_solve(candidate, grid, problem, config)
+            state = newton_solve(candidate, grid, problem, config, linear)
         except StepFailure as exc:
             dt *= 0.5
             if dt < config.min_step:

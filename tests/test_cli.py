@@ -79,6 +79,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config(bad)
 
+    def test_unknown_key_rejected_with_location(self, tmp_path):
+        typo = tmp_path / "typo.cfg"
+        typo.write_text("case = ball-constant\nresolutoin = 33\n")
+        with pytest.raises(ValueError, match=r"typo\.cfg:2: unknown key 'resolutoin'"):
+            parse_config(typo)
+
 
 class TestNamedCases:
     def test_all_cases_construct(self):

@@ -73,6 +73,15 @@ class TestGridBuild:
         with pytest.raises(ValueError):
             Grid(BALL, 5)
 
+    @pytest.mark.parametrize("domain", [BALL, DomainSpec.ellipsoid((1.0, 1.0, 1.05))],
+                             ids=["ball", "ellipsoid"])
+    def test_robin_trace_block_is_scaled_identity(self, domain):
+        # the solver eliminates the trace unknowns exactly only while this holds
+        grid = Grid(domain, 9)
+        block = grid.robin_jac[:, grid.n_active:]
+        scaled = (3.0 / (2.0 * grid.delta) + 1.0) * np.eye(grid.n_colloc)
+        assert np.array_equal(block.toarray(), scaled)
+
 
 class TestHessianStencil:
     def test_quadratic_exact(self, grid9):

@@ -1,8 +1,12 @@
 """Newton and continuation behavior on the unit ball."""
 
+import json
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+import nconvex.solver
 from nconvex import woperator
 from nconvex.discretize import (
     DiscreteField,
@@ -14,8 +18,10 @@ from nconvex.discretize import (
 )
 from nconvex.geometry import DomainSpec
 from nconvex.solver import (
+    CondensedSolver,
     ContinuationFailure,
     HomotopyState,
+    PathReport,
     SolverConfig,
     StepFailure,
     assemble_jacobian,
@@ -104,8 +110,6 @@ class TestNewton:
         # track residual norms through full (undamped-accepted) steps
         norms = [state.residual_norm]
         x = fld.pack()
-        from scipy.sparse.linalg import splu
-
         for _ in range(6):
             jac = assemble_jacobian(x, 0.0, grid9, sp9)
             x = x + splu(jac).solve(-residual_vector(x, 0.0, grid9, sp9))
@@ -243,6 +247,85 @@ class TestContinuation:
         assert state.ellipticity_margin == pytest.approx(3.0, abs=1e-9)
         seed = quadratic_seed(grid)
         assert np.max(np.abs(state.field.values - seed.values)) < 1e-10
+
+
+@pytest.fixture(scope="module")
+def manufactured9(grid9):
+    return sample_problem(manufactured_problem(), grid9)
+
+
+def count_factorizations(monkeypatch):
+    calls = []
+    original = nconvex.solver.splu
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(nconvex.solver, "splu", counting)
+    return calls
+
+
+class TestLinearSolve:
+    def test_condensed_step_matches_direct_lu(self, grid9, manufactured9):
+        report = PathReport()
+        linear = CondensedSolver(grid9, report)
+        seed = quadratic_seed(grid9).pack()
+        bump = DiscreteField.from_function(
+            grid9, lambda p: 0.02 * np.exp(p[:, 0]) * np.cos(p[:, 1])
+        ).pack()
+        # the first system freezes the preconditioner, as in continuation
+        for x in (seed, seed + bump):
+            jac = assemble_jacobian(x, 0.4, grid9, manufactured9)
+            r = residual_vector(x, 0.4, grid9, manufactured9)
+            direct = splu(jac).solve(-r)
+            step = linear.solve(jac, -r, 0.4)
+            assert np.linalg.norm(step - direct) <= 1e-10 * np.linalg.norm(direct)
+        assert report.krylov_iters[0] == 1
+        assert report.krylov_iters[1] > 1
+        assert report.direct_fallbacks == 0
+
+    @pytest.mark.parametrize("stalled", ["not-converged", "non-finite"])
+    def test_gmres_failure_falls_back_to_direct(self, grid9, manufactured9,
+                                               monkeypatch, stalled):
+        ref = DiscreteField.from_function(grid9, u_star).values
+        calls = count_factorizations(monkeypatch)
+        state, report = continuation(manufactured9, grid9, SolverConfig())
+        err = np.max(np.abs(state.field.values - ref))
+        assert len(calls) == 1
+        assert report.direct_fallbacks == 0
+
+        def failing_gmres(a, b, **kwargs):
+            if stalled == "not-converged":
+                return np.zeros_like(b), 1
+            return np.full_like(b, np.nan), 0
+
+        monkeypatch.setattr(nconvex.solver, "gmres", failing_gmres)
+        calls.clear()
+        state_fb, report_fb = continuation(manufactured9, grid9, SolverConfig())
+        assert state_fb.t == 1.0
+        assert state_fb.residual_norm <= 1e-10
+        steps = len(report_fb.krylov_iters)
+        assert steps == len(report.krylov_iters)
+        assert report_fb.direct_fallbacks == steps
+        assert len(calls) == 1 + steps  # the seed LU plus one per step
+        err_fb = np.max(np.abs(state_fb.field.values - ref))
+        assert err_fb == pytest.approx(err, rel=1e-8)
+
+    def test_exact_case_factorizes_nothing(self, grid9, sp9, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        state, report = continuation(sp9, grid9, SolverConfig())
+        assert state.t == 1.0
+        assert calls == []
+        assert report.krylov_iters == []
+
+    def test_json_report_carries_linear_solve_counts(self, grid9, manufactured9):
+        _, report = continuation(manufactured9, grid9, SolverConfig())
+        payload = json.loads(report.to_json())
+        assert payload["krylov_iters"] == report.krylov_iters
+        assert all(1 <= k <= 10 for k in payload["krylov_iters"])
+        assert payload["direct_fallbacks"] == 0
+        assert report.to_csv().splitlines()[0] == "t,residual,margin,sup_u,sup_du,sup_d2u,N,ratio"
 
 
 class TestMonitors:
