@@ -23,10 +23,12 @@ from nconvex.discretize import (
     hessian_batch,
     robin_residual,
     second_normal_derivative,
+    seed_datum,
 )
 from nconvex.geometry import (
     DomainSpec,
-    _frame_at,
+    _barrier_hessian,
+    _distance_hessian_at,
     boundary_samples,
     project_to_boundary_batch,
     strip_mu_max,
@@ -113,7 +115,8 @@ def recipe_params(domain: DomainSpec, state, grid: Grid, problem: SampledProblem
     c1 = 1.0 + mon.sup_u + mon.sup_du
     c2 = (1.0 + mon.sup_u + mon.sup_du) * (1.0 + domain.kappa_max_global) / epsilon
     try:
-        resid_sup = _strip_robin_sup(domain, state.field, grid, problem, state.t, mu)
+        _, core = _strip_core(domain, state.field, grid, problem, state.t, mu)
+        resid_sup = float(np.max(np.abs(core)))
     except ValueError:
         # strip below grid resolution: estimate the core from the boundary
         resid_sup = float(
@@ -146,56 +149,19 @@ def _strip_data(domain: DomainSpec, grid: Grid, mu: float):
     return mask, pts, d, y, nu
 
 
-def _extended_data(problem: SampledProblem, pts, nu, t: float):
-    """Homotopy boundary datum t phi + (1-t)(x.nu + |x|^2/2) on strip points."""
+def _strip_core(domain, field: DiscreteField, grid: Grid, problem: SampledProblem,
+                t: float, mu: float):
+    """Depths and Du.nu + u - phi_t at the strip points.
+
+    phi_t = t phi + (1-t)(x.nu + |x|^2/2) is the homotopy boundary datum
+    extended along normal rays; it needs callable problem data.
+    """
     if problem.spec is None:
         raise ValueError("barrier verification needs callable problem data")
-    quad = np.einsum("ij,ij->i", pts, nu) + 0.5 * np.sum(pts**2, axis=1)
-    return t * np.asarray(problem.spec.phi(pts), dtype=float) + (1.0 - t) * quad
-
-
-def _strip_robin_sup(domain, field: DiscreteField, grid: Grid,
-                     problem: SampledProblem, t: float, mu: float) -> float:
-    """sup over the strip of |Du.nu + u - phi_t| (the sub/super barrier core)."""
-    mask, pts, _, _, nu = _strip_data(domain, grid, mu)
+    mask, pts, d, _, nu = _strip_data(domain, grid, mu)
     du = gradient_batch(field, grid)[mask]
-    core = np.einsum("ij,ij->i", du, nu) + field.values[mask]
-    return float(np.max(np.abs(core - _extended_data(problem, pts, nu, t))))
-
-
-def _h_quantities(domain: DomainSpec, d, y, nu, k3: float):
-    """h, its gradient factor and Hessian at strip points from closed forms."""
-    npts = d.size
-    n = domain.n
-    h_val = -d + k3 * d * d
-    hess = np.empty((npts, n, n))
-    if domain.is_ball:
-        r = domain.radius - d
-        dd = -nu
-        eye = np.eye(n)
-        proj = eye[None, :, :] - dd[:, :, None] * dd[:, None, :]
-        d2d = -proj / r[:, None, None]
-        hess = (-1.0 + 2.0 * k3 * d)[:, None, None] * d2d \
-            + 2.0 * k3 * dd[:, :, None] * dd[:, None, :]
-        return h_val, hess
-    for idx in range(npts):
-        kappa, dirs, _ = _frame_at(domain, y[idx])
-        d2d = np.zeros((n, n))
-        for k, e in zip(kappa, dirs):
-            d2d -= (k / (1.0 - k * d[idx])) * np.outer(e, e)
-        dd = -nu[idx]
-        hess[idx] = (-1.0 + 2.0 * k3 * d[idx]) * d2d + 2.0 * k3 * np.outer(dd, dd)
-    return h_val, hess
-
-
-def _kappa0_at(domain: DomainSpec, y) -> np.ndarray:
-    if domain.is_ball:
-        return np.full(y.shape[0], 1.0 / domain.radius)
-    out = np.empty(y.shape[0])
-    for idx in range(y.shape[0]):
-        kappa, _, _ = _frame_at(domain, y[idx])
-        out[idx] = float(np.sum(kappa)) / (domain.n - 1)
-    return out
+    data = t * np.asarray(problem.spec.phi(pts), dtype=float) + (1.0 - t) * seed_datum(pts, nu)
+    return d, np.einsum("ij,ij->i", du, nu) + field.values[mask] - data
 
 
 @dataclass(frozen=True)
@@ -220,12 +186,11 @@ def verify_h_inequality(domain: DomainSpec, state, grid: Grid,
     params.validate(domain)
     mask, _, d, y, nu = _strip_data(domain, grid, params.mu)
     d2 = hessian_batch(state.field, grid)[mask]
-    m = grid.n - 1
-    fij = woperator.batch_linearization(d2, m)
+    fij = woperator.batch_linearization(d2)
     trace_f = np.trace(fij, axis1=1, axis2=2)
-    _, h_hess = _h_quantities(domain, d, y, nu, params.k3)
-    contracted = np.einsum("kij,kij->k", fij, h_hess)
-    kappa0 = _kappa0_at(domain, y)
+    d2d, kappa = _distance_hessian_at(domain, y, d)
+    contracted = np.einsum("kij,kij->k", fij, _barrier_hessian(params.k3, d, nu, d2d))
+    kappa0 = np.mean(kappa, axis=1)  # H / (n-1)
     values = contracted - params.gamma * kappa0 * (1.0 + trace_f)
     return HBarrierReport(
         min_value=float(np.min(values)),
@@ -261,14 +226,8 @@ class BarrierReport:
 
 
 def _barrier_values(domain, state, grid, problem, params, sign: float):
-    mask, pts, d, y, nu = _strip_data(domain, grid, params.mu)
     field = state.field
-    du = gradient_batch(field, grid)[mask]
-    core = (
-        np.einsum("ij,ij->i", du, nu)
-        + field.values[mask]
-        - _extended_data(problem, pts, nu, state.t)
-    )
+    d, core = _strip_core(domain, field, grid, problem, state.t, params.mu)
     h_val = -d + params.k3 * d * d
     g = 1.0 - params.beta * h_val
     n_bound = state.monitors.sup_unn

@@ -25,6 +25,7 @@ from nconvex.discretize import (
     SampledProblem,
     homotopy_constant,
     sample_problem,
+    seed_datum,
 )
 from nconvex.geometry import DomainSpec, pinching_check, project_to_boundary_batch
 from nconvex.solver import ContinuationFailure, SolverConfig, continuation
@@ -47,16 +48,6 @@ def _extended_normal(domain):
     return nu
 
 
-def _quadratic_phi(domain):
-    """Boundary datum that makes u = |x|^2/2 exact: x.nu + |x|^2/2."""
-    nu = _extended_normal(domain)
-
-    def phi(pts):
-        return np.einsum("ij,ij->i", pts, nu(pts)) + 0.5 * np.sum(pts**2, axis=1)
-
-    return phi
-
-
 def named_case(name: str, n: int = 3, domain: DomainSpec | None = None):
     """Return (domain, problem, exact_solution_or_None) for a built-in case.
 
@@ -67,14 +58,8 @@ def named_case(name: str, n: int = 3, domain: DomainSpec | None = None):
     if name == "ball-constant":
         if domain is None:
             domain = DomainSpec.ball(1.0, n=n)
-        c0 = homotopy_constant(domain.n)
-        problem = ProblemSpec(
-            n=domain.n,
-            f=lambda pts: np.full(pts.shape[0], c0),
-            phi=_quadratic_phi(domain),
-            name=name,
-        )
-        return domain, problem, lambda pts: 0.5 * np.sum(pts**2, axis=1)
+        return (domain, _quadratic_problem(domain, name),
+                lambda pts: 0.5 * np.sum(pts**2, axis=1))
     if name == "ball-manufactured-exp":
         if n != 3 or (domain is not None and domain.n != 3):
             raise ValueError("ball-manufactured-exp is a three-dimensional case")
@@ -102,15 +87,21 @@ def named_case(name: str, n: int = 3, domain: DomainSpec | None = None):
             raise ValueError("ellipsoid-near-sphere is a three-dimensional case")
         if domain is None:
             domain = DomainSpec.ellipsoid((1.0, 1.0, 1.05))
-        c0 = homotopy_constant(3)
-        problem = ProblemSpec(
-            n=3,
-            f=lambda pts: np.full(pts.shape[0], c0),
-            phi=_quadratic_phi(domain),
-            name=name,
-        )
-        return domain, problem, lambda pts: 0.5 * np.sum(pts**2, axis=1)
+        return (domain, _quadratic_problem(domain, name),
+                lambda pts: 0.5 * np.sum(pts**2, axis=1))
     raise ValueError(f"unknown case {name!r}; available: {', '.join(NAMED_CASES)}")
+
+
+def _quadratic_problem(domain, name):
+    """Data for which u = |x|^2/2 is exact: f = (n-1)^n, phi = x.nu + |x|^2/2."""
+    c0 = homotopy_constant(domain.n)
+    nu = _extended_normal(domain)
+    return ProblemSpec(
+        n=domain.n,
+        f=lambda pts: np.full(pts.shape[0], c0),
+        phi=lambda pts: seed_datum(pts, nu(pts)),
+        name=name,
+    )
 
 
 def _array_problem(domain, grid, f_path, phi_path):
@@ -126,8 +117,6 @@ def _array_problem(domain, grid, f_path, phi_path):
             f"phi array has {phi_vals.size} values, grid has {grid.n_colloc} "
             "collocation points"
         )
-    if np.any(f_vals <= 0.0):
-        raise ValueError("sampled right-hand side must be positive everywhere")
     return SampledProblem(n=grid.n, f_active=f_vals, phi_colloc=phi_vals, spec=None)
 
 
@@ -148,10 +137,9 @@ DEFAULTS = {
     "barrier.sigma": 0.5,
     "barrier.epsilon": 0.45,
     "output": "out",
-    "seed": 0,
 }
 
-_INT_KEYS = {"n", "resolution", "homotopy_steps", "max_newton_iters", "seed"}
+_INT_KEYS = {"n", "resolution", "homotopy_steps", "max_newton_iters"}
 _FLOAT_KEYS = {"newton_tol", "min_step", "damping", "domain.radius",
                "barrier.gamma", "barrier.sigma", "barrier.epsilon"}
 _BOOL_KEYS = {"verify_barriers", "force"}
@@ -245,7 +233,12 @@ def write_solution_dump(directory, grid: Grid, field: DiscreteField, t: float):
 
 
 def load_solution_dump(directory):
-    """Rebuild (grid, field, t) from a dump; counts are cross-checked."""
+    """Rebuild (grid, field, t) from a dump.
+
+    The header counts and the grid arrays of the dump (``active_idx.bin``,
+    ``colloc_y.bin``) must match the rebuilt grid; a mismatch raises a
+    ValueError naming the file.
+    """
     src = Path(directory)
     header = json.loads((src / "header.json").read_text())
     if header.get("format") != "nconvex-dump-1":
@@ -258,6 +251,13 @@ def load_solution_dump(directory):
     grid = Grid(domain, header["resolution"])
     if grid.n_active != header["counts"]["active"] or grid.n_colloc != header["counts"]["colloc"]:
         raise ValueError("dump counts do not match the rebuilt grid")
+    for name, dtype, want, tol in (
+        ("active_idx.bin", "<i8", grid.active_idx, 0.0),
+        ("colloc_y.bin", "<f8", grid.colloc_y, 1e-12 * max(domain.semi_axes)),
+    ):
+        got = np.fromfile(src / name, dtype=dtype)
+        if got.size != want.size or not np.allclose(got, want.ravel(), rtol=0.0, atol=tol):
+            raise ValueError(f"{src / name} does not match the rebuilt grid")
     values = np.fromfile(src / "values.bin", dtype="<f8")
     trace = np.fromfile(src / "trace.bin", dtype="<f8")
     field = DiscreteField(values=values, trace=trace)
@@ -311,8 +311,6 @@ def _load_run(args):
         cfg["force"] = True
     if getattr(args, "output", None):
         cfg["output"] = args.output
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
     return cfg
 
 
@@ -323,8 +321,13 @@ def cmd_solve(args) -> int:
     if domain.n < 3:
         print("PDE runs need n >= 3", file=sys.stderr)
         return 2
+    if bool(cfg.get("f.file")) != bool(cfg.get("phi.file")):
+        print("custom data needs both f.file and phi.file", file=sys.stderr)
+        return 2
+    # The gate runs once, here, ahead of the grid build: a domain it refuses
+    # may not even yield a grid (the (1, 1, 3) ellipsoid at 9^3 does not).
     gate = pinching_check(domain)
-    if not gate.passes and not cfg.get("force", False):
+    if not (gate.passes or cfg.get("force", False)):
         print(
             "refusing to solve: " + gate.summary()
             + " (curvature spread exceeds H/(2(n-1)(n-2)); use --force to override)",
@@ -333,14 +336,15 @@ def cmd_solve(args) -> int:
         return 1
     grid = Grid(domain, int(cfg["resolution"]))
     exact = None
-    if cfg.get("f.file") or cfg.get("phi.file"):
-        if not (cfg.get("f.file") and cfg.get("phi.file")):
-            print("custom data needs both f.file and phi.file", file=sys.stderr)
-            return 2
-        problem = _array_problem(domain, grid, cfg["f.file"], cfg["phi.file"])
-    else:
-        _, spec, exact = named_case(cfg["case"], n=int(cfg["n"]), domain=domain)
-        problem = sample_problem(spec, grid)
+    try:
+        if cfg.get("f.file"):
+            problem = _array_problem(domain, grid, cfg["f.file"], cfg["phi.file"])
+        else:
+            _, spec, exact = named_case(cfg["case"], n=int(cfg["n"]), domain=domain)
+            problem = sample_problem(spec, grid)
+    except ValueError as exc:
+        print(f"invalid problem data: {exc}", file=sys.stderr)
+        return 2
     config = SolverConfig(
         newton_tol=float(cfg["newton_tol"]),
         max_newton_iters=int(cfg["max_newton_iters"]),
@@ -351,8 +355,7 @@ def cmd_solve(args) -> int:
     out_dir = Path(cfg["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        state, report = continuation(problem, grid, config,
-                                     force=bool(cfg.get("force", False)))
+        state, report = continuation(problem, grid, config, force=True)  # gate ran above
     except ContinuationFailure as exc:
         print(f"continuation failed: {exc}", file=sys.stderr)
         if exc.state is not None:
@@ -453,7 +456,6 @@ def main(argv=None) -> int:
                          dest="verify_barriers")
     p_solve.add_argument("--force", action="store_true")
     p_solve.add_argument("--output", type=str, default=None)
-    p_solve.add_argument("--seed", type=int, default=None)
     p_solve.set_defaults(func=cmd_solve)
 
     p_dom = sub.add_parser("check-domain", help="report the curvature gate")

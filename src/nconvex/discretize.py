@@ -9,6 +9,9 @@ value is the quadratic along that ray determined by the trace and two
 interpolated interior ray values.  The construction is exact for quadratic
 fields, which pins the discrete problem to the continuum one at the
 homotopy start.
+
+The interior equation is det W(D2u) = det(tr(D2u) I - D2u) = f, the lift at
+m = n - 1 evaluated through its n x n form M.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ __all__ = [
     "SampledProblem",
     "sample_problem",
     "homotopy_constant",
-    "hessian_stencil",
+    "seed_datum",
     "hessian_batch",
     "gradient_batch",
     "interior_residual",
@@ -67,23 +70,31 @@ class ProblemSpec:
         if self.n < 3:
             raise ValueError("PDE problems need n >= 3")
 
-    @property
-    def m(self) -> int:
-        return self.n - 1
-
 
 @dataclass(frozen=True)
 class SampledProblem:
-    """Problem data pinned to a grid: f at active points, phi at collocation."""
+    """Problem data pinned to a grid: f at active points, phi at collocation.
+
+    Construction rejects data the solver cannot use: f must be finite and
+    positive and phi finite, and the error names the first bad index.
+    """
 
     n: int
     f_active: np.ndarray
     phi_colloc: np.ndarray
     spec: ProblemSpec | None = None
 
-    @property
-    def m(self) -> int:
-        return self.n - 1
+    def __post_init__(self):
+        bad_f = np.flatnonzero(~(np.isfinite(self.f_active) & (self.f_active > 0.0)))
+        if bad_f.size:
+            i = int(bad_f[0])
+            raise ValueError(f"right-hand side must be finite and positive; "
+                             f"f at active point {i} is {self.f_active[i]}")
+        bad_phi = np.flatnonzero(~np.isfinite(self.phi_colloc))
+        if bad_phi.size:
+            i = int(bad_phi[0])
+            raise ValueError(f"boundary datum must be finite; "
+                             f"phi at collocation point {i} is {self.phi_colloc[i]}")
 
 
 def sample_problem(problem: ProblemSpec, grid: "Grid") -> SampledProblem:
@@ -92,13 +103,15 @@ def sample_problem(problem: ProblemSpec, grid: "Grid") -> SampledProblem:
     f_vals = np.asarray(problem.f(grid.active_pts), dtype=float)
     if f_vals.shape != (grid.n_active,):
         raise ValueError("f must return one value per active point")
-    if np.any(f_vals <= 0.0):
-        bad = grid.active_pts[int(np.argmin(f_vals))]
-        raise ValueError(f"right-hand side must be positive; f({bad}) <= 0")
     phi_vals = np.asarray(problem.phi(grid.colloc_y), dtype=float)
     if phi_vals.shape != (grid.n_colloc,):
         raise ValueError("phi must return one value per collocation point")
     return SampledProblem(n=grid.n, f_active=f_vals, phi_colloc=phi_vals, spec=problem)
+
+
+def seed_datum(pts: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Robin datum x.nu + |x|^2/2 that makes the seed u = |x|^2/2 exact."""
+    return np.einsum("ij,ij->i", pts, nu) + 0.5 * np.sum(pts**2, axis=1)
 
 
 def _stencil_offsets(n: int) -> np.ndarray:
@@ -228,9 +241,7 @@ class Grid:
         self.n_colloc = int(first.size)
         self.ghost_colloc = inverse
         self.ghost_s = -d  # signed ray coordinate: positive outside
-        self.colloc_quad = np.einsum("ij,ij->i", self.colloc_y, self.colloc_nu) + 0.5 * np.sum(
-            self.colloc_y**2, axis=1
-        )
+        self.colloc_quad = seed_datum(self.colloc_y, self.colloc_nu)
         self.delta = self.h
         tree = cKDTree(self.active_pts)
         rows1, cols1, vals1 = [], [], []
@@ -373,13 +384,6 @@ def hessian_batch(field: DiscreteField, grid: Grid) -> np.ndarray:
     return d2
 
 
-def hessian_stencil(field: DiscreteField, grid: Grid, index: int) -> np.ndarray:
-    """Hessian at one active point (row of `hessian_batch`)."""
-    if not 0 <= index < grid.n_active:
-        raise ValueError(f"active index {index} out of range")
-    return hessian_batch(field, grid)[index]
-
-
 def gradient_batch(field: DiscreteField, grid: Grid) -> np.ndarray:
     """Centered first differences at every active point, (N, n)."""
     v = grid.box_values(field)
@@ -413,7 +417,7 @@ def interior_residual(field: DiscreteField, grid: Grid, problem: SampledProblem,
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"homotopy parameter t={t} outside [0, 1]")
     d2 = hessian_batch(field, grid)
-    det = woperator.batch_det_w(d2, problem.m)
+    det = woperator.batch_det_w(d2)
     c0 = homotopy_constant(grid.n)
     return det - t * problem.f_active - (1.0 - t) * c0
 

@@ -224,65 +224,84 @@ def normal_field(domain: DomainSpec, x) -> np.ndarray:
 
 def boundary_frame(domain: DomainSpec, y) -> BoundaryData:
     """Curvature data of the boundary at the boundary point y."""
-    kappa, _, nu = _frame_at(domain, np.asarray(y, dtype=float))
-    return BoundaryData(point=np.asarray(y, dtype=float), nu=nu, kappa=kappa)
+    y = np.asarray(y, dtype=float)
+    kappa, _, nu = _frame_at(domain, y[None, :])
+    return BoundaryData(point=y, nu=nu[0], kappa=kappa[0])
 
 
 def _frame_at(domain: DomainSpec, y: np.ndarray):
-    """(kappa ascending, principal directions as rows, outward normal)."""
-    n = domain.n
-    c = np.asarray(domain.center)
-    z = y - c
+    """Principal frames at boundary points y of shape (N, n).
+
+    Returns kappa (N, n-1) ascending, the principal directions (N, n-1, n)
+    as rows, and the outward normals (N, n).
+    """
+    z = y - np.asarray(domain.center)
     if domain.is_ball:
-        r = np.linalg.norm(z)
-        nu = z / r
-        tang = _tangent_basis(nu)
-        kappa = np.full(n - 1, 1.0 / domain.radius)
-        return kappa, tang, nu
+        nu = z / np.linalg.norm(z, axis=1)[:, None]
+        kappa = np.full((y.shape[0], domain.n - 1), 1.0 / domain.radius)
+        return kappa, _tangent_basis(nu), nu
     a2 = np.asarray(domain.semi_axes) ** 2
     grad = 2.0 * z / a2
-    gnorm = np.linalg.norm(grad)
-    nu = grad / gnorm
+    gnorm = np.linalg.norm(grad, axis=1)
+    nu = grad / gnorm[:, None]
     tang = _tangent_basis(nu)
     # shape operator of a level set: tangential part of Hess(F)/|grad F|
-    hf = np.diag(2.0 / a2)
-    m = tang @ (hf / gnorm) @ tang.T
-    kappa, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    dirs = vecs.T @ tang
-    return kappa, dirs, nu
+    shape_op = np.einsum("pik,k,pjk->pij", tang, 2.0 / a2, tang) / gnorm[:, None, None]
+    kappa, vecs = np.linalg.eigh(0.5 * (shape_op + np.swapaxes(shape_op, 1, 2)))
+    return kappa, np.swapaxes(vecs, 1, 2) @ tang, nu
 
 
 def _tangent_basis(nu: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the tangent space, rows = vectors."""
-    n = nu.size
+    """Deterministic orthonormal tangent bases (N, n-1, n), rows = vectors."""
+    n = nu.shape[1]
     # Householder reflection taking e_1 to nu
     v = nu.copy()
-    v[0] += math.copysign(1.0, nu[0] if nu[0] != 0.0 else 1.0)
-    v /= np.linalg.norm(v)
-    house = np.eye(n) - 2.0 * np.outer(v, v)
-    return house[:, 1:].T
+    v[:, 0] += np.where(nu[:, 0] < 0.0, -1.0, 1.0)
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    house = np.eye(n) - 2.0 * v[:, :, None] * v[:, None, :]
+    return np.swapaxes(house[:, :, 1:], 1, 2)
+
+
+def _strip_projection(domain: DomainSpec, x, what: str):
+    """(x is one point, y, nu, d) for one point or a stack; rejects outside points."""
+    pts = np.asarray(x, dtype=float)
+    y, nu, d = project_to_boundary_batch(domain, pts)
+    if np.any(d < -1e-12 * max(domain.semi_axes)):
+        raise ValueError(f"{what} queried outside the domain")
+    return pts.ndim == 1, y, nu, d
+
+
+def _distance_hessian_at(domain: DomainSpec, y: np.ndarray, d: np.ndarray):
+    """Distance Hessians (N, n, n) at depths d below boundary points y.
+
+    Eigenvalues are -kappa_i / (1 - kappa_i d) along the principal
+    directions and 0 along the normal.  Also returns the principal
+    curvatures at y.
+    """
+    kappa, dirs, _ = _frame_at(domain, y)
+    denom = 1.0 - kappa * d[:, None]
+    if np.any(denom <= 0.0):
+        raise ValueError(
+            f"focal point reached: kappa*d = {np.max(kappa * d[:, None]):.3g} >= 1"
+        )
+    return -np.einsum("pk,pki,pkj->pij", kappa / denom, dirs, dirs), kappa
+
+
+def _barrier_hessian(k3: float, d: np.ndarray, nu: np.ndarray, d2d: np.ndarray):
+    """Hessians of h = -d + K3 d^2 from the distance Hessians d2d; Dd = -nu."""
+    return ((-1.0 + 2.0 * k3 * d)[:, None, None] * d2d
+            + 2.0 * k3 * nu[:, :, None] * nu[:, None, :])
 
 
 def distance_hessian(domain: DomainSpec, x) -> np.ndarray:
-    """Hessian of the distance function at a strip point.
+    """Hessian of the distance function at a strip point, or (N, n, n) at N points.
 
     Eigenvalues are -kappa_i / (1 - kappa_i d) along the principal
     directions of the projected boundary point and 0 along the normal.
     """
-    x = np.asarray(x, dtype=float)
-    y, nu, d = project_to_boundary(domain, x)
-    if d < -1e-12 * max(domain.semi_axes):
-        raise ValueError("distance Hessian queried outside the domain")
-    kappa, dirs, _ = _frame_at(domain, y)
-    denom = 1.0 - kappa * d
-    if np.any(denom <= 0.0):
-        raise ValueError(
-            f"focal point reached: kappa*d = {np.max(kappa * d):.3g} >= 1"
-        )
-    hess = np.zeros((domain.n, domain.n))
-    for k, e in zip(kappa, dirs):
-        hess -= (k / (1.0 - k * d)) * np.outer(e, e)
-    return hess
+    single, y, _, d = _strip_projection(domain, x, "distance Hessian")
+    hess, _ = _distance_hessian_at(domain, y, d)
+    return hess[0] if single else hess
 
 
 def barrier_h(domain: DomainSpec, k3: float, x):
@@ -291,15 +310,14 @@ def barrier_h(domain: DomainSpec, k3: float, x):
     The gradient is (-1 + 2 K3 d) Dd, the Hessian has eigenvalues
     (1 - 2 K3 d) kappa_i / (1 - kappa_i d) tangentially and 2 K3 along the
     normal; all positive while 2 K3 d < 1, so h is strictly convex there.
+    Takes one point (n,) or a stack (N, n).
     """
-    x = np.asarray(x, dtype=float)
-    _, nu, d = project_to_boundary(domain, x)
-    if d < -1e-12 * max(domain.semi_axes):
-        raise ValueError("barrier queried outside the domain")
-    dd = -nu  # gradient of the distance function
+    single, y, nu, d = _strip_projection(domain, x, "barrier")
     value = -d + k3 * d * d
-    grad = (-1.0 + 2.0 * k3 * d) * dd
-    hess = (-1.0 + 2.0 * k3 * d) * distance_hessian(domain, x) + 2.0 * k3 * np.outer(dd, dd)
+    grad = (1.0 - 2.0 * k3 * d)[:, None] * nu  # (-1 + 2 K3 d) Dd with Dd = -nu
+    hess = _barrier_hessian(k3, d, nu, _distance_hessian_at(domain, y, d)[0])
+    if single:
+        return float(value[0]), grad[0], hess[0]
     return value, grad, hess
 
 
@@ -332,12 +350,12 @@ def _tensor_sphere(n: int, count: int) -> np.ndarray:
     return pts[norm > 1e-12] / norm[norm > 1e-12, None]
 
 
-def boundary_samples(domain: DomainSpec, count: int = 10000):
-    """Deterministic boundary sample with curvature data per point.
+def _sample_frames(domain: DomainSpec, count: int):
+    """Deterministic boundary sample points with their principal curvatures.
 
     Directions come from a Fibonacci sphere for n = 3 and tensor angle
     grids for n >= 4; the semi-axis endpoints (where ellipsoid curvature
-    extremes sit) are always appended.
+    extremes sit) are always appended.  Returns (points, kappa, normals).
     """
     n = domain.n
     if n == 3:
@@ -352,7 +370,14 @@ def boundary_samples(domain: DomainSpec, count: int = 10000):
             axes_pts.append(e)
     dirs = np.vstack([dirs, np.array(axes_pts)])
     pts = np.asarray(domain.center) + dirs * np.asarray(domain.semi_axes)
-    return [boundary_frame(domain, y) for y in pts]
+    kappa, _, nu = _frame_at(domain, pts)
+    return pts, kappa, nu
+
+
+def boundary_samples(domain: DomainSpec, count: int = 10000):
+    """Deterministic boundary sample with curvature data per point."""
+    pts, kappa, nu = _sample_frames(domain, count)
+    return [BoundaryData(point=p, nu=v, kappa=k) for p, v, k in zip(pts, nu, kappa)]
 
 
 @dataclass(frozen=True)
@@ -400,30 +425,20 @@ def pinching_check(domain: DomainSpec, count: int = 10000) -> PinchingReport:
             corollary_agrees=True if n == 3 else None,
         )
         return report
-    samples = boundary_samples(domain, count)
-    margins = np.empty(len(samples))
-    spreads = np.empty(len(samples))
-    bounds = np.empty(len(samples))
-    coro = []
-    for idx, s in enumerate(samples):
-        spread = float(s.kappa[-1] - s.kappa[0])
-        bound = s.H / denom
-        margins[idx] = bound - spread
-        spreads[idx] = spread
-        bounds[idx] = bound
-        if n == 3:
-            coro.append(s.kappa[-1] < (5.0 / 3.0) * s.kappa[0])
+    pts, kappa, _ = _sample_frames(domain, count)
+    spreads = kappa[:, -1] - kappa[:, 0]
+    bounds = np.sum(kappa, axis=1) / denom
+    margins = bounds - spreads
     worst = int(np.argmin(margins))
-    passes = bool(margins[worst] > 0.0)
-    coro_pass = all(coro) if n == 3 else None
-    agrees = None
+    coro_pass = agrees = None
     if n == 3:
-        pointwise = [(margins[i] > 0.0) == coro[i] for i in range(len(coro))]
-        agrees = all(pointwise)
+        coro = kappa[:, -1] < (5.0 / 3.0) * kappa[:, 0]
+        coro_pass = bool(np.all(coro))
+        agrees = bool(np.all((margins > 0.0) == coro))
     return PinchingReport(
-        passes=passes,
+        passes=bool(margins[worst] > 0.0),
         margin_min=float(margins[worst]),
-        worst_point=samples[worst].point,
+        worst_point=pts[worst],
         kappa_spread_max=float(np.max(spreads)),
         bound_min=float(np.min(bounds)),
         n=n,

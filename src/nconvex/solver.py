@@ -3,7 +3,8 @@
 The interior equation is linearized through the gradient of det(W) with
 respect to the Hessian entries, contracted with the stencil coefficients;
 the Robin rows are linear and precomputed on the grid.  Every accepted
-iterate must keep the smallest lifted eigenvalue of W positive at all
+iterate must keep the ellipticity margin tr(D2u) - lambda_max(D2u), the
+smallest eigenvalue of M = tr(D2u) I - D2u and hence of W, positive at all
 active points (the discrete ellipticity certificate), which the line
 search enforces alongside plain residual decrease.
 
@@ -177,10 +178,10 @@ def residual_vector(x: np.ndarray, t: float, grid: Grid,
     )
 
 
-def ellipticity_margin(fld: DiscreteField, grid: Grid, m: int) -> float:
-    """Smallest lifted eigenvalue of W over all active points."""
+def ellipticity_margin(fld: DiscreteField, grid: Grid) -> float:
+    """Smallest tr(D2u) - lambda_max(D2u) over all active points."""
     d2 = hessian_batch(fld, grid)
-    return float(np.min(woperator.batch_min_lift_eig(d2, m)))
+    return float(np.min(woperator.batch_min_lift_eig(d2)))
 
 
 def assemble_jacobian(x: np.ndarray, t: float, grid: Grid,
@@ -193,7 +194,7 @@ def assemble_jacobian(x: np.ndarray, t: float, grid: Grid,
     """
     fld = DiscreteField.unpack(x, grid)
     d2 = hessian_batch(fld, grid)
-    grad = woperator.batch_linearization(d2, problem.m)  # (N, n, n)
+    grad = woperator.batch_linearization(d2)  # (N, n, n)
     n_act = grid.n_active
     rows_direct, cols_direct, vals_direct = [], [], []
     rows_ghost, cols_ghost, vals_ghost = [], [], []
@@ -308,7 +309,7 @@ def _make_state(t: float, fld: DiscreteField, grid: Grid,
         t=t,
         field=fld,
         residual_norm=float(np.max(np.abs(r))),
-        ellipticity_margin=ellipticity_margin(fld, grid, problem.m),
+        ellipticity_margin=ellipticity_margin(fld, grid),
         monitors=bound_monitors(fld, grid),
     )
 
@@ -345,7 +346,7 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
             trial_fld = DiscreteField.unpack(trial, grid)
             trial_r = residual_vector(trial, t, grid, problem)
             trial_norm = float(np.max(np.abs(trial_r)))
-            if trial_norm < rnorm and ellipticity_margin(trial_fld, grid, problem.m) > 0.0:
+            if trial_norm < rnorm and ellipticity_margin(trial_fld, grid) > 0.0:
                 x, r, rnorm = trial, trial_r, trial_norm
                 break
             alpha *= config.damping
@@ -376,13 +377,14 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     only when some step needs a linear solve.  On persistent step failure
     raises ContinuationFailure carrying the last accepted state and report.
     """
-    gate = pinching_check(grid.domain)
-    if not (gate.passes or force):
-        raise ValueError(
-            "domain rejected: curvature spread exceeds the pinching bound "
-            f"H / (2(n-1)(n-2)) (margin {gate.margin_min:.4g} at sampled point "
-            f"{np.round(gate.worst_point, 6)}); pass force=True to override"
-        )
+    if not force:
+        gate = pinching_check(grid.domain)
+        if not gate.passes:
+            raise ValueError(
+                "domain rejected: curvature spread exceeds the pinching bound "
+                f"H / (2(n-1)(n-2)) (margin {gate.margin_min:.4g} at sampled point "
+                f"{np.round(gate.worst_point, 6)}); pass force=True to override"
+            )
     report = PathReport()
     linear = CondensedSolver(grid, report)
     state = _make_state(0.0, quadratic_seed(grid), grid, problem)

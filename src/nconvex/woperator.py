@@ -6,6 +6,11 @@ diagonal entries are partial traces of the Hessian, and its off-diagonal
 entries are signed single Hessian entries wherever two multi-indexes differ
 in exactly one element.  The eigenvalues of W are the m-subset sums of the
 Hessian eigenvalues, so det(W) is the product of those sums.
+
+The PDE uses m = n - 1 only.  There W is a signed permutation of
+M = tr(H) I - H, and the batched kernels the grid evaluates (det, gradient,
+and the ellipticity margin tr H - lambda_max(H), the smallest eigenvalue
+of M) work on M without assembling the lift.
 """
 
 from __future__ import annotations
@@ -188,42 +193,39 @@ def concavity_probe(hess_a, hess_b, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation over many Hessians at once (grid hot paths).
+# Batched evaluation at m = n - 1 over (..., n, n) stacks (grid hot paths).
+#
+# At m = n - 1 the lift W(H) is a signed permutation of M = tr(H) I - H, so
+# det W = det M, the lifted eigenvalues are mu_i = tr H - lambda_i(H), and
+# d det W / dH = tr(adj M) I - adj M.  These kernels work on the n x n
+# matrix M; the scalar functions above stay general in m.
 
 
-def batch_assemble_w(hessians: np.ndarray, m: int) -> np.ndarray:
-    """Assemble lifts for a (N, n, n) stack of symmetric Hessians."""
-    n = hessians.shape[-1]
-    des = _descriptors(n, m)
-    p = len(multi_indices(n, m))
-    w = np.zeros(hessians.shape[:-2] + (p, p))
-    for a, b, i, j, s in des:
-        w[..., a, b] += s * hessians[..., i, j]
-    return w
+def batch_det_w(hessians: np.ndarray) -> np.ndarray:
+    """det W(H) = det(tr(H) I - H) for each Hessian of the stack."""
+    trace = np.trace(hessians, axis1=-2, axis2=-1)
+    return np.linalg.det(trace[..., None, None] * np.eye(hessians.shape[-1]) - hessians)
 
 
-def batch_det_w(hessians: np.ndarray, m: int) -> np.ndarray:
-    return np.linalg.det(batch_assemble_w(hessians, m))
+def batch_min_lift_eig(hessians: np.ndarray) -> np.ndarray:
+    """Smallest lifted eigenvalue tr H - lambda_max(H) per Hessian (the ellipticity quantity)."""
+    return np.trace(hessians, axis1=-2, axis2=-1) - np.linalg.eigvalsh(hessians)[..., -1]
 
 
-def batch_min_lift_eig(hessians: np.ndarray, m: int) -> np.ndarray:
-    """Smallest lifted eigenvalue per Hessian (the ellipticity quantity)."""
-    w = batch_assemble_w(hessians, m)
-    return np.linalg.eigvalsh(w)[..., 0]
+def batch_linearization(hessians: np.ndarray) -> np.ndarray:
+    """Gradients tr(adj M) I - adj M of det(W) for a stack of Hessians.
 
-
-def batch_linearization(hessians: np.ndarray, m: int) -> np.ndarray:
-    """Gradients of det(W) for a stack of Hessians with invertible lifts.
-
-    Uses adj(W) = det(W) * inv(W), so the stack must stay away from
-    singular lifts; solver states guarded by a positive ellipticity margin
-    always qualify.
+    adj M comes from the Faddeev-LeVerrier recursion: B_1 = I,
+    B_{k+1} = M B_k - tr(M B_k) / k I, and adj M = (-1)^(n-1) B_n.  It is a
+    polynomial in M, so it is defined at any rank, unlike det(M) inv(M).
     """
-    des = _descriptors(hessians.shape[-1], m)
-    w = batch_assemble_w(hessians, m)
-    det = np.linalg.det(w)
-    cof = det[..., None, None] * np.linalg.inv(w)  # symmetric lift: adj == cof
-    grad = np.zeros_like(hessians)
-    for a, b, i, j, s in des:
-        grad[..., i, j] += s * cof[..., a, b]
+    n = hessians.shape[-1]
+    eye = np.eye(n)
+    m = np.trace(hessians, axis1=-2, axis2=-1)[..., None, None] * eye - hessians
+    b = np.broadcast_to(eye, m.shape)
+    for k in range(1, n):
+        mb = m @ b
+        b = mb - (np.trace(mb, axis1=-2, axis2=-1) / k)[..., None, None] * eye
+    adj = b if n % 2 else -b
+    grad = np.trace(adj, axis1=-2, axis2=-1)[..., None, None] * eye - adj
     return 0.5 * (grad + np.swapaxes(grad, -1, -2))

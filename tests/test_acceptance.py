@@ -205,7 +205,7 @@ def test_criterion_04_gradient_and_jacobian_checks():
     states = 0
     while states < 20:
         x = seed + smooth_bump(rng, grid).pack()
-        if ellipticity_margin(DiscreteField.unpack(x, grid), grid, sampled.m) <= 0.0:
+        if ellipticity_margin(DiscreteField.unpack(x, grid), grid) <= 0.0:
             continue
         states += 1
         jac = assemble_jacobian(x, 0.4, grid, sampled)

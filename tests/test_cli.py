@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import nconvex.cli
+import nconvex.geometry
+import nconvex.solver
 from nconvex import selftest, woperator
 from nconvex.cli import (
     config_digest,
@@ -12,9 +15,11 @@ from nconvex.cli import (
     main,
     named_case,
     parse_config,
+    write_solution_dump,
 )
-from nconvex.discretize import sample_problem
-from nconvex.solver import residual_vector
+from nconvex.discretize import Grid, sample_problem
+from nconvex.geometry import DomainSpec, pinching_check
+from nconvex.solver import quadratic_seed, residual_vector
 
 
 class TestSelftest:
@@ -173,6 +178,59 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "refusing to solve" in err
+
+    def test_pinching_gate_runs_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(domain, *args, **kwargs):
+            calls.append(domain)
+            return pinching_check(domain, *args, **kwargs)
+
+        for module in (nconvex.cli, nconvex.solver, nconvex.geometry):
+            monkeypatch.setattr(module, "pinching_check", counting)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"case = ball-constant\nresolution = 9\noutput = {tmp_path / 'out'}\n")
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
+
+    def test_seed_is_not_a_solve_option(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["solve", "--seed", "1"])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\n")
+        with pytest.raises(ValueError, match="unknown key 'seed'"):
+            parse_config(cfg)
+
+    def test_nan_in_data_file_is_refused_without_traceback(self, tmp_path, capsys):
+        grid = Grid(DomainSpec.ball(1.0, n=3), 9)
+        f = np.full(grid.n_active, 8.0)
+        f[5] = np.nan
+        f.astype("<f8").tofile(tmp_path / "f.bin")
+        grid.colloc_quad.astype("<f8").tofile(tmp_path / "phi.bin")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"resolution = 9\nf.file = {tmp_path / 'f.bin'}\n"
+            f"phi.file = {tmp_path / 'phi.bin'}\noutput = {tmp_path / 'out'}\n"
+        )
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "f at active point 5 is nan" in err
+        assert "Traceback" not in err
+
+
+class TestSolutionDump:
+    @pytest.mark.parametrize("name", ["active_idx.bin", "colloc_y.bin"])
+    def test_edited_grid_array_rejected(self, tmp_path, name):
+        grid = Grid(DomainSpec.ball(1.0, n=3), 9)
+        dump = write_solution_dump(tmp_path / "dump", grid, quadratic_seed(grid), 1.0)
+        load_solution_dump(dump)  # the untouched dump loads
+        path = dump / name
+        dtype = "<i8" if name == "active_idx.bin" else "<f8"
+        data = np.fromfile(path, dtype=dtype)
+        data[3] += 1 if name == "active_idx.bin" else 1e-3
+        data.tofile(path)
+        with pytest.raises(ValueError, match=name):
+            load_solution_dump(dump)
 
 
 class TestCheckDomain:

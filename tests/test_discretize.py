@@ -7,9 +7,9 @@ from nconvex.discretize import (
     DiscreteField,
     Grid,
     ProblemSpec,
+    SampledProblem,
     gradient_batch,
     hessian_batch,
-    hessian_stencil,
     homotopy_constant,
     interior_residual,
     normal_derivative,
@@ -96,11 +96,6 @@ class TestHessianStencil:
         want = np.zeros((3, 3))
         want[0, 1] = want[1, 0] = 1.0
         assert np.max(np.abs(d2 - want)) < 1e-12
-
-    def test_single_point_matches_batch(self, grid9):
-        field = DiscreteField.from_function(grid9, lambda p: np.sin(p[:, 0]))
-        got = hessian_stencil(field, grid9, 7)
-        assert np.allclose(got, hessian_batch(field, grid9)[7])
 
     def test_second_order_richardson(self):
         errs = []
@@ -243,3 +238,21 @@ class TestFieldPlumbing:
         field = DiscreteField(values=np.zeros(3), trace=np.zeros(grid9.n_colloc))
         with pytest.raises(ValueError):
             field.check(grid9)
+
+
+class TestProblemData:
+    def test_nan_rhs_rejected_with_index(self):
+        f = np.full(5, 8.0)
+        f[3] = np.nan
+        with pytest.raises(ValueError, match="f at active point 3 is nan"):
+            SampledProblem(n=3, f_active=f, phi_colloc=np.zeros(4))
+
+    def test_infinite_callable_phi_rejected_with_index(self, grid9):
+        def phi(pts):
+            out = np.zeros(pts.shape[0])
+            out[7] = np.inf
+            return out
+
+        spec = ProblemSpec(n=3, f=lambda p: np.full(p.shape[0], 8.0), phi=phi)
+        with pytest.raises(ValueError, match="phi at collocation point 7 is inf"):
+            sample_problem(spec, grid9)

@@ -87,7 +87,7 @@ def make_state(t, fld, grid, problem):
         t=t,
         field=fld,
         residual_norm=float(np.max(np.abs(r))),
-        ellipticity_margin=ellipticity_margin(fld, grid, problem.m),
+        ellipticity_margin=ellipticity_margin(fld, grid),
         monitors=bound_monitors(fld, grid),
     )
 
@@ -141,7 +141,7 @@ class TestNewton:
             ).pack()
             x = seed.pack() + bump
             fld = DiscreteField.unpack(x, grid9)
-            if ellipticity_margin(fld, grid9, sp9.m) <= 0.0:
+            if ellipticity_margin(fld, grid9) <= 0.0:
                 continue
             tested += 1
             jac = assemble_jacobian(x, 0.3, grid9, sp9)
@@ -168,7 +168,7 @@ class TestNewton:
 
         def root_det(x):
             fld = DiscreteField.unpack(x, grid9)
-            det = woperator.batch_det_w(hessian_batch(fld, grid9), sp9.m)
+            det = woperator.batch_det_w(hessian_batch(fld, grid9))
             assert np.all(det > 0.0)
             return det ** (1.0 / 3.0)
 
@@ -207,7 +207,7 @@ class TestContinuation:
         problem = sample_problem(manufactured_problem(), grid)
         # admissibility of the reference is a precondition of the setup
         ref = DiscreteField.from_function(grid, u_star)
-        assert ellipticity_margin(ref, grid, problem.m) > 0.0
+        assert ellipticity_margin(ref, grid) > 0.0
         state, report = continuation(problem, grid, SolverConfig())
         assert state.t == 1.0
         err = np.max(np.abs(state.field.values - ref.values))
@@ -247,6 +247,24 @@ class TestContinuation:
         assert state.ellipticity_margin == pytest.approx(3.0, abs=1e-9)
         seed = quadratic_seed(grid)
         assert np.max(np.abs(state.field.values - seed.values)) < 1e-10
+
+    def test_four_dimensional_newton_from_perturbed_start(self):
+        # Newton steps at n = 4 run on the 4x4 M kernels and return to the quadratic
+        from nconvex.cli import named_case
+
+        domain, problem, _ = named_case("ball-constant", n=4)
+        grid = Grid(domain, 9)
+        sampled = sample_problem(problem, grid)
+        seed = quadratic_seed(grid)
+        bump = DiscreteField.from_function(
+            grid, lambda p: 0.01 * np.exp(p[:, 0]) * np.cos(p[:, 1])
+        )
+        fld = DiscreteField(values=seed.values + bump.values, trace=seed.trace + bump.trace)
+        start = make_state(1.0, fld, grid, sampled)
+        assert start.residual_norm > 1e-2
+        out = newton_solve(start, grid, sampled, SolverConfig())
+        assert out.residual_norm <= 1e-10
+        assert np.max(np.abs(out.field.values - seed.values)) < 1e-10
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nconvex.cone import lift_spectrum
 from nconvex.symfun import deleted_symmetric
@@ -256,11 +258,75 @@ class TestBatchHelpers:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(53)
         hs = np.stack([random_admissible(rng, 3, 2) for _ in range(20)])
-        dets = batch_det_w(hs, 2)
-        grads = batch_linearization(hs, 2)
-        mins = batch_min_lift_eig(hs, 2)
+        dets = batch_det_w(hs)
+        grads = batch_linearization(hs)
+        mins = batch_min_lift_eig(hs)
         for i in range(20):
             assert dets[i] == pytest.approx(det_w(hs[i], 2), rel=1e-12)
             assert np.allclose(grads[i], linearization(hs[i], 2), rtol=1e-9, atol=1e-9)
             w = assemble_w(hs[i], 2).matrix
             assert mins[i] == pytest.approx(np.linalg.eigvalsh(w)[0], rel=1e-12)
+
+
+# -- the M identities at m = n - 1 ------------------------------------------
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """(k, n, n) stacks of symmetric matrices with n = 3..6."""
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(1, 4))
+    entries = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    a = np.array(draw(st.lists(entries, min_size=k * n * n, max_size=k * n * n)))
+    a = a.reshape(k, n, n)
+    return 0.5 * (a + np.swapaxes(a, 1, 2))
+
+
+@st.composite
+def singular_m_stacks(draw):
+    """Stacks whose M = tr(H) I - H is exactly singular, with integer entries.
+
+    One Hessian is a permuted diagonal whose M has one or two zero
+    eigenvalues; one is tr(G) I - (n-1) G for G = B B^T of rank below n,
+    so that M = (n-1) G.
+    """
+    n = draw(st.integers(3, 6))
+    lam = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        lam[n - 2] = lam[n - 1]  # then mu_{n-2} = mu_{n-1}
+    lam[0] = -sum(lam[1:n - 1])  # mu_{n-1} = sum of lam_j, j != n-1, is 0
+    perm = draw(st.permutations(range(n)))
+    diag = np.diag(np.array(lam, dtype=float)[perm])
+    rank = draw(st.integers(1, n - 1))
+    b = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * rank,
+                               max_size=n * rank)), dtype=float).reshape(n, rank)
+    g = b @ b.T
+    gram = np.trace(g) * np.eye(n) - (n - 1) * g
+    return np.stack([diag, gram])
+
+
+def assert_batch_matches_lift(hs):
+    n = hs.shape[-1]
+    dets, grads, mins = batch_det_w(hs), batch_linearization(hs), batch_min_lift_eig(hs)
+    assert np.all(np.isfinite(grads))
+    for h, det, grad, low in zip(hs, dets, grads, mins):
+        lifted = np.linalg.eigvalsh(assemble_w(h, n - 1).matrix)
+        scale = max(1.0, float(np.max(np.abs(lifted))))
+        assert abs(det - det_w(h, n - 1)) <= 1e-12 * scale**n
+        assert np.max(np.abs(grad - linearization(h, n - 1))) <= 1e-12 * scale ** (n - 1)
+        assert abs(low - lifted[0]) <= 1e-12 * scale
+
+
+class TestMIdentities:
+    """The batch kernels work on M; the scalar lift at m = n - 1 is the reference."""
+
+    @settings(deadline=None)
+    @given(symmetric_stacks())
+    def test_batch_kernels_match_lift(self, hs):
+        assert_batch_matches_lift(hs)
+
+    @settings(deadline=None)
+    @given(singular_m_stacks())
+    def test_singular_m_gradient_is_finite_and_matches(self, hs):
+        assert batch_det_w(hs)[0] == 0.0  # the permuted diagonal's M is exactly singular
+        assert_batch_matches_lift(hs)
