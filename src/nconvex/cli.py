@@ -282,11 +282,7 @@ def _write_report(report, cfg, out_dir: Path):
 
 
 def cmd_selftest(args) -> int:
-    try:
-        results = selftest.run_all(seed=args.seed, max_n=args.max_n)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    results = selftest.run_all(seed=args.seed, max_n=args.max_n)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]
@@ -336,15 +332,11 @@ def cmd_solve(args) -> int:
         return 1
     grid = Grid(domain, int(cfg["resolution"]))
     exact = None
-    try:
-        if cfg.get("f.file"):
-            problem = _array_problem(domain, grid, cfg["f.file"], cfg["phi.file"])
-        else:
-            _, spec, exact = named_case(cfg["case"], n=int(cfg["n"]), domain=domain)
-            problem = sample_problem(spec, grid)
-    except ValueError as exc:
-        print(f"invalid problem data: {exc}", file=sys.stderr)
-        return 2
+    if cfg.get("f.file"):
+        problem = _array_problem(domain, grid, cfg["f.file"], cfg["phi.file"])
+    else:
+        _, spec, exact = named_case(cfg["case"], n=int(cfg["n"]), domain=domain)
+        problem = sample_problem(spec, grid)
     config = SolverConfig(
         newton_tol=float(cfg["newton_tol"]),
         max_newton_iters=int(cfg["max_newton_iters"]),
@@ -463,7 +455,12 @@ def main(argv=None) -> int:
     p_dom.set_defaults(func=cmd_check_domain)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # bad configuration, domain, grid or problem data: one line, exit 2
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,15 @@ interpolated interior ray values.  The construction is exact for quadratic
 fields, which pins the discrete problem to the continuum one at the
 homotopy start.
 
+The stencil is held as data on the Grid: an index ``nbr`` of each stencil
+neighbor into the extended vector [active values; closure values], the
+sparse ``extension`` map from the unknowns to that vector, and Hessian and
+gradient coefficient matrices with one row per offset.  Hessians and
+gradients are one gather and one matrix product, and the Newton Jacobian's
+interior block is the same coefficients contracted with the det W
+gradient.  The one-sided normal derivative is one sparse operator,
+``normal_op``; the Robin rows are that operator plus the trace identity.
+
 The interior equation is det W(D2u) = det(tr(D2u) I - D2u) = f, the lift at
 m = n - 1 evaluated through its n x n form M.
 """
@@ -36,6 +45,7 @@ __all__ = [
     "seed_datum",
     "hessian_batch",
     "gradient_batch",
+    "hessian_contraction",
     "interior_residual",
     "robin_residual",
     "normal_derivative",
@@ -114,23 +124,28 @@ def seed_datum(pts: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", pts, nu) + 0.5 * np.sum(pts**2, axis=1)
 
 
-def _stencil_offsets(n: int) -> np.ndarray:
-    """Offsets used by the centered Hessian stencil: 0, +-e_i, +-e_i +- e_j."""
-    offsets = [np.zeros(n, dtype=np.int64)]
-    for i in range(n):
-        for s in (1, -1):
-            e = np.zeros(n, dtype=np.int64)
-            e[i] = s
-            offsets.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    e = np.zeros(n, dtype=np.int64)
-                    e[i] = si
-                    e[j] = sj
-                    offsets.append(e)
-    return np.stack(offsets)
+def _stencil(n: int, h: float):
+    """Centered stencil: offsets 0, +-e_i, +-e_i +- e_j with their coefficients.
+
+    Returns the (q, n) integer offsets, the (q, n*n) Hessian coefficients and
+    the (q, n) gradient coefficients: D2u = sum_s u(x + h o_s) hess[s] and
+    Du = sum_s u(x + h o_s) grad[s], both exact for quadratics.
+    """
+    eye = np.eye(n, dtype=np.int64)
+    axes = [s * eye[i] for i in range(n) for s in (1, -1)]
+    diagonals = [si * eye[i] + sj * eye[j] for i in range(n) for j in range(i + 1, n)
+                 for si in (1, -1) for sj in (1, -1)]
+    offsets = np.stack([np.zeros(n, dtype=np.int64)] + axes + diagonals)
+    outer = offsets[:, :, None] * offsets[:, None, :]
+    h2 = h * h
+    on_axis, off_axis = slice(1, 1 + 2 * n), slice(1 + 2 * n, None)
+    hess = np.empty(outer.shape)
+    hess[0] = -2.0 / h2 * eye
+    hess[on_axis] = outer[on_axis] / h2
+    hess[off_axis] = outer[off_axis] * (1 - eye) / (4.0 * h2)
+    grad = np.zeros(offsets.shape)
+    grad[on_axis] = offsets[on_axis] / (2.0 * h)
+    return offsets, hess.reshape(len(offsets), n * n), grad
 
 
 def _quad_basis(xi: np.ndarray) -> np.ndarray:
@@ -169,11 +184,22 @@ def _wls_value_row(nbr_pts: np.ndarray, p: np.ndarray, h: float, rho: float):
 
 
 class Grid:
-    """Uniform Cartesian grid over a strictly convex domain.
+    """Uniform Cartesian grid over a strictly convex domain, with its stencil.
 
     Built once per (domain, resolution); everything downstream (residuals,
-    Jacobians, barrier evaluation) reads the precomputed index maps and
-    sparse operators stored here.
+    Jacobians, barrier evaluation) reads the arrays and sparse operators
+    stored here.  The stencil is data:
+
+    - ``nbr`` (q, N): for each stencil offset and active point, the index
+      of the neighbor in the extended vector [active values; closure
+      values];
+    - ``extension``: the sparse map x -> [values; C x] from the packed
+      unknowns to that extended vector;
+    - ``hess_coef`` (q, n*n) and ``grad_coef`` (q, n): the Hessian and
+      gradient weight of each offset;
+    - ``normal_op``: the one-sided u_nu at collocation points on the packed
+      unknowns; the Robin rows are ``robin_jac`` = ``normal_op`` plus the
+      trace identity.
     """
 
     def __init__(self, domain: DomainSpec, resolution: int):
@@ -188,13 +214,9 @@ class Grid:
         half_counts = np.ceil(a / self.h).astype(np.int64) + 2
         self.origin = c - half_counts * self.h
         self.shape = tuple(int(2 * k + 1) for k in half_counts)
-        self.box_size = int(np.prod(self.shape))
-        self.strides = np.array(
-            [int(np.prod(self.shape[i + 1:])) for i in range(self.n)], dtype=np.int64
-        )
+        self.offsets, self.hess_coef, self.grad_coef = _stencil(self.n, self.h)
         self._classify_points()
         self._build_collocation()
-        self._build_stencil_maps()
 
     # -- construction --------------------------------------------------------
 
@@ -203,33 +225,24 @@ class Grid:
         pts = self.origin + ks * self.h
         _, _, d = project_to_boundary_batch(self.domain, pts)
         active_mask = d > 0.5 * self.h
-        offsets = _stencil_offsets(self.n)
-        self.offsets = offsets
         active_lin = np.flatnonzero(active_mask)
         active_k = ks[active_lin]
+        if np.any(active_k < 1) or np.any(active_k > np.asarray(self.shape) - 2):
+            raise AssertionError("stencil leaves the padded box")
+        strides = np.array([int(np.prod(self.shape[i + 1:])) for i in range(self.n)])
+        tgt = active_k @ strides + (self.offsets @ strides)[:, None]
         # stencil neighbors that are not active become closure (ghost) points
-        ghost_flags = np.zeros(self.box_size, dtype=bool)
-        for off in offsets[1:]:
-            tgt_k = active_k + off
-            if np.any(tgt_k < 0) or np.any(tgt_k >= np.asarray(self.shape)):
-                raise AssertionError("stencil leaves the padded box")
-            tgt_lin = tgt_k @ self.strides
-            ghost_flags[tgt_lin[~active_mask[tgt_lin]]] = True
-        ghost_lin = np.flatnonzero(ghost_flags)
+        ghost_lin = np.unique(tgt[~active_mask[tgt]])
         self.active_idx = active_lin
-        self.active_k = active_k
         self.active_pts = pts[active_lin]
         self.active_d = d[active_lin]
-        self.ghost_idx = ghost_lin
         self.ghost_pts = pts[ghost_lin]
         self.n_active = active_lin.size
         self.n_ghost = ghost_lin.size
-        col = np.full(self.box_size, -1, dtype=np.int64)
+        col = np.empty(pts.shape[0], dtype=np.int64)
         col[active_lin] = np.arange(self.n_active)
-        self._box_to_active = col
-        gcol = np.full(self.box_size, -1, dtype=np.int64)
-        gcol[ghost_lin] = np.arange(self.n_ghost)
-        self._box_to_ghost = gcol
+        col[ghost_lin] = self.n_active + np.arange(self.n_ghost)
+        self.nbr = col[tgt]
 
     def _build_collocation(self):
         y, nu, d = project_to_boundary_batch(self.domain, self.ghost_pts)
@@ -269,12 +282,16 @@ class Grid:
         )
         c_u = sp.diags(l1) @ pick @ self.W1 + sp.diags(l2) @ pick @ self.W2
         c_b = sp.diags(l0) @ pick
-        self.C = sp.hstack([c_u, c_b], format="csr")
+        self.extension = sp.vstack(
+            [sp.eye(self.n_active, self.n_unknowns, format="csr"),
+             sp.hstack([c_u, c_b], format="csr")], format="csr")
+        # one-sided u_nu through the trace and the two interior ray values
+        self.normal_op = sp.hstack(
+            [(-4.0 * self.W1 + self.W2) / (2.0 * dl),
+             3.0 / (2.0 * dl) * sp.identity(self.n_colloc, format="csr")], format="csr")
         # constant Jacobian of the Robin rows: u_nu + u(y)
-        ident = sp.identity(self.n_colloc, format="csr")
-        robin_u = (-4.0 * self.W1 + self.W2) / (2.0 * dl)
-        robin_b = (3.0 / (2.0 * dl) + 1.0) * ident
-        self.robin_jac = sp.hstack([robin_u, robin_b], format="csr")
+        self.robin_jac = self.normal_op + sp.eye(self.n_colloc, self.n_unknowns,
+                                                 k=self.n_active, format="csr")
 
     def _interp_weights(self, tree, p):
         rho = 2.5 * self.h
@@ -290,52 +307,16 @@ class Grid:
             "coarse for this domain"
         )
 
-    def _build_stencil_maps(self):
-        h2 = self.h * self.h
-        terms = []
-        for off in self.offsets:
-            nz = np.flatnonzero(off)
-            if nz.size == 0:
-                terms.append([(i, i, -2.0 / h2) for i in range(self.n)])
-            elif nz.size == 1:
-                i = int(nz[0])
-                terms.append([(i, i, 1.0 / h2)])
-            else:
-                i, j = int(nz[0]), int(nz[1])
-                c = off[i] * off[j] / (4.0 * h2)
-                terms.append([(i, j, c), (j, i, c)])
-        self.offset_hess_terms = terms
-        grad_terms = []
-        for off in self.offsets:
-            nz = np.flatnonzero(off)
-            if nz.size == 1:
-                i = int(nz[0])
-                grad_terms.append([(i, off[i] / (2.0 * self.h))])
-            else:
-                grad_terms.append([])
-        self.offset_grad_terms = grad_terms
-        tgt = np.empty((len(self.offsets), self.n_active), dtype=np.int64)
-        for s_idx, off in enumerate(self.offsets):
-            tgt[s_idx] = (self.active_k + off) @ self.strides
-        self.tgt_idx = tgt
-        covered = (self._box_to_active[tgt] >= 0) | (self._box_to_ghost[tgt] >= 0)
-        if not np.all(covered):
-            raise AssertionError("active stencil neighbor is neither active nor closure")
-
     # -- field plumbing ------------------------------------------------------
 
     @property
     def n_unknowns(self) -> int:
         return self.n_active + self.n_colloc
 
-    def box_values(self, field: "DiscreteField") -> np.ndarray:
-        """Full box value array with closure points filled from the field."""
-        field.check(self)
-        v = np.zeros(self.box_size)
-        v[self.active_idx] = field.values
-        if self.n_ghost:
-            v[self.ghost_idx] = self.C @ field.pack()
-        return v
+    @property
+    def C(self) -> sp.csr_matrix:
+        """Closure map: closure values = C @ packed unknowns (rows of ``extension``)."""
+        return self.extension[self.n_active:]
 
     def strip_mask(self, mu: float) -> np.ndarray:
         """Active-point mask for the boundary strip of width mu."""
@@ -373,34 +354,41 @@ class DiscreteField:
         return DiscreteField(values=self.values.copy(), trace=self.trace.copy())
 
 
+def _stencil_values(field: DiscreteField, grid: Grid) -> np.ndarray:
+    """Field values at every stencil neighbor of every active point, (q, N)."""
+    field.check(grid)
+    return (grid.extension @ field.pack())[grid.nbr]
+
+
 def hessian_batch(field: DiscreteField, grid: Grid) -> np.ndarray:
     """Centered-stencil Hessians at every active point, (N, n, n)."""
-    v = grid.box_values(field)
-    slot = v[grid.tgt_idx]
-    d2 = np.zeros((grid.n_active, grid.n, grid.n))
-    for s_idx, terms in enumerate(grid.offset_hess_terms):
-        for i, j, c in terms:
-            d2[:, i, j] += c * slot[s_idx]
-    return d2
+    return (_stencil_values(field, grid).T @ grid.hess_coef).reshape(-1, grid.n, grid.n)
 
 
 def gradient_batch(field: DiscreteField, grid: Grid) -> np.ndarray:
     """Centered first differences at every active point, (N, n)."""
-    v = grid.box_values(field)
-    slot = v[grid.tgt_idx]
-    g = np.zeros((grid.n_active, grid.n))
-    for s_idx, terms in enumerate(grid.offset_grad_terms):
-        for i, c in terms:
-            g[:, i] += c * slot[s_idx]
-    return g
+    return _stencil_values(field, grid).T @ grid.grad_coef
+
+
+def hessian_contraction(coef: np.ndarray, grid: Grid) -> sp.csr_matrix:
+    """Sparse (N, n_unknowns) map x -> sum_ij coef[k, i, j] (D2x)_ij at each point k.
+
+    With coef the gradient of det W at D2u this is the interior block of
+    the Newton Jacobian.
+    """
+    weights = coef.reshape(grid.n_active, -1) @ grid.hess_coef.T  # (N, q)
+    q = weights.shape[1]
+    stencil = sp.csr_matrix(
+        (weights.ravel(), grid.nbr.T.ravel(), np.arange(0, weights.size + 1, q)),
+        shape=(grid.n_active, grid.extension.shape[0]),
+    )
+    return stencil @ grid.extension
 
 
 def normal_derivative(field: DiscreteField, grid: Grid) -> np.ndarray:
     """Outward normal derivative at collocation points (one-sided, 3 nodes)."""
     field.check(grid)
-    dl = grid.delta
-    return (3.0 * field.trace - 4.0 * (grid.W1 @ field.values)
-            + grid.W2 @ field.values) / (2.0 * dl)
+    return grid.normal_op @ field.pack()
 
 
 def second_normal_derivative(field: DiscreteField, grid: Grid) -> np.ndarray:
@@ -427,5 +415,6 @@ def robin_residual(field: DiscreteField, grid: Grid, problem: SampledProblem,
     """u_nu + u - t phi - (1-t)(y.nu + |y|^2/2) at collocation points."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"homotopy parameter t={t} outside [0, 1]")
+    field.check(grid)
     data = t * problem.phi_colloc + (1.0 - t) * grid.colloc_quad
-    return normal_derivative(field, grid) + field.trace - data
+    return grid.robin_jac @ field.pack() - data

@@ -31,6 +31,7 @@ from nconvex.discretize import (
     SampledProblem,
     gradient_batch,
     hessian_batch,
+    hessian_contraction,
     interior_residual,
     normal_derivative,
     robin_residual,
@@ -188,56 +189,23 @@ def assemble_jacobian(x: np.ndarray, t: float, grid: Grid,
                       problem: SampledProblem) -> sp.csr_matrix:
     """Sparse Jacobian of the stacked residual at the packed state.
 
-    Interior rows chain the det(W) gradient through the stencil
-    coefficients; closure columns route through the precomputed trace/ray
-    map; Robin rows are the constant operator stored on the grid.
+    Interior rows contract the det(W) gradient with the Hessian stencil
+    (closure neighbors route through the grid's extension map); Robin rows
+    are the constant operator stored on the grid.
     """
     fld = DiscreteField.unpack(x, grid)
-    d2 = hessian_batch(fld, grid)
-    grad = woperator.batch_linearization(d2)  # (N, n, n)
-    n_act = grid.n_active
-    rows_direct, cols_direct, vals_direct = [], [], []
-    rows_ghost, cols_ghost, vals_ghost = [], [], []
-    arange_act = np.arange(n_act)
-    for s_idx, terms in enumerate(grid.offset_hess_terms):
-        weight = np.zeros(n_act)
-        for i, j, c in terms:
-            weight += c * grad[:, i, j]
-        tgt = grid.tgt_idx[s_idx]
-        a_col = grid._box_to_active[tgt]
-        g_col = grid._box_to_ghost[tgt]
-        at_active = a_col >= 0
-        rows_direct.append(arange_act[at_active])
-        cols_direct.append(a_col[at_active])
-        vals_direct.append(weight[at_active])
-        at_ghost = ~at_active
-        if np.any(at_ghost):
-            rows_ghost.append(arange_act[at_ghost])
-            cols_ghost.append(g_col[at_ghost])
-            vals_ghost.append(weight[at_ghost])
-    direct = sp.csr_matrix(
-        (np.concatenate(vals_direct),
-         (np.concatenate(rows_direct), np.concatenate(cols_direct))),
-        shape=(n_act, grid.n_unknowns),
-    )
-    interior = direct
-    if rows_ghost:
-        ghost_part = sp.csr_matrix(
-            (np.concatenate(vals_ghost),
-             (np.concatenate(rows_ghost), np.concatenate(cols_ghost))),
-            shape=(n_act, grid.n_ghost),
-        )
-        interior = interior + ghost_part @ grid.C
-    return sp.vstack([interior, grid.robin_jac], format="csc")
+    coef = woperator.batch_linearization(hessian_batch(fld, grid))  # (N, n, n)
+    return sp.vstack([hessian_contraction(coef, grid), grid.robin_jac], format="csc")
 
 
 class CondensedSolver:
     """Newton-step solver for one continuation: condensed system, frozen LU.
 
-    The Jacobian is J = [[A, B], [R, d I]] with d = 3/(2 delta) + 1, because
-    the Robin rows touch each trace unknown only through its own value.  The
-    trace unknowns are eliminated exactly: S du = g1 - B g2 / d on the active
-    points with S = A - B R / d, then db = (g2 - R du) / d.
+    The Jacobian is J = [[A, B], [R, d I]], because the Robin rows touch
+    each trace unknown only through its own value; d is read off
+    ``grid.robin_jac``.  The trace unknowns are eliminated exactly:
+    S du = g1 - B g2 / d on the active points with S = A - B R / d, then
+    db = (g2 - R du) / d.
 
     The Jacobian does not depend on t, and every continuation starts at the
     quadratic seed, so the first system handed to ``solve`` is the seed's.
@@ -248,7 +216,7 @@ class CondensedSolver:
 
     def __init__(self, grid: Grid, report: PathReport):
         self.n_active = grid.n_active
-        self.d = 3.0 / (2.0 * grid.delta) + 1.0
+        self.d = grid.robin_jac[0, grid.n_active]
         self.robin_u = grid.robin_jac[:, : grid.n_active]
         self.report = report
         self._seed_lu = None

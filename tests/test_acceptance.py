@@ -42,9 +42,15 @@ BALL = DomainSpec.ball(1.0, n=3)
 _RESULTS = []
 
 
-def record(criterion, passed, detail):
+def record(criterion, passed, detail, seconds=None):
+    """Report one criterion; a wall time is printed but kept out of the file.
+
+    The summary file then changes only when a result does, not on every run.
+    """
     line = f"[criterion {criterion:02d}] {'PASS' if passed else 'FAIL'}: {detail}"
     _RESULTS.append(line)
+    if seconds is not None:
+        line = f"{line} (took {seconds:.2f} s)"
     print(line)
     assert passed, line
 
@@ -130,7 +136,7 @@ def test_criterion_01_w_conformance():
             bad += 1
     elapsed = time.time() - start
     record(1, bad == 0 and elapsed < 1.0,
-           f"explicit 3d lift, 100 Hessians, {bad} mismatches, {elapsed:.2f} s")
+           f"explicit 3d lift, 100 Hessians, {bad} mismatches, within 1 s", elapsed)
 
 
 def test_criterion_02_spectral_identity():
@@ -147,7 +153,8 @@ def test_criterion_02_spectral_identity():
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.time() - start
     record(2, worst < 1e-9 and elapsed < 10.0,
-           f"1000 lifts (n <= 6, all m), worst eigenvalue gap {worst:.2e}, {elapsed:.1f} s")
+           f"1000 lifts (n <= 6, all m), worst eigenvalue gap {worst:.2e}, within 10 s",
+           elapsed)
 
 
 def test_criterion_03_symmetric_function_identities():
@@ -286,7 +293,7 @@ def test_criterion_07_manufactured_convergence(manufactured_runs):
     ok = reached and 2.5 <= ratio <= 4.5 and total < 300.0
     record(7, ok,
            f"sup errors {err17:.3e} -> {err33:.3e}, ratio {ratio:.2f} "
-           f"(window [2.5, 4.5]), total {total:.0f} s")
+           f"(window [2.5, 4.5]), both solves within 300 s", total)
 
 
 def test_criterion_08_admissibility_along_path(manufactured_runs, constant_run_25):

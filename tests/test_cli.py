@@ -218,6 +218,64 @@ class TestSolveCommand:
         assert "Traceback" not in err
 
 
+    def test_step_underflow_dumps_last_good_state(self, tmp_path, capsys):
+        # one Newton iteration per step cannot reach t = 0.5, and halving
+        # the step once more underflows min_step
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "case = ball-manufactured-exp\nresolution = 9\nhomotopy_steps = 1\n"
+            f"max_newton_iters = 1\nmin_step = 0.3\noutput = {out}\n"
+        )
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "step size underflow" in capsys.readouterr().err
+        assert (out / "path_report.csv").is_file()
+        assert not (out / "solution").exists()
+        _, _, t = load_solution_dump(out / "last_good")
+        assert t == 0.0
+
+
+class TestErrorReporting:
+    """A ValueError from any command is one line on stderr and exit 2."""
+
+    @staticmethod
+    def run(argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        return code, err
+
+    @pytest.mark.parametrize("command", ["solve", "check-domain"])
+    def test_unknown_case(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"case = no-such\noutput = {tmp_path / 'out'}\n")
+        code, err = self.run([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "unknown case 'no-such'" in err
+
+    @pytest.mark.parametrize("command", ["solve", "check-domain"])
+    def test_unknown_domain_kind(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"domain.kind = cube\noutput = {tmp_path / 'out'}\n")
+        code, err = self.run([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "unknown domain.kind 'cube'" in err
+
+    def test_rank_deficient_grid(self, tmp_path, capsys):
+        # forced past the pinching gate, the (1, 1, 3) ellipsoid cannot build
+        # a 9^3 grid: its boundary collocation stencil is rank deficient
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "case = ball-constant\ndomain.kind = ellipsoid\n"
+            "domain.semi_axes = 1.0,1.0,3.0\nresolution = 9\n"
+            f"output = {tmp_path / 'out'}\n"
+        )
+        code, err = self.run(["solve", "--force", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "rank deficient" in err
+
+
 class TestSolutionDump:
     @pytest.mark.parametrize("name", ["active_idx.bin", "colloc_y.bin"])
     def test_edited_grid_array_rejected(self, tmp_path, name):

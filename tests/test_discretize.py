@@ -20,6 +20,7 @@ from nconvex.discretize import (
 from nconvex.geometry import DomainSpec
 
 BALL = DomainSpec.ball(1.0, n=3)
+ELLIPSOID = DomainSpec.ellipsoid((1.0, 1.0, 1.05))
 
 
 def quad_seed(pts):
@@ -40,6 +41,12 @@ def constant_problem(n=3):
 @pytest.fixture(scope="module")
 def grid9():
     return Grid(BALL, 9)
+
+
+@pytest.fixture(scope="module")
+def grids9(grid9):
+    """The 9^3 ball and, for a non-spherical boundary, the (1, 1, 1.05) ellipsoid."""
+    return {"ball": grid9, "ellipsoid": Grid(ELLIPSOID, 9)}
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +80,7 @@ class TestGridBuild:
         with pytest.raises(ValueError):
             Grid(BALL, 5)
 
-    @pytest.mark.parametrize("domain", [BALL, DomainSpec.ellipsoid((1.0, 1.0, 1.05))],
+    @pytest.mark.parametrize("domain", [BALL, ELLIPSOID],
                              ids=["ball", "ellipsoid"])
     def test_robin_trace_block_is_scaled_identity(self, domain):
         # the solver eliminates the trace unknowns exactly only while this holds
@@ -90,12 +97,13 @@ class TestHessianStencil:
         err = np.max(np.abs(d2 - np.eye(3)))
         assert err < 1e-12
 
-    def test_cross_term_exact(self, grid9):
-        field = DiscreteField.from_function(grid9, lambda p: p[:, 0] * p[:, 1])
-        d2 = hessian_batch(field, grid9)
+    def test_cross_term_exact(self, grids9):
         want = np.zeros((3, 3))
         want[0, 1] = want[1, 0] = 1.0
-        assert np.max(np.abs(d2 - want)) < 1e-12
+        for name, grid in grids9.items():
+            field = DiscreteField.from_function(grid, lambda p: p[:, 0] * p[:, 1])
+            d2 = hessian_batch(field, grid)
+            assert np.max(np.abs(d2 - want)) < 1e-12, name
 
     def test_second_order_richardson(self):
         errs = []
@@ -112,10 +120,11 @@ class TestHessianStencil:
         ratio = errs[0] / errs[1]
         assert 3.0 < ratio < 5.0  # h halves, second order gives ~4
 
-    def test_gradient_quadratic_exact(self, grid9):
-        field = DiscreteField.from_function(grid9, quad_seed)
-        g = gradient_batch(field, grid9)
-        assert np.max(np.abs(g - grid9.active_pts)) < 1e-12
+    def test_gradient_quadratic_exact(self, grids9):
+        for name, grid in grids9.items():
+            field = DiscreteField.from_function(grid, quad_seed)
+            g = gradient_batch(field, grid)
+            assert np.max(np.abs(g - grid.active_pts)) < 1e-12, name
 
 
 class TestRobinResidual:

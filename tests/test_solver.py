@@ -129,33 +129,36 @@ class TestNewton:
             newton_solve(state, grid9, sp9, SolverConfig())
 
     def test_jacobian_matches_directional_differences(self, grid9, sp9):
-        rng = np.random.default_rng(11)
-        seed = quadratic_seed(grid9)
-        tested = 0
-        for trial in range(8):
-            omega = rng.uniform(-1.5, 1.5, size=(3, 3))
-            coef = rng.uniform(-0.03, 0.03, size=3)
-            bump = DiscreteField.from_function(
-                grid9,
-                lambda p: sum(c * np.sin(p @ w) for c, w in zip(coef, omega)),
-            ).pack()
-            x = seed.pack() + bump
-            fld = DiscreteField.unpack(x, grid9)
-            if ellipticity_margin(fld, grid9) <= 0.0:
-                continue
-            tested += 1
-            jac = assemble_jacobian(x, 0.3, grid9, sp9)
-            delta = rng.standard_normal(grid9.n_unknowns)
-            delta /= np.linalg.norm(delta)
-            step = 1e-6
-            fd = (
-                residual_vector(x + step * delta, 0.3, grid9, sp9)
-                - residual_vector(x - step * delta, 0.3, grid9, sp9)
-            ) / (2.0 * step)
-            jd = jac @ delta
-            scale = np.max(np.abs(jd)) + 1e-30
-            assert np.max(np.abs(jd - fd)) / scale < 1e-5
-        assert tested >= 5
+        # the 9^3 ball and, for a non-spherical boundary, the (1, 1, 1.05) ellipsoid
+        egg = Grid(DomainSpec.ellipsoid((1.0, 1.0, 1.05)), 9)
+        for grid, problem in ((grid9, sp9), (egg, sample_problem(constant_problem(), egg))):
+            rng = np.random.default_rng(11)
+            seed = quadratic_seed(grid)
+            tested = 0
+            for trial in range(8):
+                omega = rng.uniform(-1.5, 1.5, size=(3, 3))
+                coef = rng.uniform(-0.03, 0.03, size=3)
+                bump = DiscreteField.from_function(
+                    grid,
+                    lambda p: sum(c * np.sin(p @ w) for c, w in zip(coef, omega)),
+                ).pack()
+                x = seed.pack() + bump
+                fld = DiscreteField.unpack(x, grid)
+                if ellipticity_margin(fld, grid) <= 0.0:
+                    continue
+                tested += 1
+                jac = assemble_jacobian(x, 0.3, grid, problem)
+                delta = rng.standard_normal(grid.n_unknowns)
+                delta /= np.linalg.norm(delta)
+                step = 1e-6
+                fd = (
+                    residual_vector(x + step * delta, 0.3, grid, problem)
+                    - residual_vector(x - step * delta, 0.3, grid, problem)
+                ) / (2.0 * step)
+                jd = jac @ delta
+                scale = np.max(np.abs(jd)) + 1e-30
+                assert np.max(np.abs(jd - fd)) / scale < 1e-5, grid.domain.kind
+            assert tested >= 5, grid.domain.kind
 
     def test_root_det_concave_along_segment(self, grid9, sp9):
         # det(W)^(1/n) at each active point is concave in the line-search
@@ -228,6 +231,16 @@ class TestContinuation:
         problem = sample_problem(constant_problem(), grid)
         with pytest.raises(ValueError, match="pinching"):
             continuation(problem, grid, SolverConfig())
+
+    def test_step_underflow_raises_with_last_good_state(self, grid9):
+        problem = sample_problem(manufactured_problem(), grid9)
+        config = SolverConfig(homotopy_steps=1, max_newton_iters=1, min_step=0.3)
+        with pytest.raises(ContinuationFailure, match="step size underflow") as info:
+            continuation(problem, grid9, config)
+        state, report = info.value.state, info.value.report
+        assert state.t == 0.0
+        assert state.ellipticity_margin > 0.0
+        assert [row["t"] for row in report.rows] == [0.0]
 
     def test_determinism(self, grid9, sp9):
         _, rep_a = continuation(sp9, grid9, SolverConfig())
