@@ -6,9 +6,12 @@ are the closest-point projections of the stencil neighbors that fall
 outside the active set.  Those outside neighbors ("closure" points) are not
 unknowns: each lies on the normal ray through its collocation point, so its
 value is the quadratic along that ray determined by the trace and two
-interpolated interior ray values.  The construction is exact for quadratic
-fields, which pins the discrete problem to the continuum one at the
-homotopy start.
+interpolated interior ray values.  Those come from moving-least-squares
+rows (``W1``, ``W2``) built in batched blocks: one neighbor query and one
+stacked SVD per block of collocation points; only the targets with too
+few neighbors or a rank-deficient design are searched again at a wider
+radius.  The construction is exact for quadratic fields, which pins the
+discrete problem to the continuum one at the homotopy start.
 
 The stencil is held as data on the Grid: an index ``nbr`` of each stencil
 neighbor into the extended vector [active values; closure values], the
@@ -25,6 +28,7 @@ m = n - 1 evaluated through its n x n form M.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -149,38 +153,89 @@ def _stencil(n: int, h: float):
 
 
 def _quad_basis(xi: np.ndarray) -> np.ndarray:
-    """Monomials up to degree two at scaled coordinates, constant first."""
-    npts, n = xi.shape
-    cols = [np.ones(npts)]
+    """Monomials up to degree two at scaled coordinates (..., n), constant first."""
+    n = xi.shape[-1]
+    cols = [np.ones(xi.shape[:-1])]
     for i in range(n):
-        cols.append(xi[:, i])
+        cols.append(xi[..., i])
     for i in range(n):
         for j in range(i, n):
-            cols.append(xi[:, i] * xi[:, j])
-    return np.stack(cols, axis=1)
+            cols.append(xi[..., i] * xi[..., j])
+    return np.stack(cols, axis=-1)
 
 
-def _wls_value_row(nbr_pts: np.ndarray, p: np.ndarray, h: float, rho: float):
-    """Weights lam with u(p) ~= lam . u(neighbors), exact for quadratics.
+# Targets per batched MLS solve.  The padded (block, k, q) design is built
+# for a whole block at once; this cap keeps its memory flat in the grid size.
+_MLS_BLOCK = 256
 
-    Weighted least squares with a Wendland-style weight; returns None when
-    the local design matrix is rank deficient (caller widens the search).
+
+def _mls_block(tree, nodes: np.ndarray, p: np.ndarray, h: float, rho: float):
+    """Weighted least-squares value rows for the targets p (b, n) at radius rho.
+
+    Row i holds weights lam with u(p_i) ~= lam . u(neighbors), exact for
+    quadratics, over the nodes within rho of p_i in ascending index order,
+    with a Wendland-style weight.  Returns the mask of targets that got a
+    row, and the rows' node counts, node indices and weights (concatenated
+    in target order).  A target fails with fewer than q + 2 neighbors or a
+    rank-deficient design; the caller widens its search.
     """
-    q = 1 + p.size + p.size * (p.size + 1) // 2
-    if nbr_pts.shape[0] < q + 2:
-        return None
-    xi = (nbr_pts - p) / h
-    basis = _quad_basis(xi)
-    r2 = np.sum((nbr_pts - p) ** 2, axis=1) / rho**2
-    w = np.maximum(0.0, 1.0 - r2) ** 2
+    b, n = p.shape
+    q = 1 + n + n * (n + 1) // 2
+    lists = tree.query_ball_point(p, rho, return_sorted=True)
+    counts = np.fromiter(map(len, lists), dtype=np.int64, count=b)
+    ok = counts >= q + 2
+    if not np.any(ok):
+        return ok, counts[ok], np.empty(0, dtype=np.int64), np.empty(0)
+    counts = counts[ok]
+    # pad the ragged neighbor lists; padded slots get zero weight
+    real = np.arange(counts.max()) < counts[:, None]
+    idx = np.zeros(real.shape, dtype=np.int64)
+    idx[real] = np.fromiter(itertools.chain.from_iterable(lists[ok]),
+                            dtype=np.int64, count=int(counts.sum()))
+    diff = nodes[idx] - p[ok, None, :]
+    r2 = np.sum(diff ** 2, axis=-1) / rho**2
+    w = np.where(real, np.maximum(0.0, 1.0 - r2) ** 2, 0.0)
     sw = np.sqrt(w)
-    design = basis * sw[:, None]
+    design = _quad_basis(diff / h) * sw[..., None]
     u, s, vt = np.linalg.svd(design, full_matrices=False)
-    if s[-1] <= 1e-9 * s[0]:
-        return None
+    full = s[:, -1] > 1e-9 * s[:, 0]
+    ok[ok] = full
+    counts, real, idx, sw = counts[full], real[full], idx[full], sw[full]
     # value row of the weighted pseudoinverse: lam = sqrt(W) U S^-1 (V^T)[:,0]
-    lam = (u @ (vt[:, 0] / s)) * sw
-    return lam
+    lam = np.matmul(u[full], (vt[full, :, 0] / s[full])[..., None])[..., 0] * sw
+    return ok, counts, idx[real], lam[real]
+
+
+def _mls_value_rows(nodes: np.ndarray, targets: np.ndarray, h: float) -> sp.csr_matrix:
+    """Sparse (len(targets), len(nodes)) MLS value rows, built in blocks.
+
+    The search radius starts at 2.5 h; targets whose rows fail go on to
+    the next radius, 1.4 times wider, for at most five radii.
+    """
+    tree = cKDTree(nodes)
+    pending = np.arange(targets.shape[0])
+    rho = 2.5 * h
+    rows, cols, vals = [], [], []
+    for _ in range(5):
+        failed = []
+        for start in range(0, pending.size, _MLS_BLOCK):
+            blk = pending[start:start + _MLS_BLOCK]
+            ok, counts, idx, lam = _mls_block(tree, nodes, targets[blk], h, rho)
+            rows.append(np.repeat(blk[ok], counts))
+            cols.append(idx)
+            vals.append(lam)
+            failed.append(blk[~ok])
+        pending = np.concatenate(failed)
+        if pending.size == 0:
+            break
+        rho *= 1.4
+    else:
+        raise ValueError(
+            "boundary collocation stencil is rank deficient; the grid is too "
+            "coarse for this domain"
+        )
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(targets.shape[0], nodes.shape[0]))
 
 
 class Grid:
@@ -256,20 +311,11 @@ class Grid:
         self.ghost_s = -d  # signed ray coordinate: positive outside
         self.colloc_quad = seed_datum(self.colloc_y, self.colloc_nu)
         self.delta = self.h
-        tree = cKDTree(self.active_pts)
-        rows1, cols1, vals1 = [], [], []
-        rows2, cols2, vals2 = [], [], []
-        for j in range(self.n_colloc):
-            for depth, (rows, cols, vals) in ((1, (rows1, cols1, vals1)),
-                                              (2, (rows2, cols2, vals2))):
-                p = self.colloc_y[j] - depth * self.delta * self.colloc_nu[j]
-                lam, idx = self._interp_weights(tree, p)
-                rows.extend([j] * len(idx))
-                cols.extend(idx)
-                vals.extend(lam)
-        shape = (self.n_colloc, self.n_active)
-        self.W1 = sp.csr_matrix((vals1, (rows1, cols1)), shape=shape)
-        self.W2 = sp.csr_matrix((vals2, (rows2, cols2)), shape=shape)
+        # MLS interpolation of the interior ray values at depths delta and 2 delta
+        self.W1, self.W2 = (
+            _mls_value_rows(self.active_pts,
+                            self.colloc_y - depth * self.delta * self.colloc_nu, self.h)
+            for depth in (1, 2))
         # closure: ghost value = quadratic along its ray through the trace
         dl = self.delta
         s = self.ghost_s
@@ -292,20 +338,6 @@ class Grid:
         # constant Jacobian of the Robin rows: u_nu + u(y)
         self.robin_jac = self.normal_op + sp.eye(self.n_colloc, self.n_unknowns,
                                                  k=self.n_active, format="csr")
-
-    def _interp_weights(self, tree, p):
-        rho = 2.5 * self.h
-        for _ in range(5):
-            idx = sorted(tree.query_ball_point(p, rho))
-            if idx:
-                lam = _wls_value_row(self.active_pts[idx], p, self.h, rho)
-                if lam is not None:
-                    return lam, idx
-            rho *= 1.4
-        raise ValueError(
-            "boundary collocation stencil is rank deficient; the grid is too "
-            "coarse for this domain"
-        )
 
     # -- field plumbing ------------------------------------------------------
 
@@ -354,10 +386,10 @@ class DiscreteField:
         return DiscreteField(values=self.values.copy(), trace=self.trace.copy())
 
 
-def _stencil_values(field: DiscreteField, grid: Grid) -> np.ndarray:
-    """Field values at every stencil neighbor of every active point, (q, N)."""
+def _stencil_values(field: DiscreteField, grid: Grid, offsets=slice(None)) -> np.ndarray:
+    """Field values at the given stencil neighbors of every active point, (q', N)."""
     field.check(grid)
-    return (grid.extension @ field.pack())[grid.nbr]
+    return (grid.extension @ field.pack())[grid.nbr[offsets]]
 
 
 def hessian_batch(field: DiscreteField, grid: Grid) -> np.ndarray:
@@ -367,7 +399,8 @@ def hessian_batch(field: DiscreteField, grid: Grid) -> np.ndarray:
 
 def gradient_batch(field: DiscreteField, grid: Grid) -> np.ndarray:
     """Centered first differences at every active point, (N, n)."""
-    return _stencil_values(field, grid).T @ grid.grad_coef
+    axes = slice(1, 1 + 2 * grid.n)  # the +-e_i offsets, the only ones with a gradient weight
+    return _stencil_values(field, grid, axes).T @ grid.grad_coef[axes]
 
 
 def hessian_contraction(coef: np.ndarray, grid: Grid) -> sp.csr_matrix:

@@ -118,12 +118,17 @@ def _center_ellipsoid_roots(domain: DomainSpec, x: np.ndarray):
 
     Solves sum_i (a_i x_i / (a_i^2 + t))^2 = 1 per row by bisection on the
     monotone branch; t < 0 inside, t > 0 outside, t = 0 on the boundary.
+    The bisection stops once an iteration leaves every bracket unchanged,
+    since each later one would repeat it.
     """
     a2 = np.asarray(domain.semi_axes) ** 2
     ax = np.asarray(domain.semi_axes) * x
+    # a zero coordinate's term is 0 at every t; moving its pole out of reach
+    # keeps it an exact zero where t = -a_i^2 would give 0/0
+    poles = np.where(ax != 0.0, a2, np.finfo(float).max)
 
     def g(t):
-        return np.sum((ax / (a2 + t[:, None])) ** 2, axis=1) - 1.0
+        return np.sum((ax / (poles + t[:, None])) ** 2, axis=1) - 1.0
 
     npts = x.shape[0]
     level = np.sum(x ** 2 / a2, axis=1)
@@ -145,8 +150,11 @@ def _center_ellipsoid_roots(domain: DomainSpec, x: np.ndarray):
     for _ in range(110):
         mid = 0.5 * (lo + hi)
         pos = g(mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
+        new_lo = np.where(pos, mid, lo)
+        new_hi = np.where(pos, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nconvex import discretize
 from nconvex.discretize import (
     DiscreteField,
     Grid,
@@ -21,6 +22,9 @@ from nconvex.geometry import DomainSpec
 
 BALL = DomainSpec.ball(1.0, n=3)
 ELLIPSOID = DomainSpec.ellipsoid((1.0, 1.0, 1.05))
+# at 11^3 some depth-delta points of this ellipsoid find a rank-deficient
+# design at the first radius, so their rows come from a widened search
+ELONGATED = DomainSpec.ellipsoid((1.0, 1.0, 2.5))
 
 
 def quad_seed(pts):
@@ -88,6 +92,53 @@ class TestGridBuild:
         block = grid.robin_jac[:, grid.n_active:]
         scaled = (3.0 / (2.0 * grid.delta) + 1.0) * np.eye(grid.n_colloc)
         assert np.array_equal(block.toarray(), scaled)
+
+
+def monomials(pts):
+    """1, x_i and x_i x_j (i <= j) at each point, (N, 1 + n + n(n+1)/2)."""
+    n = pts.shape[1]
+    cols = [np.ones(pts.shape[0])] + [pts[:, i] for i in range(n)]
+    cols += [pts[:, i] * pts[:, j] for i in range(n) for j in range(i, n)]
+    return np.stack(cols, axis=1)
+
+
+def mls_targets(grid, depth):
+    return grid.colloc_y - depth * grid.delta * grid.colloc_nu
+
+
+class TestCollocationWeights:
+    @pytest.mark.parametrize("domain, res", [(BALL, 9), (ELLIPSOID, 9), (ELONGATED, 11)],
+                             ids=["ball-9", "ellipsoid-9", "elongated-11"])
+    def test_rows_reproduce_quadratics(self, domain, res):
+        grid = Grid(domain, res)
+        for depth, w in ((1, grid.W1), (2, grid.W2)):
+            targets = mls_targets(grid, depth)
+            got = w @ monomials(grid.active_pts)
+            assert np.max(np.abs(got - monomials(targets))) < 1e-12, depth
+            assert np.max(np.abs(w.sum(axis=1).A1 - 1.0)) < 1e-12, depth
+
+    def test_widened_rows_on_elongated_ellipsoid(self):
+        # the fixture above only covers the widening path while this holds
+        grid = Grid(ELONGATED, 11)
+        rows = grid.W1.tocoo()
+        dist = np.linalg.norm(grid.active_pts[rows.col] - mls_targets(grid, 1)[rows.row], axis=1)
+        reach = np.zeros(grid.n_colloc)
+        np.maximum.at(reach, rows.row, dist)
+        assert np.count_nonzero(reach > 2.5 * grid.h) > 0
+
+    def test_block_size_does_not_change_rows(self, monkeypatch):
+        ref = Grid(ELONGATED, 11)
+        monkeypatch.setattr(discretize, "_MLS_BLOCK", 7)
+        small = Grid(ELONGATED, 11)
+        for name in ("W1", "W2"):
+            a, b = getattr(ref, name), getattr(small, name)
+            assert np.array_equal(a.indptr, b.indptr), name
+            assert np.array_equal(a.indices, b.indices), name
+            assert np.max(np.abs(a.data - b.data)) < 1e-15, name
+
+    def test_rank_deficient_stencil_rejected(self):
+        with pytest.raises(ValueError, match="rank deficient"):
+            Grid(DomainSpec.ellipsoid((1.0, 1.0, 3.0)), 9)
 
 
 class TestHessianStencil:
