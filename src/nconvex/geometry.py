@@ -94,11 +94,6 @@ class DomainSpec:
     def mu0(self) -> float:
         return 1.0 / self.kappa_max_global
 
-    def bounding_box(self, pad: float = 0.0):
-        c = np.asarray(self.center)
-        a = np.asarray(self.semi_axes)
-        return c - a - pad, c + a + pad
-
 
 @dataclass(frozen=True)
 class BoundaryData:

@@ -8,9 +8,7 @@ a deployed install can self-check without test infrastructure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -30,12 +28,6 @@ class CheckResult:
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"[{mark}] {self.name}: {self.detail}"
-
-
-def _esym_enum(values, k):
-    if k == 0:
-        return 1.0
-    return float(sum(math.prod(c) for c in combinations(list(values), k)))
 
 
 def _suite_symfun(rng, cases=2000):

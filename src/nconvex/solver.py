@@ -10,9 +10,10 @@ search enforces alongside plain residual decrease.
 
 Each Newton step eliminates the trace unknowns exactly (the Robin block
 on them is a multiple of the identity) and solves the remaining system on
-the active points by GMRES, preconditioned with one LU of the seed
-Jacobian that is kept for the whole continuation; a step GMRES cannot
-finish falls back to a direct factorization of the current system.
+the active points by GMRES, preconditioned with one incomplete LU of the
+seed system, with its round-off entries pruned, that is kept for the
+whole continuation; a step GMRES cannot finish falls back to a direct
+factorization of the current system.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 from nconvex import woperator
 from nconvex.discretize import (
@@ -45,6 +46,7 @@ __all__ = [
     "HomotopyState",
     "PathReport",
     "CondensedSolver",
+    "prune_roundoff",
     "StepFailure",
     "ContinuationFailure",
     "residual_vector",
@@ -58,12 +60,26 @@ __all__ = [
 
 REPORT_COLUMNS = ("t", "residual", "margin", "sup_u", "sup_du", "sup_d2u", "N", "ratio")
 
-# GMRES on the condensed Newton system.  With the seed LU as preconditioner
-# a step takes 5-7 iterations along the manufactured paths, so these caps
-# only bound the work spent on a stalled solve before the direct fallback.
-GMRES_RTOL = 1e-12
-GMRES_RESTART = 30
-GMRES_MAX_RESTARTS = 2
+# GMRES on the condensed Newton system.  With the seed ILU as preconditioner
+# a manufactured-path step takes 8-9 iterations at 17^3, 12 at 25^3, 15-16
+# at 33^3 and 22-23 at 49^3, so a restart of 60 finishes in one cycle and the
+# caps only bound the work spent on a stalled solve before the direct
+# fallback.  The tolerance sits above the round-off floor of the true
+# residual (about 1e-12 at 33^3), which GMRES cannot certify.  A cycle ends
+# on the preconditioned residual, and each restart tightens that target by
+# only 4x, so a step whose true residual lands just above the tolerance can
+# need a third cycle of one or two iterations.
+GMRES_RTOL = 1e-10
+GMRES_RESTART = 60
+GMRES_MAX_RESTARTS = 3
+
+# Seed preconditioner: entries below ROUNDOFF_REL of their row maximum are
+# round-off (at the seed M = 2I the off-diagonal linearization terms vanish
+# in exact arithmetic) and are dropped before the incomplete LU.
+ROUNDOFF_REL = 1e-12
+ILU_DROP_TOL = 1e-3
+ILU_FILL_FACTOR = 10
+ILU_PERMC = "MMD_AT_PLUS_A"
 
 
 class StepFailure(RuntimeError):
@@ -199,7 +215,7 @@ def assemble_jacobian(x: np.ndarray, t: float, grid: Grid,
 
 
 class CondensedSolver:
-    """Newton-step solver for one continuation: condensed system, frozen LU.
+    """Newton-step solver for one continuation: condensed system, frozen ILU.
 
     The Jacobian is J = [[A, B], [R, d I]], because the Robin rows touch
     each trace unknown only through its own value; d is read off
@@ -209,9 +225,11 @@ class CondensedSolver:
 
     The Jacobian does not depend on t, and every continuation starts at the
     quadratic seed, so the first system handed to ``solve`` is the seed's.
-    Its S is factorized then, once, and preconditions GMRES on every later
-    step.  A step GMRES does not finish is solved by a direct factorization
-    of its own S.  GMRES iterations and fallbacks are recorded on ``report``.
+    An incomplete LU of its S, pruned of round-off entries, is built then,
+    once, and preconditions GMRES on every step; GMRES always solves the
+    full S.  A step GMRES does not finish is solved by a direct
+    factorization of its own S.  GMRES iterations and fallbacks are
+    recorded on ``report``.
     """
 
     def __init__(self, grid: Grid, report: PathReport):
@@ -219,25 +237,25 @@ class CondensedSolver:
         self.d = grid.robin_jac[0, grid.n_active]
         self.robin_u = grid.robin_jac[:, : grid.n_active]
         self.report = report
-        self._seed_lu = None
+        self._seed_ilu = None
 
     def solve(self, jac: sp.spmatrix, rhs: np.ndarray, t: float) -> np.ndarray:
         """Solve jac @ delta = rhs; raises StepFailure if no path succeeds."""
         n, d = self.n_active, self.d
         jac = sp.csr_matrix(jac)
         a, b = jac[:n, :n], jac[:n, n:]
-        schur = (a - b @ self.robin_u / d).tocsc()
+        schur = a - b @ self.robin_u / d
         g1, g2 = rhs[:n], rhs[n:]
         rhs_u = g1 - b @ g2 / d
-        if self._seed_lu is None:
-            self._seed_lu = _factor(schur, t)
+        if self._seed_ilu is None:
+            self._seed_ilu = _seed_preconditioner(schur, t)
         iters = 0
 
         def count(_):
             nonlocal iters
             iters += 1
 
-        precond = LinearOperator(schur.shape, matvec=self._seed_lu.solve)
+        precond = LinearOperator(schur.shape, matvec=self._seed_ilu.solve)
         du, info = gmres(schur, rhs_u, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
                          maxiter=GMRES_MAX_RESTARTS, M=precond, callback=count,
                          callback_type="pr_norm")
@@ -250,9 +268,27 @@ class CondensedSolver:
         return np.concatenate([du, (g2 - self.robin_u @ du) / d])
 
 
-def _factor(matrix: sp.csc_matrix, t: float):
+def prune_roundoff(matrix: sp.spmatrix) -> sp.csr_matrix:
+    """Copy of ``matrix`` without the entries below ROUNDOFF_REL of their row maximum."""
+    out = sp.csr_matrix(matrix, copy=True)
+    row_max = abs(out).max(axis=1).toarray().ravel()
+    small = np.abs(out.data) < ROUNDOFF_REL * np.repeat(row_max, np.diff(out.indptr))
+    out.data[small] = 0.0
+    out.eliminate_zeros()
+    return out
+
+
+def _seed_preconditioner(schur: sp.csr_matrix, t: float):
     try:
-        return splu(matrix)
+        return spilu(prune_roundoff(schur).tocsc(), drop_tol=ILU_DROP_TOL,
+                     fill_factor=ILU_FILL_FACTOR, permc_spec=ILU_PERMC)
+    except RuntimeError as exc:
+        raise StepFailure(f"seed preconditioner failed at t={t:.6g}: {exc}")
+
+
+def _factor(matrix: sp.spmatrix, t: float):
+    try:
+        return splu(matrix.tocsc())
     except RuntimeError as exc:
         raise StepFailure(f"Jacobian factorization failed at t={t:.6g}: {exc}")
 
@@ -341,7 +377,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
 
     The curvature-pinching gate runs first unless ``force`` is set; the
     start iterate is the exact t = 0 solution.  One CondensedSolver serves
-    every Newton step, so the seed LU is built at most once per call and
+    every Newton step, so the seed ILU is built at most once per call and
     only when some step needs a linear solve.  On persistent step failure
     raises ContinuationFailure carrying the last accepted state and report.
     """

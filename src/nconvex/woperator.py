@@ -115,10 +115,6 @@ class WMatrix:
     matrix: np.ndarray
     labels: tuple
 
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[0])
-
 
 def assemble_w(hess, m: int) -> WMatrix:
     """Assemble the lift of a symmetric Hessian for subset size m."""

@@ -290,7 +290,9 @@ def test_criterion_07_manufactured_convergence(manufactured_runs):
         manufactured_runs[17]["state"].t == 1.0
         and manufactured_runs[33]["state"].t == 1.0
     )
-    ok = reached and 2.5 <= ratio <= 4.5 and total < 300.0
+    # a GMRES stall still converges through the direct fallback, so count it
+    fallbacks = sum(manufactured_runs[res]["report"].direct_fallbacks for res in (17, 33))
+    ok = reached and 2.5 <= ratio <= 4.5 and total < 300.0 and fallbacks == 0
     record(7, ok,
            f"sup errors {err17:.3e} -> {err33:.3e}, ratio {ratio:.2f} "
            f"(window [2.5, 4.5]), both solves within 300 s", total)

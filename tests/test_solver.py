@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import nconvex.solver
@@ -29,6 +30,7 @@ from nconvex.solver import (
     continuation,
     ellipticity_margin,
     newton_solve,
+    prune_roundoff,
     quadratic_seed,
     residual_vector,
 )
@@ -51,22 +53,23 @@ def constant_problem(n=3):
 
 
 AMP = 0.05
+E1 = np.array([1.0, 0.0, 0.0])
 
 
-def u_star(pts):
-    return 0.5 * np.sum(pts**2, axis=1) + AMP * np.exp(pts[:, 0])
+def u_star(pts, w=E1):
+    return 0.5 * np.sum(pts**2, axis=1) + AMP * np.exp(pts @ w)
 
 
-def manufactured_problem():
+def manufactured_problem(w=E1):
+    """u* = |x|^2/2 + AMP exp(w.x); D2u* = I + AMP exp(w.x) w w^T for unit w."""
     def f(pts):
-        a = AMP * np.exp(pts[:, 0])
+        a = AMP * np.exp(pts @ w)
         return 2.0 * (2.0 + a) ** 2
 
     def phi(pts):
         nu = nu_of(pts)
-        grad = pts.copy()
-        grad[:, 0] += AMP * np.exp(pts[:, 0])
-        return np.einsum("ij,ij->i", grad, nu) + u_star(pts)
+        grad = pts + (AMP * np.exp(pts @ w))[:, None] * w
+        return np.einsum("ij,ij->i", grad, nu) + u_star(pts, w)
 
     return ProblemSpec(n=3, f=f, phi=phi, name="ball-manufactured-exp")
 
@@ -285,20 +288,34 @@ def manufactured9(grid9):
     return sample_problem(manufactured_problem(), grid9)
 
 
-def count_factorizations(monkeypatch):
+def count_calls(monkeypatch, name):
     calls = []
-    original = nconvex.solver.splu
+    original = getattr(nconvex.solver, name)
 
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return original(matrix)
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix)
+        return original(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(nconvex.solver, "splu", counting)
+    monkeypatch.setattr(nconvex.solver, name, counting)
     return calls
 
 
+def count_factorizations(monkeypatch):
+    """Matrices handed to the seed ILU and to the direct LU, kept apart."""
+    return count_calls(monkeypatch, "spilu"), count_calls(monkeypatch, "splu")
+
+
+def schur_of(jac, grid):
+    """S = A - B R / d, the Jacobian with the trace unknowns eliminated."""
+    n = grid.n_active
+    jac = sp.csr_matrix(jac)
+    d = grid.robin_jac[0, n]
+    return sp.csr_matrix(jac[:n, :n] - jac[:n, n:] @ grid.robin_jac[:, :n] / d)
+
+
 class TestLinearSolve:
-    def test_condensed_step_matches_direct_lu(self, grid9, manufactured9):
+    def test_condensed_step_matches_direct_lu(self, grid9, manufactured9, monkeypatch):
+        seeds, lus = count_factorizations(monkeypatch)
         report = PathReport()
         linear = CondensedSolver(grid9, report)
         seed = quadratic_seed(grid9).pack()
@@ -312,18 +329,49 @@ class TestLinearSolve:
             direct = splu(jac).solve(-r)
             step = linear.solve(jac, -r, 0.4)
             assert np.linalg.norm(step - direct) <= 1e-10 * np.linalg.norm(direct)
-        assert report.krylov_iters[0] == 1
+        # one preconditioner, built from the seed S (not the bumped one)
+        assert len(seeds) == 1 and lus == []
+        seed_s = schur_of(assemble_jacobian(seed, 0.4, grid9, manufactured9), grid9)
+        built = sp.csr_matrix(seeds[0])
+        assert built.shape == seed_s.shape
+        assert abs(built - prune_roundoff(seed_s)).max() <= 1e-12 * abs(seed_s).max()
         assert report.krylov_iters[1] > 1
         assert report.direct_fallbacks == 0
+
+    def test_seed_preconditioner_drops_only_roundoff(self, grid9, manufactured9,
+                                                     monkeypatch):
+        seeds, _ = count_factorizations(monkeypatch)
+        solved = count_calls(monkeypatch, "gmres")
+        seed = quadratic_seed(grid9).pack()
+        jac = assemble_jacobian(seed, 0.0, grid9, manufactured9)
+        rhs = np.ones(grid9.n_unknowns)
+        CondensedSolver(grid9, PathReport()).solve(jac, rhs, 0.0)
+        full = schur_of(jac, grid9)
+        row_max = abs(full).max(axis=1).toarray().ravel()
+        kept = sp.coo_matrix(seeds[0])
+        assert np.all(np.abs(kept.data) >= 1e-12 * row_max[kept.row])
+        dropped = sp.coo_matrix(full - sp.csr_matrix(seeds[0]))
+        assert np.all(np.abs(dropped.data) <= 1e-12 * row_max[dropped.row])
+        # M = 2I at the seed, so S carries round-off entries; GMRES keeps them
+        assert kept.nnz < full.nnz
+        assert solved[0].nnz == full.nnz
+        assert abs(solved[0] - full).max() == 0.0
+
+    def test_prune_threshold_is_relative_to_each_row(self):
+        m = sp.csr_matrix(np.array([[1.0, 0.9e-12, 1.1e-12],
+                                    [3e-14, 0.9e-25, 1e-13]]))
+        out = prune_roundoff(m)
+        assert out.toarray().tolist() == [[1.0, 0.0, 1.1e-12], [3e-14, 0.0, 1e-13]]
+        assert out.nnz == 4 and m.nnz == 6
 
     @pytest.mark.parametrize("stalled", ["not-converged", "non-finite"])
     def test_gmres_failure_falls_back_to_direct(self, grid9, manufactured9,
                                                monkeypatch, stalled):
         ref = DiscreteField.from_function(grid9, u_star).values
-        calls = count_factorizations(monkeypatch)
+        seeds, lus = count_factorizations(monkeypatch)
         state, report = continuation(manufactured9, grid9, SolverConfig())
         err = np.max(np.abs(state.field.values - ref))
-        assert len(calls) == 1
+        assert len(seeds) == 1 and lus == []
         assert report.direct_fallbacks == 0
 
         def failing_gmres(a, b, **kwargs):
@@ -332,22 +380,36 @@ class TestLinearSolve:
             return np.full_like(b, np.nan), 0
 
         monkeypatch.setattr(nconvex.solver, "gmres", failing_gmres)
-        calls.clear()
+        seeds.clear()
+        lus.clear()
         state_fb, report_fb = continuation(manufactured9, grid9, SolverConfig())
         assert state_fb.t == 1.0
         assert state_fb.residual_norm <= 1e-10
         steps = len(report_fb.krylov_iters)
         assert steps == len(report.krylov_iters)
         assert report_fb.direct_fallbacks == steps
-        assert len(calls) == 1 + steps  # the seed LU plus one per step
+        assert len(seeds) == 1  # the seed ILU
+        assert len(lus) == steps  # plus one direct LU per step
         err_fb = np.max(np.abs(state_fb.field.values - ref))
         assert err_fb == pytest.approx(err, rel=1e-8)
 
+    def test_restart_finishes_a_step_the_first_cycle_leaves(self, monkeypatch):
+        # along this direction one step's first GMRES cycle ends with the true
+        # residual just above GMRES_RTOL; a restart, not a direct LU, ends it
+        _, lus = count_factorizations(monkeypatch)
+        w = np.random.default_rng(1).standard_normal(3)
+        w /= np.linalg.norm(w)
+        grid = Grid(BALL, 17)
+        problem = sample_problem(manufactured_problem(w), grid)
+        state, report = continuation(problem, grid, SolverConfig())
+        assert state.t == 1.0
+        assert report.direct_fallbacks == 0 and lus == []
+
     def test_exact_case_factorizes_nothing(self, grid9, sp9, monkeypatch):
-        calls = count_factorizations(monkeypatch)
+        seeds, lus = count_factorizations(monkeypatch)
         state, report = continuation(sp9, grid9, SolverConfig())
         assert state.t == 1.0
-        assert calls == []
+        assert seeds == [] and lus == []
         assert report.krylov_iters == []
 
     def test_json_report_carries_linear_solve_counts(self, grid9, manufactured9):
