@@ -17,10 +17,11 @@ The stencil is held as data on the Grid: an index ``nbr`` of each stencil
 neighbor into the extended vector [active values; closure values], the
 sparse ``extension`` map from the unknowns to that vector, and Hessian and
 gradient coefficient matrices with one row per offset.  Hessians and
-gradients are one gather and one matrix product, and the Newton Jacobian's
-interior block is the same coefficients contracted with the det W
-gradient.  The one-sided normal derivative is one sparse operator,
-``normal_op``; the Robin rows are that operator plus the trace identity.
+gradients are one gather and one matrix product, and the same
+coefficients contracted with the det W gradient give the stencil matrix of
+the Newton linearization on the extended vector.  The one-sided normal
+derivative is one sparse operator, ``normal_op``; the Robin rows are that
+operator plus the trace identity, so their trace block is ``robin_diag`` I.
 
 The interior equation is det W(D2u) = det(tr(D2u) I - D2u) = f, the lift at
 m = n - 1 evaluated through its n x n form M.
@@ -254,7 +255,8 @@ class Grid:
       gradient weight of each offset;
     - ``normal_op``: the one-sided u_nu at collocation points on the packed
       unknowns; the Robin rows are ``robin_jac`` = ``normal_op`` plus the
-      trace identity.
+      trace identity, whose trace block is ``robin_diag`` = 3/(2 delta) + 1
+      times the identity.
     """
 
     def __init__(self, domain: DomainSpec, resolution: int):
@@ -338,6 +340,7 @@ class Grid:
         # constant Jacobian of the Robin rows: u_nu + u(y)
         self.robin_jac = self.normal_op + sp.eye(self.n_colloc, self.n_unknowns,
                                                  k=self.n_active, format="csr")
+        self.robin_diag = 3.0 / (2.0 * dl) + 1.0  # each trace unknown's own coefficient
 
     # -- field plumbing ------------------------------------------------------
 
@@ -404,18 +407,19 @@ def gradient_batch(field: DiscreteField, grid: Grid) -> np.ndarray:
 
 
 def hessian_contraction(coef: np.ndarray, grid: Grid) -> sp.csr_matrix:
-    """Sparse (N, n_unknowns) map x -> sum_ij coef[k, i, j] (D2x)_ij at each point k.
+    """Stencil matrix K: v -> sum_ij coef[k, i, j] (D2 v)_ij at each active point k.
 
-    With coef the gradient of det W at D2u this is the interior block of
-    the Newton Jacobian.
+    K is (N, N + G) and acts on the extended vector v = [values; closure
+    values], so ``K @ grid.extension`` is the same map on the packed
+    unknowns.  With coef the gradient of det W at D2u, K is the Newton
+    linearization of the interior equation.
     """
     weights = coef.reshape(grid.n_active, -1) @ grid.hess_coef.T  # (N, q)
     q = weights.shape[1]
-    stencil = sp.csr_matrix(
+    return sp.csr_matrix(
         (weights.ravel(), grid.nbr.T.ravel(), np.arange(0, weights.size + 1, q)),
         shape=(grid.n_active, grid.extension.shape[0]),
     )
-    return stencil @ grid.extension
 
 
 def normal_derivative(field: DiscreteField, grid: Grid) -> np.ndarray:

@@ -9,10 +9,11 @@ active points (the discrete ellipticity certificate), which the line
 search enforces alongside plain residual decrease.
 
 Each Newton step eliminates the trace unknowns exactly (the Robin block
-on them is a multiple of the identity) and solves the remaining system on
-the active points by GMRES, preconditioned with one incomplete LU of the
-seed system, with its round-off entries pruned, that is kept for the
-whole continuation; a step GMRES cannot finish falls back to a direct
+on them is a multiple of the identity) through a map that is constant for
+the whole continuation, and solves the remaining system on the active
+points by GMRES, preconditioned with one incomplete LU of the seed system,
+with its round-off entries pruned, that is also kept for the whole
+continuation; a step GMRES cannot finish falls back to a direct
 factorization of the current system.
 """
 
@@ -51,6 +52,8 @@ __all__ = [
     "ContinuationFailure",
     "residual_vector",
     "assemble_jacobian",
+    "full_jacobian",
+    "condensed_map",
     "ellipticity_margin",
     "bound_monitors",
     "newton_solve",
@@ -203,25 +206,44 @@ def ellipticity_margin(fld: DiscreteField, grid: Grid) -> float:
 
 def assemble_jacobian(x: np.ndarray, t: float, grid: Grid,
                       problem: SampledProblem) -> sp.csr_matrix:
-    """Sparse Jacobian of the stacked residual at the packed state.
+    """Stencil matrix K of the interior linearization at the packed state.
 
-    Interior rows contract the det(W) gradient with the Hessian stencil
-    (closure neighbors route through the grid's extension map); Robin rows
-    are the constant operator stored on the grid.
+    K contracts the det(W) gradient with the Hessian stencil and acts on
+    the extended vector [values; closure values] (``hessian_contraction``).
     """
     fld = DiscreteField.unpack(x, grid)
     coef = woperator.batch_linearization(hessian_batch(fld, grid))  # (N, n, n)
-    return sp.vstack([hessian_contraction(coef, grid), grid.robin_jac], format="csc")
+    return hessian_contraction(coef, grid)
+
+
+def full_jacobian(x: np.ndarray, t: float, grid: Grid,
+                  problem: SampledProblem) -> sp.csc_matrix:
+    """Sparse Jacobian of ``residual_vector``: [[K @ extension], [Robin rows]]."""
+    return sp.vstack([assemble_jacobian(x, t, grid, problem) @ grid.extension,
+                      grid.robin_jac], format="csc")
+
+
+def condensed_map(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The extension with the trace eliminated through the Robin rows: (E, L).
+
+    The Robin rows R_u u + d b = g fix b = (g - R_u u) / d (d =
+    ``grid.robin_diag``), so ``extension @ [u; b]`` = E u + L g with
+    E = [I; C_u - C_b R_u / d] and L = [0; C_b] / d, where [C_u, C_b] = C.
+    """
+    n = grid.n_active
+    ext = grid.extension.tocsc()
+    lift = (ext[:, n:] / grid.robin_diag).tocsr()
+    return (ext[:, :n] - lift @ grid.robin_jac[:, :n]).tocsr(), lift
 
 
 class CondensedSolver:
     """Newton-step solver for one continuation: condensed system, frozen ILU.
 
-    The Jacobian is J = [[A, B], [R, d I]], because the Robin rows touch
-    each trace unknown only through its own value; d is read off
-    ``grid.robin_jac``.  The trace unknowns are eliminated exactly:
-    S du = g1 - B g2 / d on the active points with S = A - B R / d, then
-    db = (g2 - R du) / d.
+    ``solve`` takes K from ``assemble_jacobian`` and the right side [g1; g2]
+    of the full system and eliminates the trace unknowns exactly:
+    S du = g1 - K L g2 on the active points with S = K E, (E, L) from
+    ``condensed_map``, then db = (g2 - R_u du) / d.  E and L are built on
+    the first step, together with the seed ILU.
 
     The Jacobian does not depend on t, and every continuation starts at the
     quadratic seed, so the first system handed to ``solve`` is the seed's.
@@ -233,20 +255,20 @@ class CondensedSolver:
     """
 
     def __init__(self, grid: Grid, report: PathReport):
-        self.n_active = grid.n_active
-        self.d = grid.robin_jac[0, grid.n_active]
-        self.robin_u = grid.robin_jac[:, : grid.n_active]
+        self.grid = grid
         self.report = report
+        self._condensed = None
         self._seed_ilu = None
 
-    def solve(self, jac: sp.spmatrix, rhs: np.ndarray, t: float) -> np.ndarray:
-        """Solve jac @ delta = rhs; raises StepFailure if no path succeeds."""
-        n, d = self.n_active, self.d
-        jac = sp.csr_matrix(jac)
-        a, b = jac[:n, :n], jac[:n, n:]
-        schur = a - b @ self.robin_u / d
-        g1, g2 = rhs[:n], rhs[n:]
-        rhs_u = g1 - b @ g2 / d
+    def solve(self, stencil: sp.csr_matrix, rhs: np.ndarray, t: float) -> np.ndarray:
+        """Solve the full Newton system for delta; raises StepFailure if no path succeeds."""
+        grid = self.grid
+        if self._condensed is None:
+            self._condensed = condensed_map(grid)
+        emap, lift = self._condensed
+        g1, g2 = rhs[:grid.n_active], rhs[grid.n_active:]
+        schur = stencil @ emap
+        rhs_u = g1 - stencil @ (lift @ g2)
         if self._seed_ilu is None:
             self._seed_ilu = _seed_preconditioner(schur, t)
         iters = 0
@@ -265,7 +287,8 @@ class CondensedSolver:
             du = _factor(schur, t).solve(rhs_u)
             if not np.all(np.isfinite(du)):
                 raise StepFailure(f"singular Jacobian at t={t:.6g}")
-        return np.concatenate([du, (g2 - self.robin_u @ du) / d])
+        r_du = grid.robin_jac @ np.concatenate([du, np.zeros_like(g2)])  # R_u du
+        return np.concatenate([du, (g2 - r_du) / grid.robin_diag])
 
 
 def prune_roundoff(matrix: sp.spmatrix) -> sp.csr_matrix:

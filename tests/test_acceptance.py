@@ -30,9 +30,9 @@ from nconvex.discretize import (
 from nconvex.geometry import DomainSpec, pinching_check
 from nconvex.solver import (
     SolverConfig,
-    assemble_jacobian,
     continuation,
     ellipticity_margin,
+    full_jacobian,
     quadratic_seed,
     residual_vector,
 )
@@ -215,7 +215,7 @@ def test_criterion_04_gradient_and_jacobian_checks():
         if ellipticity_margin(DiscreteField.unpack(x, grid), grid) <= 0.0:
             continue
         states += 1
-        jac = assemble_jacobian(x, 0.4, grid, sampled)
+        jac = full_jacobian(x, 0.4, grid, sampled)
         delta = rng.standard_normal(grid.n_unknowns)
         delta /= np.linalg.norm(delta)
         fd = (
@@ -266,7 +266,7 @@ def test_criterion_06_exact_t0_solve():
 
     norms = [float(np.max(np.abs(residual_vector(x, 0.0, grid, sampled))))]
     for _ in range(6):
-        jac = assemble_jacobian(x, 0.0, grid, sampled)
+        jac = full_jacobian(x, 0.0, grid, sampled)
         x = x + splu(jac).solve(-residual_vector(x, 0.0, grid, sampled))
         norms.append(float(np.max(np.abs(residual_vector(x, 0.0, grid, sampled)))))
         if norms[-1] < 1e-13:

@@ -27,8 +27,10 @@ from nconvex.solver import (
     StepFailure,
     assemble_jacobian,
     bound_monitors,
+    condensed_map,
     continuation,
     ellipticity_margin,
+    full_jacobian,
     newton_solve,
     prune_roundoff,
     quadratic_seed,
@@ -114,7 +116,7 @@ class TestNewton:
         norms = [state.residual_norm]
         x = fld.pack()
         for _ in range(6):
-            jac = assemble_jacobian(x, 0.0, grid9, sp9)
+            jac = full_jacobian(x, 0.0, grid9, sp9)
             x = x + splu(jac).solve(-residual_vector(x, 0.0, grid9, sp9))
             norms.append(float(np.max(np.abs(residual_vector(x, 0.0, grid9, sp9)))))
             if norms[-1] < 1e-13:
@@ -150,7 +152,7 @@ class TestNewton:
                 if ellipticity_margin(fld, grid) <= 0.0:
                     continue
                 tested += 1
-                jac = assemble_jacobian(x, 0.3, grid, problem)
+                jac = full_jacobian(x, 0.3, grid, problem)
                 delta = rng.standard_normal(grid.n_unknowns)
                 delta /= np.linalg.norm(delta)
                 step = 1e-6
@@ -306,11 +308,24 @@ def count_factorizations(monkeypatch):
 
 
 def schur_of(jac, grid):
-    """S = A - B R / d, the Jacobian with the trace unknowns eliminated."""
+    """S = A - B R / d, the full Jacobian with the trace unknowns eliminated."""
     n = grid.n_active
     jac = sp.csr_matrix(jac)
-    d = grid.robin_jac[0, n]
+    d = grid.robin_diag
     return sp.csr_matrix(jac[:n, :n] - jac[:n, n:] @ grid.robin_jac[:, :n] / d)
+
+
+@pytest.fixture(scope="module")
+def egg9():
+    return Grid(DomainSpec.ellipsoid((1.0, 1.0, 1.05)), 9)
+
+
+def seed_and_bumped(grid):
+    seed = quadratic_seed(grid).pack()
+    bump = DiscreteField.from_function(
+        grid, lambda p: 0.02 * np.exp(p[:, 0]) * np.cos(p[:, 1])
+    ).pack()
+    return seed, seed + bump
 
 
 class TestLinearSolve:
@@ -318,20 +333,16 @@ class TestLinearSolve:
         seeds, lus = count_factorizations(monkeypatch)
         report = PathReport()
         linear = CondensedSolver(grid9, report)
-        seed = quadratic_seed(grid9).pack()
-        bump = DiscreteField.from_function(
-            grid9, lambda p: 0.02 * np.exp(p[:, 0]) * np.cos(p[:, 1])
-        ).pack()
+        seed, bumped = seed_and_bumped(grid9)
         # the first system freezes the preconditioner, as in continuation
-        for x in (seed, seed + bump):
-            jac = assemble_jacobian(x, 0.4, grid9, manufactured9)
+        for x in (seed, bumped):
             r = residual_vector(x, 0.4, grid9, manufactured9)
-            direct = splu(jac).solve(-r)
-            step = linear.solve(jac, -r, 0.4)
+            direct = splu(full_jacobian(x, 0.4, grid9, manufactured9)).solve(-r)
+            step = linear.solve(assemble_jacobian(x, 0.4, grid9, manufactured9), -r, 0.4)
             assert np.linalg.norm(step - direct) <= 1e-10 * np.linalg.norm(direct)
         # one preconditioner, built from the seed S (not the bumped one)
         assert len(seeds) == 1 and lus == []
-        seed_s = schur_of(assemble_jacobian(seed, 0.4, grid9, manufactured9), grid9)
+        seed_s = schur_of(full_jacobian(seed, 0.4, grid9, manufactured9), grid9)
         built = sp.csr_matrix(seeds[0])
         assert built.shape == seed_s.shape
         assert abs(built - prune_roundoff(seed_s)).max() <= 1e-12 * abs(seed_s).max()
@@ -343,10 +354,10 @@ class TestLinearSolve:
         seeds, _ = count_factorizations(monkeypatch)
         solved = count_calls(monkeypatch, "gmres")
         seed = quadratic_seed(grid9).pack()
-        jac = assemble_jacobian(seed, 0.0, grid9, manufactured9)
+        stencil = assemble_jacobian(seed, 0.0, grid9, manufactured9)
         rhs = np.ones(grid9.n_unknowns)
-        CondensedSolver(grid9, PathReport()).solve(jac, rhs, 0.0)
-        full = schur_of(jac, grid9)
+        CondensedSolver(grid9, PathReport()).solve(stencil, rhs, 0.0)
+        full = stencil @ condensed_map(grid9)[0]
         row_max = abs(full).max(axis=1).toarray().ravel()
         kept = sp.coo_matrix(seeds[0])
         assert np.all(np.abs(kept.data) >= 1e-12 * row_max[kept.row])
@@ -356,6 +367,28 @@ class TestLinearSolve:
         assert kept.nnz < full.nnz
         assert solved[0].nnz == full.nnz
         assert abs(solved[0] - full).max() == 0.0
+        # the same S as eliminating the trace from the full Jacobian, to round-off
+        eliminated = schur_of(full_jacobian(seed, 0.0, grid9, manufactured9), grid9)
+        assert abs(full - eliminated).max() <= 1e-12 * abs(eliminated).max()
+
+    @pytest.mark.parametrize("domain", ["ball", "ellipsoid"])
+    def test_condensed_map_is_the_robin_elimination(self, grid9, egg9, domain):
+        grid = grid9 if domain == "ball" else egg9
+        problem = sample_problem(manufactured_problem(), grid)
+        emap, lift = condensed_map(grid)
+        n, r_u = grid.n_active, grid.robin_jac[:, :grid.n_active]
+        data = 0.4 * problem.phi_colloc + 0.6 * grid.colloc_quad
+        for x in seed_and_bumped(grid):
+            u = x[:n]
+            # extended vector with the trace the Robin rows fix
+            exact = grid.extension @ np.concatenate([u, (data - r_u @ u) / grid.robin_diag])
+            condensed = emap @ u + lift @ data
+            assert np.max(np.abs(condensed - exact)) <= 1e-12 * np.max(np.abs(exact))
+            # and the Newton matrix is the trace-eliminated full Jacobian
+            newton_s = assemble_jacobian(x, 0.4, grid, problem) @ emap
+            eliminated = schur_of(full_jacobian(x, 0.4, grid, problem), grid)
+            assert newton_s.shape == eliminated.shape == (n, n)
+            assert abs(newton_s - eliminated).max() <= 1e-12 * abs(eliminated).max()
 
     def test_prune_threshold_is_relative_to_each_row(self):
         m = sp.csr_matrix(np.array([[1.0, 0.9e-12, 1.1e-12],
@@ -407,10 +440,21 @@ class TestLinearSolve:
 
     def test_exact_case_factorizes_nothing(self, grid9, sp9, monkeypatch):
         seeds, lus = count_factorizations(monkeypatch)
+        maps = count_calls(monkeypatch, "condensed_map")
         state, report = continuation(sp9, grid9, SolverConfig())
         assert state.t == 1.0
-        assert seeds == [] and lus == []
+        assert seeds == [] and lus == [] and maps == []
         assert report.krylov_iters == []
+
+    def test_condensed_map_built_once_per_continuation(self, grid9, manufactured9,
+                                                       monkeypatch):
+        maps = count_calls(monkeypatch, "condensed_map")
+        for _ in range(2):
+            maps.clear()
+            _, report = continuation(manufactured9, grid9, SolverConfig())
+            assert len(report.krylov_iters) > 1
+            # built once, and again by the next continuation: nothing is cached on the grid
+            assert maps == [grid9]
 
     def test_json_report_carries_linear_solve_counts(self, grid9, manufactured9):
         _, report = continuation(manufactured9, grid9, SolverConfig())
