@@ -280,7 +280,12 @@ class Grid:
     def _classify_points(self):
         ks = np.indices(self.shape).reshape(self.n, -1).T.astype(np.int64)
         pts = self.origin + ks * self.h
-        _, _, d = project_to_boundary_batch(self.domain, pts)
+        # a point of level > 1 lies outside (d <= 0) and cannot be active, so
+        # only the others are projected; each projection is independent of the batch
+        level = np.sum((pts - self.domain.center) ** 2 / np.square(self.domain.semi_axes), axis=1)
+        near = np.flatnonzero(level <= 1.0)
+        d = np.full(pts.shape[0], -np.inf)
+        d[near] = project_to_boundary_batch(self.domain, pts[near])[2]
         active_mask = d > 0.5 * self.h
         active_lin = np.flatnonzero(active_mask)
         active_k = ks[active_lin]

@@ -20,7 +20,7 @@ factorization of the current system.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -329,18 +329,6 @@ def bound_monitors(fld: DiscreteField, grid: Grid) -> BoundMonitors:
     return BoundMonitors(sup_u=sup_u, sup_du=sup_du, sup_d2u=sup_d2u, sup_unn=sup_unn)
 
 
-def _make_state(t: float, fld: DiscreteField, grid: Grid,
-                problem: SampledProblem) -> HomotopyState:
-    r = residual_vector(fld.pack(), t, grid, problem)
-    return HomotopyState(
-        t=t,
-        field=fld,
-        residual_norm=float(np.max(np.abs(r))),
-        ellipticity_margin=ellipticity_margin(fld, grid),
-        monitors=bound_monitors(fld, grid),
-    )
-
-
 def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
                  config: SolverConfig,
                  linear: CondensedSolver | None = None) -> HomotopyState:
@@ -352,6 +340,10 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     and keeps the ellipticity margin positive at every active point.  Raises
     StepFailure when the iteration budget, the line-search floor, or the
     linear solve gives out.
+
+    The start state's margin and monitors are trusted to describe its field.
+    The result reuses the line search's residual and margin of the accepted
+    iterate, and evaluates the monitors once if a step was taken.
     """
     if state.ellipticity_margin <= 0.0:
         raise ValueError(
@@ -360,33 +352,40 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     if linear is None:
         linear = CondensedSolver(grid, PathReport())
     t = state.t
-    x = state.field.pack()
+    fld, margin, monitors = state.field, state.ellipticity_margin, state.monitors
+    x = fld.pack()
     r = residual_vector(x, t, grid, problem)
     rnorm = float(np.max(np.abs(r)))
     for _ in range(config.max_newton_iters):
         if rnorm <= config.newton_tol:
-            return _make_state(t, DiscreteField.unpack(x, grid), grid, problem)
+            break
         delta = linear.solve(assemble_jacobian(x, t, grid, problem), -r, t)
         alpha = 1.0
         while True:
             trial = x + alpha * delta
-            trial_fld = DiscreteField.unpack(trial, grid)
             trial_r = residual_vector(trial, t, grid, problem)
             trial_norm = float(np.max(np.abs(trial_r)))
-            if trial_norm < rnorm and ellipticity_margin(trial_fld, grid) > 0.0:
-                x, r, rnorm = trial, trial_r, trial_norm
-                break
+            if trial_norm < rnorm:
+                trial_fld = DiscreteField.unpack(trial, grid)
+                trial_margin = ellipticity_margin(trial_fld, grid)
+                if trial_margin > 0.0:
+                    x, r, rnorm = trial, trial_r, trial_norm
+                    fld, margin, monitors = trial_fld, trial_margin, None
+                    break
             alpha *= config.damping
             if alpha < config.line_search_floor:
                 raise StepFailure(
                     f"line search floor reached at t={t:.6g} (residual {rnorm:.3g})"
                 )
-    if rnorm <= config.newton_tol:
-        return _make_state(t, DiscreteField.unpack(x, grid), grid, problem)
-    raise StepFailure(
-        f"Newton did not reach tol {config.newton_tol:.1e} at t={t:.6g} "
-        f"(residual {rnorm:.3g} after {config.max_newton_iters} iterations)"
-    )
+    if rnorm > config.newton_tol:
+        raise StepFailure(
+            f"Newton did not reach tol {config.newton_tol:.1e} at t={t:.6g} "
+            f"(residual {rnorm:.3g} after {config.max_newton_iters} iterations)"
+        )
+    if monitors is None:
+        monitors = bound_monitors(fld, grid)
+    return HomotopyState(t=t, field=fld, residual_norm=rnorm,
+                         ellipticity_margin=margin, monitors=monitors)
 
 
 def quadratic_seed(grid: Grid) -> DiscreteField:
@@ -399,10 +398,13 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     """March t from 0 to 1 with adaptive halving; returns (state, report).
 
     The curvature-pinching gate runs first unless ``force`` is set; the
-    start iterate is the exact t = 0 solution.  One CondensedSolver serves
-    every Newton step, so the seed ILU is built at most once per call and
-    only when some step needs a linear solve.  On persistent step failure
-    raises ContinuationFailure carrying the last accepted state and report.
+    start iterate is the exact t = 0 solution, whose margin and monitors are
+    evaluated once here, and each later Newton solve starts from the last
+    accepted state, whose margin and monitors still describe its field.  One
+    CondensedSolver serves every Newton step, so the seed ILU is built at
+    most once per call and only when some step needs a linear solve.  On
+    persistent step failure raises ContinuationFailure carrying the last
+    accepted state and report.
     """
     if not force:
         gate = pinching_check(grid.domain)
@@ -414,9 +416,12 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
             )
     report = PathReport()
     linear = CondensedSolver(grid, report)
-    state = _make_state(0.0, quadratic_seed(grid), grid, problem)
-    if state.ellipticity_margin <= 0.0:
+    seed = quadratic_seed(grid)
+    margin = ellipticity_margin(seed, grid)
+    if margin <= 0.0:
         raise ValueError("quadratic seed is not admissible on this grid")
+    state = HomotopyState(t=0.0, field=seed, residual_norm=float("nan"),
+                          ellipticity_margin=margin, monitors=bound_monitors(seed, grid))
     state = newton_solve(state, grid, problem, config, linear)
     report.add(state)
     dt_init = 1.0 / config.homotopy_steps
@@ -425,13 +430,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
         t_next = state.t + dt
         if t_next >= 1.0 - 1e-12:
             t_next = 1.0
-        candidate = HomotopyState(
-            t=t_next,
-            field=state.field.copy(),
-            residual_norm=state.residual_norm,
-            ellipticity_margin=state.ellipticity_margin,
-            monitors=state.monitors,
-        )
+        candidate = replace(state, t=t_next, field=state.field.copy())
         try:
             state = newton_solve(candidate, grid, problem, config, linear)
         except StepFailure as exc:

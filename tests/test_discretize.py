@@ -18,7 +18,7 @@ from nconvex.discretize import (
     sample_problem,
     second_normal_derivative,
 )
-from nconvex.geometry import DomainSpec
+from nconvex.geometry import DomainSpec, project_to_boundary_batch
 
 BALL = DomainSpec.ball(1.0, n=3)
 ELLIPSOID = DomainSpec.ellipsoid((1.0, 1.0, 1.05))
@@ -92,6 +92,21 @@ class TestGridBuild:
         block = grid.robin_jac[:, grid.n_active:]
         assert grid.robin_diag == 3.0 / (2.0 * grid.delta) + 1.0
         assert np.array_equal(block.toarray(), grid.robin_diag * np.eye(grid.n_colloc))
+
+    @pytest.mark.parametrize("domain, res", [
+        (BALL, 9),
+        (DomainSpec.ellipsoid((0.9, 1.0, 1.1), center=(0.2, -0.1, 0.05)), 13),
+    ], ids=["ball", "off-centre-ellipsoid"])
+    def test_classification_matches_whole_box_projection(self, domain, res):
+        # only points of level <= 1 are projected; the rest cannot be active
+        grid = Grid(domain, res)
+        pts = grid.origin + np.indices(grid.shape).reshape(grid.n, -1).T * grid.h
+        _, _, d = project_to_boundary_batch(domain, pts)
+        active = np.flatnonzero(d > 0.5 * grid.h)
+        assert np.array_equal(grid.active_idx, active)
+        assert np.all(grid.active_d == d[active])
+        outside = np.sum((pts - domain.center) ** 2 / np.square(domain.semi_axes), axis=1) > 1.0
+        assert outside.any() and np.all(d[outside] <= 0.0)
 
 
 def monomials(pts):

@@ -302,6 +302,20 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def record_calls(monkeypatch, name):
+    """[args, result] of every call of nconvex.solver.<name>; result None if it raised."""
+    calls = []
+    original = getattr(nconvex.solver, name)
+
+    def recording(*args, **kwargs):
+        calls.append([args, None])
+        calls[-1][1] = original(*args, **kwargs)
+        return calls[-1][1]
+
+    monkeypatch.setattr(nconvex.solver, name, recording)
+    return calls
+
+
 def count_factorizations(monkeypatch):
     """Matrices handed to the seed ILU and to the direct LU, kept apart."""
     return count_calls(monkeypatch, "spilu"), count_calls(monkeypatch, "splu")
@@ -473,3 +487,105 @@ class TestMonitors:
         assert mon.sup_d2u == pytest.approx(1.0, abs=1e-9)
         assert mon.sup_unn == pytest.approx(1.0, abs=1e-9)
         assert mon.ratio == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def ball13():
+    grid = Grid(BALL, 13)
+    return grid, sample_problem(constant_problem(), grid)
+
+
+class TestStateEvaluation:
+    """Each accepted state is evaluated once, and what is reused is still exact."""
+
+    @pytest.mark.parametrize("case", ["manufactured-9", "ball-constant-13"])
+    def test_accepted_states_match_fresh_evaluation(self, grid9, manufactured9, ball13,
+                                                    monkeypatch, case):
+        grid, problem = (grid9, manufactured9) if case == "manufactured-9" else ball13
+        solves = record_calls(monkeypatch, "newton_solve")
+        _, report = continuation(problem, grid, SolverConfig())
+        accepted = [out for _, out in solves if out is not None]
+        assert [s.t for s in accepted] == [row["t"] for row in report.rows]
+        for state in accepted:
+            fresh = make_state(state.t, state.field, grid, problem)
+            assert state.residual_norm == fresh.residual_norm
+            assert state.ellipticity_margin == fresh.ellipticity_margin
+            assert state.monitors == fresh.monitors
+
+    def test_exact_path_evaluates_margin_and_monitors_once(self, grid9, sp9, monkeypatch):
+        residuals = count_calls(monkeypatch, "residual_vector")
+        margins = count_calls(monkeypatch, "ellipticity_margin")
+        monitors = count_calls(monkeypatch, "bound_monitors")
+        steps = count_calls(monkeypatch, "assemble_jacobian")
+        _, report = continuation(sp9, grid9, SolverConfig())
+        assert steps == []
+        assert len(margins) == len(monitors) == 1
+        assert len(residuals) == len(report.rows) == 11
+
+    def test_manufactured_path_evaluates_each_state_once(self, grid9, manufactured9,
+                                                         monkeypatch):
+        solves = record_calls(monkeypatch, "newton_solve")
+        residuals = record_calls(monkeypatch, "residual_vector")
+        margins = count_calls(monkeypatch, "ellipticity_margin")
+        monitors = count_calls(monkeypatch, "bound_monitors")
+        steps = count_calls(monkeypatch, "assemble_jacobian")
+        continuation(manufactured9, grid9, SolverConfig())
+        starts = {(args[0].t, args[0].field.pack().tobytes()) for args, _ in solves}
+        keys = [(t, x.tobytes()) for (x, t, *_), _ in residuals]
+        trials = [k for k in keys if k not in starts]
+        # no (t, x) is evaluated twice: each start once, then one call per trial
+        assert len(set(keys)) == len(keys)
+        assert len(residuals) == len(solves) + len(trials)
+        assert len(trials) >= len(steps) > 0
+        # the margin: once at the seed, then at most once per trial point
+        assert len({fld.pack().tobytes() for fld in margins}) == len(margins)
+        assert len(margins) <= 1 + len(trials)
+        # the monitors: once at the seed, then once per solve that moved its field
+        moved = [out for args, out in solves if out is not None
+                 and not np.array_equal(out.field.pack(), args[0].field.pack())]
+        assert len(monitors) == 1 + len(moved)
+
+
+def guarded_margin(monkeypatch, reject_every_trial=False):
+    """Patch the line search's margin to read -1 on the first trial of each Newton step."""
+    true_margin = nconvex.solver.ellipticity_margin
+    steps = count_calls(monkeypatch, "assemble_jacobian")
+    rejected = set()
+
+    def guard(fld, grid):
+        if reject_every_trial or len(steps) not in rejected:
+            rejected.add(len(steps))
+            return -1.0
+        return true_margin(fld, grid)
+
+    monkeypatch.setattr(nconvex.solver, "ellipticity_margin", guard)
+    return steps, rejected
+
+
+class TestMarginGuard:
+    def perturbed_start(self, grid, problem):
+        seed = quadratic_seed(grid)
+        bump = DiscreteField.from_function(
+            grid, lambda p: 0.01 * np.exp(p[:, 0]) * np.cos(p[:, 1])
+        )
+        fld = DiscreteField(values=seed.values + bump.values, trace=seed.trace + bump.trace)
+        return make_state(0.0, fld, grid, problem)
+
+    def test_rejected_first_trial_is_backtracked(self, grid9, sp9, monkeypatch):
+        start = self.perturbed_start(grid9, sp9)
+        steps, rejected = guarded_margin(monkeypatch)
+        residuals = count_calls(monkeypatch, "residual_vector")
+        # every step is cut to at most half a Newton step, so the contraction is
+        # linear (about 30 steps here) instead of quadratic
+        out = newton_solve(start, grid9, sp9, SolverConfig(max_newton_iters=60))
+        assert out.residual_norm <= 1e-10
+        assert len(rejected) == len(steps) > 0
+        assert len(residuals) >= 1 + 2 * len(steps)  # every step backtracked
+        # the returned margin is the field's true one, not the guard's -1
+        assert out.ellipticity_margin == ellipticity_margin(out.field, grid9) > 0.0
+
+    def test_guard_rejecting_every_trial_fails_the_step(self, grid9, sp9, monkeypatch):
+        start = self.perturbed_start(grid9, sp9)
+        guarded_margin(monkeypatch, reject_every_trial=True)
+        with pytest.raises(StepFailure, match="line search floor"):
+            newton_solve(start, grid9, sp9, SolverConfig())
