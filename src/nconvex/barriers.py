@@ -10,7 +10,7 @@ never abort a solve; they attach to the path report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,9 +79,8 @@ def _kappa0_range(domain: DomainSpec):
     if domain.is_ball:
         k = 1.0 / domain.radius
         return k, k
-    samples = boundary_samples(domain, 4000)
-    vals = [s.H / (domain.n - 1) for s in samples]
-    return min(vals), max(vals)
+    vals = boundary_samples(domain, 4000)[1].sum(axis=1) / (domain.n - 1)
+    return float(vals.min()), float(vals.max())
 
 
 def recipe_params(domain: DomainSpec, state, grid: Grid, problem: SampledProblem,
@@ -115,7 +114,7 @@ def recipe_params(domain: DomainSpec, state, grid: Grid, problem: SampledProblem
     c1 = 1.0 + mon.sup_u + mon.sup_du
     c2 = (1.0 + mon.sup_u + mon.sup_du) * (1.0 + domain.kappa_max_global) / epsilon
     try:
-        _, core = _strip_core(domain, state.field, grid, problem, state.t, mu)
+        core = _strip_core(state.field, grid, problem, state.t, _strip_data(domain, grid, mu))
         resid_sup = float(np.max(np.abs(core)))
     except ValueError:
         # strip below grid resolution: estimate the core from the boundary
@@ -149,19 +148,19 @@ def _strip_data(domain: DomainSpec, grid: Grid, mu: float):
     return mask, pts, d, y, nu
 
 
-def _strip_core(domain, field: DiscreteField, grid: Grid, problem: SampledProblem,
-                t: float, mu: float):
-    """Depths and Du.nu + u - phi_t at the strip points.
+def _strip_core(field: DiscreteField, grid: Grid, problem: SampledProblem, t: float,
+                strip):
+    """Du.nu + u - phi_t at the points of a strip from `_strip_data`.
 
     phi_t = t phi + (1-t)(x.nu + |x|^2/2) is the homotopy boundary datum
     extended along normal rays; it needs callable problem data.
     """
     if problem.spec is None:
         raise ValueError("barrier verification needs callable problem data")
-    mask, pts, d, _, nu = _strip_data(domain, grid, mu)
+    mask, pts, _, _, nu = strip
     du = gradient_batch(field, grid)[mask]
     data = t * np.asarray(problem.spec.phi(pts), dtype=float) + (1.0 - t) * seed_datum(pts, nu)
-    return d, np.einsum("ij,ij->i", du, nu) + field.values[mask] - data
+    return np.einsum("ij,ij->i", du, nu) + field.values[mask] - data
 
 
 @dataclass(frozen=True)
@@ -171,13 +170,6 @@ class HBarrierReport:
     min_value: float
     violations: int
     strip_points: int
-
-    def as_dict(self):
-        return {
-            "min_value": self.min_value,
-            "violations": self.violations,
-            "strip_points": self.strip_points,
-        }
 
 
 def verify_h_inequality(domain: DomainSpec, state, grid: Grid,
@@ -212,30 +204,39 @@ class BarrierReport:
     sigma_n: float
     implied_c: float
 
-    def as_dict(self):
-        return {
-            "kind": self.kind,
-            "strip_extreme": self.strip_extreme,
-            "boundary_max_abs": self.boundary_max_abs,
-            "strip_points": self.strip_points,
-            "sup_unn": self.sup_unn,
-            "inf_unn": self.inf_unn,
-            "sigma_n": self.sigma_n,
-            "implied_c": self.implied_c,
-        }
 
+def _barrier_values(domain, state, grid, problem, params):
+    """P and P-bar on the strip, the Robin residual and u_nunu on the boundary.
 
-def _barrier_values(domain, state, grid, problem, params, sign: float):
+    P = g core - G and P-bar = g core + G share g, the core Du.nu + u - phi_t
+    and G = (A + sigma N) h, all from one strip evaluation.
+    """
     field = state.field
-    d, core = _strip_core(domain, field, grid, problem, state.t, params.mu)
+    strip = _strip_data(domain, grid, params.mu)
+    core = _strip_core(field, grid, problem, state.t, strip)
+    d = strip[2]
     h_val = -d + params.k3 * d * d
-    g = 1.0 - params.beta * h_val
-    n_bound = state.monitors.sup_unn
-    big_g = (params.cap_a + params.sigma * n_bound) * h_val
-    strip_vals = g * core + sign * big_g
-    boundary_vals = robin_residual(field, grid, problem, state.t)
-    unn = second_normal_derivative(field, grid)
-    return strip_vals, boundary_vals, float(np.max(unn)), float(np.min(unn)), n_bound
+    g_core = (1.0 - params.beta * h_val) * core
+    big_g = (params.cap_a + params.sigma * state.monitors.sup_unn) * h_val
+    return (g_core - big_g, g_core + big_g, robin_residual(field, grid, problem, state.t),
+            second_normal_derivative(field, grid))
+
+
+def _barrier_reports(domain, state, grid, problem, params):
+    """The sub and super `BarrierReport`s from one `_barrier_values` evaluation."""
+    params.validate(domain)
+    sub_vals, super_vals, bvals, unn = _barrier_values(domain, state, grid, problem, params)
+    sup_unn, inf_unn = float(np.max(unn)), float(np.min(unn))
+    sigma_n = params.sigma * state.monitors.sup_unn
+    shared = dict(boundary_max_abs=float(np.max(np.abs(bvals))),
+                  strip_points=int(sub_vals.size), sup_unn=sup_unn, inf_unn=inf_unn,
+                  sigma_n=sigma_n)
+    return (
+        BarrierReport(kind="sub", strip_extreme=float(np.min(sub_vals)),
+                      implied_c=sup_unn - sigma_n, **shared),
+        BarrierReport(kind="super", strip_extreme=float(np.max(super_vals)),
+                      implied_c=-inf_unn - sigma_n, **shared),
+    )
 
 
 def verify_sub_barrier(domain: DomainSpec, state, grid: Grid,
@@ -245,44 +246,20 @@ def verify_sub_barrier(domain: DomainSpec, state, grid: Grid,
     ``implied_c`` is the constant the double-normal bound
     sup u_nunu <= C + sigma N would need, read off the solution.
     """
-    params.validate(domain)
-    vals, bvals, sup_unn, inf_unn, n_bound = _barrier_values(
-        domain, state, grid, problem, params, sign=-1.0
-    )
-    return BarrierReport(
-        kind="sub",
-        strip_extreme=float(np.min(vals)),
-        boundary_max_abs=float(np.max(np.abs(bvals))),
-        strip_points=int(vals.size),
-        sup_unn=sup_unn,
-        inf_unn=inf_unn,
-        sigma_n=params.sigma * n_bound,
-        implied_c=sup_unn - params.sigma * n_bound,
-    )
+    return _barrier_reports(domain, state, grid, problem, params)[0]
 
 
 def verify_super_barrier(domain: DomainSpec, state, grid: Grid,
                          problem: SampledProblem, params: BarrierParams) -> BarrierReport:
     """P-bar = g (Du.nu + u - phi_t) + G: expected <= 0 in the strip."""
-    params.validate(domain)
-    vals, bvals, sup_unn, inf_unn, n_bound = _barrier_values(
-        domain, state, grid, problem, params, sign=1.0
-    )
-    return BarrierReport(
-        kind="super",
-        strip_extreme=float(np.max(vals)),
-        boundary_max_abs=float(np.max(np.abs(bvals))),
-        strip_points=int(vals.size),
-        sup_unn=sup_unn,
-        inf_unn=inf_unn,
-        sigma_n=params.sigma * n_bound,
-        implied_c=-inf_unn - params.sigma * n_bound,
-    )
+    return _barrier_reports(domain, state, grid, problem, params)[1]
 
 
 def barrier_section(domain: DomainSpec, state, grid: Grid, problem: SampledProblem,
                     params: BarrierParams) -> dict:
-    """All three verifier reports in JSON-ready form."""
+    """All three verifier reports in JSON-ready form; sub and super share one strip."""
+    h_report = verify_h_inequality(domain, state, grid, params)
+    sub, sup = _barrier_reports(domain, state, grid, problem, params)
     return {
         "params": {
             "K3": params.k3,
@@ -293,7 +270,7 @@ def barrier_section(domain: DomainSpec, state, grid: Grid, problem: SampledProbl
             "gamma": params.gamma,
             "epsilon": params.epsilon,
         },
-        "h_inequality": verify_h_inequality(domain, state, grid, params).as_dict(),
-        "sub": verify_sub_barrier(domain, state, grid, problem, params).as_dict(),
-        "super": verify_super_barrier(domain, state, grid, problem, params).as_dict(),
+        "h_inequality": asdict(h_report),
+        "sub": asdict(sub),
+        "super": asdict(sup),
     }

@@ -27,7 +27,12 @@ from nconvex.discretize import (
     sample_problem,
     seed_datum,
 )
-from nconvex.geometry import DomainSpec, pinching_check, project_to_boundary_batch
+from nconvex.geometry import (
+    DomainSpec,
+    boundary_samples,
+    pinching_check,
+    project_to_boundary_batch,
+)
 from nconvex.solver import ContinuationFailure, SolverConfig, continuation
 
 __all__ = ["main", "named_case", "parse_config", "config_digest",
@@ -246,8 +251,10 @@ def load_solution_dump(directory):
     dom = header["domain"]
     if dom["kind"] == "ball":
         domain = DomainSpec.ball(dom["semi_axes"][0], center=dom["center"], n=header["n"])
-    else:
+    elif dom["kind"] == "ellipsoid":
         domain = DomainSpec.ellipsoid(dom["semi_axes"], center=dom["center"])
+    else:
+        raise ValueError(f"{src / 'header.json'} names unknown domain kind {dom['kind']!r}")
     grid = Grid(domain, header["resolution"])
     if grid.n_active != header["counts"]["active"] or grid.n_colloc != header["counts"]["colloc"]:
         raise ValueError("dump counts do not match the rebuilt grid")
@@ -413,10 +420,8 @@ def cmd_check_domain(args) -> int:
     if samples_h is not None:
         print(f"mean curvature H = {samples_h:.6g} (constant on a ball)")
     else:
-        from nconvex.geometry import boundary_samples
-
-        hs = [s.H for s in boundary_samples(domain, 4000)]
-        print(f"mean curvature H in [{min(hs):.6g}, {max(hs):.6g}]")
+        hs = boundary_samples(domain, 4000)[1].sum(axis=1)
+        print(f"mean curvature H in [{hs.min():.6g}, {hs.max():.6g}]")
     if not gate.passes:
         print(
             f"worst sampled boundary point: {np.round(gate.worst_point, 6).tolist()}"

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "DomainSpec",
-    "BoundaryData",
     "PinchingReport",
     "distance",
     "signed_distance",
@@ -93,19 +92,6 @@ class DomainSpec:
     @property
     def mu0(self) -> float:
         return 1.0 / self.kappa_max_global
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Boundary point with outward normal and principal curvatures."""
-
-    point: np.ndarray
-    nu: np.ndarray
-    kappa: np.ndarray  # ascending, n-1 values, all positive
-
-    @property
-    def H(self) -> float:
-        return float(np.sum(self.kappa))
 
 
 def _center_ellipsoid_roots(domain: DomainSpec, x: np.ndarray):
@@ -223,13 +209,6 @@ def normal_field(domain: DomainSpec, x) -> np.ndarray:
             f"normal field queried at depth {d:.3g} >= mu0 = {domain.mu0:.3g}"
         )
     return nu
-
-
-def boundary_frame(domain: DomainSpec, y) -> BoundaryData:
-    """Curvature data of the boundary at the boundary point y."""
-    y = np.asarray(y, dtype=float)
-    kappa, _, nu = _frame_at(domain, y[None, :])
-    return BoundaryData(point=y, nu=nu[0], kappa=kappa[0])
 
 
 def _frame_at(domain: DomainSpec, y: np.ndarray):
@@ -353,12 +332,13 @@ def _tensor_sphere(n: int, count: int) -> np.ndarray:
     return pts[norm > 1e-12] / norm[norm > 1e-12, None]
 
 
-def _sample_frames(domain: DomainSpec, count: int):
+def boundary_samples(domain: DomainSpec, count: int = 10000):
     """Deterministic boundary sample points with their principal curvatures.
 
     Directions come from a Fibonacci sphere for n = 3 and tensor angle
     grids for n >= 4; the semi-axis endpoints (where ellipsoid curvature
-    extremes sit) are always appended.  Returns (points, kappa, normals).
+    extremes sit) are always appended.  Returns (points, kappa, normals) as
+    arrays (N, n), (N, n-1) ascending and (N, n); H is ``kappa.sum(axis=1)``.
     """
     n = domain.n
     if n == 3:
@@ -375,12 +355,6 @@ def _sample_frames(domain: DomainSpec, count: int):
     pts = np.asarray(domain.center) + dirs * np.asarray(domain.semi_axes)
     kappa, _, nu = _frame_at(domain, pts)
     return pts, kappa, nu
-
-
-def boundary_samples(domain: DomainSpec, count: int = 10000):
-    """Deterministic boundary sample with curvature data per point."""
-    pts, kappa, nu = _sample_frames(domain, count)
-    return [BoundaryData(point=p, nu=v, kappa=k) for p, v, k in zip(pts, nu, kappa)]
 
 
 @dataclass(frozen=True)
@@ -428,7 +402,7 @@ def pinching_check(domain: DomainSpec, count: int = 10000) -> PinchingReport:
             corollary_agrees=True if n == 3 else None,
         )
         return report
-    pts, kappa, _ = _sample_frames(domain, count)
+    pts, kappa, _ = boundary_samples(domain, count)
     spreads = kappa[:, -1] - kappa[:, 0]
     bounds = np.sum(kappa, axis=1) / denom
     margins = bounds - spreads

@@ -298,6 +298,15 @@ def test_criterion_07_manufactured_convergence(manufactured_runs):
            f"(window [2.5, 4.5]), both solves within 300 s", total)
 
 
+def test_newton_residual_floor(manufactured_runs):
+    # every accepted state sits two decades below newton_tol = 1e-10
+    # (measured maxima 3.2e-13 at 17^3 and 1.7e-12 at 33^3)
+    for res in (17, 33):
+        rows = manufactured_runs[res]["report"].rows
+        worst = max(row["residual"] for row in rows)
+        assert worst <= 1e-11, f"{res}^3: accepted residual {worst:.3e} above 1e-11"
+
+
 def test_criterion_08_admissibility_along_path(manufactured_runs, constant_run_25):
     margins = []
     for run in (manufactured_runs[17], manufactured_runs[33], constant_run_25):

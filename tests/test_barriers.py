@@ -1,16 +1,21 @@
 """Barrier diagnostics on converged unit-ball solutions."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from nconvex import barriers
 from nconvex.barriers import (
     BarrierParams,
     _barrier_values,
+    barrier_section,
     recipe_params,
     verify_h_inequality,
     verify_sub_barrier,
     verify_super_barrier,
 )
+from nconvex.cli import named_case
 from nconvex.discretize import Grid, ProblemSpec, homotopy_constant, sample_problem
 from nconvex.geometry import DomainSpec
 from nconvex.solver import SolverConfig, continuation
@@ -36,6 +41,16 @@ def constant_problem(n=3):
 def solved25():
     grid = Grid(BALL, 25)
     problem = sample_problem(constant_problem(), grid)
+    state, _ = continuation(problem, grid, SolverConfig())
+    return grid, problem, state
+
+
+@pytest.fixture(scope="module")
+def solved_egg25():
+    """The exact quadratic on the (1, 1, 1.05) ellipsoid at 25^3."""
+    domain, spec, _ = named_case("ellipsoid-near-sphere")
+    grid = Grid(domain, 25)
+    problem = sample_problem(spec, grid)
     state, _ = continuation(problem, grid, SolverConfig())
     return grid, problem, state
 
@@ -136,12 +151,8 @@ class TestSubSuperBarriers:
     def test_super_minus_sub_is_twice_g(self, solved25):
         grid, problem, state = solved25
         params = recipe_params(BALL, state, grid, problem)
-        sub_vals, _, _, _, n_bound = _barrier_values(
-            BALL, state, grid, problem, params, sign=-1.0
-        )
-        sup_vals, _, _, _, _ = _barrier_values(
-            BALL, state, grid, problem, params, sign=1.0
-        )
+        sub_vals, sup_vals, _, _ = _barrier_values(BALL, state, grid, problem, params)
+        n_bound = state.monitors.sup_unn
         mask = grid.strip_mask(params.mu)
         d = grid.active_d[mask]
         h_val = -d + params.k3 * d * d
@@ -155,10 +166,39 @@ class TestSubSuperBarriers:
         bigger = BarrierParams(k3=base.k3, beta=base.beta, cap_a=2.0 * base.cap_a,
                                sigma=base.sigma, mu=base.mu, gamma=base.gamma,
                                epsilon=base.epsilon)
-        lo, _, _, _, n_bound = _barrier_values(BALL, state, grid, problem, base, sign=-1.0)
-        hi, _, _, _, _ = _barrier_values(BALL, state, grid, problem, bigger, sign=-1.0)
+        lo = _barrier_values(BALL, state, grid, problem, base)[0]
+        hi = _barrier_values(BALL, state, grid, problem, bigger)[0]
         mask = grid.strip_mask(base.mu)
         d = grid.active_d[mask]
         h_val = -d + base.k3 * d * d
         assert np.allclose(hi - lo, -base.cap_a * h_val, atol=1e-12)
         assert np.all(hi >= lo)
+
+
+class TestBarrierSection:
+    @pytest.mark.parametrize("fixture", ["solved25", "solved_egg25"])
+    def test_section_matches_public_verifiers(self, fixture, request):
+        grid, problem, state = request.getfixturevalue(fixture)
+        domain = grid.domain
+        params = recipe_params(domain, state, grid, problem)
+        section = barrier_section(domain, state, grid, problem, params)
+        assert section["h_inequality"] == asdict(verify_h_inequality(domain, state, grid, params))
+        assert section["sub"] == asdict(verify_sub_barrier(domain, state, grid, problem, params))
+        assert section["super"] == asdict(
+            verify_super_barrier(domain, state, grid, problem, params))
+        assert section["sub"]["kind"] == "sub" and section["super"]["kind"] == "super"
+
+    def test_sub_and_super_share_one_strip_projection(self, solved25, monkeypatch):
+        grid, problem, state = solved25
+        params = recipe_params(BALL, state, grid, problem)
+        calls = []
+        project = barriers.project_to_boundary_batch
+
+        def counted(*args):
+            calls.append(args[1].shape[0])
+            return project(*args)
+
+        monkeypatch.setattr(barriers, "project_to_boundary_batch", counted)
+        barrier_section(BALL, state, grid, problem, params)
+        # one for the h inequality, one shared by the sub and super barriers
+        assert len(calls) == 2

@@ -290,6 +290,15 @@ class TestSolutionDump:
         with pytest.raises(ValueError, match=name):
             load_solution_dump(dump)
 
+    def test_unknown_domain_kind_rejected(self, tmp_path):
+        grid = Grid(DomainSpec.ball(1.0, n=3), 9)
+        dump = write_solution_dump(tmp_path / "dump", grid, quadratic_seed(grid), 1.0)
+        header = json.loads((dump / "header.json").read_text())
+        header["domain"]["kind"] = "cube"
+        (dump / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=r"header\.json names unknown domain kind 'cube'"):
+            load_solution_dump(dump)
+
 
 class TestCheckDomain:
     def test_ball_passes(self, capsys):

@@ -9,8 +9,8 @@ import pytest
 from nconvex.discretize import Grid
 from nconvex.geometry import (
     DomainSpec,
+    _frame_at,
     barrier_h,
-    boundary_frame,
     boundary_samples,
     distance,
     distance_hessian,
@@ -287,26 +287,36 @@ class TestBarrierH:
 
 class TestCurvature:
     def test_ball(self):
-        bd = boundary_frame(BALL, np.array([0.0, 1.0, 0.0]))
-        assert np.allclose(bd.kappa, [1.0, 1.0])
-        assert bd.H == pytest.approx(2.0)
+        _, kappa, _ = boundary_samples(BALL, 100)
+        assert np.allclose(kappa, 1.0)
+        assert np.allclose(kappa.sum(axis=1), 2.0)
 
     def test_ellipsoid_axis_endpoints(self):
-        # curvatures at the endpoint of axis k are a_k / a_i^2 for i != k
+        # the samples end with the 2n axis endpoints +-a_k e_k, where the
+        # curvatures are a_k / a_i^2 for i != k
         a = np.array(EGG.semi_axes)
-        for k in range(3):
-            y = np.zeros(3)
-            y[k] = a[k]
-            bd = boundary_frame(EGG, y)
+        pts, kappa, _ = boundary_samples(EGG, 100)
+        for j, (y, kap) in enumerate(zip(pts[-6:], kappa[-6:])):
+            k = j // 2
+            assert np.allclose(np.abs(y), a[k] * np.eye(3)[k])
             want = sorted(a[k] / a[i] ** 2 for i in range(3) if i != k)
-            assert np.allclose(np.sort(bd.kappa), want, rtol=1e-10)
+            assert np.allclose(kap, want, rtol=1e-10)
 
     def test_global_extremes(self):
-        samples = boundary_samples(EGG, 4000)
-        kmax = max(s.kappa[-1] for s in samples)
-        kmin = min(s.kappa[0] for s in samples)
+        _, kappa, _ = boundary_samples(EGG, 4000)
+        kmax = kappa[:, -1].max()
+        kmin = kappa[:, 0].min()
         assert kmax == pytest.approx(EGG.kappa_max_global, rel=1e-6)
         assert kmin == pytest.approx(EGG.kappa_min_global, rel=1e-6)
+
+    def test_samples_are_frames_at_their_points(self):
+        for dom in (BALL, EGG, DomainSpec.ellipsoid((1.0, 0.8, 1.1, 1.3))):
+            pts, kappa, nu = boundary_samples(dom, 500)
+            want_kappa, _, want_nu = _frame_at(dom, pts)
+            assert np.array_equal(kappa, want_kappa)
+            assert np.array_equal(nu, want_nu)
+            assert kappa.shape == (pts.shape[0], dom.n - 1)
+            assert np.all(np.diff(kappa, axis=1) >= 0.0)
 
 
 class TestPinching:
