@@ -151,13 +151,15 @@ _BOOL_KEYS = {"verify_barriers", "force"}
 _LIST_KEYS = {"domain.center", "domain.semi_axes"}
 _STR_KEYS = {"domain.kind", "f.file", "phi.file"}
 _KNOWN_KEYS = set(DEFAULTS) | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _LIST_KEYS | _STR_KEYS
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
 
 
 def parse_config(path) -> dict:
     """Flat ``key = value`` file into a typed dict over the defaults.
 
-    Raises ValueError naming ``path:lineno`` for a malformed line or a key
-    the command line does not read.
+    Raises ValueError naming ``path:lineno`` for a malformed line, a key
+    the command line does not read, or a value of the wrong type.
     """
     cfg = dict(DEFAULTS)
     text = Path(path).read_text()
@@ -173,7 +175,10 @@ def parse_config(path) -> dict:
                 f"{path}:{lineno}: unknown key {key!r}; known keys: "
                 f"{', '.join(sorted(_KNOWN_KEYS))}"
             )
-        cfg[key] = _coerce(key, value)
+        try:
+            cfg[key] = _coerce(key, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return cfg
 
 
@@ -183,7 +188,11 @@ def _coerce(key, value):
     if key in _FLOAT_KEYS:
         return float(value)
     if key in _BOOL_KEYS:
-        return value.lower() in ("1", "true", "yes", "on")
+        word = value.lower()
+        if word in _TRUE_WORDS or word in _FALSE_WORDS:
+            return word in _TRUE_WORDS
+        raise ValueError(f"expected {'/'.join(_TRUE_WORDS)} or {'/'.join(_FALSE_WORDS)}, "
+                         f"got {value!r}")
     if key in _LIST_KEYS:
         return tuple(float(v) for v in value.split(","))
     return value
@@ -201,11 +210,14 @@ def _domain_from_config(cfg) -> DomainSpec:
         domain, _, _ = named_case(cfg["case"], n=n)
         return domain
     center = cfg.get("domain.center")
+    size_key = {"ball": "domain.radius", "ellipsoid": "domain.semi_axes"}.get(kind)
+    if size_key is None:
+        raise ValueError(f"unknown domain.kind {kind!r}")
+    if size_key not in cfg:
+        raise ValueError(f"domain.kind = {kind} needs {size_key}")
     if kind == "ball":
-        return DomainSpec.ball(float(cfg["domain.radius"]), center=center, n=n)
-    if kind == "ellipsoid":
-        return DomainSpec.ellipsoid(cfg["domain.semi_axes"], center=center)
-    raise ValueError(f"unknown domain.kind {kind!r}")
+        return DomainSpec.ball(float(cfg[size_key]), center=center, n=n)
+    return DomainSpec.ellipsoid(cfg[size_key], center=center)
 
 
 # -- dumps and reports ---------------------------------------------------------

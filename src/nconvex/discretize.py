@@ -7,11 +7,13 @@ outside the active set.  Those outside neighbors ("closure" points) are not
 unknowns: each lies on the normal ray through its collocation point, so its
 value is the quadratic along that ray determined by the trace and two
 interpolated interior ray values.  Those come from moving-least-squares
-rows (``W1``, ``W2``) built in batched blocks: one neighbor query and one
-stacked SVD per block of collocation points; only the targets with too
-few neighbors or a rank-deficient design are searched again at a wider
-radius.  The construction is exact for quadratic fields, which pins the
-discrete problem to the continuum one at the homotopy start.
+rows (``W1``, ``W2``) built in batched blocks: one neighbor query per
+block of collocation points, and per target one solve with the Gram
+matrix of its quadratic design (10 x 10 at n = 3) plus one refinement
+step; only the targets with too few neighbors or a rank-deficient design
+are searched again at a wider radius.  The construction is exact for
+quadratic fields, which pins the discrete problem to the continuum one at
+the homotopy start.
 
 The stencil is held as data on the Grid: an index ``nbr`` of each stencil
 neighbor into the extended vector [active values; closure values], the
@@ -49,6 +51,7 @@ __all__ = [
     "homotopy_constant",
     "seed_datum",
     "hessian_batch",
+    "field_det_w",
     "gradient_batch",
     "hessian_contraction",
     "interior_residual",
@@ -179,6 +182,13 @@ def _mls_block(tree, nodes: np.ndarray, p: np.ndarray, h: float, rho: float):
     row, and the rows' node counts, node indices and weights (concatenated
     in target order).  A target fails with fewer than q + 2 neighbors or a
     rank-deficient design; the caller widens its search.
+
+    The row is the minimum-norm solution of the moment conditions
+    D^T mu = e0 on the weighted design D, lam = sqrt(w) mu.  It is formed
+    by the normal equations of the second kind, mu = D G^-1 e0 with the
+    q x q Gram matrix G = D^T D, plus one refinement step on the moment
+    conditions.  The rank test reads the eigenvalues of G, whose ratio is
+    the square of the design's singular-value ratio.
     """
     b, n = p.shape
     q = 1 + n + n * (n + 1) // 2
@@ -198,13 +208,17 @@ def _mls_block(tree, nodes: np.ndarray, p: np.ndarray, h: float, rho: float):
     w = np.where(real, np.maximum(0.0, 1.0 - r2) ** 2, 0.0)
     sw = np.sqrt(w)
     design = _quad_basis(diff / h) * sw[..., None]
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    full = s[:, -1] > 1e-9 * s[:, 0]
+    gram = np.matmul(design.transpose(0, 2, 1), design)
+    eig = np.linalg.eigvalsh(gram)
+    full = eig[:, 0] > 1e-12 * eig[:, -1]
     ok[ok] = full
     counts, real, idx, sw = counts[full], real[full], idx[full], sw[full]
-    # value row of the weighted pseudoinverse: lam = sqrt(W) U S^-1 (V^T)[:,0]
-    lam = np.matmul(u[full], (vt[full, :, 0] / s[full])[..., None])[..., 0] * sw
-    return ok, counts, idx[real], lam[real]
+    design, gram = design[full], gram[full]
+    e0 = np.zeros((design.shape[0], q, 1))
+    e0[:, 0] = 1.0
+    mu = design @ np.linalg.solve(gram, e0)
+    mu += design @ np.linalg.solve(gram, e0 - design.transpose(0, 2, 1) @ mu)
+    return ok, counts, idx[real], (mu[..., 0] * sw)[real]
 
 
 def _mls_value_rows(nodes: np.ndarray, targets: np.ndarray, h: float) -> sp.csr_matrix:
@@ -405,6 +419,11 @@ def hessian_batch(field: DiscreteField, grid: Grid) -> np.ndarray:
     return (_stencil_values(field, grid).T @ grid.hess_coef).reshape(-1, grid.n, grid.n)
 
 
+def field_det_w(field: DiscreteField, grid: Grid) -> np.ndarray:
+    """det W(D2u) at every active point, (N,)."""
+    return woperator.batch_det_w(hessian_batch(field, grid))
+
+
 def gradient_batch(field: DiscreteField, grid: Grid) -> np.ndarray:
     """Centered first differences at every active point, (N, n)."""
     axes = slice(1, 1 + 2 * grid.n)  # the +-e_i offsets, the only ones with a gradient weight
@@ -442,12 +461,15 @@ def second_normal_derivative(field: DiscreteField, grid: Grid) -> np.ndarray:
 
 
 def interior_residual(field: DiscreteField, grid: Grid, problem: SampledProblem,
-                      t: float) -> np.ndarray:
-    """det(W(D2u)) - t f - (1-t) c0 at every active point."""
+                      t: float, det: np.ndarray | None = None) -> np.ndarray:
+    """det(W(D2u)) - t f - (1-t) c0 at every active point.
+
+    ``det``, when given, is det W(D2u) of ``field`` and is not recomputed.
+    """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"homotopy parameter t={t} outside [0, 1]")
-    d2 = hessian_batch(field, grid)
-    det = woperator.batch_det_w(d2)
+    if det is None:
+        det = field_det_w(field, grid)
     c0 = homotopy_constant(grid.n)
     return det - t * problem.f_active - (1.0 - t) * c0
 

@@ -31,6 +31,7 @@ from nconvex.discretize import (
     DiscreteField,
     Grid,
     SampledProblem,
+    field_det_w,
     gradient_batch,
     hessian_batch,
     hessian_contraction,
@@ -137,6 +138,7 @@ class HomotopyState:
     residual_norm: float
     ellipticity_margin: float
     monitors: BoundMonitors
+    det_w: np.ndarray | None = None  # det W(D2u) at the field; None: recompute it
 
 
 @dataclass
@@ -186,13 +188,17 @@ class PathReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def residual_vector(x: np.ndarray, t: float, grid: Grid,
-                    problem: SampledProblem) -> np.ndarray:
-    """Stacked interior and Robin residuals for the packed unknown vector."""
+def residual_vector(x: np.ndarray, t: float, grid: Grid, problem: SampledProblem,
+                    det: np.ndarray | None = None) -> np.ndarray:
+    """Stacked interior and Robin residuals for the packed unknown vector.
+
+    ``det``, when given, is det W(D2u) at x (``field_det_w``) and is not
+    recomputed.
+    """
     fld = DiscreteField.unpack(x, grid)
     return np.concatenate(
         [
-            interior_residual(fld, grid, problem, t),
+            interior_residual(fld, grid, problem, t, det),
             robin_residual(fld, grid, problem, t),
         ]
     )
@@ -341,9 +347,10 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     StepFailure when the iteration budget, the line-search floor, or the
     linear solve gives out.
 
-    The start state's margin and monitors are trusted to describe its field.
-    The result reuses the line search's residual and margin of the accepted
-    iterate, and evaluates the monitors once if a step was taken.
+    The start state's margin, monitors and det W (unless ``det_w`` is None)
+    are trusted to describe its field.  The result reuses the line search's
+    residual, margin and det W of the accepted iterate, and evaluates the
+    monitors once if a step was taken.
     """
     if state.ellipticity_margin <= 0.0:
         raise ValueError(
@@ -353,8 +360,9 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
         linear = CondensedSolver(grid, PathReport())
     t = state.t
     fld, margin, monitors = state.field, state.ellipticity_margin, state.monitors
+    det = state.det_w if state.det_w is not None else field_det_w(fld, grid)
     x = fld.pack()
-    r = residual_vector(x, t, grid, problem)
+    r = residual_vector(x, t, grid, problem, det)
     rnorm = float(np.max(np.abs(r)))
     for _ in range(config.max_newton_iters):
         if rnorm <= config.newton_tol:
@@ -363,13 +371,14 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
         alpha = 1.0
         while True:
             trial = x + alpha * delta
-            trial_r = residual_vector(trial, t, grid, problem)
+            trial_fld = DiscreteField.unpack(trial, grid)
+            trial_det = field_det_w(trial_fld, grid)
+            trial_r = residual_vector(trial, t, grid, problem, trial_det)
             trial_norm = float(np.max(np.abs(trial_r)))
             if trial_norm < rnorm:
-                trial_fld = DiscreteField.unpack(trial, grid)
                 trial_margin = ellipticity_margin(trial_fld, grid)
                 if trial_margin > 0.0:
-                    x, r, rnorm = trial, trial_r, trial_norm
+                    x, r, rnorm, det = trial, trial_r, trial_norm, trial_det
                     fld, margin, monitors = trial_fld, trial_margin, None
                     break
             alpha *= config.damping
@@ -385,7 +394,7 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     if monitors is None:
         monitors = bound_monitors(fld, grid)
     return HomotopyState(t=t, field=fld, residual_norm=rnorm,
-                         ellipticity_margin=margin, monitors=monitors)
+                         ellipticity_margin=margin, monitors=monitors, det_w=det)
 
 
 def quadratic_seed(grid: Grid) -> DiscreteField:
@@ -400,11 +409,11 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     The curvature-pinching gate runs first unless ``force`` is set; the
     start iterate is the exact t = 0 solution, whose margin and monitors are
     evaluated once here, and each later Newton solve starts from the last
-    accepted state, whose margin and monitors still describe its field.  One
-    CondensedSolver serves every Newton step, so the seed ILU is built at
-    most once per call and only when some step needs a linear solve.  On
-    persistent step failure raises ContinuationFailure carrying the last
-    accepted state and report.
+    accepted state, whose margin, monitors and det W still describe its
+    field.  One CondensedSolver serves every Newton step, so the seed ILU is
+    built at most once per call and only when some step needs a linear
+    solve.  On persistent step failure raises ContinuationFailure carrying
+    the last accepted state and report.
     """
     if not force:
         gate = pinching_check(grid.domain)

@@ -90,6 +90,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"typo\.cfg:2: unknown key 'resolutoin'"):
             parse_config(typo)
 
+    @pytest.mark.parametrize("word, want", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("false", False), ("NO", False), ("Off", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, word, want):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"verify_barriers = {word}\nforce = {word}\n")
+        cfg = parse_config(path)
+        assert cfg["verify_barriers"] is want and cfg["force"] is want
+
+    @pytest.mark.parametrize("line, key, detail", [
+        ("verify_barriers = ture", "verify_barriers", "expected 1/true/yes/on or 0/false/no/off"),
+        ("force = 2", "force", "got '2'"),
+        ("resolution = 33.5", "resolution", "invalid literal for int"),
+        ("damping = half", "damping", "could not convert"),
+    ])
+    def test_bad_value_rejected_with_location(self, tmp_path, line, key, detail):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"case = ball-constant\n{line}\n")
+        with pytest.raises(ValueError, match=rf"bad\.cfg:2: bad value for '{key}': ") as err:
+            parse_config(path)
+        assert detail in str(err.value)
+
 
 class TestNamedCases:
     def test_all_cases_construct(self):
@@ -261,6 +284,24 @@ class TestErrorReporting:
         code, err = self.run([command, "--config", str(cfg)], capsys)
         assert code == 2
         assert "unknown domain.kind 'cube'" in err
+
+    @pytest.mark.parametrize("command", ["solve", "check-domain"])
+    @pytest.mark.parametrize("kind, key", [("ball", "domain.radius"),
+                                           ("ellipsoid", "domain.semi_axes")])
+    def test_domain_size_missing(self, tmp_path, capsys, command, kind, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"domain.kind = {kind}\noutput = {tmp_path / 'out'}\n")
+        code, err = self.run([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("configuration error: ") and key in err
+
+    def test_bad_boolean_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"verify_barriers = ture\noutput = {tmp_path / 'out'}\n")
+        code, err = self.run(["solve", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "run.cfg:1: bad value for 'verify_barriers'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_rank_deficient_grid(self, tmp_path, capsys):
         # forced past the pinching gate, the (1, 1, 3) ellipsoid cannot build

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from nconvex import discretize
 from nconvex.discretize import (
@@ -121,6 +122,22 @@ def mls_targets(grid, depth):
     return grid.colloc_y - depth * grid.delta * grid.colloc_nu
 
 
+def pinv_value_row(grid, tree, target, cols):
+    """Value row of np.linalg.pinv of the weighted quadratic design on ``cols``.
+
+    The search radius is the first of the builder's radii whose neighbor
+    set is ``cols``.
+    """
+    rho = 2.5 * grid.h
+    while tree.query_ball_point(target, rho, return_sorted=True) != cols.tolist():
+        rho *= 1.4
+        assert rho < 2.5 * grid.h * 1.4**5, "no radius gives this row's neighbors"
+    diff = grid.active_pts[cols] - target
+    sw = np.maximum(0.0, 1.0 - np.sum(diff**2, axis=1) / rho**2)
+    design = monomials(diff / grid.h) * sw[:, None]
+    return np.linalg.pinv(design)[0] * sw
+
+
 class TestCollocationWeights:
     @pytest.mark.parametrize("domain, res", [(BALL, 9), (ELLIPSOID, 9), (ELONGATED, 11)],
                              ids=["ball-9", "ellipsoid-9", "elongated-11"])
@@ -129,8 +146,8 @@ class TestCollocationWeights:
         for depth, w in ((1, grid.W1), (2, grid.W2)):
             targets = mls_targets(grid, depth)
             got = w @ monomials(grid.active_pts)
-            assert np.max(np.abs(got - monomials(targets))) < 1e-12, depth
-            assert np.max(np.abs(w.sum(axis=1).A1 - 1.0)) < 1e-12, depth
+            assert np.max(np.abs(got - monomials(targets))) < 1e-14, depth
+            assert np.max(np.abs(w.sum(axis=1).A1 - 1.0)) < 1e-14, depth
 
     def test_widened_rows_on_elongated_ellipsoid(self):
         # the fixture above only covers the widening path while this holds
@@ -154,6 +171,58 @@ class TestCollocationWeights:
     def test_rank_deficient_stencil_rejected(self):
         with pytest.raises(ValueError, match="rank deficient"):
             Grid(DomainSpec.ellipsoid((1.0, 1.0, 3.0)), 9)
+
+    @pytest.mark.parametrize("domain, res", [(BALL, 17), (ELLIPSOID, 41)],
+                             ids=["ball-17", "ellipsoid-41"])
+    def test_rows_are_pseudoinverse_value_rows(self, domain, res):
+        # the Gram solve gives the value row of the weighted design's pseudoinverse
+        grid = Grid(domain, res)
+        tree = cKDTree(grid.active_pts)
+        picks = np.random.default_rng(3).choice(grid.n_colloc, 25, replace=False)
+        for depth, w in ((1, grid.W1), (2, grid.W2)):
+            targets = mls_targets(grid, depth)
+            for i in picks:
+                cols = w.indices[w.indptr[i]:w.indptr[i + 1]]
+                want = pinv_value_row(grid, tree, targets[i], cols)
+                got = w.data[w.indptr[i]:w.indptr[i + 1]]
+                assert np.max(np.abs(got - want)) < 1e-13, (depth, i)
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.7], ids=["z=0", "tilted"])
+    def test_coplanar_nodes_refused(self, tilt):
+        # a planar node set cannot fit a quadratic off the plane: every design is
+        # singular, exactly for z = 0 and up to round-off for a tilted plane
+        ticks = np.linspace(-1.0, 1.0, 9)
+        nodes = np.stack(np.meshgrid(ticks, ticks, [0.0], indexing="ij"), -1).reshape(-1, 3)
+        targets = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.0], [0.3, 0.3, 0.0]])
+        c, s = np.cos(tilt), np.sin(tilt)
+        turn = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]) @ np.array(
+            [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+        nodes, targets = nodes @ turn.T, targets @ turn.T
+        ok, counts, idx, lam = discretize._mls_block(cKDTree(nodes), nodes, targets,
+                                                     h=0.25, rho=0.8)
+        assert not ok.any()
+        assert counts.size == idx.size == lam.size == 0
+
+    @pytest.mark.parametrize("bump, accepted", [(3e-3, True), (1e-4, False)])
+    def test_rank_test_at_singular_value_ratio_1e6(self, bump, accepted):
+        # nodes a bump away from a plane: the design's singular-value ratio is
+        # about 1e-5 at 3e-3 and 2e-8 at 1e-4, and the rank test cuts at 1e-6
+        ticks = np.linspace(-1.0, 1.0, 9)
+        nodes = np.stack(np.meshgrid(ticks, ticks, [0.0], indexing="ij"), -1).reshape(-1, 3)
+        nodes[:, 2] = bump * np.random.default_rng(1).uniform(-1.0, 1.0, len(nodes))
+        targets = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.0], [0.3, 0.3, 0.0]])
+        ok, *_ = discretize._mls_block(cKDTree(nodes), nodes, targets, h=0.25, rho=0.8)
+        assert np.all(ok == accepted)
+
+    def test_closure_row_count_at_17(self, grid17):
+        assert grid17.W1.nnz + grid17.W2.nnz == 100_734
+
+    def test_build_uses_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("grid build called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        Grid(ELONGATED, 11)
 
 
 class TestHessianStencil:

@@ -316,6 +316,19 @@ def record_calls(monkeypatch, name):
     return calls
 
 
+def record_det_w(monkeypatch):
+    """The Hessian batch of every woperator.batch_det_w call."""
+    calls = []
+    original = woperator.batch_det_w
+
+    def recording(d2):
+        calls.append(d2)
+        return original(d2)
+
+    monkeypatch.setattr(woperator, "batch_det_w", recording)
+    return calls
+
+
 def count_factorizations(monkeypatch):
     """Matrices handed to the seed ILU and to the direct LU, kept apart."""
     return count_calls(monkeypatch, "spilu"), count_calls(monkeypatch, "splu")
@@ -511,6 +524,8 @@ class TestStateEvaluation:
             assert state.residual_norm == fresh.residual_norm
             assert state.ellipticity_margin == fresh.ellipticity_margin
             assert state.monitors == fresh.monitors
+            assert np.array_equal(state.det_w,
+                                  woperator.batch_det_w(hessian_batch(state.field, grid)))
 
     def test_exact_path_evaluates_margin_and_monitors_once(self, grid9, sp9, monkeypatch):
         residuals = count_calls(monkeypatch, "residual_vector")
@@ -521,6 +536,30 @@ class TestStateEvaluation:
         assert steps == []
         assert len(margins) == len(monitors) == 1
         assert len(residuals) == len(report.rows) == 11
+
+    def test_exact_path_evaluates_det_w_once(self, grid9, sp9, monkeypatch):
+        dets = record_det_w(monkeypatch)
+        continuation(sp9, grid9, SolverConfig())
+        assert len(dets) == 1
+
+    def test_manufactured_path_evaluates_each_det_w_once(self, grid9, manufactured9,
+                                                        monkeypatch):
+        dets = record_det_w(monkeypatch)
+        continuation(manufactured9, grid9, SolverConfig())
+        assert len(dets) > 1
+        assert len({d2.tobytes() for d2 in dets}) == len(dets)
+
+    def test_start_det_w_none_is_recomputed(self, grid9, sp9, monkeypatch):
+        start = make_state(0.0, quadratic_seed(grid9), grid9, sp9)
+        assert start.det_w is None
+        fresh = woperator.batch_det_w(hessian_batch(start.field, grid9))
+        dets = record_det_w(monkeypatch)
+        out = newton_solve(start, grid9, sp9, SolverConfig())
+        assert len(dets) == 1
+        assert np.array_equal(out.det_w, fresh)
+        # a known det W is trusted: the next solve evaluates none
+        newton_solve(out, grid9, sp9, SolverConfig())
+        assert len(dets) == 1
 
     def test_manufactured_path_evaluates_each_state_once(self, grid9, manufactured9,
                                                          monkeypatch):
