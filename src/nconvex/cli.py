@@ -109,7 +109,7 @@ def _quadratic_problem(domain, name):
     )
 
 
-def _array_problem(domain, grid, f_path, phi_path):
+def _array_problem(grid, f_path, phi_path):
     """Problem data from raw little-endian float64 files matching the grid."""
     f_vals = np.fromfile(f_path, dtype="<f8")
     phi_vals = np.fromfile(phi_path, dtype="<f8")
@@ -153,6 +153,7 @@ _STR_KEYS = {"domain.kind", "f.file", "phi.file"}
 _KNOWN_KEYS = set(DEFAULTS) | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _LIST_KEYS | _STR_KEYS
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
+REPORT_FORMATS = ("csv", "json")
 
 
 def parse_config(path) -> dict:
@@ -195,6 +196,8 @@ def _coerce(key, value):
                          f"got {value!r}")
     if key in _LIST_KEYS:
         return tuple(float(v) for v in value.split(","))
+    if key == "report" and value not in REPORT_FORMATS:
+        raise ValueError(f"expected {' or '.join(REPORT_FORMATS)}, got {value!r}")
     return value
 
 
@@ -285,15 +288,9 @@ def load_solution_dump(directory):
 
 
 def _write_report(report, cfg, out_dir: Path):
-    fmt = cfg["report"]
-    if fmt == "csv":
-        path = out_dir / "path_report.csv"
-        path.write_text(report.to_csv())
-    elif fmt == "json":
-        path = out_dir / "path_report.json"
-        path.write_text(report.to_json())
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+    fmt = cfg["report"]  # one of REPORT_FORMATS: parse_config and the flag check it
+    path = out_dir / f"path_report.{fmt}"
+    path.write_text(report.to_csv() if fmt == "csv" else report.to_json())
     return path
 
 
@@ -315,7 +312,7 @@ def cmd_selftest(args) -> int:
 def _load_run(args):
     cfg = dict(DEFAULTS) if args.config is None else parse_config(args.config)
     for key in ("resolution", "homotopy_steps"):
-        override = getattr(args, key.replace("-", "_"), None)
+        override = getattr(args, key, None)
         if override is not None:
             cfg[key] = override
     if getattr(args, "report", None):
@@ -332,6 +329,13 @@ def _load_run(args):
 def cmd_solve(args) -> int:
     cfg = _load_run(args)
     digest = config_digest(cfg)
+    config = SolverConfig(
+        newton_tol=float(cfg["newton_tol"]),
+        max_newton_iters=int(cfg["max_newton_iters"]),
+        homotopy_steps=int(cfg["homotopy_steps"]),
+        min_step=float(cfg["min_step"]),
+        damping=float(cfg["damping"]),
+    )
     domain = _domain_from_config(cfg)
     if domain.n < 3:
         print("PDE runs need n >= 3", file=sys.stderr)
@@ -352,17 +356,10 @@ def cmd_solve(args) -> int:
     grid = Grid(domain, int(cfg["resolution"]))
     exact = None
     if cfg.get("f.file"):
-        problem = _array_problem(domain, grid, cfg["f.file"], cfg["phi.file"])
+        problem = _array_problem(grid, cfg["f.file"], cfg["phi.file"])
     else:
         _, spec, exact = named_case(cfg["case"], n=int(cfg["n"]), domain=domain)
         problem = sample_problem(spec, grid)
-    config = SolverConfig(
-        newton_tol=float(cfg["newton_tol"]),
-        max_newton_iters=int(cfg["max_newton_iters"]),
-        homotopy_steps=int(cfg["homotopy_steps"]),
-        min_step=float(cfg["min_step"]),
-        damping=float(cfg["damping"]),
-    )
     out_dir = Path(cfg["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -460,7 +457,7 @@ def main(argv=None) -> int:
     p_solve.add_argument("--resolution", type=int, default=None)
     p_solve.add_argument("--homotopy-steps", type=int, default=None,
                          dest="homotopy_steps")
-    p_solve.add_argument("--report", choices=("csv", "json"), default=None)
+    p_solve.add_argument("--report", choices=REPORT_FORMATS, default=None)
     p_solve.add_argument("--verify-barriers", action="store_true",
                          dest="verify_barriers")
     p_solve.add_argument("--force", action="store_true")

@@ -51,7 +51,6 @@ __all__ = [
     "homotopy_constant",
     "seed_datum",
     "hessian_batch",
-    "field_det_w",
     "gradient_batch",
     "hessian_contraction",
     "interior_residual",
@@ -419,11 +418,6 @@ def hessian_batch(field: DiscreteField, grid: Grid) -> np.ndarray:
     return (_stencil_values(field, grid).T @ grid.hess_coef).reshape(-1, grid.n, grid.n)
 
 
-def field_det_w(field: DiscreteField, grid: Grid) -> np.ndarray:
-    """det W(D2u) at every active point, (N,)."""
-    return woperator.batch_det_w(hessian_batch(field, grid))
-
-
 def gradient_batch(field: DiscreteField, grid: Grid) -> np.ndarray:
     """Centered first differences at every active point, (N, n)."""
     axes = slice(1, 1 + 2 * grid.n)  # the +-e_i offsets, the only ones with a gradient weight
@@ -469,7 +463,7 @@ def interior_residual(field: DiscreteField, grid: Grid, problem: SampledProblem,
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"homotopy parameter t={t} outside [0, 1]")
     if det is None:
-        det = field_det_w(field, grid)
+        det = woperator.batch_det_w(hessian_batch(field, grid))
     c0 = homotopy_constant(grid.n)
     return det - t * problem.f_active - (1.0 - t) * c0
 

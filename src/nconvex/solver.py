@@ -6,7 +6,8 @@ the Robin rows are linear and precomputed on the grid.  Every accepted
 iterate must keep the ellipticity margin tr(D2u) - lambda_max(D2u), the
 smallest eigenvalue of M = tr(D2u) I - D2u and hence of W, positive at all
 active points (the discrete ellipticity certificate), which the line
-search enforces alongside plain residual decrease.
+search enforces alongside plain residual decrease.  Each iterate's Hessian
+stack is formed once and gives its det W, its margin and the next Jacobian.
 
 Each Newton step eliminates the trace unknowns exactly (the Robin block
 on them is a multiple of the identity) through a map that is constant for
@@ -31,7 +32,6 @@ from nconvex.discretize import (
     DiscreteField,
     Grid,
     SampledProblem,
-    field_det_w,
     gradient_batch,
     hessian_batch,
     hessian_contraction,
@@ -85,6 +85,9 @@ ILU_DROP_TOL = 1e-3
 ILU_FILL_FACTOR = 10
 ILU_PERMC = "MMD_AT_PLUS_A"
 
+# The line search gives up on a Newton step once alpha falls below this.
+LINE_SEARCH_FLOOR = 1e-8
+
 
 class StepFailure(RuntimeError):
     """A Newton solve at fixed t did not converge; the caller shrinks dt."""
@@ -106,13 +109,16 @@ class SolverConfig:
     homotopy_steps: int = 10
     min_step: float = 1.0 / 1280.0
     damping: float = 0.5
-    line_search_floor: float = 1e-8
 
     def __post_init__(self):
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0.0):
+            raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
+        if self.max_newton_iters < 1:
+            raise ValueError("max_newton_iters must be at least 1")
         if self.homotopy_steps < 1:
             raise ValueError("homotopy_steps must be at least 1")
+        if not (np.isfinite(self.min_step) and 0.0 < self.min_step <= 1.0):
+            raise ValueError(f"min_step must lie in (0, 1], got {self.min_step}")
         if not 0.0 < self.damping < 1.0:
             raise ValueError("damping must lie in (0, 1)")
 
@@ -138,7 +144,7 @@ class HomotopyState:
     residual_norm: float
     ellipticity_margin: float
     monitors: BoundMonitors
-    det_w: np.ndarray | None = None  # det W(D2u) at the field; None: recompute it
+    det_w: np.ndarray  # det W(D2u) at every active point of the field
 
 
 @dataclass
@@ -192,8 +198,7 @@ def residual_vector(x: np.ndarray, t: float, grid: Grid, problem: SampledProblem
                     det: np.ndarray | None = None) -> np.ndarray:
     """Stacked interior and Robin residuals for the packed unknown vector.
 
-    ``det``, when given, is det W(D2u) at x (``field_det_w``) and is not
-    recomputed.
+    ``det``, when given, is det W(D2u) at x and is not recomputed.
     """
     fld = DiscreteField.unpack(x, grid)
     return np.concatenate(
@@ -204,29 +209,26 @@ def residual_vector(x: np.ndarray, t: float, grid: Grid, problem: SampledProblem
     )
 
 
-def ellipticity_margin(fld: DiscreteField, grid: Grid) -> float:
-    """Smallest tr(D2u) - lambda_max(D2u) over all active points."""
-    d2 = hessian_batch(fld, grid)
-    return float(np.min(woperator.batch_min_lift_eig(d2)))
+def ellipticity_margin(hessians: np.ndarray) -> float:
+    """Smallest tr(D2u) - lambda_max(D2u) over a Hessian stack (``hessian_batch``)."""
+    return float(np.min(woperator.batch_min_lift_eig(hessians)))
 
 
-def assemble_jacobian(x: np.ndarray, t: float, grid: Grid,
-                      problem: SampledProblem) -> sp.csr_matrix:
-    """Stencil matrix K of the interior linearization at the packed state.
+def assemble_jacobian(hessians: np.ndarray, grid: Grid) -> sp.csr_matrix:
+    """Stencil matrix K of the interior linearization at a Hessian stack.
 
     K contracts the det(W) gradient with the Hessian stencil and acts on
     the extended vector [values; closure values] (``hessian_contraction``).
     """
-    fld = DiscreteField.unpack(x, grid)
-    coef = woperator.batch_linearization(hessian_batch(fld, grid))  # (N, n, n)
-    return hessian_contraction(coef, grid)
+    return hessian_contraction(woperator.batch_linearization(hessians), grid)
 
 
 def full_jacobian(x: np.ndarray, t: float, grid: Grid,
                   problem: SampledProblem) -> sp.csc_matrix:
     """Sparse Jacobian of ``residual_vector``: [[K @ extension], [Robin rows]]."""
-    return sp.vstack([assemble_jacobian(x, t, grid, problem) @ grid.extension,
-                      grid.robin_jac], format="csc")
+    d2 = hessian_batch(DiscreteField.unpack(x, grid), grid)
+    return sp.vstack([assemble_jacobian(d2, grid) @ grid.extension, grid.robin_jac],
+                     format="csc")
 
 
 def condensed_map(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -347,10 +349,11 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     StepFailure when the iteration budget, the line-search floor, or the
     linear solve gives out.
 
-    The start state's margin, monitors and det W (unless ``det_w`` is None)
-    are trusted to describe its field.  The result reuses the line search's
-    residual, margin and det W of the accepted iterate, and evaluates the
-    monitors once if a step was taken.
+    The start state's margin, monitors and det W are trusted to describe its
+    field, whose Hessian stack is formed only if a step is needed.  A trial's
+    stack gives its det W and margin and, once accepted, the next Jacobian.
+    The result reuses the accepted iterate's residual, margin and det W, and
+    evaluates the monitors once if a step was taken.
     """
     if state.ellipticity_margin <= 0.0:
         raise ValueError(
@@ -359,30 +362,32 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     if linear is None:
         linear = CondensedSolver(grid, PathReport())
     t = state.t
-    fld, margin, monitors = state.field, state.ellipticity_margin, state.monitors
-    det = state.det_w if state.det_w is not None else field_det_w(fld, grid)
+    fld, margin, monitors, det = (state.field, state.ellipticity_margin, state.monitors,
+                                  state.det_w)
     x = fld.pack()
     r = residual_vector(x, t, grid, problem, det)
     rnorm = float(np.max(np.abs(r)))
+    d2 = hessian_batch(fld, grid) if rnorm > config.newton_tol else None
     for _ in range(config.max_newton_iters):
         if rnorm <= config.newton_tol:
             break
-        delta = linear.solve(assemble_jacobian(x, t, grid, problem), -r, t)
+        delta = linear.solve(assemble_jacobian(d2, grid), -r, t)
         alpha = 1.0
         while True:
             trial = x + alpha * delta
             trial_fld = DiscreteField.unpack(trial, grid)
-            trial_det = field_det_w(trial_fld, grid)
+            trial_d2 = hessian_batch(trial_fld, grid)
+            trial_det = woperator.batch_det_w(trial_d2)
             trial_r = residual_vector(trial, t, grid, problem, trial_det)
             trial_norm = float(np.max(np.abs(trial_r)))
             if trial_norm < rnorm:
-                trial_margin = ellipticity_margin(trial_fld, grid)
+                trial_margin = ellipticity_margin(trial_d2)
                 if trial_margin > 0.0:
-                    x, r, rnorm, det = trial, trial_r, trial_norm, trial_det
+                    x, r, rnorm, det, d2 = trial, trial_r, trial_norm, trial_det, trial_d2
                     fld, margin, monitors = trial_fld, trial_margin, None
                     break
             alpha *= config.damping
-            if alpha < config.line_search_floor:
+            if alpha < LINE_SEARCH_FLOOR:
                 raise StepFailure(
                     f"line search floor reached at t={t:.6g} (residual {rnorm:.3g})"
                 )
@@ -407,10 +412,10 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     """March t from 0 to 1 with adaptive halving; returns (state, report).
 
     The curvature-pinching gate runs first unless ``force`` is set; the
-    start iterate is the exact t = 0 solution, whose margin and monitors are
-    evaluated once here, and each later Newton solve starts from the last
-    accepted state, whose margin, monitors and det W still describe its
-    field.  One CondensedSolver serves every Newton step, so the seed ILU is
+    start iterate is the exact t = 0 solution, whose margin and det W are
+    read from one Hessian stack here and whose monitors are evaluated once,
+    and each later Newton solve starts from the last accepted state, whose
+    margin, monitors and det W still describe its field.  One CondensedSolver serves every Newton step, so the seed ILU is
     built at most once per call and only when some step needs a linear
     solve.  On persistent step failure raises ContinuationFailure carrying
     the last accepted state and report.
@@ -426,11 +431,13 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     report = PathReport()
     linear = CondensedSolver(grid, report)
     seed = quadratic_seed(grid)
-    margin = ellipticity_margin(seed, grid)
+    d2 = hessian_batch(seed, grid)
+    margin = ellipticity_margin(d2)
     if margin <= 0.0:
         raise ValueError("quadratic seed is not admissible on this grid")
     state = HomotopyState(t=0.0, field=seed, residual_norm=float("nan"),
-                          ellipticity_margin=margin, monitors=bound_monitors(seed, grid))
+                          ellipticity_margin=margin, monitors=bound_monitors(seed, grid),
+                          det_w=woperator.batch_det_w(d2))
     state = newton_solve(state, grid, problem, config, linear)
     report.add(state)
     dt_init = 1.0 / config.homotopy_steps

@@ -23,6 +23,7 @@ from nconvex.cone import in_gamma_k, lift_spectrum
 from nconvex.discretize import (
     DiscreteField,
     Grid,
+    hessian_batch,
     interior_residual,
     robin_residual,
     sample_problem,
@@ -212,7 +213,7 @@ def test_criterion_04_gradient_and_jacobian_checks():
     states = 0
     while states < 20:
         x = seed + smooth_bump(rng, grid).pack()
-        if ellipticity_margin(DiscreteField.unpack(x, grid), grid) <= 0.0:
+        if ellipticity_margin(hessian_batch(DiscreteField.unpack(x, grid), grid)) <= 0.0:
             continue
         states += 1
         jac = full_jacobian(x, 0.4, grid, sampled)

@@ -303,6 +303,28 @@ class TestErrorReporting:
         assert "run.cfg:1: bad value for 'verify_barriers'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_report_format_refused_before_solving(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"resolution = 9\nreport = xml\noutput = {tmp_path / 'out'}\n")
+        code, err = self.run(["solve", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "run.cfg:2: bad value for 'report': expected csv or json, got 'xml'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["min_step = 0", "min_step = -0.01", "min_step = nan",
+                                      "newton_tol = nan", "max_newton_iters = 0"])
+    def test_bad_solver_setting_refused_before_any_work(self, tmp_path, capsys,
+                                                       monkeypatch, line):
+        work = []
+        monkeypatch.setattr(nconvex.cli, "pinching_check", lambda *a: work.append("gate"))
+        monkeypatch.setattr(nconvex.cli, "Grid", lambda *a: work.append("grid"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\noutput = {tmp_path / 'out'}\n")
+        code, err = self.run(["solve", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("configuration error: ") and line.split()[0] in err
+        assert work == [] and not (tmp_path / "out").exists()
+
     def test_rank_deficient_grid(self, tmp_path, capsys):
         # forced past the pinching gate, the (1, 1, 3) ellipsoid cannot build
         # a 9^3 grid: its boundary collocation stencil is rank deficient

@@ -86,15 +86,47 @@ def sp9(grid9):
     return sample_problem(constant_problem(), grid9)
 
 
+def margin_of(fld, grid):
+    return ellipticity_margin(hessian_batch(fld, grid))
+
+
+def stencil_at(x, grid):
+    """The Newton stencil matrix K at the packed state x."""
+    return assemble_jacobian(hessian_batch(DiscreteField.unpack(x, grid), grid), grid)
+
+
 def make_state(t, fld, grid, problem):
     r = residual_vector(fld.pack(), t, grid, problem)
+    d2 = hessian_batch(fld, grid)
     return HomotopyState(
         t=t,
         field=fld,
         residual_norm=float(np.max(np.abs(r))),
-        ellipticity_margin=ellipticity_margin(fld, grid),
+        ellipticity_margin=ellipticity_margin(d2),
         monitors=bound_monitors(fld, grid),
+        det_w=woperator.batch_det_w(d2),
     )
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("min_step", 0.0),
+        ("min_step", -1e-3),
+        ("min_step", float("nan")),
+        ("min_step", 1.5),
+        ("newton_tol", 0.0),
+        ("newton_tol", float("nan")),
+        ("newton_tol", float("inf")),
+        ("max_newton_iters", 0),
+        ("homotopy_steps", 0),
+        ("damping", 1.0),
+    ])
+    def test_bad_value_refused(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            SolverConfig(**{key: value})
+
+    def test_whole_step_is_a_valid_min_step(self):
+        assert SolverConfig(min_step=1.0).min_step == 1.0
 
 
 class TestNewton:
@@ -149,7 +181,7 @@ class TestNewton:
                 ).pack()
                 x = seed.pack() + bump
                 fld = DiscreteField.unpack(x, grid)
-                if ellipticity_margin(fld, grid) <= 0.0:
+                if margin_of(fld, grid) <= 0.0:
                     continue
                 tested += 1
                 jac = full_jacobian(x, 0.3, grid, problem)
@@ -215,7 +247,7 @@ class TestContinuation:
         problem = sample_problem(manufactured_problem(), grid)
         # admissibility of the reference is a precondition of the setup
         ref = DiscreteField.from_function(grid, u_star)
-        assert ellipticity_margin(ref, grid) > 0.0
+        assert margin_of(ref, grid) > 0.0
         state, report = continuation(problem, grid, SolverConfig())
         assert state.t == 1.0
         err = np.max(np.abs(state.field.values - ref.values))
@@ -365,7 +397,7 @@ class TestLinearSolve:
         for x in (seed, bumped):
             r = residual_vector(x, 0.4, grid9, manufactured9)
             direct = splu(full_jacobian(x, 0.4, grid9, manufactured9)).solve(-r)
-            step = linear.solve(assemble_jacobian(x, 0.4, grid9, manufactured9), -r, 0.4)
+            step = linear.solve(stencil_at(x, grid9), -r, 0.4)
             assert np.linalg.norm(step - direct) <= 1e-10 * np.linalg.norm(direct)
         # one preconditioner, built from the seed S (not the bumped one)
         assert len(seeds) == 1 and lus == []
@@ -381,7 +413,7 @@ class TestLinearSolve:
         seeds, _ = count_factorizations(monkeypatch)
         solved = count_calls(monkeypatch, "gmres")
         seed = quadratic_seed(grid9).pack()
-        stencil = assemble_jacobian(seed, 0.0, grid9, manufactured9)
+        stencil = stencil_at(seed, grid9)
         rhs = np.ones(grid9.n_unknowns)
         CondensedSolver(grid9, PathReport()).solve(stencil, rhs, 0.0)
         full = stencil @ condensed_map(grid9)[0]
@@ -412,7 +444,7 @@ class TestLinearSolve:
             condensed = emap @ u + lift @ data
             assert np.max(np.abs(condensed - exact)) <= 1e-12 * np.max(np.abs(exact))
             # and the Newton matrix is the trace-eliminated full Jacobian
-            newton_s = assemble_jacobian(x, 0.4, grid, problem) @ emap
+            newton_s = stencil_at(x, grid) @ emap
             eliminated = schur_of(full_jacobian(x, 0.4, grid, problem), grid)
             assert newton_s.shape == eliminated.shape == (n, n)
             assert abs(newton_s - eliminated).max() <= 1e-12 * abs(eliminated).max()
@@ -532,9 +564,11 @@ class TestStateEvaluation:
         margins = count_calls(monkeypatch, "ellipticity_margin")
         monitors = count_calls(monkeypatch, "bound_monitors")
         steps = count_calls(monkeypatch, "assemble_jacobian")
+        stacks = count_calls(monkeypatch, "hessian_batch")
         _, report = continuation(sp9, grid9, SolverConfig())
         assert steps == []
         assert len(margins) == len(monitors) == 1
+        assert len(stacks) == 2  # the seed's, for its margin and det W, and the monitors'
         assert len(residuals) == len(report.rows) == 11
 
     def test_exact_path_evaluates_det_w_once(self, grid9, sp9, monkeypatch):
@@ -549,17 +583,36 @@ class TestStateEvaluation:
         assert len(dets) > 1
         assert len({d2.tobytes() for d2 in dets}) == len(dets)
 
-    def test_start_det_w_none_is_recomputed(self, grid9, sp9, monkeypatch):
+    def test_known_start_det_w_is_trusted(self, grid9, sp9, monkeypatch):
         start = make_state(0.0, quadratic_seed(grid9), grid9, sp9)
-        assert start.det_w is None
-        fresh = woperator.batch_det_w(hessian_batch(start.field, grid9))
         dets = record_det_w(monkeypatch)
+        hessians = count_calls(monkeypatch, "hessian_batch")
         out = newton_solve(start, grid9, sp9, SolverConfig())
-        assert len(dets) == 1
-        assert np.array_equal(out.det_w, fresh)
-        # a known det W is trusted: the next solve evaluates none
-        newton_solve(out, grid9, sp9, SolverConfig())
-        assert len(dets) == 1
+        # an exact start takes no step: no det W and no Hessian stack is formed
+        assert dets == [] and hessians == []
+        assert out.det_w is start.det_w
+
+    def test_each_iterate_forms_one_hessian_stack(self, grid9, manufactured9, monkeypatch):
+        solves = count_calls(monkeypatch, "newton_solve")
+        residuals = record_calls(monkeypatch, "residual_vector")
+        margins = count_calls(monkeypatch, "ellipticity_margin")
+        steps = count_calls(monkeypatch, "assemble_jacobian")
+        monitors = count_calls(monkeypatch, "bound_monitors")
+        calls = record_calls(monkeypatch, "hessian_batch")
+        continuation(manufactured9, grid9, SolverConfig())
+        formed = [d2 for _, d2 in calls]
+        # the margin and each Jacobian read a stack formed once, never a fresh one
+        for used in margins + steps:
+            assert any(used is d2 for d2 in formed)
+        # every residual is handed its det W, so none forms a stack of its own
+        assert all(len(args) == 5 and args[4] is not None for args, _ in residuals)
+        trials = len(residuals) - len(solves)
+        # a step's Jacobian reuses the accepted trial's stack (which passed the
+        # margin check); only a solve's first step forms its start field's stack
+        starts = [k for k in steps if not any(k is m for m in margins)]
+        assert 0 < len(starts) <= len(solves)
+        assert len(steps) > len(starts)
+        assert len(formed) == 1 + len(monitors) + trials + len(starts)
 
     def test_manufactured_path_evaluates_each_state_once(self, grid9, manufactured9,
                                                          monkeypatch):
@@ -577,7 +630,7 @@ class TestStateEvaluation:
         assert len(residuals) == len(solves) + len(trials)
         assert len(trials) >= len(steps) > 0
         # the margin: once at the seed, then at most once per trial point
-        assert len({fld.pack().tobytes() for fld in margins}) == len(margins)
+        assert len({d2.tobytes() for d2 in margins}) == len(margins)
         assert len(margins) <= 1 + len(trials)
         # the monitors: once at the seed, then once per solve that moved its field
         moved = [out for args, out in solves if out is not None
@@ -591,11 +644,11 @@ def guarded_margin(monkeypatch, reject_every_trial=False):
     steps = count_calls(monkeypatch, "assemble_jacobian")
     rejected = set()
 
-    def guard(fld, grid):
+    def guard(hessians):
         if reject_every_trial or len(steps) not in rejected:
             rejected.add(len(steps))
             return -1.0
-        return true_margin(fld, grid)
+        return true_margin(hessians)
 
     monkeypatch.setattr(nconvex.solver, "ellipticity_margin", guard)
     return steps, rejected
@@ -621,7 +674,7 @@ class TestMarginGuard:
         assert len(rejected) == len(steps) > 0
         assert len(residuals) >= 1 + 2 * len(steps)  # every step backtracked
         # the returned margin is the field's true one, not the guard's -1
-        assert out.ellipticity_margin == ellipticity_margin(out.field, grid9) > 0.0
+        assert out.ellipticity_margin == margin_of(out.field, grid9) > 0.0
 
     def test_guard_rejecting_every_trial_fails_the_step(self, grid9, sp9, monkeypatch):
         start = self.perturbed_start(grid9, sp9)
