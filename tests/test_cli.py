@@ -325,6 +325,45 @@ class TestErrorReporting:
         assert err.startswith("configuration error: ") and line.split()[0] in err
         assert work == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "check-domain"])
+    @pytest.mark.parametrize("lines, detail", [
+        ("domain.kind = ball\ndomain.radius = nan\n", "semi-axes must be finite"),
+        ("domain.kind = ball\ndomain.radius = inf\n", "semi-axes must be finite"),
+        ("domain.kind = ball\ndomain.radius = 1.0\ndomain.center = 0,nan,0\n",
+         "center must be finite"),
+    ], ids=["nan-radius", "inf-radius", "nan-center"])
+    def test_non_finite_domain_is_config_error(self, tmp_path, capsys, command, lines,
+                                               detail):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{lines}output = {tmp_path / 'out'}\n")
+        code, err = self.run([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("configuration error: ") and detail in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "check-domain"])
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys, command):
+        missing = tmp_path / "no-such.cfg"
+        code, err = self.run([command, "--config", str(missing)], capsys)
+        assert code == 2
+        assert err.startswith("configuration error: ") and str(missing) in err
+
+    @pytest.mark.parametrize("absent", ["f.file", "phi.file"])
+    def test_missing_data_file_is_config_error(self, tmp_path, capsys, absent):
+        grid = Grid(DomainSpec.ball(1.0, n=3), 9)
+        np.full(grid.n_active, 8.0).astype("<f8").tofile(tmp_path / "f.bin")
+        grid.colloc_quad.astype("<f8").tofile(tmp_path / "phi.bin")
+        files = {"f.file": tmp_path / "f.bin", "phi.file": tmp_path / "phi.bin"}
+        files[absent] = tmp_path / "no-such.bin"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"resolution = 9\nf.file = {files['f.file']}\n"
+            f"phi.file = {files['phi.file']}\noutput = {tmp_path / 'out'}\n"
+        )
+        code, err = self.run(["solve", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("configuration error: ") and "no-such.bin" in err
+
     def test_rank_deficient_grid(self, tmp_path, capsys):
         # forced past the pinching gate, the (1, 1, 3) ellipsoid cannot build
         # a 9^3 grid: its boundary collocation stencil is rank deficient

@@ -79,6 +79,26 @@ def project_oracle_3d(domain, x, iters=120):
     return y, float(np.linalg.norm(np.asarray(x) - y))
 
 
+class TestDomainSpec:
+    @pytest.mark.parametrize("make", [
+        lambda: DomainSpec.ball(math.nan),
+        lambda: DomainSpec.ball(math.inf),
+        lambda: DomainSpec.ball(0.0),
+        lambda: DomainSpec.ball(1.0, center=(0.0, math.nan, 0.0)),
+        lambda: DomainSpec.ellipsoid((1.0, 1.0, math.inf)),
+        lambda: DomainSpec.ellipsoid((1.0, 1.0, math.nan)),
+        lambda: DomainSpec.ellipsoid((math.nan, 1.0, 1.0)),
+        lambda: DomainSpec.ellipsoid((1.0, 1.2, 0.9), center=(math.inf, 0.0, 0.0)),
+    ], ids=["ball-nan", "ball-inf", "ball-zero", "ball-nan-center", "ellipsoid-inf",
+            "ellipsoid-nan-last", "ellipsoid-nan-first", "ellipsoid-inf-center"])
+    def test_non_finite_or_non_positive_refused(self, make):
+        with pytest.raises(ValueError, match="must be finite"):
+            make()
+
+    def test_equal_axes_give_a_ball(self):
+        assert DomainSpec.ellipsoid((1.0, 1.0, 1.0)) == BALL
+
+
 class TestDistance:
     def test_ball_center(self):
         assert distance(BALL, [0.0, 0.0, 0.0]) == pytest.approx(1.0)

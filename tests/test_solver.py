@@ -14,6 +14,7 @@ from nconvex.discretize import (
     Grid,
     ProblemSpec,
     hessian_batch,
+    hessian_contraction,
     homotopy_constant,
     sample_problem,
 )
@@ -32,7 +33,6 @@ from nconvex.solver import (
     ellipticity_margin,
     full_jacobian,
     newton_solve,
-    prune_roundoff,
     quadratic_seed,
     residual_vector,
 )
@@ -103,8 +103,9 @@ def make_state(t, fld, grid, problem):
         field=fld,
         residual_norm=float(np.max(np.abs(r))),
         ellipticity_margin=ellipticity_margin(d2),
-        monitors=bound_monitors(fld, grid),
+        monitors=bound_monitors(fld, d2, grid),
         det_w=woperator.batch_det_w(d2),
+        hessians=d2,
     )
 
 
@@ -379,6 +380,13 @@ def egg9():
     return Grid(DomainSpec.ellipsoid((1.0, 1.0, 1.05)), 9)
 
 
+def seed_operator(grid):
+    """c0 I contracted with the Hessian stencil and composed with E: the seed's S."""
+    n = grid.n
+    seed_grad = np.broadcast_to(homotopy_constant(n) * np.eye(n), (grid.n_active, n, n))
+    return hessian_contraction(seed_grad, grid) @ condensed_map(grid)[0]
+
+
 def seed_and_bumped(grid):
     seed = quadratic_seed(grid).pack()
     bump = DiscreteField.from_function(
@@ -393,7 +401,6 @@ class TestLinearSolve:
         report = PathReport()
         linear = CondensedSolver(grid9, report)
         seed, bumped = seed_and_bumped(grid9)
-        # the first system freezes the preconditioner, as in continuation
         for x in (seed, bumped):
             r = residual_vector(x, 0.4, grid9, manufactured9)
             direct = splu(full_jacobian(x, 0.4, grid9, manufactured9)).solve(-r)
@@ -404,9 +411,23 @@ class TestLinearSolve:
         seed_s = schur_of(full_jacobian(seed, 0.4, grid9, manufactured9), grid9)
         built = sp.csr_matrix(seeds[0])
         assert built.shape == seed_s.shape
-        assert abs(built - prune_roundoff(seed_s)).max() <= 1e-12 * abs(seed_s).max()
+        assert abs(built - seed_s).max() <= 1e-12 * abs(seed_s).max()
         assert report.krylov_iters[1] > 1
         assert report.direct_fallbacks == 0
+
+    @pytest.mark.parametrize("domain", ["ball", "ellipsoid"])
+    def test_preconditioner_is_the_seed_operator_whatever_the_first_state(
+            self, grid9, egg9, monkeypatch, domain):
+        grid = grid9 if domain == "ball" else egg9
+        problem = sample_problem(manufactured_problem(), grid)
+        seeds, _ = count_factorizations(monkeypatch)
+        for x in seed_and_bumped(grid):
+            r = residual_vector(x, 0.4, grid, problem)
+            CondensedSolver(grid, PathReport()).solve(stencil_at(x, grid), -r, 0.4)
+        # a first solve at the bumped field builds the same ILU as one at the seed
+        assert len(seeds) == 2
+        assert abs(seeds[0] - seeds[1]).max() == 0.0
+        assert abs(seeds[0] - seed_operator(grid)).max() == 0.0
 
     def test_seed_preconditioner_drops_only_roundoff(self, grid9, manufactured9,
                                                      monkeypatch):
@@ -417,13 +438,17 @@ class TestLinearSolve:
         rhs = np.ones(grid9.n_unknowns)
         CondensedSolver(grid9, PathReport()).solve(stencil, rhs, 0.0)
         full = stencil @ condensed_map(grid9)[0]
+        exact = seed_operator(grid9)
+        assert abs(seeds[0] - exact).max() == 0.0
+        # the computed seed S is the exact operator plus round-off entries
+        # (M = 2I, so the off-diagonal terms vanish in exact arithmetic)
         row_max = abs(full).max(axis=1).toarray().ravel()
-        kept = sp.coo_matrix(seeds[0])
+        kept = sp.coo_matrix(exact)
         assert np.all(np.abs(kept.data) >= 1e-12 * row_max[kept.row])
-        dropped = sp.coo_matrix(full - sp.csr_matrix(seeds[0]))
+        dropped = sp.coo_matrix(full - exact)
         assert np.all(np.abs(dropped.data) <= 1e-12 * row_max[dropped.row])
-        # M = 2I at the seed, so S carries round-off entries; GMRES keeps them
         assert kept.nnz < full.nnz
+        # GMRES solves the computed S itself, round-off entries and all
         assert solved[0].nnz == full.nnz
         assert abs(solved[0] - full).max() == 0.0
         # the same S as eliminating the trace from the full Jacobian, to round-off
@@ -448,13 +473,6 @@ class TestLinearSolve:
             eliminated = schur_of(full_jacobian(x, 0.4, grid, problem), grid)
             assert newton_s.shape == eliminated.shape == (n, n)
             assert abs(newton_s - eliminated).max() <= 1e-12 * abs(eliminated).max()
-
-    def test_prune_threshold_is_relative_to_each_row(self):
-        m = sp.csr_matrix(np.array([[1.0, 0.9e-12, 1.1e-12],
-                                    [3e-14, 0.9e-25, 1e-13]]))
-        out = prune_roundoff(m)
-        assert out.toarray().tolist() == [[1.0, 0.0, 1.1e-12], [3e-14, 0.0, 1e-13]]
-        assert out.nnz == 4 and m.nnz == 6
 
     @pytest.mark.parametrize("stalled", ["not-converged", "non-finite"])
     def test_gmres_failure_falls_back_to_direct(self, grid9, manufactured9,
@@ -526,7 +544,8 @@ class TestLinearSolve:
 
 class TestMonitors:
     def test_quadratic_seed_closed_form(self, grid9):
-        mon = bound_monitors(quadratic_seed(grid9), grid9)
+        seed = quadratic_seed(grid9)
+        mon = bound_monitors(seed, hessian_batch(seed, grid9), grid9)
         assert mon.sup_u == pytest.approx(0.5, abs=1e-10)
         assert mon.sup_du == pytest.approx(1.0, abs=1e-9)
         assert mon.sup_d2u == pytest.approx(1.0, abs=1e-9)
@@ -556,8 +575,8 @@ class TestStateEvaluation:
             assert state.residual_norm == fresh.residual_norm
             assert state.ellipticity_margin == fresh.ellipticity_margin
             assert state.monitors == fresh.monitors
-            assert np.array_equal(state.det_w,
-                                  woperator.batch_det_w(hessian_batch(state.field, grid)))
+            assert np.array_equal(state.hessians, hessian_batch(state.field, grid))
+            assert np.array_equal(state.det_w, woperator.batch_det_w(state.hessians))
 
     def test_exact_path_evaluates_margin_and_monitors_once(self, grid9, sp9, monkeypatch):
         residuals = count_calls(monkeypatch, "residual_vector")
@@ -568,7 +587,7 @@ class TestStateEvaluation:
         _, report = continuation(sp9, grid9, SolverConfig())
         assert steps == []
         assert len(margins) == len(monitors) == 1
-        assert len(stacks) == 2  # the seed's, for its margin and det W, and the monitors'
+        assert len(stacks) == 1  # the seed's, for its margin, det W and monitors
         assert len(residuals) == len(report.rows) == 11
 
     def test_exact_path_evaluates_det_w_once(self, grid9, sp9, monkeypatch):
@@ -592,27 +611,35 @@ class TestStateEvaluation:
         assert dets == [] and hessians == []
         assert out.det_w is start.det_w
 
+    def test_newton_leaves_the_start_state_unchanged(self, grid9, manufactured9):
+        x = seed_and_bumped(grid9)[1]
+        start = make_state(0.4, DiscreteField.unpack(x.copy(), grid9), grid9, manufactured9)
+        d2 = start.hessians.copy()
+        out = newton_solve(start, grid9, manufactured9, SolverConfig())
+        assert not np.array_equal(out.field.pack(), x)
+        assert np.array_equal(start.field.pack(), x)
+        assert np.array_equal(start.hessians, d2)
+
     def test_each_iterate_forms_one_hessian_stack(self, grid9, manufactured9, monkeypatch):
         solves = count_calls(monkeypatch, "newton_solve")
         residuals = record_calls(monkeypatch, "residual_vector")
         margins = count_calls(monkeypatch, "ellipticity_margin")
         steps = count_calls(monkeypatch, "assemble_jacobian")
-        monitors = count_calls(monkeypatch, "bound_monitors")
+        monitors = record_calls(monkeypatch, "bound_monitors")
         calls = record_calls(monkeypatch, "hessian_batch")
         continuation(manufactured9, grid9, SolverConfig())
         formed = [d2 for _, d2 in calls]
-        # the margin and each Jacobian read a stack formed once, never a fresh one
-        for used in margins + steps:
+        # the margin, the monitors and each Jacobian read a stack formed once
+        for used in margins + steps + [args[1] for args, _ in monitors]:
             assert any(used is d2 for d2 in formed)
         # every residual is handed its det W, so none forms a stack of its own
         assert all(len(args) == 5 and args[4] is not None for args, _ in residuals)
         trials = len(residuals) - len(solves)
-        # a step's Jacobian reuses the accepted trial's stack (which passed the
-        # margin check); only a solve's first step forms its start field's stack
-        starts = [k for k in steps if not any(k is m for m in margins)]
-        assert 0 < len(starts) <= len(solves)
-        assert len(steps) > len(starts)
-        assert len(formed) == 1 + len(monitors) + trials + len(starts)
+        # each Jacobian reuses a stack that passed the margin check: the seed's,
+        # carried on the state, or an accepted trial's
+        assert len(steps) > len(solves) > 1
+        assert all(any(k is m for m in margins) for k in steps)
+        assert len(formed) == 1 + trials
 
     def test_manufactured_path_evaluates_each_state_once(self, grid9, manufactured9,
                                                          monkeypatch):
