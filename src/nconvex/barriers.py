@@ -29,7 +29,7 @@ from nconvex.geometry import (
     DomainSpec,
     _barrier_hessian,
     _distance_hessian_at,
-    boundary_samples,
+    mean_curvature_range,
     project_to_boundary_batch,
     strip_mu_max,
 )
@@ -76,11 +76,8 @@ class BarrierParams:
 
 def _kappa0_range(domain: DomainSpec):
     """Range of kappa0 = H / (n-1) over the boundary."""
-    if domain.is_ball:
-        k = 1.0 / domain.radius
-        return k, k
-    vals = boundary_samples(domain, 4000)[1].sum(axis=1) / (domain.n - 1)
-    return float(vals.min()), float(vals.max())
+    h_min, h_max = mean_curvature_range(domain)
+    return h_min / (domain.n - 1), h_max / (domain.n - 1)
 
 
 def recipe_params(domain: DomainSpec, state, grid: Grid, problem: SampledProblem,

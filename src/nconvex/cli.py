@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from nconvex.discretize import (
 )
 from nconvex.geometry import (
     DomainSpec,
-    boundary_samples,
+    mean_curvature_range,
     pinching_check,
     project_to_boundary_batch,
 )
@@ -131,11 +132,7 @@ DEFAULTS = {
     "case": "ball-constant",
     "n": 3,
     "resolution": 17,
-    "homotopy_steps": 10,
-    "newton_tol": 1e-10,
-    "max_newton_iters": 30,
-    "min_step": 1.0 / 1280.0,
-    "damping": 0.5,
+    **asdict(SolverConfig()),
     "report": "csv",
     "verify_barriers": False,
     "barrier.gamma": 0.5,
@@ -264,12 +261,9 @@ def load_solution_dump(directory):
     if header.get("format") != "nconvex-dump-1":
         raise ValueError(f"unrecognized dump format in {src}")
     dom = header["domain"]
-    if dom["kind"] == "ball":
-        domain = DomainSpec.ball(dom["semi_axes"][0], center=dom["center"], n=header["n"])
-    elif dom["kind"] == "ellipsoid":
-        domain = DomainSpec.ellipsoid(dom["semi_axes"], center=dom["center"])
-    else:
+    if dom["kind"] not in ("ball", "ellipsoid"):
         raise ValueError(f"{src / 'header.json'} names unknown domain kind {dom['kind']!r}")
+    domain = DomainSpec.ellipsoid(dom["semi_axes"], center=dom["center"])
     grid = Grid(domain, header["resolution"])
     if grid.n_active != header["counts"]["active"] or grid.n_colloc != header["counts"]["colloc"]:
         raise ValueError("dump counts do not match the rebuilt grid")
@@ -329,13 +323,7 @@ def _load_run(args):
 def cmd_solve(args) -> int:
     cfg = _load_run(args)
     digest = config_digest(cfg)
-    config = SolverConfig(
-        newton_tol=float(cfg["newton_tol"]),
-        max_newton_iters=int(cfg["max_newton_iters"]),
-        homotopy_steps=int(cfg["homotopy_steps"]),
-        min_step=float(cfg["min_step"]),
-        damping=float(cfg["damping"]),
-    )
+    config = SolverConfig(**{f.name: cfg[f.name] for f in fields(SolverConfig)})
     domain = _domain_from_config(cfg)
     if domain.n < 3:
         print("PDE runs need n >= 3", file=sys.stderr)
@@ -425,12 +413,11 @@ def cmd_check_domain(args) -> int:
         f"strip parameters: mu0={domain.mu0:.6g}, kappa_min={domain.kappa_min_global:.6g}, "
         f"kappa_max={domain.kappa_max_global:.6g}"
     )
-    samples_h = (domain.n - 1) / domain.radius if domain.is_ball else None
-    if samples_h is not None:
-        print(f"mean curvature H = {samples_h:.6g} (constant on a ball)")
+    h_min, h_max = mean_curvature_range(domain)
+    if h_min == h_max:
+        print(f"mean curvature H = {h_min:.6g} (constant on a ball)")
     else:
-        hs = boundary_samples(domain, 4000)[1].sum(axis=1)
-        print(f"mean curvature H in [{hs.min():.6g}, {hs.max():.6g}]")
+        print(f"mean curvature H in [{h_min:.6g}, {h_max:.6g}]")
     if not gate.passes:
         print(
             f"worst sampled boundary point: {np.round(gate.worst_point, 6).tolist()}"

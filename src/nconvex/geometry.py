@@ -23,6 +23,7 @@ __all__ = [
     "distance_hessian",
     "barrier_h",
     "boundary_samples",
+    "mean_curvature_range",
     "pinching_check",
     "strip_mu_max",
 ]
@@ -32,23 +33,21 @@ __all__ = [
 class DomainSpec:
     """A ball or axis-aligned ellipsoid with smooth, strictly convex boundary.
 
-    ``mu0`` is the width of the boundary strip on which the distance
-    function stays smooth; we take the minimal focal distance
-    1 / max(principal curvature), which is exact for both supported shapes.
+    The semi-axes alone fix the shape: equal axes make a ball, and ``n``,
+    ``kind`` and ``is_ball`` are read from them.  ``mu0`` is the width of
+    the boundary strip on which the distance function stays smooth; we take
+    the minimal focal distance 1 / max(principal curvature), which is exact
+    for both supported shapes.
     """
 
-    kind: str
-    n: int
     center: tuple
     semi_axes: tuple
 
     def __post_init__(self):
-        if self.kind not in ("ball", "ellipsoid"):
-            raise ValueError(f"unsupported domain kind {self.kind!r}")
         if self.n < 2:
             raise ValueError("dimension must be at least 2")
-        if len(self.center) != self.n or len(self.semi_axes) != self.n:
-            raise ValueError("center/semi-axes length must match the dimension")
+        if len(self.center) != self.n:
+            raise ValueError("center length must match the number of semi-axes")
         if not all(math.isfinite(c) for c in self.center):
             raise ValueError(f"center must be finite, got {self.center}")
         if not all(math.isfinite(a) and a > 0.0 for a in self.semi_axes):
@@ -56,25 +55,26 @@ class DomainSpec:
 
     @classmethod
     def ball(cls, radius: float, center=None, n: int = 3) -> "DomainSpec":
-        if center is None:
-            center = (0.0,) * n
-        return cls(kind="ball", n=n, center=tuple(float(c) for c in center),
-                   semi_axes=(float(radius),) * n)
+        return cls.ellipsoid((radius,) * n, center=center)
 
     @classmethod
     def ellipsoid(cls, semi_axes, center=None) -> "DomainSpec":
         axes = tuple(float(a) for a in semi_axes)
-        n = len(axes)
         if center is None:
-            center = (0.0,) * n
-        if all(a == axes[0] for a in axes):  # False on a NaN, which __post_init__ refuses
-            return cls.ball(axes[0], center=center, n=n)
-        return cls(kind="ellipsoid", n=n, center=tuple(float(c) for c in center),
-                   semi_axes=axes)
+            center = (0.0,) * len(axes)
+        return cls(center=tuple(float(c) for c in center), semi_axes=axes)
+
+    @property
+    def n(self) -> int:
+        return len(self.semi_axes)
 
     @property
     def is_ball(self) -> bool:
-        return self.kind == "ball"
+        return all(a == self.semi_axes[0] for a in self.semi_axes)
+
+    @property
+    def kind(self) -> str:
+        return "ball" if self.is_ball else "ellipsoid"
 
     @property
     def radius(self) -> float:
@@ -357,6 +357,19 @@ def boundary_samples(domain: DomainSpec, count: int = 10000):
     pts = np.asarray(domain.center) + dirs * np.asarray(domain.semi_axes)
     kappa, _, nu = _frame_at(domain, pts)
     return pts, kappa, nu
+
+
+def mean_curvature_range(domain: DomainSpec, count: int = 4000) -> tuple[float, float]:
+    """Smallest and largest mean curvature H = kappa_1 + ... + kappa_{n-1}.
+
+    Exact on a ball, where H = (n-1) / radius; sampled on an ellipsoid
+    (``boundary_samples`` with ``count`` directions).
+    """
+    if domain.is_ball:
+        h = (domain.n - 1) / domain.radius
+        return h, h
+    hs = boundary_samples(domain, count)[1].sum(axis=1)
+    return float(hs.min()), float(hs.max())
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ the whole continuation, and solves the remaining system on the active
 points by GMRES, preconditioned with one incomplete LU of the seed system.
 At the quadratic seed the det W gradient is exactly (n-1)^n I, so that
 system is the grid's scaled Laplacian composed with the map, and it is
-built from the grid alone; a step GMRES cannot finish falls back to a
-direct factorization of the current system.
+built from the grid alone.  A step GMRES cannot finish replaces the
+preconditioner with an incomplete LU of its own system and fails, so the
+continuation retries it at half the step.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
+from scipy.sparse.linalg import LinearOperator, gmres, spilu
+from scipy.sparse.linalg import splu  # noqa: F401 (unused here; perfbench wraps this binding)
 
 from nconvex import woperator
 from nconvex.discretize import (
@@ -69,12 +71,12 @@ REPORT_COLUMNS = ("t", "residual", "margin", "sup_u", "sup_du", "sup_d2u", "N", 
 # GMRES on the condensed Newton system.  With the seed ILU as preconditioner
 # a manufactured-path step takes 8-9 iterations at 17^3, 12 at 25^3, 15-16
 # at 33^3 and 22-23 at 49^3, so a restart of 60 finishes in one cycle and the
-# caps only bound the work spent on a stalled solve before the direct
-# fallback.  The tolerance sits above the round-off floor of the true
-# residual (about 1e-12 at 33^3), which GMRES cannot certify.  A cycle ends
-# on the preconditioned residual, and each restart tightens that target by
-# only 4x, so a step whose true residual lands just above the tolerance can
-# need a third cycle of one or two iterations.
+# caps only bound the work spent on a stalled solve before the step fails.
+# The tolerance sits above the round-off floor of the true residual (about
+# 1e-12 at 33^3), which GMRES cannot certify.  A cycle ends on the
+# preconditioned residual, and each restart tightens that target by only 4x,
+# so a step whose true residual lands just above the tolerance can need a
+# third cycle of one or two iterations.
 GMRES_RTOL = 1e-10
 GMRES_RESTART = 60
 GMRES_MAX_RESTARTS = 3
@@ -155,7 +157,7 @@ class PathReport:
     config_digest: str | None = None
     exact_error: float | None = None  # sup |u - reference| when one is known
     krylov_iters: list = field(default_factory=list)  # GMRES iterations per Newton step
-    direct_fallbacks: int = 0  # Newton steps solved by a direct factorization instead
+    ilu_rebuilds: int = 0  # GMRES stalls, each answered by an ILU of the stalled step's S
 
     def add(self, state: HomotopyState):
         m = state.monitors
@@ -182,7 +184,7 @@ class PathReport:
         payload = {
             "rows": self.rows,
             "krylov_iters": self.krylov_iters,
-            "direct_fallbacks": self.direct_fallbacks,
+            "ilu_rebuilds": self.ilu_rebuilds,
         }
         if self.config_digest is not None:
             payload["config_digest"] = self.config_digest
@@ -244,7 +246,7 @@ def condensed_map(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 
 class CondensedSolver:
-    """Newton-step solver for one continuation: condensed system, seed ILU.
+    """Newton-step solver for one continuation: condensed system, one ILU.
 
     ``solve`` takes K from ``assemble_jacobian`` and the right side [g1; g2]
     of the full system and eliminates the trace unknowns exactly:
@@ -254,28 +256,30 @@ class CondensedSolver:
     At the quadratic seed D2u = I and M = (n-1) I, so the det W gradient is
     c0 I with c0 = ``homotopy_constant(n)``, and the seed's S is
     ``hessian_contraction(c0 I) @ E``, known from the grid alone.  The first
-    step builds E, L and an incomplete LU of that S, once; it preconditions
-    GMRES on every step, and GMRES always solves the step's full S.  A step
-    GMRES does not finish is solved by a direct factorization of its own S.
-    GMRES iterations and fallbacks are recorded on ``report``.
+    step builds E, L and an incomplete LU of that S; it preconditions GMRES
+    on every step, and GMRES always solves the step's full S.  A step GMRES
+    does not finish replaces the preconditioner with an incomplete LU of its
+    own S and raises StepFailure, so the caller retries with a smaller step.
+    GMRES iterations and rebuilds are recorded on ``report``.
     """
 
     def __init__(self, grid: Grid, report: PathReport):
         self.grid = grid
         self.report = report
-        self._seed = None  # (E, L, seed ILU), built by the first step
+        self._map = None  # (E, L), built by the first step
+        self._ilu = None  # the preconditioner: the seed S's ILU, or a stalled step's
 
     def solve(self, stencil: sp.csr_matrix, rhs: np.ndarray, t: float) -> np.ndarray:
-        """Solve the full Newton system for delta; raises StepFailure if no path succeeds."""
+        """Solve the full Newton system for delta; raises StepFailure if GMRES stalls."""
         grid = self.grid
-        if self._seed is None:
+        if self._map is None:
             emap, lift = condensed_map(grid)
             n = grid.n
             seed_grad = np.broadcast_to(homotopy_constant(n) * np.eye(n),
                                         (grid.n_active, n, n))
-            seed_schur = hessian_contraction(seed_grad, grid) @ emap
-            self._seed = emap, lift, _seed_preconditioner(seed_schur)
-        emap, lift, seed_ilu = self._seed
+            self._ilu = _incomplete_lu(hessian_contraction(seed_grad, grid) @ emap)
+            self._map = emap, lift
+        emap, lift = self._map
         g1, g2 = rhs[:grid.n_active], rhs[grid.n_active:]
         schur = stencil @ emap
         rhs_u = g1 - stencil @ (lift @ g2)
@@ -285,33 +289,26 @@ class CondensedSolver:
             nonlocal iters
             iters += 1
 
-        precond = LinearOperator(schur.shape, matvec=seed_ilu.solve)
+        precond = LinearOperator(schur.shape, matvec=self._ilu.solve)
         du, info = gmres(schur, rhs_u, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
                          maxiter=GMRES_MAX_RESTARTS, M=precond, callback=count,
                          callback_type="pr_norm")
         self.report.krylov_iters.append(iters)
         if info != 0 or not np.all(np.isfinite(du)):
-            self.report.direct_fallbacks += 1
-            du = _factor(schur, t).solve(rhs_u)
-            if not np.all(np.isfinite(du)):
-                raise StepFailure(f"singular Jacobian at t={t:.6g}")
+            self._ilu = _incomplete_lu(schur)
+            self.report.ilu_rebuilds += 1
+            raise StepFailure(f"GMRES stalled at t={t:.6g} after {iters} iterations; "
+                              "preconditioner rebuilt from this step's system")
         r_du = grid.robin_jac @ np.concatenate([du, np.zeros_like(g2)])  # R_u du
         return np.concatenate([du, (g2 - r_du) / grid.robin_diag])
 
 
-def _seed_preconditioner(seed_schur: sp.csr_matrix):
+def _incomplete_lu(schur: sp.csr_matrix):
     try:
-        return spilu(seed_schur.tocsc(), drop_tol=ILU_DROP_TOL,
+        return spilu(schur.tocsc(), drop_tol=ILU_DROP_TOL,
                      fill_factor=ILU_FILL_FACTOR, permc_spec=ILU_PERMC)
     except RuntimeError as exc:
-        raise StepFailure(f"seed preconditioner failed: {exc}")
-
-
-def _factor(matrix: sp.spmatrix, t: float):
-    try:
-        return splu(matrix.tocsc())
-    except RuntimeError as exc:
-        raise StepFailure(f"Jacobian factorization failed at t={t:.6g}: {exc}")
+        raise StepFailure(f"incomplete LU failed: {exc}")
 
 
 def bound_monitors(fld: DiscreteField, hessians: np.ndarray, grid: Grid) -> BoundMonitors:
@@ -407,8 +404,10 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     solve starts from the last accepted state, whose stack, margin, monitors
     and det W still describe its field.  One CondensedSolver serves every
     Newton step, so the seed ILU is built at most once per call and only
-    when some step needs a linear solve.  On persistent step failure raises
-    ContinuationFailure carrying the last accepted state and report.
+    when some step needs a linear solve; a GMRES stall rebuilds it from the
+    stalled step and, like any step failure, halves dt.  On persistent step
+    failure raises ContinuationFailure carrying the last accepted state and
+    report.
     """
     if not force:
         gate = pinching_check(grid.domain)

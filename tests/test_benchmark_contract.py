@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import nconvex.barriers
 import nconvex.solver
 from nconvex.discretize import Grid
 from nconvex.geometry import DomainSpec
@@ -36,6 +37,17 @@ def test_every_wrapped_name_resolves(layers):
 def test_factor_span_target_exists(layers):
     assert layers.FACTOR_SPAN == "solver.splu"
     assert callable(nconvex.solver.splu)
+
+
+@pytest.mark.parametrize("module, attr", [
+    (nconvex.solver, "hessian_batch"),
+    (nconvex.barriers, "hessian_batch"),
+    (nconvex.solver, "splu"),
+], ids=["solver.hessian_batch", "barriers.hessian_batch", "solver.splu"])
+def test_names_perfbench_asserts_bound_stay_bound(module, attr):
+    # perfbench/test_perfbench.py checks these bindings after wrapping
+    # ``discretize.hessian_batch`` and ``splu``; dropping an import breaks it
+    assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
 def test_grid_has_the_sizes_the_grid_hook_reads():

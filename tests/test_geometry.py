@@ -14,6 +14,7 @@ from nconvex.geometry import (
     boundary_samples,
     distance,
     distance_hessian,
+    mean_curvature_range,
     normal_field,
     pinching_check,
     project_to_boundary,
@@ -97,6 +98,19 @@ class TestDomainSpec:
 
     def test_equal_axes_give_a_ball(self):
         assert DomainSpec.ellipsoid((1.0, 1.0, 1.0)) == BALL
+        assert BALL.kind == "ball" and BALL.is_ball and BALL.n == 3
+
+    def test_kind_and_dimension_cannot_contradict_the_axes(self):
+        # the shape is stored once, as its semi-axes: no field claims a ball
+        with pytest.raises(TypeError):
+            DomainSpec(kind="ball", n=3, center=(0.0, 0.0, 0.0), semi_axes=(1.0, 1.0, 2.0))
+        dom = DomainSpec(center=(0.0, 0.0, 0.0), semi_axes=(1.0, 1.0, 2.0))
+        assert dom.kind == "ellipsoid" and not dom.is_ball and dom.n == 3
+        # so (0, 0, 1.5) lies inside, and the gate sees the ellipsoid's curvature
+        assert signed_distance(dom, (0.0, 0.0, 1.5)) == pytest.approx(0.5)
+        assert pinching_check(dom).margin_min == pytest.approx(-0.44, abs=0.01)
+        with pytest.raises(ValueError, match="center length"):
+            DomainSpec.ball(1.0, center=(0.0, 0.0), n=3)
 
 
 class TestDistance:
@@ -337,6 +351,13 @@ class TestCurvature:
             assert np.array_equal(nu, want_nu)
             assert kappa.shape == (pts.shape[0], dom.n - 1)
             assert np.all(np.diff(kappa, axis=1) >= 0.0)
+
+    def test_mean_curvature_range(self):
+        h_ball = mean_curvature_range(DomainSpec.ball(0.5, n=4))
+        assert h_ball == (6.0, 6.0)
+        _, kappa, _ = boundary_samples(EGG, 4000)
+        hs = kappa.sum(axis=1)
+        assert mean_curvature_range(EGG) == (hs.min(), hs.max())
 
 
 class TestPinching:

@@ -363,8 +363,32 @@ def record_det_w(monkeypatch):
 
 
 def count_factorizations(monkeypatch):
-    """Matrices handed to the seed ILU and to the direct LU, kept apart."""
+    """Matrices handed to ``spilu`` and to ``splu``, kept apart.
+
+    The solver calls ``splu`` on no path; every ``splu`` list must stay empty.
+    """
     return count_calls(monkeypatch, "spilu"), count_calls(monkeypatch, "splu")
+
+
+def stall_gmres(monkeypatch, stalls, how="not-converged"):
+    """Make GMRES stall on the calls (counted from 1) that ``stalls`` picks.
+
+    A stall is reported as GMRES reports one: no convergence (info 1) or a
+    non-finite result.  Returns every matrix handed to GMRES, in order.
+    """
+    matrices = []
+    original = nconvex.solver.gmres
+
+    def gmres(a, b, **kwargs):
+        matrices.append(a)
+        if stalls(len(matrices)):
+            if how == "not-converged":
+                return np.zeros_like(b), 1
+            return np.full_like(b, np.nan), 0
+        return original(a, b, **kwargs)
+
+    monkeypatch.setattr(nconvex.solver, "gmres", gmres)
+    return matrices
 
 
 def schur_of(jac, grid):
@@ -413,7 +437,7 @@ class TestLinearSolve:
         assert built.shape == seed_s.shape
         assert abs(built - seed_s).max() <= 1e-12 * abs(seed_s).max()
         assert report.krylov_iters[1] > 1
-        assert report.direct_fallbacks == 0
+        assert report.ilu_rebuilds == 0
 
     @pytest.mark.parametrize("domain", ["ball", "ellipsoid"])
     def test_preconditioner_is_the_seed_operator_whatever_the_first_state(
@@ -475,37 +499,49 @@ class TestLinearSolve:
             assert abs(newton_s - eliminated).max() <= 1e-12 * abs(eliminated).max()
 
     @pytest.mark.parametrize("stalled", ["not-converged", "non-finite"])
-    def test_gmres_failure_falls_back_to_direct(self, grid9, manufactured9,
-                                               monkeypatch, stalled):
+    @pytest.mark.parametrize("stall_call", [1, 6], ids=["first-solve", "mid-path"])
+    def test_gmres_stall_rebuilds_the_ilu_and_halves_the_step(
+            self, grid9, manufactured9, monkeypatch, stall_call, stalled):
         ref = DiscreteField.from_function(grid9, u_star).values
         seeds, lus = count_factorizations(monkeypatch)
         state, report = continuation(manufactured9, grid9, SolverConfig())
         err = np.max(np.abs(state.field.values - ref))
         assert len(seeds) == 1 and lus == []
-        assert report.direct_fallbacks == 0
+        assert report.ilu_rebuilds == 0
 
-        def failing_gmres(a, b, **kwargs):
-            if stalled == "not-converged":
-                return np.zeros_like(b), 1
-            return np.full_like(b, np.nan), 0
-
-        monkeypatch.setattr(nconvex.solver, "gmres", failing_gmres)
         seeds.clear()
-        lus.clear()
-        state_fb, report_fb = continuation(manufactured9, grid9, SolverConfig())
-        assert state_fb.t == 1.0
-        assert state_fb.residual_norm <= 1e-10
-        steps = len(report_fb.krylov_iters)
-        assert steps == len(report.krylov_iters)
-        assert report_fb.direct_fallbacks == steps
-        assert len(seeds) == 1  # the seed ILU
-        assert len(lus) == steps  # plus one direct LU per step
-        err_fb = np.max(np.abs(state_fb.field.values - ref))
-        assert err_fb == pytest.approx(err, rel=1e-8)
+        solved = stall_gmres(monkeypatch, lambda call: call == stall_call, stalled)
+        state_st, report_st = continuation(manufactured9, grid9, SolverConfig())
+        assert state_st.t == 1.0
+        assert state_st.residual_norm <= 1e-10
+        assert report_st.ilu_rebuilds == 1
+        # the seed ILU, then one of the stalled step's own S; no direct LU
+        assert len(seeds) == 2 and lus == []
+        assert abs(seeds[0] - seed_operator(grid9)).max() == 0.0
+        assert abs(seeds[1] - solved[stall_call - 1]).max() == 0.0
+        # the stalled step is retried at half the step: one more accepted row
+        assert len(report_st.rows) == len(report.rows) + 1
+        err_st = np.max(np.abs(state_st.field.values - ref))
+        assert err_st == pytest.approx(err, rel=1e-10)
+
+    def test_gmres_always_stalling_fails_with_the_start_state(self, grid9, manufactured9,
+                                                              monkeypatch):
+        seeds, lus = count_factorizations(monkeypatch)
+        solved = stall_gmres(monkeypatch, lambda call: True)
+        with pytest.raises(ContinuationFailure, match="GMRES stalled") as info:
+            continuation(manufactured9, grid9, SolverConfig())
+        failure = info.value
+        assert failure.state.t == 0.0
+        assert np.array_equal(failure.state.field.pack(), quadratic_seed(grid9).pack())
+        assert [row["t"] for row in failure.report.rows] == [0.0]
+        # dt halves from 1/10 to 1/1280 over eight stalled steps, each rebuilding the ILU
+        assert failure.report.ilu_rebuilds == len(solved) == 8
+        assert json.loads(failure.report.to_json())["ilu_rebuilds"] == 8
+        assert len(seeds) == 1 + 8 and lus == []
 
     def test_restart_finishes_a_step_the_first_cycle_leaves(self, monkeypatch):
         # along this direction one step's first GMRES cycle ends with the true
-        # residual just above GMRES_RTOL; a restart, not a direct LU, ends it
+        # residual just above GMRES_RTOL; a restart, not an ILU rebuild, ends it
         _, lus = count_factorizations(monkeypatch)
         w = np.random.default_rng(1).standard_normal(3)
         w /= np.linalg.norm(w)
@@ -513,7 +549,7 @@ class TestLinearSolve:
         problem = sample_problem(manufactured_problem(w), grid)
         state, report = continuation(problem, grid, SolverConfig())
         assert state.t == 1.0
-        assert report.direct_fallbacks == 0 and lus == []
+        assert report.ilu_rebuilds == 0 and lus == []
 
     def test_exact_case_factorizes_nothing(self, grid9, sp9, monkeypatch):
         seeds, lus = count_factorizations(monkeypatch)
@@ -538,7 +574,7 @@ class TestLinearSolve:
         payload = json.loads(report.to_json())
         assert payload["krylov_iters"] == report.krylov_iters
         assert all(1 <= k <= 10 for k in payload["krylov_iters"])
-        assert payload["direct_fallbacks"] == 0
+        assert payload["ilu_rebuilds"] == 0
         assert report.to_csv().splitlines()[0] == "t,residual,margin,sup_u,sup_du,sup_d2u,N,ratio"
 
 
