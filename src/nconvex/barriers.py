@@ -75,7 +75,8 @@ class BarrierParams:
 
 
 def _kappa0_range(domain: DomainSpec):
-    """Range of kappa0 = H / (n-1) over the boundary."""
+    """Range of kappa0 = H / (n-1) over the boundary; on a ball ((n-1)/r)/(n-1),
+    which is 1/r when n-1 is a power of two and within one ulp of it otherwise."""
     h_min, h_max = mean_curvature_range(domain)
     return h_min / (domain.n - 1), h_max / (domain.n - 1)
 

@@ -359,16 +359,16 @@ def boundary_samples(domain: DomainSpec, count: int = 10000):
     return pts, kappa, nu
 
 
-def mean_curvature_range(domain: DomainSpec, count: int = 4000) -> tuple[float, float]:
+def mean_curvature_range(domain: DomainSpec) -> tuple[float, float]:
     """Smallest and largest mean curvature H = kappa_1 + ... + kappa_{n-1}.
 
     Exact on a ball, where H = (n-1) / radius; sampled on an ellipsoid
-    (``boundary_samples`` with ``count`` directions).
+    (``boundary_samples`` with 4000 directions).
     """
     if domain.is_ball:
         h = (domain.n - 1) / domain.radius
         return h, h
-    hs = boundary_samples(domain, count)[1].sum(axis=1)
+    hs = boundary_samples(domain, 4000)[1].sum(axis=1)
     return float(hs.min()), float(hs.max())
 
 

@@ -274,31 +274,29 @@ class CondensedSolver:
         grid = self.grid
         if self._map is None:
             emap, lift = condensed_map(grid)
-            n = grid.n
-            seed_grad = np.broadcast_to(homotopy_constant(n) * np.eye(n),
-                                        (grid.n_active, n, n))
+            seed_grad = np.broadcast_to(homotopy_constant(grid.n) * np.eye(grid.n),
+                                        (grid.n_active, grid.n, grid.n))
             self._ilu = _incomplete_lu(hessian_contraction(seed_grad, grid) @ emap)
             self._map = emap, lift
         emap, lift = self._map
         g1, g2 = rhs[:grid.n_active], rhs[grid.n_active:]
         schur = stencil @ emap
         rhs_u = g1 - stencil @ (lift @ g2)
-        iters = 0
-
-        def count(_):
-            nonlocal iters
-            iters += 1
-
+        norms = []  # GMRES's preconditioned residual norm, one per iteration
         precond = LinearOperator(schur.shape, matvec=self._ilu.solve)
         du, info = gmres(schur, rhs_u, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
-                         maxiter=GMRES_MAX_RESTARTS, M=precond, callback=count,
+                         maxiter=GMRES_MAX_RESTARTS, M=precond, callback=norms.append,
                          callback_type="pr_norm")
+        iters = len(norms)
         self.report.krylov_iters.append(iters)
         if info != 0 or not np.all(np.isfinite(du)):
-            self._ilu = _incomplete_lu(schur)
+            stall = f"GMRES stalled at t={t:.6g} after {iters} iterations"
+            try:
+                self._ilu = _incomplete_lu(schur)
+            except StepFailure as exc:
+                raise StepFailure(f"{stall}; rebuilding the preconditioner: {exc}")
             self.report.ilu_rebuilds += 1
-            raise StepFailure(f"GMRES stalled at t={t:.6g} after {iters} iterations; "
-                              "preconditioner rebuilt from this step's system")
+            raise StepFailure(f"{stall}; preconditioner rebuilt from this step's system")
         r_du = grid.robin_jac @ np.concatenate([du, np.zeros_like(g2)])  # R_u du
         return np.concatenate([du, (g2 - r_du) / grid.robin_diag])
 

@@ -85,6 +85,19 @@ class TestParams:
         with pytest.raises(ValueError):
             BarrierParams(**{**good, "epsilon": 0.6}).validate(BALL)
 
+    def test_kappa0_on_a_ball_is_one_over_the_radius(self):
+        # kappa0 = H / (n-1) with H = (n-1)/r: exact when n-1 is a power of two
+        # (n = 3, 5), within one unit in the last place otherwise (here 4-D at
+        # r = 0.9 and 6-D at r = 1.1 are each one unit off)
+        for n in (3, 4, 5, 6):
+            for r in (0.5, 0.9, 1.1):
+                k_min, k_max = barriers._kappa0_range(DomainSpec.ball(r, n=n))
+                assert k_min == k_max
+                if n in (3, 5):
+                    assert k_min == 1.0 / r
+                else:
+                    assert abs(k_min - 1.0 / r) <= np.spacing(1.0 / r)
+
     def test_empty_strip_is_config_error(self, solved25):
         grid, problem, state = solved25
         params = BarrierParams(k3=2.0, beta=13.0, cap_a=100.0, sigma=0.5,

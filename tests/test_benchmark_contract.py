@@ -42,11 +42,10 @@ def test_factor_span_target_exists(layers):
 @pytest.mark.parametrize("module, attr", [
     (nconvex.solver, "hessian_batch"),
     (nconvex.barriers, "hessian_batch"),
-    (nconvex.solver, "splu"),
-], ids=["solver.hessian_batch", "barriers.hessian_batch", "solver.splu"])
+], ids=["solver.hessian_batch", "barriers.hessian_batch"])
 def test_names_perfbench_asserts_bound_stay_bound(module, attr):
     # perfbench/test_perfbench.py checks these bindings after wrapping
-    # ``discretize.hessian_batch`` and ``splu``; dropping an import breaks it
+    # ``discretize.hessian_batch``; dropping an import breaks it
     assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 

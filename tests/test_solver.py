@@ -542,6 +542,34 @@ class TestLinearSolve:
         assert json.loads(failure.report.to_json())["ilu_rebuilds"] == 8
         assert len(seeds) == 1 + 8 and lus == []
 
+    def test_failed_rebuild_names_the_stall_and_the_ilu(self, grid9, manufactured9,
+                                                         monkeypatch):
+        # the seed ILU builds; every rebuild after a stall fails in spilu
+        original = nconvex.solver.spilu
+        built = []
+
+        def spilu(matrix, **kwargs):
+            built.append(matrix)
+            if len(built) > 1:
+                raise RuntimeError("Factor is exactly singular")
+            return original(matrix, **kwargs)
+
+        monkeypatch.setattr(nconvex.solver, "spilu", spilu)
+        lus = count_calls(monkeypatch, "splu")
+        solved = stall_gmres(monkeypatch, lambda call: True)
+        with pytest.raises(ContinuationFailure) as info:
+            continuation(manufactured9, grid9, SolverConfig())
+        failure = info.value
+        assert "GMRES stalled at t=0.00078125 after 0 iterations; rebuilding the " \
+            "preconditioner: incomplete LU failed: Factor is exactly singular" in str(failure)
+        assert failure.state.t == 0.0
+        assert [row["t"] for row in failure.report.rows] == [0.0]
+        # eight stalled steps, each rebuild attempted on its own S and failed
+        assert failure.report.ilu_rebuilds == 0
+        assert len(built) == 1 + len(solved) == 1 + 8
+        assert all(abs(b - s).max() == 0.0 for b, s in zip(built[1:], solved))
+        assert lus == []
+
     def test_restart_finishes_a_step_the_first_cycle_leaves(self, monkeypatch):
         # along this direction one step's first GMRES cycle ends with the true
         # residual just above GMRES_RTOL; a restart, not an ILU rebuild, ends it
