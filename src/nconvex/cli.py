@@ -123,7 +123,7 @@ def _array_problem(grid, f_path, phi_path):
             f"phi array has {phi_vals.size} values, grid has {grid.n_colloc} "
             "collocation points"
         )
-    return SampledProblem(n=grid.n, f_active=f_vals, phi_colloc=phi_vals, spec=None)
+    return SampledProblem(f_active=f_vals, phi_colloc=phi_vals, spec=None)
 
 
 # -- config file --------------------------------------------------------------
@@ -204,19 +204,29 @@ def config_digest(cfg: dict) -> str:
 
 
 def _domain_from_config(cfg) -> DomainSpec:
+    """The config's domain; a domain key the chosen domain would not read is refused."""
     kind = cfg.get("domain.kind")
     n = int(cfg["n"])
+    size_keys = {"ball": "domain.radius", "ellipsoid": "domain.semi_axes"}
     if kind is None:
+        for key in ("domain.center", *size_keys.values()):
+            if key in cfg:
+                raise ValueError(f"{key} needs domain.kind")
         domain, _, _ = named_case(cfg["case"], n=n)
         return domain
-    center = cfg.get("domain.center")
-    size_key = {"ball": "domain.radius", "ellipsoid": "domain.semi_axes"}.get(kind)
+    size_key = size_keys.get(kind)
     if size_key is None:
         raise ValueError(f"unknown domain.kind {kind!r}")
     if size_key not in cfg:
         raise ValueError(f"domain.kind = {kind} needs {size_key}")
+    for key in size_keys.values():
+        if key != size_key and key in cfg:
+            raise ValueError(f"domain.kind = {kind} does not read {key}")
+    center = cfg.get("domain.center")
     if kind == "ball":
         return DomainSpec.ball(float(cfg[size_key]), center=center, n=n)
+    if len(cfg[size_key]) != n:
+        raise ValueError(f"{size_key} has {len(cfg[size_key])} entries but n = {n}")
     return DomainSpec.ellipsoid(cfg[size_key], center=center)
 
 
@@ -292,7 +302,7 @@ def _write_report(report, cfg, out_dir: Path):
 
 
 def cmd_selftest(args) -> int:
-    results = selftest.run_all(seed=args.seed, max_n=args.max_n)
+    results = selftest.run_all(seed=args.seed)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]
@@ -435,8 +445,6 @@ def main(argv=None) -> int:
 
     p_self = sub.add_parser("selftest", help="run the seeded property battery")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--max-n", type=int, default=selftest.SUPPORTED_MAX_N,
-                        dest="max_n")
     p_self.set_defaults(func=cmd_selftest)
 
     p_solve = sub.add_parser("solve", help="run a continuation solve")

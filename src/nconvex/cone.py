@@ -3,22 +3,19 @@
 The level-k cone in R^p collects tuples whose first k elementary symmetric
 functions are positive.  Lifting a Hessian spectrum to its m-subset sums
 pulls those cones back to the generalized cones that define strict and weak
-m-convexity.
+m-convexity.  Spectra are plain float arrays.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from nconvex.symfun import EigenTuple, as_eigen_tuple, _esym
+from nconvex.symfun import _esym, _spectrum
 
 __all__ = [
-    "ConeSpec",
     "Convexity",
     "lift_spectrum",
     "in_gamma_k",
@@ -26,51 +23,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConeSpec:
-    """Generalized cone parameters: dimension n, subset size m, level k."""
-
-    n: int
-    m: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension n={self.n} must be >= 1")
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"subset size m={self.m} out of range 1..{self.n}")
-        if not 1 <= self.k <= self.lifted_dim:
-            raise ValueError(
-                f"level k={self.k} out of range 1..{self.lifted_dim}"
-            )
-
-    @property
-    def lifted_dim(self) -> int:
-        return math.comb(self.n, self.m)
-
-
-def lift_spectrum(mu, m: int) -> EigenTuple:
+def lift_spectrum(mu, m: int) -> np.ndarray:
     """All m-subset sums of the spectrum, sorted descending.
 
     This is the spectrum of the lifted operator W built from a Hessian with
     eigenvalues ``mu``.
     """
-    t = as_eigen_tuple(mu)
-    if not 1 <= m <= t.p:
-        raise ValueError(f"subset size m={m} out of range 1..{t.p}")
-    sums = [sum(c) for c in combinations(t.values, m)]
-    return EigenTuple.of(sums)
+    vals = _spectrum(mu)
+    if not 1 <= m <= vals.size:
+        raise ValueError(f"subset size m={m} out of range 1..{vals.size}")
+    return _spectrum([sum(c) for c in combinations(vals, m)])
 
 
 def in_gamma_k(lam, k: int) -> bool:
     """True iff S_i > 0 for every 1 <= i <= k (level-k cone membership)."""
-    t = as_eigen_tuple(lam)
-    if not 1 <= k <= t.p:
-        raise ValueError(f"k={k} out of range for a {t.p}-tuple")
-    for i in range(1, k + 1):
-        if _esym(t.values, i) <= 0.0:
-            return False
-    return True
+    vals = _spectrum(lam)
+    if not 1 <= k <= vals.size:
+        raise ValueError(f"k={k} out of range for a {vals.size}-tuple")
+    return all(s > 0.0 for s in _esym(vals, k)[1:])
 
 
 class Convexity(enum.Enum):
@@ -87,10 +57,10 @@ def m_convexity(mu, m: int) -> Convexity:
     no enumeration is needed.  Thresholds are exact comparisons on the
     computed value; quantitative margins are a solver concern.
     """
-    t = as_eigen_tuple(mu)
-    if not 1 <= m <= t.p:
-        raise ValueError(f"subset size m={m} out of range 1..{t.p}")
-    smallest = float(np.sum(t.values[t.p - m:]))
+    vals = _spectrum(mu)
+    if not 1 <= m <= vals.size:
+        raise ValueError(f"subset size m={m} out of range 1..{vals.size}")
+    smallest = float(np.sum(vals[-m:]))
     if smallest > 0.0:
         return Convexity.STRICT
     if smallest >= 0.0:

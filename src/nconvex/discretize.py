@@ -96,7 +96,6 @@ class SampledProblem:
     positive and phi finite, and the error names the first bad index.
     """
 
-    n: int
     f_active: np.ndarray
     phi_colloc: np.ndarray
     spec: ProblemSpec | None = None
@@ -123,7 +122,7 @@ def sample_problem(problem: ProblemSpec, grid: "Grid") -> SampledProblem:
     phi_vals = np.asarray(problem.phi(grid.colloc_y), dtype=float)
     if phi_vals.shape != (grid.n_colloc,):
         raise ValueError("phi must return one value per collocation point")
-    return SampledProblem(n=grid.n, f_active=f_vals, phi_colloc=phi_vals, spec=problem)
+    return SampledProblem(f_active=f_vals, phi_colloc=phi_vals, spec=problem)
 
 
 def seed_datum(pts: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -402,9 +401,6 @@ class DiscreteField:
             values=np.asarray(fn(grid.active_pts), dtype=float),
             trace=np.asarray(fn(grid.colloc_y), dtype=float),
         )
-
-    def copy(self) -> "DiscreteField":
-        return DiscreteField(values=self.values.copy(), trace=self.trace.copy())
 
 
 def _stencil_values(field: DiscreteField, grid: Grid, offsets=slice(None)) -> np.ndarray:

@@ -19,6 +19,7 @@ __all__ = [
     "distance",
     "signed_distance",
     "project_to_boundary",
+    "project_to_boundary_batch",
     "normal_field",
     "distance_hessian",
     "barrier_h",

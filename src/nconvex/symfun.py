@@ -2,8 +2,9 @@
 
 Provides the S_k machinery the rest of the package is built on: plain and
 "deleted" symmetric functions, the classical decomposition identities, and
-the Newton-Maclaurin gap between normalized power means.  All functions are
-pure and safe for concurrent use.
+the Newton-Maclaurin gap between normalized power means.  A spectrum is a
+plain float array; every function validates its input and is pure and safe
+for concurrent use.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EigenTuple",
     "IdentityReport",
-    "as_eigen_tuple",
     "elementary_symmetric",
     "deleted_symmetric",
     "check_identities",
@@ -24,72 +23,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EigenTuple:
-    """A real spectrum stored sorted descending.
+def _spectrum(seq, sort: bool = True) -> np.ndarray:
+    """The tuple as a flat float array, sorted descending unless ``sort`` is off.
 
-    ``values[j] == original[perm[j]]``: ``perm`` records where each sorted
-    entry came from, so callers can map statements about sorted positions
-    back to the tuple as it was supplied.
+    Raises ValueError for an empty or non-finite tuple.
     """
-
-    values: np.ndarray
-    perm: np.ndarray
-
-    @classmethod
-    def of(cls, seq) -> "EigenTuple":
-        if isinstance(seq, EigenTuple):
-            return seq
-        arr = np.asarray(seq, dtype=float).reshape(-1)
-        if arr.size == 0:
-            raise ValueError("eigenvalue tuple must be non-empty")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("eigenvalue tuple must be finite")
-        perm = np.argsort(-arr, kind="stable")
-        return cls(values=arr[perm], perm=perm)
-
-    @property
-    def p(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def original(self) -> np.ndarray:
-        """The entries in the order they were supplied."""
-        out = np.empty_like(self.values)
-        out[self.perm] = self.values
-        return out
-
-    def __len__(self) -> int:
-        return self.p
+    arr = np.asarray(seq, dtype=float).reshape(-1)
+    if arr.size == 0:
+        raise ValueError("eigenvalue tuple must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("eigenvalue tuple must be finite")
+    return arr[np.argsort(-arr, kind="stable")] if sort else arr
 
 
-def as_eigen_tuple(lam) -> EigenTuple:
-    return EigenTuple.of(lam)
+def _esym(values: np.ndarray, k: int) -> list:
+    """[S_0, ..., S_k] of a raw value array from one pass of the coefficient recurrence.
 
-
-def _esym(values: np.ndarray, k: int) -> float:
-    """S_k of a raw value array via the incremental coefficient recurrence.
-
-    O(p*k) and numerically stable for the sizes used here; the exponential
-    subset enumeration lives in the test suite as the independent oracle.
+    O(p*k) and numerically stable for the sizes used here; S_i does not
+    depend on the cap k.  The exponential subset enumeration lives in the
+    test suite as the independent oracle.
     """
-    if k == 0:
-        return 1.0
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for x in values:
+    e = [1.0] + [0.0] * k
+    for x in values.tolist():
         # update highest degree first so each entry is used once
         for j in range(k, 0, -1):
             e[j] += x * e[j - 1]
-    return float(e[k])
+    return e
 
 
 def elementary_symmetric(lam, k: int) -> float:
     """k-th elementary symmetric function of the tuple (S_0 = 1)."""
-    t = as_eigen_tuple(lam)
-    if not 0 <= k <= t.p:
-        raise ValueError(f"k={k} out of range for a {t.p}-tuple")
-    return _esym(t.values, k)
+    vals = _spectrum(lam)
+    if not 0 <= k <= vals.size:
+        raise ValueError(f"k={k} out of range for a {vals.size}-tuple")
+    return _esym(vals, k)[k]
 
 
 def deleted_symmetric(lam, k: int, omit=()) -> float:
@@ -99,21 +66,20 @@ def deleted_symmetric(lam, k: int, omit=()) -> float:
     (so for a descending input, position 1 is the largest entry).  Up to
     two positions may be omitted.
     """
-    t = as_eigen_tuple(lam)
-    if not 0 <= k <= t.p:
-        raise ValueError(f"k={k} out of range for a {t.p}-tuple")
+    work = _spectrum(lam, sort=False).copy()
+    if not 0 <= k <= work.size:
+        raise ValueError(f"k={k} out of range for a {work.size}-tuple")
     idx = [int(i) for i in omit]
     if len(idx) > 2:
         raise ValueError("at most two positions may be omitted")
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate omit positions {idx}")
     for i in idx:
-        if not 1 <= i <= t.p:
-            raise ValueError(f"omit position {i} out of range 1..{t.p}")
-    work = t.original.copy()
+        if not 1 <= i <= work.size:
+            raise ValueError(f"omit position {i} out of range 1..{work.size}")
     for i in idx:
         work[i - 1] = 0.0
-    return _esym(work, k)
+    return _esym(work, k)[k]
 
 
 @dataclass(frozen=True)
@@ -147,31 +113,31 @@ def check_identities(lam, k: int) -> IdentityReport:
     two summed forms  sum_i lam_i S_{k-1}(.|i) = k S_k  and
     sum_i S_k(.|i) = (p-k) S_k.
     """
-    t = as_eigen_tuple(lam)
-    if not 1 <= k <= t.p:
-        raise ValueError(f"k={k} out of range for a {t.p}-tuple")
-    vals = t.values
-    sk = _esym(vals, k)
+    vals = _spectrum(lam)
+    p = vals.size
+    if not 1 <= k <= p:
+        raise ValueError(f"k={k} out of range for a {p}-tuple")
+    sk = _esym(vals, k)[k]
     scale = abs(sk)
     worst_dec = 0.0
     weighted = 0.0
     deleted = 0.0
-    for i in range(t.p):
+    for i in range(p):
         work = vals.copy()
         work[i] = 0.0
-        sk_del = _esym(work, k)
-        sk1_del = _esym(work, k - 1)
-        term = vals[i] * sk1_del
+        e = _esym(work, k)
+        sk_del = e[k]
+        term = vals[i] * e[k - 1]
         worst_dec = max(worst_dec, abs(sk - (sk_del + term)))
         weighted += term
         deleted += sk_del
         scale = max(scale, abs(sk_del), abs(term))
     return IdentityReport(
         k=k,
-        p=t.p,
+        p=p,
         decomposition=worst_dec,
         weighted_sum=abs(weighted - k * sk),
-        deleted_sum=abs(deleted - (t.p - k) * sk),
+        deleted_sum=abs(deleted - (p - k) * sk),
         scale=scale,
     )
 
@@ -182,18 +148,20 @@ def newton_maclaurin_margin(lam, k: int, l: int) -> float:
     Nonnegative whenever the tuple lies in the k-th Garding cone; the caller
     is responsible for that membership.
     """
-    t = as_eigen_tuple(lam)
-    if not 0 <= l < k <= t.p:
-        raise ValueError(f"need 0 <= l < k <= p, got k={k}, l={l}, p={t.p}")
-    sk = _esym(t.values, k)
+    vals = _spectrum(lam)
+    p = vals.size
+    if not 0 <= l < k <= p:
+        raise ValueError(f"need 0 <= l < k <= p, got k={k}, l={l}, p={p}")
+    e = _esym(vals, k)
+    sk = e[k]
     if sk <= 0.0:
         raise ValueError("S_k must be positive (tuple outside the cone)")
-    right = (sk / math.comb(t.p, k)) ** (1.0 / k)
+    right = (sk / math.comb(p, k)) ** (1.0 / k)
     if l == 0:
         left = 1.0
     else:
-        sl = _esym(t.values, l)
+        sl = e[l]
         if sl <= 0.0:
             raise ValueError("S_l must be positive (tuple outside the cone)")
-        left = (sl / math.comb(t.p, l)) ** (1.0 / l)
+        left = (sl / math.comb(p, l)) ** (1.0 / l)
     return left - right

@@ -16,7 +16,6 @@ of M) work on M without assembling the lift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -26,38 +25,29 @@ from nconvex.cone import Convexity, m_convexity
 
 __all__ = [
     "MAX_LIFT_DIM",
-    "MultiIndex",
-    "WMatrix",
     "multi_indices",
     "assemble_w",
     "det_w",
     "linearization",
     "concavity_probe",
+    "batch_det_w",
+    "batch_min_lift_eig",
+    "batch_linearization",
 ]
 
 # Largest supported lifted dimension C(n, m); covers all n <= 6 algebra.
 MAX_LIFT_DIM = 20
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Strictly increasing one-based index tuple with its dictionary rank."""
-
-    indices: tuple
-    order: int
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError(f"indices {self.indices} are not strictly increasing")
-
-
 @lru_cache(maxsize=None)
 def multi_indices(n: int, m: int):
-    """All admissible multi-indexes of length m in dictionary order."""
+    """All strictly increasing one-based index tuples of length m, in dictionary order.
+
+    The tuple at position r labels row and column r of the lift.
+    """
     if not 1 <= m <= n:
         raise ValueError(f"subset size m={m} out of range 1..{n}")
-    combos = list(combinations(range(1, n + 1), m))
-    return tuple(MultiIndex(indices=c, order=r + 1) for r, c in enumerate(combos))
+    return tuple(combinations(range(1, n + 1), m))
 
 
 @lru_cache(maxsize=None)
@@ -78,9 +68,9 @@ def _descriptors(n: int, m: int):
             f"lifted dimension C({n},{m})={p} exceeds supported maximum {MAX_LIFT_DIM}"
         )
     out = []
-    sets = [frozenset(lbl.indices) for lbl in labels]
+    sets = [frozenset(lbl) for lbl in labels]
     for a in range(p):
-        for i in labels[a].indices:
+        for i in labels[a]:
             out.append((a, a, i - 1, i - 1, 1.0))
     for a in range(p):
         for b in range(p):
@@ -91,8 +81,8 @@ def _descriptors(n: int, m: int):
                 continue
             ai = next(iter(diff_a))
             bj = next(iter(sets[b] - sets[a]))
-            pos_a = labels[a].indices.index(ai)
-            pos_b = labels[b].indices.index(bj)
+            pos_a = labels[a].index(ai)
+            pos_b = labels[b].index(bj)
             sign = -1.0 if (pos_a - pos_b) % 2 else 1.0
             out.append((a, b, ai - 1, bj - 1, sign))
     return tuple(out)
@@ -108,29 +98,28 @@ def _check_hessian(hess) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
-@dataclass(frozen=True)
-class WMatrix:
-    """Assembled lift with its multi-index row/column labels."""
-
-    matrix: np.ndarray
-    labels: tuple
-
-
-def assemble_w(hess, m: int) -> WMatrix:
-    """Assemble the lift of a symmetric Hessian for subset size m."""
-    arr = _check_hessian(hess)
+def _assemble(arr: np.ndarray, m: int) -> np.ndarray:
+    """The lift of a checked Hessian; rows and columns follow ``multi_indices``."""
     n = arr.shape[0]
-    labels = multi_indices(n, m)
-    p = len(labels)
+    p = len(multi_indices(n, m))
     w = np.zeros((p, p))
     for a, b, i, j, s in _descriptors(n, m):
         w[a, b] += s * arr[i, j]
-    return WMatrix(matrix=w, labels=labels)
+    return w
+
+
+def _det(arr: np.ndarray, m: int) -> float:
+    return float(np.linalg.det(_assemble(arr, m)))
+
+
+def assemble_w(hess, m: int) -> np.ndarray:
+    """Assemble the lift of a symmetric Hessian for subset size m."""
+    return _assemble(_check_hessian(hess), m)
 
 
 def det_w(hess, m: int) -> float:
     """det of the assembled lift (product of m-subset eigenvalue sums)."""
-    return float(np.linalg.det(assemble_w(hess, m).matrix))
+    return _det(_check_hessian(hess), m)
 
 
 def _adjugate(mat: np.ndarray) -> np.ndarray:
@@ -158,8 +147,7 @@ def linearization(hess, m: int) -> np.ndarray:
     """
     arr = _check_hessian(hess)
     n = arr.shape[0]
-    w = assemble_w(arr, m).matrix
-    cof = _adjugate(w).T  # cofactor matrix: d det / d W_ab
+    cof = _adjugate(_assemble(arr, m)).T  # cofactor matrix: d det / d W_ab
     grad = np.zeros((n, n))
     for a, b, i, j, s in _descriptors(n, m):
         grad[i, j] += s * cof[a, b]
@@ -184,8 +172,8 @@ def concavity_probe(hess_a, hess_b, m: int) -> float:
             raise ValueError(f"{name} Hessian is not strictly {m}-convex")
     p = math.comb(a.shape[0], m)
     root = 1.0 / p
-    mid = det_w(0.5 * (a + b), m) ** root
-    return mid - 0.5 * (det_w(a, m) ** root + det_w(b, m) ** root)
+    mid = _det(0.5 * (a + b), m) ** root
+    return mid - 0.5 * (_det(a, m) ** root + _det(b, m) ** root)
 
 
 # ---------------------------------------------------------------------------

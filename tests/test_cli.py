@@ -49,11 +49,6 @@ class TestSelftest:
         conformance = [r for r in results if "conformance" in r.name][0]
         assert not conformance.passed
 
-    def test_unsupported_dimension_is_config_error(self):
-        with pytest.raises(ValueError):
-            selftest.run_all(seed=0, max_n=9)
-        assert main(["selftest", "--max-n", "9"]) == 2
-
 
 class TestConfig:
     def test_parse_and_digest_stable(self, tmp_path):
@@ -295,6 +290,32 @@ class TestErrorReporting:
         assert code == 2
         assert err.startswith("configuration error: ") and key in err
 
+    @pytest.mark.parametrize("command", ["solve", "check-domain"])
+    @pytest.mark.parametrize("lines, detail", [
+        ("n = 4\ndomain.kind = ellipsoid\ndomain.semi_axes = 1,1,1.05\n",
+         "domain.semi_axes has 3 entries but n = 4"),
+        ("domain.kind = ellipsoid\ndomain.semi_axes = 1,1,1,1.05\n",
+         "domain.semi_axes has 4 entries but n = 3"),
+        ("domain.radius = 2.0\n", "domain.radius needs domain.kind"),
+        ("domain.center = 5,5,5\n", "domain.center needs domain.kind"),
+        ("domain.kind = ellipsoid\ndomain.semi_axes = 1,1,1.05\ndomain.radius = 2.0\n",
+         "domain.kind = ellipsoid does not read domain.radius"),
+        ("domain.kind = ball\ndomain.radius = 1.0\ndomain.semi_axes = 1,1,1.05\n",
+         "domain.kind = ball does not read domain.semi_axes"),
+    ], ids=["axes-short-of-n", "axes-beyond-n", "radius-without-kind",
+            "center-without-kind", "radius-on-ellipsoid", "axes-on-ball"])
+    def test_unread_domain_key_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       command, lines, detail):
+        work = []
+        monkeypatch.setattr(nconvex.cli, "pinching_check", lambda *a: work.append("gate"))
+        monkeypatch.setattr(nconvex.cli, "Grid", lambda *a: work.append("grid"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{lines}output = {tmp_path / 'out'}\n")
+        code, err = self.run([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("configuration error: ") and detail in err
+        assert work == [] and not (tmp_path / "out").exists()
+
     def test_bad_boolean_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"verify_barriers = ture\noutput = {tmp_path / 'out'}\n")
@@ -417,3 +438,10 @@ class TestCheckDomain:
         out = capsys.readouterr().out
         assert "pinching FAIL" in out
         assert "refused" in out
+
+    def test_four_axis_ellipsoid_needs_n_4(self, tmp_path, capsys):
+        cfg = tmp_path / "dom.cfg"
+        cfg.write_text("n = 4\ndomain.kind = ellipsoid\ndomain.semi_axes = 1,1,1,1.05\n")
+        assert main(["check-domain", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "pinching PASS" in out and "n=3 corollary" not in out

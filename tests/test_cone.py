@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from nconvex.cone import ConeSpec, Convexity, in_gamma_k, lift_spectrum, m_convexity
+from nconvex.cone import Convexity, in_gamma_k, lift_spectrum, m_convexity
 from nconvex.symfun import elementary_symmetric
 
 
@@ -15,20 +15,23 @@ def lift_oracle(mu, m):
 
 
 class TestConeSpec:
+    """The generalized cone's parameters: dimension n, subset size m, level k <= C(n, m)."""
+
     def test_binomial_dimension(self):
-        assert ConeSpec(n=6, m=3, k=5).lifted_dim == 20
+        assert lift_spectrum(np.ones(6), 3).size == 20
+        assert in_gamma_k(lift_spectrum(np.ones(6), 3), 20)
 
     @pytest.mark.parametrize("n,m,k", [(3, 0, 1), (3, 4, 1), (3, 2, 0), (3, 2, 4)])
     def test_invalid_ranges(self, n, m, k):
-        with pytest.raises(ValueError):
-            ConeSpec(n=n, m=m, k=k)
+        with pytest.raises(ValueError, match="out of range"):
+            in_gamma_k(lift_spectrum(np.ones(n), m), k)
 
 
 class TestLiftSpectrum:
     def test_pinned_values(self):
-        assert np.allclose(lift_spectrum([1.0, 2.0, 3.0], 2).values, [5.0, 4.0, 3.0])
-        assert np.allclose(lift_spectrum([1.0, 1.0, 1.0], 2).values, [2.0, 2.0, 2.0])
-        assert np.allclose(lift_spectrum([-1.0, 2.0, 2.0], 2).values, [4.0, 1.0, 1.0])
+        assert np.allclose(lift_spectrum([1.0, 2.0, 3.0], 2), [5.0, 4.0, 3.0])
+        assert np.allclose(lift_spectrum([1.0, 1.0, 1.0], 2), [2.0, 2.0, 2.0])
+        assert np.allclose(lift_spectrum([-1.0, 2.0, 2.0], 2), [4.0, 1.0, 1.0])
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(5)
@@ -36,14 +39,14 @@ class TestLiftSpectrum:
             n = int(rng.integers(2, 7))
             m = int(rng.integers(1, n + 1))
             mu = rng.standard_normal(n) * 3.0
-            got = lift_spectrum(mu, m).values
+            got = lift_spectrum(mu, m)
             assert np.allclose(got, lift_oracle(mu, m), atol=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(23)
         mu = rng.standard_normal(5)
-        a = lift_spectrum(mu, 3).values
-        b = lift_spectrum(mu[rng.permutation(5)], 3).values
+        a = lift_spectrum(mu, 3)
+        b = lift_spectrum(mu[rng.permutation(5)], 3)
         assert np.array_equal(a, b)
 
     def test_m_out_of_range(self):
@@ -105,7 +108,7 @@ class TestMConvexity:
             m = int(rng.integers(1, n + 1))
             mu = rng.uniform(-1.0, 2.0, size=n)
             lifted = lift_spectrum(mu, m)
-            via_cone = in_gamma_k(lifted, lifted.p) and np.all(lifted.values > 0.0)
+            via_cone = in_gamma_k(lifted, lifted.size) and np.all(lifted > 0.0)
             via_minsum = m_convexity(mu, m) is Convexity.STRICT
             assert via_cone == via_minsum
             hits += via_minsum
@@ -127,5 +130,5 @@ class TestConeNesting:
             if np.sum(mu_bad) <= 0.0:  # fails S_1, must fail every lifted test
                 for m in range(1, n + 1):
                     lifted = lift_spectrum(mu_bad, m)
-                    for k in range(1, lifted.p + 1):
+                    for k in range(1, lifted.size + 1):
                         assert not in_gamma_k(lifted, k)

@@ -389,7 +389,7 @@ class TestProblemData:
         f = np.full(5, 8.0)
         f[3] = np.nan
         with pytest.raises(ValueError, match="f at active point 3 is nan"):
-            SampledProblem(n=3, f_active=f, phi_colloc=np.zeros(4))
+            SampledProblem(f_active=f, phi_colloc=np.zeros(4))
 
     def test_infinite_callable_phi_rejected_with_index(self, grid9):
         def phi(pts):

@@ -6,8 +6,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from nconvex.cone import in_gamma_k, lift_spectrum, m_convexity
 from nconvex.symfun import (
-    EigenTuple,
+    _esym,
     check_identities,
     deleted_symmetric,
     elementary_symmetric,
@@ -31,19 +32,32 @@ def sample_gamma_k(rng, p, k):
             return lam
 
 
-class TestEigenTuple:
-    def test_sorted_descending_with_permutation(self):
-        t = EigenTuple.of([1.0, 3.0, 2.0])
-        assert np.array_equal(t.values, [3.0, 2.0, 1.0])
-        assert np.array_equal(t.original, [1.0, 3.0, 2.0])
+SPECTRUM_FUNCTIONS = {
+    "elementary_symmetric": lambda lam: elementary_symmetric(lam, 1),
+    "deleted_symmetric": lambda lam: deleted_symmetric(lam, 1),
+    "check_identities": lambda lam: check_identities(lam, 1),
+    "newton_maclaurin_margin": lambda lam: newton_maclaurin_margin(lam, 2, 1),
+    "lift_spectrum": lambda lam: lift_spectrum(lam, 1),
+    "in_gamma_k": lambda lam: in_gamma_k(lam, 1),
+    "m_convexity": lambda lam: m_convexity(lam, 1),
+}
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            EigenTuple.of([1.0, np.nan])
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            EigenTuple.of([])
+class TestSpectrumInput:
+    """Every function that takes a spectrum validates it the same way."""
+
+    def test_sorted_descending_positions_as_supplied(self):
+        assert np.array_equal(lift_spectrum([1.0, 3.0, 2.0], 1), [3.0, 2.0, 1.0])
+        # omit positions count in the supplied order, not the sorted one
+        assert deleted_symmetric([1.0, 3.0, 2.0], 1, omit={2}) == 3.0
+
+    @pytest.mark.parametrize("name", SPECTRUM_FUNCTIONS)
+    @pytest.mark.parametrize("bad, message", [([1.0, np.nan], "must be finite"),
+                                              ([], "must be non-empty")],
+                             ids=["nan", "empty"])
+    def test_rejects_nan_and_empty(self, name, bad, message):
+        with pytest.raises(ValueError, match=message):
+            SPECTRUM_FUNCTIONS[name](bad)
 
 
 class TestElementarySymmetric:
@@ -61,6 +75,15 @@ class TestElementarySymmetric:
             got = elementary_symmetric(lam, k)
             want = esym_oracle(lam, k)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_one_pass_gives_every_degree_bitwise(self):
+        # S_i from a pass capped at p equals S_i from a pass capped at i
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            p = int(rng.integers(1, 21))
+            lam = np.sort(rng.standard_normal(p) * rng.uniform(0.1, 10.0))[::-1]
+            want = [elementary_symmetric(lam, i) for i in range(p + 1)]
+            assert _esym(lam, p) == want
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
