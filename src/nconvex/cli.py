@@ -336,11 +336,9 @@ def cmd_solve(args) -> int:
     config = SolverConfig(**{f.name: cfg[f.name] for f in fields(SolverConfig)})
     domain = _domain_from_config(cfg)
     if domain.n < 3:
-        print("PDE runs need n >= 3", file=sys.stderr)
-        return 2
+        raise ValueError(f"PDE runs need n >= 3, got n = {domain.n}")
     if bool(cfg.get("f.file")) != bool(cfg.get("phi.file")):
-        print("custom data needs both f.file and phi.file", file=sys.stderr)
-        return 2
+        raise ValueError("custom data needs both f.file and phi.file")
     # The gate runs once, here, ahead of the grid build: a domain it refuses
     # may not even yield a grid (the (1, 1, 3) ellipsoid at 9^3 does not).
     gate = pinching_check(domain)

@@ -16,8 +16,6 @@ from nconvex import cone, symfun, woperator
 
 __all__ = ["CheckResult", "run_all"]
 
-SUPPORTED_MAX_N = 6
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -69,7 +67,7 @@ def _suite_newton_maclaurin(rng, cases=2000):
 def _suite_cone(rng, cases=1500):
     mismatches = 0
     for _ in range(cases):
-        n = int(rng.integers(2, SUPPORTED_MAX_N + 1))
+        n = int(rng.integers(2, woperator.MAX_LIFT_N + 1))
         m = int(rng.integers(1, n + 1))
         mu = rng.uniform(-1.0, 2.0, size=n)
         lifted = cone.lift_spectrum(mu, m)
@@ -111,7 +109,7 @@ def _suite_conformance(rng, cases=100):
 def _suite_spectral(rng, cases=200):
     worst = 0.0
     for _ in range(cases):
-        n = int(rng.integers(2, SUPPORTED_MAX_N + 1))
+        n = int(rng.integers(2, woperator.MAX_LIFT_N + 1))
         m = int(rng.integers(1, n + 1))
         a = rng.standard_normal((n, n)) * 2.0
         h = 0.5 * (a + a.T)
@@ -122,7 +120,7 @@ def _suite_spectral(rng, cases=200):
     return CheckResult(
         name="lift spectral identity",
         passed=ok,
-        detail=f"{cases} Hessians up to n={SUPPORTED_MAX_N}, worst eigenvalue gap {worst:.3e}",
+        detail=f"{cases} Hessians up to n={woperator.MAX_LIFT_N}, worst eigenvalue gap {worst:.3e}",
     )
 
 

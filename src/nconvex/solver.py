@@ -18,7 +18,15 @@ At the quadratic seed the det W gradient is exactly (n-1)^n I, so that
 system is the grid's scaled Laplacian composed with the map, and it is
 built from the grid alone.  A step GMRES cannot finish replaces the
 preconditioner with an incomplete LU of its own system and fails, so the
-continuation retries it at half the step.
+continuation retries it: from x_k if it began at the prediction below, else
+at half the step.
+
+Once two states are accepted, the continuation starts each Newton solve
+from the secant prediction x_k + (t_{k+1} - t_k)/(t_k - t_{k-1}) (x_k -
+x_{k-1}).  One Hessian stack of the prediction gives its margin and det W;
+a prediction with margin <= 0, or one from which Newton fails, gives way to
+a start from x_k at the same t.  On an exact path x_k = x_{k-1} and no
+prediction is formed.
 """
 
 from __future__ import annotations
@@ -143,7 +151,7 @@ class HomotopyState:
     field: DiscreteField
     residual_norm: float
     ellipticity_margin: float
-    monitors: BoundMonitors
+    monitors: BoundMonitors | None  # None only on a predicted start (``continuation``)
     det_w: np.ndarray  # det W(D2u) at every active point of the field
     hessians: np.ndarray  # D2u at every active point of the field (``hessian_batch``)
 
@@ -158,6 +166,8 @@ class PathReport:
     exact_error: float | None = None  # sup |u - reference| when one is known
     krylov_iters: list = field(default_factory=list)  # GMRES iterations per Newton step
     ilu_rebuilds: int = 0  # GMRES stalls, each answered by an ILU of the stalled step's S
+    predicted_starts: int = 0  # accepted steps whose Newton solve began at the prediction
+    predictor_fallbacks: int = 0  # predictions refused by the guard or failed, retried from x_k
 
     def add(self, state: HomotopyState):
         m = state.monitors
@@ -185,6 +195,8 @@ class PathReport:
             "rows": self.rows,
             "krylov_iters": self.krylov_iters,
             "ilu_rebuilds": self.ilu_rebuilds,
+            "predicted_starts": self.predicted_starts,
+            "predictor_fallbacks": self.predictor_fallbacks,
         }
         if self.config_digest is not None:
             payload["config_digest"] = self.config_digest
@@ -339,7 +351,8 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     to describe its field.  A trial's stack gives its det W and margin and,
     once accepted, the next Jacobian.  The result reuses the accepted
     iterate's stack, residual, margin and det W, and evaluates the monitors
-    from that stack once if a step was taken.
+    from that stack once if a step was taken or the start carries none (a
+    secant prediction).
     """
     if state.ellipticity_margin <= 0.0:
         raise ValueError(
@@ -392,20 +405,71 @@ def quadratic_seed(grid: Grid) -> DiscreteField:
     return DiscreteField.from_function(grid, lambda pts: 0.5 * np.sum(pts**2, axis=1))
 
 
+def _secant_start(state: HomotopyState, prev: tuple | None, t_next: float,
+                  grid: Grid) -> HomotopyState | None:
+    """The predicted start x_k + (t_next - t_k)/(t_k - t_{k-1}) (x_k - x_{k-1}).
+
+    ``prev`` is (t_{k-1}, x_{k-1}), the parameter and packed field of the
+    state accepted before ``state``.  Returns None when there is no secant:
+    no earlier state, or an exact path, where x_k - x_{k-1} is exactly 0.
+    Otherwise one Hessian stack of the prediction gives its margin and det W;
+    the monitors are left to the field that Newton accepts.
+    """
+    if prev is None:
+        return None
+    t_prev, x_prev = prev
+    x = state.field.pack()
+    secant = x - x_prev
+    if not np.any(secant):
+        return None
+    fld = DiscreteField.unpack(x + (t_next - state.t) / (state.t - t_prev) * secant, grid)
+    d2 = hessian_batch(fld, grid)
+    return HomotopyState(t=t_next, field=fld, residual_norm=float("nan"),
+                         ellipticity_margin=ellipticity_margin(d2), monitors=None,
+                         det_w=woperator.batch_det_w(d2), hessians=d2)
+
+
+def _advance(state: HomotopyState, prev: tuple | None, t_next: float, grid: Grid,
+             problem: SampledProblem, config: SolverConfig,
+             linear: CondensedSolver) -> HomotopyState:
+    """Newton at t_next from the secant prediction, or from ``state``.
+
+    A prediction is used only when its margin is positive.  If it is refused,
+    or Newton fails from it, the solve is retried once from ``state`` at the
+    same t; a StepFailure of that retry propagates.
+    """
+    report = linear.report
+    predicted = _secant_start(state, prev, t_next, grid)
+    if predicted is not None:
+        if predicted.ellipticity_margin > 0.0:
+            try:
+                out = newton_solve(predicted, grid, problem, config, linear)
+            except StepFailure:
+                pass
+            else:
+                report.predicted_starts += 1
+                return out
+        report.predictor_fallbacks += 1
+    return newton_solve(replace(state, t=t_next), grid, problem, config, linear)
+
+
 def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
                  force: bool = False):
     """March t from 0 to 1 with adaptive halving; returns (state, report).
 
     The curvature-pinching gate runs first unless ``force`` is set; the
     start iterate is the exact t = 0 solution, whose margin, det W and
-    monitors are read from one Hessian stack here, and each later Newton
-    solve starts from the last accepted state, whose stack, margin, monitors
-    and det W still describe its field.  One CondensedSolver serves every
-    Newton step, so the seed ILU is built at most once per call and only
-    when some step needs a linear solve; a GMRES stall rebuilds it from the
-    stalled step and, like any step failure, halves dt.  On persistent step
-    failure raises ContinuationFailure carrying the last accepted state and
-    report.
+    monitors are read from one Hessian stack here.  Once two states are
+    accepted, each Newton solve starts from the secant prediction through
+    them when its margin is positive, and otherwise, or when Newton fails
+    from it, from the last accepted state, whose stack, margin, monitors and
+    det W still describe its field.  Only the previous state's t and packed
+    field are kept for the secant.  One CondensedSolver serves every Newton
+    step, so the seed ILU is built at most once per call and only when some
+    step needs a linear solve; a GMRES stall rebuilds it from the stalled
+    step.  A step that fails from the last accepted state halves dt.  On
+    persistent step failure raises ContinuationFailure carrying the last
+    accepted state and report.
     """
     if not force:
         gate = pinching_check(grid.domain)
@@ -427,6 +491,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
                           det_w=woperator.batch_det_w(d2), hessians=d2)
     state = newton_solve(state, grid, problem, config, linear)
     report.add(state)
+    prev = None  # (t, packed field) of the state accepted before ``state``
     dt_init = 1.0 / config.homotopy_steps
     dt = dt_init
     while state.t < 1.0:
@@ -434,7 +499,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
         if t_next >= 1.0 - 1e-12:
             t_next = 1.0
         try:
-            state = newton_solve(replace(state, t=t_next), grid, problem, config, linear)
+            accepted = _advance(state, prev, t_next, grid, problem, config, linear)
         except StepFailure as exc:
             dt *= 0.5
             if dt < config.min_step:
@@ -445,6 +510,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
                     report=report,
                 ) from exc
             continue
+        prev, state = (state.t, state.field.pack()), accepted
         report.add(state)
         dt = min(dt * 2.0, dt_init)
     return state, report

@@ -24,6 +24,7 @@ import numpy as np
 from nconvex.cone import Convexity, m_convexity
 
 __all__ = [
+    "MAX_LIFT_N",
     "MAX_LIFT_DIM",
     "multi_indices",
     "assemble_w",
@@ -35,8 +36,10 @@ __all__ = [
     "batch_linearization",
 ]
 
-# Largest supported lifted dimension C(n, m); covers all n <= 6 algebra.
-MAX_LIFT_DIM = 20
+# Largest n whose every lift the algebra layer supports, and the lifted
+# dimension C(n, m) that bounds: the largest C(6, m), C(6, 3) = 20.
+MAX_LIFT_N = 6
+MAX_LIFT_DIM = math.comb(MAX_LIFT_N, MAX_LIFT_N // 2)
 
 
 @lru_cache(maxsize=None)

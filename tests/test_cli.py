@@ -385,6 +385,23 @@ class TestErrorReporting:
         assert code == 2
         assert err.startswith("configuration error: ") and "no-such.bin" in err
 
+    @pytest.mark.parametrize("lines, detail", [
+        ("n = 2\ndomain.kind = ball\ndomain.radius = 1.0\n", "PDE runs need n >= 3, got n = 2"),
+        ("resolution = 9\nf.file = f.bin\n", "custom data needs both f.file and phi.file"),
+        ("resolution = 9\nphi.file = phi.bin\n", "custom data needs both f.file and phi.file"),
+    ], ids=["n-below-3", "lone-f-file", "lone-phi-file"])
+    def test_unsolvable_input_is_config_error_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch, lines, detail):
+        work = []
+        monkeypatch.setattr(nconvex.cli, "pinching_check", lambda *a: work.append("gate"))
+        monkeypatch.setattr(nconvex.cli, "Grid", lambda *a: work.append("grid"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{lines}output = {tmp_path / 'out'}\n")
+        code, err = self.run(["solve", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err == f"configuration error: {detail}\n"
+        assert work == [] and not (tmp_path / "out").exists()
+
     def test_rank_deficient_grid(self, tmp_path, capsys):
         # forced past the pinching gate, the (1, 1, 3) ellipsoid cannot build
         # a 9^3 grid: its boundary collocation stencil is rank deficient

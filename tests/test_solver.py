@@ -1,6 +1,7 @@
 """Newton and continuation behavior on the unit ball."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -502,7 +503,8 @@ class TestLinearSolve:
     def test_gmres_failure_falls_back_to_direct(self, grid9, manufactured9,
                                                monkeypatch, stalled):
         # a stalled step falls back to an ILU of its own S, not the seed
-        # operator's, and is retried at half the step; no splu is called
+        # operator's, and is retried: from the last accepted state when it
+        # began at the secant prediction, else at half the step; no splu is called
         ref = DiscreteField.from_function(grid9, u_star).values
         seeds, lus = count_factorizations(monkeypatch)
         state, report = continuation(manufactured9, grid9, SolverConfig())
@@ -510,7 +512,9 @@ class TestLinearSolve:
         assert len(seeds) == 1 and lus == []
         assert report.ilu_rebuilds == 0
 
-        for stall_call in (1, 6):  # the first solve, and one mid-path
+        # the first solve (t = 0.1, no secant yet), and the first at t = 0.3,
+        # which starts from the prediction through t = 0.1 and 0.2
+        for stall_call, predicted in ((1, False), (6, True)):
             with monkeypatch.context() as patch:
                 seeds, lus = count_factorizations(patch)
                 solved = stall_gmres(patch, lambda call: call == stall_call, stalled)
@@ -522,8 +526,14 @@ class TestLinearSolve:
             assert len(seeds) == 2 and lus == []
             assert abs(seeds[0] - seed_operator(grid9)).max() == 0.0
             assert abs(seeds[1] - solved[stall_call - 1]).max() == 0.0
-            # the stalled step is retried at half the step: one more accepted row
-            assert len(report_st.rows) == len(report.rows) + 1
+            if predicted:
+                # retried from the last accepted state at the same t: the same rows
+                assert report_st.predictor_fallbacks == 1
+                assert [r["t"] for r in report_st.rows] == [r["t"] for r in report.rows]
+            else:
+                # retried at half the step: one more accepted row
+                assert report_st.predictor_fallbacks == 0
+                assert len(report_st.rows) == len(report.rows) + 1
             err_st = np.max(np.abs(state_st.field.values - ref))
             assert err_st == pytest.approx(err, rel=1e-10)
 
@@ -606,6 +616,8 @@ class TestLinearSolve:
         assert payload["krylov_iters"] == report.krylov_iters
         assert all(1 <= k <= 10 for k in payload["krylov_iters"])
         assert payload["ilu_rebuilds"] == 0
+        assert payload["predicted_starts"] == report.predicted_starts > 0
+        assert payload["predictor_fallbacks"] == report.predictor_fallbacks == 0
         assert report.to_csv().splitlines()[0] == "t,residual,margin,sup_u,sup_du,sup_d2u,N,ratio"
 
 
@@ -694,6 +706,7 @@ class TestStateEvaluation:
         steps = count_calls(monkeypatch, "assemble_jacobian")
         monitors = record_calls(monkeypatch, "bound_monitors")
         calls = record_calls(monkeypatch, "hessian_batch")
+        secants = record_calls(monkeypatch, "_secant_start")
         continuation(manufactured9, grid9, SolverConfig())
         formed = [d2 for _, d2 in calls]
         # the margin, the monitors and each Jacobian read a stack formed once
@@ -702,11 +715,18 @@ class TestStateEvaluation:
         # every residual is handed its det W, so none forms a stack of its own
         assert all(len(args) == 5 and args[4] is not None for args, _ in residuals)
         trials = len(residuals) - len(solves)
+        # each prediction forms its stack once, and Newton starts from that stack
+        predictions = [out for _, out in secants if out is not None]
+        assert len(predictions) > 0
+        for start in predictions:
+            assert sum(start.hessians is d2 for d2 in formed) == 1
+            if start.ellipticity_margin > 0.0:  # on this path each such start takes a step
+                assert sum(start.hessians is k for k in steps) >= 1
         # each Jacobian reuses a stack that passed the margin check: the seed's,
-        # carried on the state, or an accepted trial's
+        # carried on the state, a prediction's or an accepted trial's
         assert len(steps) > len(solves) > 1
         assert all(any(k is m for m in margins) for k in steps)
-        assert len(formed) == 1 + trials
+        assert len(formed) == 1 + trials + len(predictions)
 
     def test_manufactured_path_evaluates_each_state_once(self, grid9, manufactured9,
                                                          monkeypatch):
@@ -715,6 +735,7 @@ class TestStateEvaluation:
         margins = count_calls(monkeypatch, "ellipticity_margin")
         monitors = count_calls(monkeypatch, "bound_monitors")
         steps = count_calls(monkeypatch, "assemble_jacobian")
+        secants = record_calls(monkeypatch, "_secant_start")
         continuation(manufactured9, grid9, SolverConfig())
         starts = {(args[0].t, args[0].field.pack().tobytes()) for args, _ in solves}
         keys = [(t, x.tobytes()) for (x, t, *_), _ in residuals]
@@ -723,13 +744,114 @@ class TestStateEvaluation:
         assert len(set(keys)) == len(keys)
         assert len(residuals) == len(solves) + len(trials)
         assert len(trials) >= len(steps) > 0
-        # the margin: once at the seed, then at most once per trial point
+        # the margin: once at the seed, once per prediction, then at most once
+        # per trial point
+        predictions = [out for _, out in secants if out is not None]
+        assert len(predictions) > 0
         assert len({d2.tobytes() for d2 in margins}) == len(margins)
-        assert len(margins) <= 1 + len(trials)
-        # the monitors: once at the seed, then once per solve that moved its field
-        moved = [out for args, out in solves if out is not None
-                 and not np.array_equal(out.field.pack(), args[0].field.pack())]
-        assert len(monitors) == 1 + len(moved)
+        assert all(sum(p.hessians is d2 for d2 in margins) == 1 for p in predictions)
+        assert len(margins) <= 1 + len(predictions) + len(trials)
+        # the monitors: once at the seed, then once per accepted state whose
+        # field its start did not carry monitors for; never at a prediction
+        fresh = [out for args, out in solves if out is not None
+                 and (args[0].monitors is None
+                      or not np.array_equal(out.field.pack(), args[0].field.pack()))]
+        assert len(monitors) == 1 + len(fresh)
+        assert all(any(fld is out.field for out in fresh) for fld in monitors[1:])
+
+
+def starts_of(solves):
+    """(t, whether the start is a secant prediction) of each recorded newton_solve."""
+    return [(args[0].t, args[0].monitors is None) for args, _ in solves]
+
+
+class TestSecantPredictor:
+    """Each step after the second starts from the secant through the last two states."""
+
+    def test_manufactured_path_takes_at_most_21_linear_solves(self, grid9, manufactured9):
+        state, report = continuation(manufactured9, grid9, SolverConfig())
+        assert state.t == 1.0
+        # 30 when every step starts from the last accepted state
+        assert len(report.krylov_iters) <= 21
+        assert report.predicted_starts == len(report.rows) - 2
+        assert report.predictor_fallbacks == 0
+
+    def test_refused_prediction_starts_from_the_last_state(self, grid9, manufactured9,
+                                                           monkeypatch):
+        original = nconvex.solver._secant_start
+        refused = []
+
+        def secant_start(*args):
+            out = original(*args)
+            if out is not None:
+                out = replace(out, ellipticity_margin=-1.0)
+                refused.append(out)
+            return out
+
+        monkeypatch.setattr(nconvex.solver, "_secant_start", secant_start)
+        solves = record_calls(monkeypatch, "newton_solve")
+        state, report = continuation(manufactured9, grid9, SolverConfig())
+        assert state.t == 1.0
+        assert [row["t"] for row in report.rows] == pytest.approx(np.linspace(0.0, 1.0, 11))
+        # no Newton solve starts at a refused prediction
+        assert len(refused) == len(report.rows) - 2 > 0
+        assert not any(t_pred for _, t_pred in starts_of(solves))
+        assert report.predicted_starts == 0
+        assert report.predictor_fallbacks == len(refused)
+        assert len(report.krylov_iters) == 30
+
+    def test_failed_prediction_is_retried_from_the_last_state(self, grid9, manufactured9,
+                                                              monkeypatch):
+        original = nconvex.solver.newton_solve
+
+        def newton_solve(state, *args):
+            if state.monitors is None:
+                raise StepFailure("predicted start refused by the test")
+            return original(state, *args)
+
+        monkeypatch.setattr(nconvex.solver, "newton_solve", newton_solve)
+        solves = record_calls(monkeypatch, "newton_solve")
+        state, report = continuation(manufactured9, grid9, SolverConfig())
+        assert state.t == 1.0
+        # dt is never halved: each prediction fails and is retried at the same t
+        ts = [row["t"] for row in report.rows]
+        assert ts == pytest.approx(np.linspace(0.0, 1.0, 11))
+        starts = starts_of(solves)
+        assert starts[:2] == [(0.0, False), (ts[1], False)]
+        assert starts[2:] == [(t, predicted) for t in ts[2:] for predicted in (True, False)]
+        # each retry starts from the field of the state accepted just before it
+        last = None
+        for (start, *_), out in solves:
+            if last is not None and start.monitors is not None:
+                assert start.field is last.field
+            last = out or last
+        assert report.predicted_starts == 0
+        assert report.predictor_fallbacks == len(ts) - 2
+
+    def test_dt_halves_only_when_the_retry_fails_too(self, grid9, manufactured9,
+                                                      monkeypatch):
+        original = nconvex.solver.newton_solve
+        failed = []
+
+        def newton_solve(state, *args):
+            if state.t == pytest.approx(0.3) and len(failed) < 2:
+                failed.append(state.monitors is None)
+                raise StepFailure("step at t=0.3 refused by the test")
+            return original(state, *args)
+
+        monkeypatch.setattr(nconvex.solver, "newton_solve", newton_solve)
+        solves = record_calls(monkeypatch, "newton_solve")
+        state, report = continuation(manufactured9, grid9, SolverConfig())
+        assert state.t == 1.0
+        # the prediction at 0.3 fails, then the retry from the state at 0.2;
+        # only then is dt halved, and the step to 0.25 starts from a prediction
+        assert failed == [True, False]
+        starts = starts_of(solves)
+        at = starts.index((pytest.approx(0.3), True))
+        assert starts[at:at + 3] == [(pytest.approx(0.3), True), (pytest.approx(0.3), False),
+                                     (pytest.approx(0.25), True)]
+        assert 0.25 == pytest.approx([row["t"] for row in report.rows][3])
+        assert report.predictor_fallbacks == 1
 
 
 def guarded_margin(monkeypatch, reject_every_trial=False):
