@@ -171,6 +171,9 @@ def project_to_boundary_batch(domain: DomainSpec, pts: np.ndarray):
         jmin = int(np.argmin(domain.semi_axes))
         y[deg] = 0.0
         y[deg, jmin] = domain.semi_axes[jmin]
+    # a2 + t is small deep inside an eccentric ellipsoid and magnifies the
+    # round-off in t; rescaling puts y back on the level set
+    y /= np.sqrt(np.sum(y ** 2 / a2, axis=1))[:, None]
     grad = y / a2
     nu = grad / np.linalg.norm(grad, axis=1)[:, None]
     gap = np.linalg.norm(x - y, axis=1)

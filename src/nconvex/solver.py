@@ -7,8 +7,9 @@ iterate must keep the ellipticity margin tr(D2u) - lambda_max(D2u), the
 smallest eigenvalue of M = tr(D2u) I - D2u and hence of W, positive at all
 active points (the discrete ellipticity certificate), which the line
 search enforces alongside plain residual decrease.  Each iterate's Hessian
-stack is formed once and gives its det W, its margin, its monitors and the
-next Jacobian; the accepted state carries it.
+stack is formed once and gives its det W, its margin and the next Jacobian;
+one eigendecomposition of it gives both the margin and the monitors'
+sup|D2u|.  The accepted state carries the stack and its eigenvalues.
 
 Each Newton step eliminates the trace unknowns exactly (the Robin block
 on them is a multiple of the identity) through a map that is constant for
@@ -22,9 +23,12 @@ continuation retries it: from x_k if it began at the prediction below, else
 at half the step.
 
 Once two states are accepted, the continuation starts each Newton solve
-from the secant prediction x_k + (t_{k+1} - t_k)/(t_k - t_{k-1}) (x_k -
-x_{k-1}).  One Hessian stack of the prediction gives its margin and det W;
-a prediction with margin <= 0, or one from which Newton fails, gives way to
+from the polynomial through the last accepted states, in Newton form: the
+secant x_k + (t_{k+1} - t_k)/(t_k - t_{k-1}) (x_k - x_{k-1}) and, once a
+third state is accepted, the correction (t_{k+1} - t_k)(t_{k+1} - t_{k-1})
+D2, with D2 the second divided difference of x_k, x_{k-1} and x_{k-2}.
+One Hessian stack of the prediction gives its margin and det W; a
+prediction with margin <= 0, or one from which Newton fails, gives way to
 a start from x_k at the same t.  On an exact path x_k = x_{k-1} and no
 prediction is formed.
 """
@@ -154,6 +158,7 @@ class HomotopyState:
     monitors: BoundMonitors | None  # None only on a predicted start (``continuation``)
     det_w: np.ndarray  # det W(D2u) at every active point of the field
     hessians: np.ndarray  # D2u at every active point of the field (``hessian_batch``)
+    eigenvalues: np.ndarray  # np.linalg.eigvalsh(hessians): the margin and sup|D2u| read it
 
 
 @dataclass
@@ -168,6 +173,8 @@ class PathReport:
     ilu_rebuilds: int = 0  # GMRES stalls, each answered by an ILU of the stalled step's S
     predicted_starts: int = 0  # accepted steps whose Newton solve began at the prediction
     predictor_fallbacks: int = 0  # predictions refused by the guard or failed, retried from x_k
+    # sup-norm residual at the start of each Newton solve begun at a prediction
+    predicted_start_residuals: list = field(default_factory=list)
 
     def add(self, state: HomotopyState):
         m = state.monitors
@@ -197,6 +204,7 @@ class PathReport:
             "ilu_rebuilds": self.ilu_rebuilds,
             "predicted_starts": self.predicted_starts,
             "predictor_fallbacks": self.predictor_fallbacks,
+            "predicted_start_residuals": self.predicted_start_residuals,
         }
         if self.config_digest is not None:
             payload["config_digest"] = self.config_digest
@@ -222,9 +230,12 @@ def residual_vector(x: np.ndarray, t: float, grid: Grid, problem: SampledProblem
     )
 
 
-def ellipticity_margin(hessians: np.ndarray) -> float:
-    """Smallest tr(D2u) - lambda_max(D2u) over a Hessian stack (``hessian_batch``)."""
-    return float(np.min(woperator.batch_min_lift_eig(hessians)))
+def ellipticity_margin(hessians: np.ndarray, eigenvalues: np.ndarray | None = None) -> float:
+    """Smallest tr(D2u) - lambda_max(D2u) over a Hessian stack (``hessian_batch``).
+
+    ``eigenvalues``, when given, is ``np.linalg.eigvalsh(hessians)`` and is not recomputed.
+    """
+    return float(np.min(woperator.batch_min_lift_eig(hessians, eigenvalues)))
 
 
 def assemble_jacobian(hessians: np.ndarray, grid: Grid) -> sp.csr_matrix:
@@ -321,17 +332,18 @@ def _incomplete_lu(schur: sp.csr_matrix):
         raise StepFailure(f"incomplete LU failed: {exc}")
 
 
-def bound_monitors(fld: DiscreteField, hessians: np.ndarray, grid: Grid) -> BoundMonitors:
+def bound_monitors(fld: DiscreteField, eigenvalues: np.ndarray, grid: Grid) -> BoundMonitors:
     """Norm monitors: sup|u|, sup|Du|, sup|D2u| and the boundary N.
 
-    ``hessians`` is the field's Hessian stack (``hessian_batch``).
+    ``eigenvalues`` is ``np.linalg.eigvalsh`` of the field's Hessian stack
+    (``hessian_batch``), the one its ellipticity margin was read from.
     """
     fld.check(grid)
     sup_u = max(float(np.max(np.abs(fld.values))), float(np.max(np.abs(fld.trace))))
     grads = gradient_batch(fld, grid)
     sup_du = float(np.max(np.linalg.norm(grads, axis=1)))
     sup_du = max(sup_du, float(np.max(np.abs(normal_derivative(fld, grid)))))
-    sup_d2u = float(np.max(np.abs(np.linalg.eigvalsh(hessians))))
+    sup_d2u = float(np.max(np.abs(eigenvalues)))
     sup_unn = float(np.max(np.abs(second_normal_derivative(fld, grid))))
     return BoundMonitors(sup_u=sup_u, sup_du=sup_du, sup_d2u=sup_d2u, sup_unn=sup_unn)
 
@@ -347,12 +359,14 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     margin positive at every active point.  Raises StepFailure when the
     iteration budget, the line-search floor, or the linear solve gives out.
 
-    The start state's Hessian stack, margin, monitors and det W are trusted
-    to describe its field.  A trial's stack gives its det W and margin and,
-    once accepted, the next Jacobian.  The result reuses the accepted
-    iterate's stack, residual, margin and det W, and evaluates the monitors
-    from that stack once if a step was taken or the start carries none (a
-    secant prediction).
+    The start state's Hessian stack, its eigenvalues, margin, monitors and
+    det W are trusted to describe its field.  A trial's stack gives its det W
+    and, if the trial decreases the residual, one eigendecomposition for its
+    margin; once accepted, the stack gives the next Jacobian.  The result
+    reuses the accepted iterate's stack, eigenvalues, residual, margin and
+    det W, and evaluates the monitors from those eigenvalues once if a step
+    was taken or the start carries none (a prediction, whose start residual
+    is recorded on the report).
     """
     if state.ellipticity_margin <= 0.0:
         raise ValueError(
@@ -361,11 +375,13 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     if linear is None:
         linear = CondensedSolver(grid, PathReport())
     t = state.t
-    fld, margin, monitors, det, d2 = (state.field, state.ellipticity_margin, state.monitors,
-                                      state.det_w, state.hessians)
+    fld, margin, monitors = state.field, state.ellipticity_margin, state.monitors
+    det, d2, eig = state.det_w, state.hessians, state.eigenvalues
     x = fld.pack()
     r = residual_vector(x, t, grid, problem, det)
     rnorm = float(np.max(np.abs(r)))
+    if monitors is None:
+        linear.report.predicted_start_residuals.append(rnorm)
     for _ in range(config.max_newton_iters):
         if rnorm <= config.newton_tol:
             break
@@ -379,10 +395,11 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
             trial_r = residual_vector(trial, t, grid, problem, trial_det)
             trial_norm = float(np.max(np.abs(trial_r)))
             if trial_norm < rnorm:
-                trial_margin = ellipticity_margin(trial_d2)
+                trial_eig = np.linalg.eigvalsh(trial_d2)
+                trial_margin = ellipticity_margin(trial_d2, trial_eig)
                 if trial_margin > 0.0:
                     x, r, rnorm, det, d2 = trial, trial_r, trial_norm, trial_det, trial_d2
-                    fld, margin, monitors = trial_fld, trial_margin, None
+                    fld, margin, monitors, eig = trial_fld, trial_margin, None, trial_eig
                     break
             alpha *= config.damping
             if alpha < LINE_SEARCH_FLOOR:
@@ -395,9 +412,9 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
             f"(residual {rnorm:.3g} after {config.max_newton_iters} iterations)"
         )
     if monitors is None:
-        monitors = bound_monitors(fld, d2, grid)
+        monitors = bound_monitors(fld, eig, grid)
     return HomotopyState(t=t, field=fld, residual_norm=rnorm, ellipticity_margin=margin,
-                         monitors=monitors, det_w=det, hessians=d2)
+                         monitors=monitors, det_w=det, hessians=d2, eigenvalues=eig)
 
 
 def quadratic_seed(grid: Grid) -> DiscreteField:
@@ -405,41 +422,54 @@ def quadratic_seed(grid: Grid) -> DiscreteField:
     return DiscreteField.from_function(grid, lambda pts: 0.5 * np.sum(pts**2, axis=1))
 
 
-def _secant_start(state: HomotopyState, prev: tuple | None, t_next: float,
-                  grid: Grid) -> HomotopyState | None:
-    """The predicted start x_k + (t_next - t_k)/(t_k - t_{k-1}) (x_k - x_{k-1}).
+def _predicted_start(state: HomotopyState, earlier: tuple, t_next: float,
+                     grid: Grid) -> HomotopyState | None:
+    """The start at t_next predicted from ``state`` and the states before it.
 
-    ``prev`` is (t_{k-1}, x_{k-1}), the parameter and packed field of the
-    state accepted before ``state``.  Returns None when there is no secant:
-    no earlier state, or an exact path, where x_k - x_{k-1} is exactly 0.
-    Otherwise one Hessian stack of the prediction gives its margin and det W;
-    the monitors are left to the field that Newton accepts.
+    ``earlier`` holds (t, packed field) of up to two states accepted before
+    ``state`` = (t_k, x_k), newest first.  The prediction is the polynomial
+    through them in Newton form: the secant
+    x_k + (t_next - t_k)/(t_k - t_{k-1}) (x_k - x_{k-1}) and, when
+    ``earlier`` holds two states, (t_next - t_k)(t_next - t_{k-1}) D2, with
+    D2 the second divided difference of x_k, x_{k-1} and x_{k-2}.  Returns
+    None when there is no secant: no earlier state, or an exact path, where
+    x_k - x_{k-1} is exactly 0.  Otherwise one Hessian stack of the
+    prediction gives its det W and, through one eigendecomposition, its
+    margin; the monitors are left to the field that Newton accepts.
     """
-    if prev is None:
+    if not earlier:
         return None
-    t_prev, x_prev = prev
+    t_1, x_1 = earlier[0]
     x = state.field.pack()
-    secant = x - x_prev
+    secant = x - x_1
     if not np.any(secant):
         return None
-    fld = DiscreteField.unpack(x + (t_next - state.t) / (state.t - t_prev) * secant, grid)
+    step = t_next - state.t
+    predicted = x + step / (state.t - t_1) * secant
+    if len(earlier) == 2:
+        t_2, x_2 = earlier[1]
+        curvature = (secant / (state.t - t_1) - (x_1 - x_2) / (t_1 - t_2)) / (state.t - t_2)
+        predicted += step * (t_next - t_1) * curvature
+    fld = DiscreteField.unpack(predicted, grid)
     d2 = hessian_batch(fld, grid)
+    eig = np.linalg.eigvalsh(d2)
     return HomotopyState(t=t_next, field=fld, residual_norm=float("nan"),
-                         ellipticity_margin=ellipticity_margin(d2), monitors=None,
-                         det_w=woperator.batch_det_w(d2), hessians=d2)
+                         ellipticity_margin=ellipticity_margin(d2, eig), monitors=None,
+                         det_w=woperator.batch_det_w(d2), hessians=d2, eigenvalues=eig)
 
 
-def _advance(state: HomotopyState, prev: tuple | None, t_next: float, grid: Grid,
+def _advance(state: HomotopyState, earlier: tuple, t_next: float, grid: Grid,
              problem: SampledProblem, config: SolverConfig,
              linear: CondensedSolver) -> HomotopyState:
-    """Newton at t_next from the secant prediction, or from ``state``.
+    """Newton at t_next from the predicted start, or from ``state``.
 
-    A prediction is used only when its margin is positive.  If it is refused,
-    or Newton fails from it, the solve is retried once from ``state`` at the
-    same t; a StepFailure of that retry propagates.
+    ``earlier`` is as in ``_predicted_start``.  A prediction is used only
+    when its margin is positive.  If it is refused, or Newton fails from it,
+    the solve is retried once from ``state`` at the same t; a StepFailure of
+    that retry propagates.
     """
     report = linear.report
-    predicted = _secant_start(state, prev, t_next, grid)
+    predicted = _predicted_start(state, earlier, t_next, grid)
     if predicted is not None:
         if predicted.ellipticity_margin > 0.0:
             try:
@@ -459,12 +489,14 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
 
     The curvature-pinching gate runs first unless ``force`` is set; the
     start iterate is the exact t = 0 solution, whose margin, det W and
-    monitors are read from one Hessian stack here.  Once two states are
-    accepted, each Newton solve starts from the secant prediction through
-    them when its margin is positive, and otherwise, or when Newton fails
-    from it, from the last accepted state, whose stack, margin, monitors and
-    det W still describe its field.  Only the previous state's t and packed
-    field are kept for the secant.  One CondensedSolver serves every Newton
+    monitors are read from one Hessian stack and one eigendecomposition
+    here.  Once two states are accepted, each Newton solve starts from the
+    prediction through the last two or three of them (``_predicted_start``)
+    when its margin is positive, and otherwise, or when Newton fails from
+    it, from the last accepted state, whose stack, eigenvalues, margin,
+    monitors and det W still describe its field.  Only the t and packed
+    field of the two states before it are kept for the prediction, and no
+    earlier Hessian stack.  One CondensedSolver serves every Newton
     step, so the seed ILU is built at most once per call and only when some
     step needs a linear solve; a GMRES stall rebuilds it from the stalled
     step.  A step that fails from the last accepted state halves dt.  On
@@ -483,15 +515,16 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     linear = CondensedSolver(grid, report)
     seed = quadratic_seed(grid)
     d2 = hessian_batch(seed, grid)
-    margin = ellipticity_margin(d2)
+    eig = np.linalg.eigvalsh(d2)
+    margin = ellipticity_margin(d2, eig)
     if margin <= 0.0:
         raise ValueError("quadratic seed is not admissible on this grid")
     state = HomotopyState(t=0.0, field=seed, residual_norm=float("nan"),
-                          ellipticity_margin=margin, monitors=bound_monitors(seed, d2, grid),
-                          det_w=woperator.batch_det_w(d2), hessians=d2)
+                          ellipticity_margin=margin, monitors=bound_monitors(seed, eig, grid),
+                          det_w=woperator.batch_det_w(d2), hessians=d2, eigenvalues=eig)
     state = newton_solve(state, grid, problem, config, linear)
     report.add(state)
-    prev = None  # (t, packed field) of the state accepted before ``state``
+    earlier = ()  # (t, packed field) of up to two states accepted before ``state``, newest first
     dt_init = 1.0 / config.homotopy_steps
     dt = dt_init
     while state.t < 1.0:
@@ -499,7 +532,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
         if t_next >= 1.0 - 1e-12:
             t_next = 1.0
         try:
-            accepted = _advance(state, prev, t_next, grid, problem, config, linear)
+            accepted = _advance(state, earlier, t_next, grid, problem, config, linear)
         except StepFailure as exc:
             dt *= 0.5
             if dt < config.min_step:
@@ -510,7 +543,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
                     report=report,
                 ) from exc
             continue
-        prev, state = (state.t, state.field.pack()), accepted
+        earlier, state = ((state.t, state.field.pack()),) + earlier[:1], accepted
         report.add(state)
         dt = min(dt * 2.0, dt_init)
     return state, report

@@ -194,9 +194,14 @@ def batch_det_w(hessians: np.ndarray) -> np.ndarray:
     return np.linalg.det(trace[..., None, None] * np.eye(hessians.shape[-1]) - hessians)
 
 
-def batch_min_lift_eig(hessians: np.ndarray) -> np.ndarray:
-    """Smallest lifted eigenvalue tr H - lambda_max(H) per Hessian (the ellipticity quantity)."""
-    return np.trace(hessians, axis1=-2, axis2=-1) - np.linalg.eigvalsh(hessians)[..., -1]
+def batch_min_lift_eig(hessians: np.ndarray, eigenvalues: np.ndarray | None = None) -> np.ndarray:
+    """Smallest lifted eigenvalue tr H - lambda_max(H) per Hessian (the ellipticity quantity).
+
+    ``eigenvalues``, when given, is ``np.linalg.eigvalsh(hessians)`` and is not recomputed.
+    """
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh(hessians)
+    return np.trace(hessians, axis1=-2, axis2=-1) - eigenvalues[..., -1]
 
 
 def batch_linearization(hessians: np.ndarray) -> np.ndarray:

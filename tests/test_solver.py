@@ -99,14 +99,16 @@ def stencil_at(x, grid):
 def make_state(t, fld, grid, problem):
     r = residual_vector(fld.pack(), t, grid, problem)
     d2 = hessian_batch(fld, grid)
+    eig = np.linalg.eigvalsh(d2)
     return HomotopyState(
         t=t,
         field=fld,
         residual_norm=float(np.max(np.abs(r))),
         ellipticity_margin=ellipticity_margin(d2),
-        monitors=bound_monitors(fld, d2, grid),
+        monitors=bound_monitors(fld, eig, grid),
         det_w=woperator.batch_det_w(d2),
         hessians=d2,
+        eigenvalues=eig,
     )
 
 
@@ -504,7 +506,7 @@ class TestLinearSolve:
                                                monkeypatch, stalled):
         # a stalled step falls back to an ILU of its own S, not the seed
         # operator's, and is retried: from the last accepted state when it
-        # began at the secant prediction, else at half the step; no splu is called
+        # began at the path prediction, else at half the step; no splu is called
         ref = DiscreteField.from_function(grid9, u_star).values
         seeds, lus = count_factorizations(monkeypatch)
         state, report = continuation(manufactured9, grid9, SolverConfig())
@@ -512,8 +514,8 @@ class TestLinearSolve:
         assert len(seeds) == 1 and lus == []
         assert report.ilu_rebuilds == 0
 
-        # the first solve (t = 0.1, no secant yet), and the first at t = 0.3,
-        # which starts from the prediction through t = 0.1 and 0.2
+        # the first solve (t = 0.1, no prediction yet), and the first at t = 0.3,
+        # which starts from the prediction through t = 0, 0.1 and 0.2
         for stall_call, predicted in ((1, False), (6, True)):
             with monkeypatch.context() as patch:
                 seeds, lus = count_factorizations(patch)
@@ -618,13 +620,17 @@ class TestLinearSolve:
         assert payload["ilu_rebuilds"] == 0
         assert payload["predicted_starts"] == report.predicted_starts > 0
         assert payload["predictor_fallbacks"] == report.predictor_fallbacks == 0
+        # one start residual per Newton solve begun at a prediction
+        assert payload["predicted_start_residuals"] == report.predicted_start_residuals
+        assert len(report.predicted_start_residuals) == report.predicted_starts
+        assert all(0.0 < r < 1e-2 for r in report.predicted_start_residuals)
         assert report.to_csv().splitlines()[0] == "t,residual,margin,sup_u,sup_du,sup_d2u,N,ratio"
 
 
 class TestMonitors:
     def test_quadratic_seed_closed_form(self, grid9):
         seed = quadratic_seed(grid9)
-        mon = bound_monitors(seed, hessian_batch(seed, grid9), grid9)
+        mon = bound_monitors(seed, np.linalg.eigvalsh(hessian_batch(seed, grid9)), grid9)
         assert mon.sup_u == pytest.approx(0.5, abs=1e-10)
         assert mon.sup_du == pytest.approx(1.0, abs=1e-9)
         assert mon.sup_d2u == pytest.approx(1.0, abs=1e-9)
@@ -656,6 +662,7 @@ class TestStateEvaluation:
             assert state.monitors == fresh.monitors
             assert np.array_equal(state.hessians, hessian_batch(state.field, grid))
             assert np.array_equal(state.det_w, woperator.batch_det_w(state.hessians))
+            assert np.array_equal(state.eigenvalues, np.linalg.eigvalsh(state.hessians))
 
     def test_exact_path_evaluates_margin_and_monitors_once(self, grid9, sp9, monkeypatch):
         residuals = count_calls(monkeypatch, "residual_vector")
@@ -702,21 +709,25 @@ class TestStateEvaluation:
     def test_each_iterate_forms_one_hessian_stack(self, grid9, manufactured9, monkeypatch):
         solves = count_calls(monkeypatch, "newton_solve")
         residuals = record_calls(monkeypatch, "residual_vector")
-        margins = count_calls(monkeypatch, "ellipticity_margin")
+        margin_calls = record_calls(monkeypatch, "ellipticity_margin")
         steps = count_calls(monkeypatch, "assemble_jacobian")
         monitors = record_calls(monkeypatch, "bound_monitors")
         calls = record_calls(monkeypatch, "hessian_batch")
-        secants = record_calls(monkeypatch, "_secant_start")
+        predicted = record_calls(monkeypatch, "_predicted_start")
         continuation(manufactured9, grid9, SolverConfig())
         formed = [d2 for _, d2 in calls]
-        # the margin, the monitors and each Jacobian read a stack formed once
-        for used in margins + steps + [args[1] for args, _ in monitors]:
+        margins = [args[0] for args, _ in margin_calls]
+        # the margin and each Jacobian read a stack formed once, and the
+        # monitors read the eigenvalues a margin was read from
+        for used in margins + steps:
             assert any(used is d2 for d2 in formed)
+        for args, _ in monitors:
+            assert any(args[1] is m_args[1] for m_args, _ in margin_calls)
         # every residual is handed its det W, so none forms a stack of its own
         assert all(len(args) == 5 and args[4] is not None for args, _ in residuals)
         trials = len(residuals) - len(solves)
         # each prediction forms its stack once, and Newton starts from that stack
-        predictions = [out for _, out in secants if out is not None]
+        predictions = [out for _, out in predicted if out is not None]
         assert len(predictions) > 0
         for start in predictions:
             assert sum(start.hessians is d2 for d2 in formed) == 1
@@ -728,6 +739,37 @@ class TestStateEvaluation:
         assert all(any(k is m for m in margins) for k in steps)
         assert len(formed) == 1 + trials + len(predictions)
 
+    def test_each_formed_stack_is_decomposed_at_most_once(self, grid9, manufactured9,
+                                                         monkeypatch):
+        decomposed = []
+        original = np.linalg.eigvalsh
+
+        def eigvalsh(a, *args, **kwargs):
+            decomposed.append(a)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        calls = record_calls(monkeypatch, "hessian_batch")
+        in_monitors = []
+        monitors = nconvex.solver.bound_monitors
+
+        def counting_monitors(*args):
+            before = len(decomposed)
+            out = monitors(*args)
+            in_monitors.append(len(decomposed) - before)
+            return out
+
+        monkeypatch.setattr(nconvex.solver, "bound_monitors", counting_monitors)
+        _, report = continuation(manufactured9, grid9, SolverConfig())
+        formed = [d2 for _, d2 in calls]
+        # every decomposition is of a stack formed here (the seed, a prediction
+        # or a trial), and no stack is decomposed twice
+        assert all(any(a is d2 for d2 in formed) for a in decomposed)
+        assert all(sum(a is d2 for a in decomposed) <= 1 for d2 in formed)
+        assert len(report.rows) < len(decomposed) <= len(formed)
+        # the monitors read the line search's eigenvalues and decompose nothing
+        assert len(in_monitors) == len(report.rows) and not any(in_monitors)
+
     def test_manufactured_path_evaluates_each_state_once(self, grid9, manufactured9,
                                                          monkeypatch):
         solves = record_calls(monkeypatch, "newton_solve")
@@ -735,7 +777,7 @@ class TestStateEvaluation:
         margins = count_calls(monkeypatch, "ellipticity_margin")
         monitors = count_calls(monkeypatch, "bound_monitors")
         steps = count_calls(monkeypatch, "assemble_jacobian")
-        secants = record_calls(monkeypatch, "_secant_start")
+        predicted = record_calls(monkeypatch, "_predicted_start")
         continuation(manufactured9, grid9, SolverConfig())
         starts = {(args[0].t, args[0].field.pack().tobytes()) for args, _ in solves}
         keys = [(t, x.tobytes()) for (x, t, *_), _ in residuals]
@@ -746,7 +788,7 @@ class TestStateEvaluation:
         assert len(trials) >= len(steps) > 0
         # the margin: once at the seed, once per prediction, then at most once
         # per trial point
-        predictions = [out for _, out in secants if out is not None]
+        predictions = [out for _, out in predicted if out is not None]
         assert len(predictions) > 0
         assert len({d2.tobytes() for d2 in margins}) == len(margins)
         assert all(sum(p.hessians is d2 for d2 in margins) == 1 for p in predictions)
@@ -761,34 +803,86 @@ class TestStateEvaluation:
 
 
 def starts_of(solves):
-    """(t, whether the start is a secant prediction) of each recorded newton_solve."""
+    """(t, whether the start is a path prediction) of each recorded newton_solve."""
     return [(args[0].t, args[0].monitors is None) for args, _ in solves]
 
 
-class TestSecantPredictor:
-    """Each step after the second starts from the secant through the last two states."""
+def bumped_field(grid, scale, freq):
+    return DiscreteField.from_function(
+        grid, lambda p: scale * np.exp(freq * p[:, 0]) * np.cos(p[:, 1]))
 
-    def test_manufactured_path_takes_at_most_21_linear_solves(self, grid9, manufactured9):
+
+class TestSecantPredictor:
+    """Each step after the first starts from the secant through the last two
+    states, plus the second-divided-difference term once three are accepted."""
+
+    def quadratic_path(self, grid, problem, ts):
+        """States at ``ts`` on the exactly quadratic path x(t) = a + b t + c t^2."""
+        a = quadratic_seed(grid).pack()
+        b, c = bumped_field(grid, 0.03, 1.0).pack(), bumped_field(grid, 0.02, -0.5).pack()
+
+        def x(t):
+            return a + b * t + c * t * t
+
+        states = [make_state(t, DiscreteField.unpack(x(t), grid), grid, problem) for t in ts]
+        return states, x
+
+    def test_three_states_predict_a_quadratic_path_exactly(self, grid9, manufactured9):
+        ts = (0.2, 0.3, 0.35)
+        (s2, s1, s0), x = self.quadratic_path(grid9, manufactured9, ts)
+        earlier = ((s1.t, s1.field.pack()), (s2.t, s2.field.pack()))
+        out = nconvex.solver._predicted_start(s0, earlier, 0.45, grid9)
+        assert out.t == 0.45 and out.monitors is None
+        assert np.max(np.abs(out.field.pack() - x(0.45))) <= 1e-14 * np.max(np.abs(x(0.45)))
+        # the prediction's stack, eigenvalues, margin and det W describe its field
+        assert np.array_equal(out.hessians, hessian_batch(out.field, grid9))
+        assert np.array_equal(out.eigenvalues, np.linalg.eigvalsh(out.hessians))
+        assert out.ellipticity_margin == margin_of(out.field, grid9)
+        assert np.array_equal(out.det_w, woperator.batch_det_w(out.hessians))
+        # the secant through the last two alone misses the curvature
+        secant = nconvex.solver._predicted_start(s0, earlier[:1], 0.45, grid9)
+        assert np.max(np.abs(secant.field.pack() - x(0.45))) > 1e-4
+
+    def test_two_states_give_the_secant_bit_for_bit(self, grid9, manufactured9):
+        (s1, s0), _ = self.quadratic_path(grid9, manufactured9, (0.2, 0.35))
+        x, x1 = s0.field.pack(), s1.field.pack()
+        out = nconvex.solver._predicted_start(s0, ((s1.t, x1),), 0.45, grid9)
+        assert np.array_equal(out.field.pack(), x + (0.45 - s0.t) / (s0.t - s1.t) * (x - x1))
+
+    def test_no_prediction_without_a_secant(self, grid9, manufactured9):
+        (s2, s1), _ = self.quadratic_path(grid9, manufactured9, (0.2, 0.3))
+        x1, x2 = s1.field.pack(), s2.field.pack()
+        predict = nconvex.solver._predicted_start
+        assert predict(s1, (), 0.4, grid9) is None
+        # x_k - x_{k-1} = 0 forms no prediction, whatever x_{k-2} is
+        assert predict(s1, ((0.25, x1.copy()),), 0.4, grid9) is None
+        assert predict(s1, ((0.25, x1.copy()), (0.2, x2)), 0.4, grid9) is None
+
+    def test_manufactured_path_takes_at_most_13_linear_solves(self, grid9, manufactured9):
         state, report = continuation(manufactured9, grid9, SolverConfig())
         assert state.t == 1.0
-        # 30 when every step starts from the last accepted state
-        assert len(report.krylov_iters) <= 21
+        # 30 when every step starts from the last accepted state, 21 from the secant
+        assert len(report.krylov_iters) <= 13
         assert report.predicted_starts == len(report.rows) - 2
         assert report.predictor_fallbacks == 0
+        # the secant start at t = 0.2, then the three-point starts, far closer to the path
+        first, *rest = report.predicted_start_residuals
+        assert len(rest) == report.predicted_starts - 1 > 0
+        assert max(rest) < 0.1 * first
 
     def test_refused_prediction_starts_from_the_last_state(self, grid9, manufactured9,
                                                            monkeypatch):
-        original = nconvex.solver._secant_start
+        original = nconvex.solver._predicted_start
         refused = []
 
-        def secant_start(*args):
+        def predicted_start(*args):
             out = original(*args)
             if out is not None:
                 out = replace(out, ellipticity_margin=-1.0)
                 refused.append(out)
             return out
 
-        monkeypatch.setattr(nconvex.solver, "_secant_start", secant_start)
+        monkeypatch.setattr(nconvex.solver, "_predicted_start", predicted_start)
         solves = record_calls(monkeypatch, "newton_solve")
         state, report = continuation(manufactured9, grid9, SolverConfig())
         assert state.t == 1.0
@@ -860,11 +954,11 @@ def guarded_margin(monkeypatch, reject_every_trial=False):
     steps = count_calls(monkeypatch, "assemble_jacobian")
     rejected = set()
 
-    def guard(hessians):
+    def guard(hessians, eigenvalues=None):
         if reject_every_trial or len(steps) not in rejected:
             rejected.add(len(steps))
             return -1.0
-        return true_margin(hessians)
+        return true_margin(hessians, eigenvalues)
 
     monkeypatch.setattr(nconvex.solver, "ellipticity_margin", guard)
     return steps, rejected
