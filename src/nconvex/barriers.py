@@ -30,7 +30,6 @@ from nconvex.geometry import (
     _barrier_hessian,
     _distance_hessian_at,
     mean_curvature_range,
-    project_to_boundary_batch,
     strip_mu_max,
 )
 
@@ -112,7 +111,7 @@ def recipe_params(domain: DomainSpec, state, grid: Grid, problem: SampledProblem
     c1 = 1.0 + mon.sup_u + mon.sup_du
     c2 = (1.0 + mon.sup_u + mon.sup_du) * (1.0 + domain.kappa_max_global) / epsilon
     try:
-        core = _strip_core(state.field, grid, problem, state.t, _strip_data(domain, grid, mu))
+        core = _strip_core(state.field, grid, problem, state.t, _strip_data(grid, mu))
         resid_sup = float(np.max(np.abs(core)))
     except ValueError:
         # strip below grid resolution: estimate the core from the boundary
@@ -132,8 +131,12 @@ def recipe_params(domain: DomainSpec, state, grid: Grid, problem: SampledProblem
     return params
 
 
-def _strip_data(domain: DomainSpec, grid: Grid, mu: float):
-    """Projection data for strip active points; errors when the strip is empty."""
+def _strip_data(grid: Grid, mu: float):
+    """Projection data for strip active points; errors when the strip is empty.
+
+    The grid keeps each active point's depth d and normal nu from its own
+    projection, so the closest boundary point is y = x + d nu.
+    """
     mask = grid.strip_mask(mu)
     if not np.any(mask):
         raise ValueError(
@@ -142,8 +145,8 @@ def _strip_data(domain: DomainSpec, grid: Grid, mu: float):
         )
     pts = grid.active_pts[mask]
     d = grid.active_d[mask]
-    y, nu, _ = project_to_boundary_batch(domain, pts)
-    return mask, pts, d, y, nu
+    nu = grid.active_nu[mask]
+    return mask, pts, d, pts + d[:, None] * nu, nu
 
 
 def _strip_core(field: DiscreteField, grid: Grid, problem: SampledProblem, t: float,
@@ -177,7 +180,7 @@ def verify_h_inequality(domain: DomainSpec, state, grid: Grid,
     The linearization is read off the state's Hessian stack.
     """
     params.validate(domain)
-    mask, _, d, y, nu = _strip_data(domain, grid, params.mu)
+    mask, _, d, y, nu = _strip_data(grid, params.mu)
     fij = woperator.batch_linearization(state.hessians[mask])
     trace_f = np.trace(fij, axis1=1, axis2=2)
     d2d, kappa = _distance_hessian_at(domain, y, d)
@@ -212,7 +215,7 @@ def _barrier_values(domain, state, grid, problem, params):
     and G = (A + sigma N) h, all from one strip evaluation.
     """
     field = state.field
-    strip = _strip_data(domain, grid, params.mu)
+    strip = _strip_data(grid, params.mu)
     core = _strip_core(field, grid, problem, state.t, strip)
     d = strip[2]
     h_val = -d + params.k3 * d * d

@@ -8,12 +8,17 @@ unknowns: each lies on the normal ray through its collocation point, so its
 value is the quadratic along that ray determined by the trace and two
 interpolated interior ray values.  Those come from moving-least-squares
 rows (``W1``, ``W2``) built in batched blocks: one neighbor query per
-block of collocation points, and per target one solve with the Gram
-matrix of its quadratic design (10 x 10 at n = 3) plus one refinement
-step; only the targets with too few neighbors or a rank-deficient design
-are searched again at a wider radius.  The construction is exact for
+block of collocation points, and per target one Cholesky factorization of
+the Gram matrix of its quadratic design (10 x 10 at n = 3), which gives
+the solve, its one refinement step and a certificate for the rank test;
+only the targets with too few neighbors or a rank-deficient design are
+searched again at a wider radius.  The construction is exact for
 quadratic fields, which pins the discrete problem to the continuum one at
 the homotopy start.
+
+Classification projects every point of the box that can be active once,
+and the grid keeps each active point's depth and normal from it; the
+barrier strip reads them instead of projecting again.
 
 The stencil is held as data on the Grid: an index ``nbr`` of each stencil
 neighbor into the extended vector [active values; closure values], the
@@ -155,20 +160,45 @@ def _stencil(n: int, h: float):
 
 
 def _quad_basis(xi: np.ndarray) -> np.ndarray:
-    """Monomials up to degree two at scaled coordinates (..., n), constant first."""
+    """Monomials up to degree two at scaled coordinates (..., n), constant first.
+
+    One broadcast product of [1, xi] with itself over the index pairs i <= j:
+    the pairs (0, 0), (0, i) and (i, j) give 1, xi_i and xi_i xi_j.  The
+    product runs with the monomial axis leading, where picking the pairs
+    copies whole planes, and the result is a view with that axis moved last.
+    """
     n = xi.shape[-1]
-    cols = [np.ones(xi.shape[:-1])]
-    for i in range(n):
-        cols.append(xi[..., i])
-    for i in range(n):
-        for j in range(i, n):
-            cols.append(xi[..., i] * xi[..., j])
-    return np.stack(cols, axis=-1)
+    ext = np.empty((n + 1,) + xi.shape[:-1])
+    ext[0] = 1.0
+    ext[1:] = np.moveaxis(xi, -1, 0)
+    left, right = np.triu_indices(n + 1)
+    return np.moveaxis(ext[left] * ext[right], 0, -1)
 
 
 # Targets per batched MLS solve.  The padded (block, k, q) design is built
 # for a whole block at once; this cap keeps its memory flat in the grid size.
 _MLS_BLOCK = 256
+
+# A Cholesky factor certifies full rank when ||L^-1||_F^2 tr G stays below
+# this; it bounds lambda_max / lambda_min of G from above, and the factor 2
+# margin over the 1e12 cut absorbs the round-off in L^-1.
+_RANK_CERTIFICATE = 0.5e12
+
+
+def _inverse_cholesky(gram: np.ndarray) -> np.ndarray:
+    """L^-1 for the batched Cholesky factors G = L L^T, by forward substitution.
+
+    Raises ``np.linalg.LinAlgError`` when some G is not numerically positive
+    definite.  G^-1 = L^-T L^-1, so two matrix-vector products solve with G.
+    """
+    chol = np.linalg.cholesky(gram)
+    q = gram.shape[-1]
+    eye = np.eye(q)
+    inv = np.zeros_like(chol)
+    for i in range(q):
+        inv[:, i, :i + 1] = ((eye[i, :i + 1] - (chol[:, i:i + 1, :i] @ inv[:, :i, :i + 1])[:, 0])
+                             / chol[:, i, i, None])
+    return inv
 
 
 def _mls_block(tree, nodes: np.ndarray, p: np.ndarray, h: float, rho: float):
@@ -185,8 +215,13 @@ def _mls_block(tree, nodes: np.ndarray, p: np.ndarray, h: float, rho: float):
     D^T mu = e0 on the weighted design D, lam = sqrt(w) mu.  It is formed
     by the normal equations of the second kind, mu = D G^-1 e0 with the
     q x q Gram matrix G = D^T D, plus one refinement step on the moment
-    conditions.  The rank test reads the eigenvalues of G, whose ratio is
-    the square of the design's singular-value ratio.
+    conditions.  One batched Cholesky factorization G = L L^T per block,
+    and L^-1 by forward substitution, give both solves.  The design is full
+    rank when lambda_min(G) > 1e-12 lambda_max(G), the square of a 1e-6
+    singular-value ratio.  lambda_min >= 1 / ||L^-1||_F^2 and
+    lambda_max <= tr G certify that for most targets; the others, and every
+    target of a block whose factorization fails, are decided from the
+    eigenvalues of G.
     """
     b, n = p.shape
     q = 1 + n + n * (n + 1) // 2
@@ -203,19 +238,27 @@ def _mls_block(tree, nodes: np.ndarray, p: np.ndarray, h: float, rho: float):
                             dtype=np.int64, count=int(counts.sum()))
     diff = nodes[idx] - p[ok, None, :]
     r2 = np.sum(diff ** 2, axis=-1) / rho**2
-    w = np.where(real, np.maximum(0.0, 1.0 - r2) ** 2, 0.0)
-    sw = np.sqrt(w)
+    sw = np.where(real, np.maximum(0.0, 1.0 - r2), 0.0)  # square root of the weight
     design = _quad_basis(diff / h) * sw[..., None]
     gram = np.matmul(design.transpose(0, 2, 1), design)
-    eig = np.linalg.eigvalsh(gram)
-    full = eig[:, 0] > 1e-12 * eig[:, -1]
-    ok[ok] = full
-    counts, real, idx, sw = counts[full], real[full], idx[full], sw[full]
-    design, gram = design[full], gram[full]
-    e0 = np.zeros((design.shape[0], q, 1))
-    e0[:, 0] = 1.0
-    mu = design @ np.linalg.solve(gram, e0)
-    mu += design @ np.linalg.solve(gram, e0 - design.transpose(0, 2, 1) @ mu)
+    try:
+        inv = _inverse_cholesky(gram)
+        full = (np.sum(inv ** 2, axis=(1, 2)) * np.trace(gram, axis1=1, axis2=2)
+                < _RANK_CERTIFICATE)
+    except np.linalg.LinAlgError:
+        inv, full = None, np.zeros(gram.shape[0], dtype=bool)
+    if not np.all(full):
+        eig = np.linalg.eigvalsh(gram[~full])
+        full[~full] = eig[:, 0] > 1e-12 * eig[:, -1]
+        ok[ok] = full
+        counts, real, idx, sw, design = (a[full] for a in (counts, real, idx, sw, design))
+        inv = _inverse_cholesky(gram[full]) if inv is None else inv[full]
+    inv_t = inv.transpose(0, 2, 1)
+    # G^-1 e0 = L^-T (L^-1 e0), and L^-1 e0 is the first column of L^-1
+    mu = design @ (inv_t @ inv[:, :, :1])
+    resid = -(design.transpose(0, 2, 1) @ mu)
+    resid[:, 0] += 1.0
+    mu += design @ (inv_t @ (inv @ resid))
     return ok, counts, idx[real], (mu[..., 0] * sw)[real]
 
 
@@ -256,7 +299,10 @@ class Grid:
 
     Built once per (domain, resolution); everything downstream (residuals,
     Jacobians, barrier evaluation) reads the arrays and sparse operators
-    stored here.  The stencil is data:
+    stored here.  ``active_pts`` (N, n), ``active_d`` (N,) and ``active_nu``
+    (N, n) hold each active point, its distance to the boundary and the
+    outward normal at its closest boundary point, which is
+    ``active_pts + active_d[:, None] * active_nu``.  The stencil is data:
 
     - ``nbr`` (q, N): for each stencil offset and active point, the index
       of the neighbor in the extended vector [active values; closure
@@ -296,10 +342,11 @@ class Grid:
         # only the others are projected; each projection is independent of the batch
         level = np.sum((pts - self.domain.center) ** 2 / np.square(self.domain.semi_axes), axis=1)
         near = np.flatnonzero(level <= 1.0)
-        d = np.full(pts.shape[0], -np.inf)
-        d[near] = project_to_boundary_batch(self.domain, pts[near])[2]
-        active_mask = d > 0.5 * self.h
-        active_lin = np.flatnonzero(active_mask)
+        _, nu, d = project_to_boundary_batch(self.domain, pts[near])
+        keep = d > 0.5 * self.h
+        active_lin = near[keep]
+        active_mask = np.zeros(pts.shape[0], dtype=bool)
+        active_mask[active_lin] = True
         active_k = ks[active_lin]
         if np.any(active_k < 1) or np.any(active_k > np.asarray(self.shape) - 2):
             raise AssertionError("stencil leaves the padded box")
@@ -309,7 +356,8 @@ class Grid:
         ghost_lin = np.unique(tgt[~active_mask[tgt]])
         self.active_idx = active_lin
         self.active_pts = pts[active_lin]
-        self.active_d = d[active_lin]
+        self.active_d = d[keep]
+        self.active_nu = nu[keep]
         self.ghost_pts = pts[ghost_lin]
         self.n_active = active_lin.size
         self.n_ghost = ghost_lin.size

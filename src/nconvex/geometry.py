@@ -98,56 +98,60 @@ class DomainSpec:
 
 
 def _center_ellipsoid_roots(domain: DomainSpec, x: np.ndarray):
-    """Lagrange parameter of the closest boundary point, vectorized.
+    """Lagrange parameter t of the closest boundary point, vectorized.
 
-    Solves sum_i (a_i x_i / (a_i^2 + t))^2 = 1 per row by bisection on the
-    monotone branch; t < 0 inside, t > 0 outside, t = 0 on the boundary.
-    The bisection stops once an iteration leaves every bracket unchanged,
-    since each later one would repeat it.
+    The closest point of a centred x is y_i = a_i^2 x_i / (a_i^2 + t), where
+    t is the root of g(t) = sum_i (a_i x_i / (a_i^2 + t))^2 = 1 on
+    [-min a_i^2, inf): t < 0 inside, t > 0 outside, t = 0 on the boundary.
+    g is convex and decreasing there, so safeguarded Newton starts from the
+    largest one-term lower bound max_i (a_i |x_i| - a_i^2) and takes a
+    bisection step whenever a Newton step would leave the bracket.  A row
+    stops once an iteration leaves its own bracket unchanged, so its root
+    does not depend on the rest of the batch.
+
+    A coordinate below 1e-14 max a_i counts as zero: its term vanishes at
+    every t.  When every coordinate on a shortest axis is zero and
+    g(-min a_i^2) <= 1 (a point of that axis plane inside the evolute), the
+    root is t = -min a_i^2 exactly and the closest point leaves the plane.
     """
-    a2 = np.asarray(domain.semi_axes) ** 2
-    ax = np.asarray(domain.semi_axes) * x
-    # a zero coordinate's term is 0 at every t; moving its pole out of reach
-    # keeps it an exact zero where t = -a_i^2 would give 0/0
-    poles = np.where(ax != 0.0, a2, np.finfo(float).max)
-
-    def g(t):
-        return np.sum((ax / (poles + t[:, None])) ** 2, axis=1) - 1.0
-
-    npts = x.shape[0]
-    level = np.sum(x ** 2 / a2, axis=1)
-    inside = level < 1.0
-    # pole of g nearest to zero among axes with a nonzero coordinate
-    pole = np.where(np.abs(x) > 1e-14 * math.sqrt(max(a2)), a2, np.inf).min(axis=1)
-    lo = np.where(inside, -pole * (1.0 - 1e-12), 0.0)
-    hi = np.full(npts, 0.0)
-    # outside points: grow the bracket until g goes negative
-    out = ~inside
-    if np.any(out):
-        width = np.full(npts, max(a2))
-        for _ in range(80):
-            bad = out & (g(hi) > 0.0)
-            if not np.any(bad):
-                break
-            hi = np.where(bad, hi + width, hi)
-            width = np.where(bad, width * 2.0, width)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        pos = g(mid) > 0.0
-        new_lo = np.where(pos, mid, lo)
-        new_hi = np.where(pos, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+    a = np.asarray(domain.semi_axes)
+    a2 = a * a
+    ax = np.where(np.abs(x) > 1e-14 * a.max(), a * np.abs(x), 0.0)
+    # a zero term is 0/inf = 0 at every t, also at t = -a_i^2
+    poles = np.where(ax > 0.0, a2, np.inf)
+    t = np.max(ax - a2, axis=1)
+    lo = np.full(t.shape, -a2.min())
+    # g(t) <= |a x|^2 / (min a_i^2 + t)^2, and g(0) < 1 inside
+    hi = np.linalg.norm(ax, axis=1) - a2.min()
+    hi = np.maximum(t, np.where(np.sum(x ** 2 / a2, axis=1) < 1.0, np.minimum(hi, 0.0), hi))
+    live = np.flatnonzero(lo < hi)
+    for it in range(100):
+        if live.size == 0:
             break
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
+        tl, lol, hil = t[live], lo[live], hi[live]
+        den = poles[live] + tl[:, None]
+        r2 = (ax[live] / den) ** 2
+        g = np.sum(r2, axis=1)
+        new_lo = np.where(g > 1.0, tl, lol)
+        new_hi = np.where(g < 1.0, tl, hil)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = tl + (g - 1.0) / (2.0 * np.sum(r2 / den, axis=1))
+        nxt = np.where((step >= new_lo) & (step <= new_hi), step, 0.5 * (new_lo + new_hi))
+        # the start may sit on lo = -min a_i^2, so the first step always counts
+        moved = (new_lo != lol) | (new_hi != hil) | (it == 0)
+        lo[live], hi[live] = new_lo, new_hi
+        t[live] = np.where(moved, nxt, tl)
+        live = live[moved]
+    return t
 
 
 def project_to_boundary_batch(domain: DomainSpec, pts: np.ndarray):
     """Closest boundary point, outward normal and signed distance per row.
 
     Signed distance is positive inside the domain.  Works for points inside
-    or outside; the domain center itself (where the projection is not
-    unique) resolves to the endpoint of a shortest semi-axis.
+    or outside; where the closest point is not unique (the domain center, or
+    a point on a principal axis inside the evolute) one of them is returned:
+    the center resolves to the endpoint of a shortest semi-axis.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     c = np.asarray(domain.center)
@@ -163,14 +167,24 @@ def project_to_boundary_batch(domain: DomainSpec, pts: np.ndarray):
         y = c + domain.radius * nu
         d = domain.radius - r
         return y, nu, d
-    a2 = np.asarray(domain.semi_axes) ** 2
+    a = np.asarray(domain.semi_axes)
+    a2 = a * a
     t = _center_ellipsoid_roots(domain, x)
-    y = a2 * x / (a2 + t[:, None])
-    deg = np.all(np.abs(x) <= 1e-14 * math.sqrt(max(a2)), axis=1)
-    if np.any(deg):
-        jmin = int(np.argmin(domain.semi_axes))
-        y[deg] = 0.0
-        y[deg, jmin] = domain.semi_axes[jmin]
+    den = a2 + t[:, None]
+    # zero coordinates stay exact zeros, also where t lands on -a_i^2
+    y = np.divide(a2 * x, den, out=np.zeros_like(x), where=(den > 0.0) & (x != 0.0))
+    flat = den <= 0.0
+    rows = np.flatnonzero(flat.any(axis=1))
+    if rows.size:
+        # t = -min a_i^2: the shortest axes share the level set's remainder,
+        # along the point's own direction in their plane, else the first axis
+        rest = np.sqrt(np.maximum(0.0, 1.0 - np.sum((y[rows] / a) ** 2, axis=1)))
+        lateral = np.where(flat[rows], x[rows], 0.0)
+        norm = np.linalg.norm(lateral, axis=1)
+        first = np.argmax(flat[rows], axis=1)
+        lateral[norm == 0.0, first[norm == 0.0]] = 1.0
+        lateral /= np.linalg.norm(lateral, axis=1)[:, None]
+        y[rows] += (a.min() * rest)[:, None] * lateral
     # a2 + t is small deep inside an eccentric ellipsoid and magnifies the
     # round-off in t; rescaling puts y back on the level set
     y /= np.sqrt(np.sum(y ** 2 / a2, axis=1))[:, None]

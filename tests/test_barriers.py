@@ -5,10 +5,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from nconvex import barriers
+from nconvex import barriers, discretize, geometry
 from nconvex.barriers import (
     BarrierParams,
     _barrier_values,
+    _strip_data,
     barrier_section,
     recipe_params,
     verify_h_inequality,
@@ -205,13 +206,23 @@ class TestBarrierSection:
         grid, problem, state = solved25
         params = recipe_params(BALL, state, grid, problem)
         calls = []
-        project = barriers.project_to_boundary_batch
+        project = geometry.project_to_boundary_batch
 
         def counted(*args):
             calls.append(args[1].shape[0])
             return project(*args)
 
-        monkeypatch.setattr(barriers, "project_to_boundary_batch", counted)
+        for module in (geometry, discretize):
+            monkeypatch.setattr(module, "project_to_boundary_batch", counted)
         barrier_section(BALL, state, grid, problem, params)
-        # one for the h inequality, one shared by the sub and super barriers
-        assert len(calls) == 2
+        # the one projection is the grid's: every strip reads d and nu from it
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("fixture", ["solved25", "solved_egg25"])
+    def test_strip_geometry_matches_a_fresh_projection(self, fixture, request):
+        grid, problem, state = request.getfixturevalue(fixture)
+        params = recipe_params(grid.domain, state, grid, problem)
+        mask, pts, d, y, nu = _strip_data(grid, params.mu)
+        want_y, want_nu, want_d = geometry.project_to_boundary_batch(grid.domain, pts)
+        assert np.array_equal(d, want_d) and np.array_equal(nu, want_nu)
+        assert np.max(np.abs(y - want_y)) < 1e-15

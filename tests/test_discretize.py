@@ -138,6 +138,26 @@ def pinv_value_row(grid, tree, target, cols):
     return np.linalg.pinv(design)[0] * sw
 
 
+def eigenvalue_rank_test(nodes, targets, h, rho):
+    """The builder's accept mask, decided target by target from eigenvalues.
+
+    A target gets a row when it has at least q + 2 neighbors within rho and
+    its weighted quadratic design has lambda_min > 1e-12 lambda_max on its
+    Gram matrix, a singular-value ratio above 1e-6.
+    """
+    tree = cKDTree(nodes)
+    q = monomials(targets[:1]).shape[1]
+    accept = []
+    for target in targets:
+        cols = tree.query_ball_point(target, rho, return_sorted=True)
+        diff = nodes[cols] - target
+        sw = np.maximum(0.0, 1.0 - np.sum(diff**2, axis=1) / rho**2)
+        design = monomials(diff / h) * sw[:, None]
+        eig = np.linalg.eigvalsh(design.T @ design)
+        accept.append(len(cols) >= q + 2 and eig[0] > 1e-12 * eig[-1])
+    return np.array(accept)
+
+
 class TestCollocationWeights:
     @pytest.mark.parametrize("domain, res", [(BALL, 9), (ELLIPSOID, 9), (ELONGATED, 11)],
                              ids=["ball-9", "ellipsoid-9", "elongated-11"])
@@ -149,9 +169,19 @@ class TestCollocationWeights:
             assert np.max(np.abs(got - monomials(targets))) < 1e-14, depth
             assert np.max(np.abs(w.sum(axis=1).A1 - 1.0)) < 1e-14, depth
 
-    def test_widened_rows_on_elongated_ellipsoid(self):
-        # the fixture above only covers the widening path while this holds
+    def test_widened_rows_on_elongated_ellipsoid(self, monkeypatch):
+        # the fixture above only covers the widening path while this holds, and
+        # the eigenvalue fallback for a block whose Cholesky factorization fails
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(gram):
+            calls.append(gram.shape[0])
+            return eigvalsh(gram)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         grid = Grid(ELONGATED, 11)
+        assert calls
         rows = grid.W1.tocoo()
         dist = np.linalg.norm(grid.active_pts[rows.col] - mls_targets(grid, 1)[rows.row], axis=1)
         reach = np.zeros(grid.n_colloc)
@@ -203,16 +233,23 @@ class TestCollocationWeights:
         assert not ok.any()
         assert counts.size == idx.size == lam.size == 0
 
-    @pytest.mark.parametrize("bump, accepted", [(3e-3, True), (1e-4, False)])
+    @pytest.mark.parametrize("bump, accepted", [
+        (3e-3, True), (1e-4, False),
+        *[(float(f"{bump:.3g}"), None) for bump in np.geomspace(1e-4, 3e-3, 16)[1:-1]],
+    ])
     def test_rank_test_at_singular_value_ratio_1e6(self, bump, accepted):
         # nodes a bump away from a plane: the design's singular-value ratio is
-        # about 1e-5 at 3e-3 and 2e-8 at 1e-4, and the rank test cuts at 1e-6
+        # about 1e-5 at 3e-3 and 2e-8 at 1e-4, and the rank test cuts at 1e-6,
+        # which these targets cross near 7.7e-4; between the ends the
+        # eigenvalue oracle alone gives the expected mask
         ticks = np.linspace(-1.0, 1.0, 9)
         nodes = np.stack(np.meshgrid(ticks, ticks, [0.0], indexing="ij"), -1).reshape(-1, 3)
         nodes[:, 2] = bump * np.random.default_rng(1).uniform(-1.0, 1.0, len(nodes))
         targets = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.0], [0.3, 0.3, 0.0]])
         ok, *_ = discretize._mls_block(cKDTree(nodes), nodes, targets, h=0.25, rho=0.8)
-        assert np.all(ok == accepted)
+        assert np.array_equal(ok, eigenvalue_rank_test(nodes, targets, h=0.25, rho=0.8))
+        if accepted is not None:
+            assert np.all(ok == accepted)
 
     def test_closure_row_count_at_17(self, grid17):
         assert grid17.W1.nnz + grid17.W2.nnz == 100_734
@@ -223,6 +260,16 @@ class TestCollocationWeights:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         Grid(ELONGATED, 11)
+
+    @pytest.mark.parametrize("domain, res", [(BALL, 17), (ELLIPSOID, 41)],
+                             ids=["ball-17", "ellipsoid-41"])
+    def test_rank_certificates_decide_every_target(self, domain, res, monkeypatch):
+        # the Cholesky factors certify full rank; no eigenvalue is computed
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("grid build called np.linalg.eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        Grid(domain, res)
 
 
 class TestHessianStencil:

@@ -165,6 +165,28 @@ class TestBatchProjection:
         assert np.max(np.linalg.norm(off_normal, axis=1)) < 1e-12
         assert np.allclose(np.abs(d), np.linalg.norm(gap, axis=1), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("axes, point", [
+        ((1.0, 1.0, 2.0), (0.0, 0.0, 0.5)),
+        ((1.0, 1.0, 3.0), (0.0, 0.0, 1.0)),
+        ((1.0, 1.0, 1.05), (0.0, 0.0, 0.0525)),  # a node of the 41^3 grid
+        ((1.0, 1.0, 2.0), (0.0, 0.0, 1.5)),  # the focal point: t lands on -a_1^2
+        ((1.2, 1.0, 0.9), (0.1, 0.0, 0.0)),
+        ((1.0, 1.0, 2.0), (1e-17, 0.0, -0.5)),
+    ], ids=["112-z0.5", "113-z1", "grid-node", "focal", "long-axis", "near-axis"])
+    def test_axis_points_inside_the_evolute(self, axes, point):
+        # the closest points leave the axis: y_i != 0 where x_i = 0 and t = -a_i^2
+        domain = DomainSpec.ellipsoid(axes)
+        x = np.asarray(point)
+        samples = boundary_samples(domain, 40_000)[0]
+        nearest = np.min(np.linalg.norm(samples - x, axis=1))
+        y, nu, d = project_to_boundary_batch(domain, x[None])
+        assert d[0] <= nearest + 1e-12  # no sample is closer
+        assert nearest - d[0] < 1e-5
+        assert signed_distance(domain, x) == d[0]
+        assert abs(np.sum((y[0] / np.asarray(axes)) ** 2) - 1.0) < 1e-15
+        gap = x - y[0]
+        assert np.linalg.norm(gap - (gap @ nu[0]) * nu[0]) < 1e-14
+
     def test_grid_build_with_zero_coordinates_is_warning_free(self):
         # grid points with x_i = 0 once sent a bisection midpoint to t = -a_i^2
         with warnings.catch_warnings():
