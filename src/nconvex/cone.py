@@ -4,6 +4,12 @@ The level-k cone in R^p collects tuples whose first k elementary symmetric
 functions are positive.  Lifting a Hessian spectrum to its m-subset sums
 pulls those cones back to the generalized cones that define strict and weak
 m-convexity.  Spectra are plain float arrays.
+
+The kernels take a leading batch axis: ``lift_spectrum``, ``in_gamma_k``
+and the smallest-m-sum test behind ``m_convexity`` accept a ``(..., p)``
+stack of spectra and return one result per spectrum, bit for bit what the
+row-by-row calls give.  The selftest cone suite evaluates one stack per
+(n, m) group this way, with seed-for-seed identical output.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from nconvex.symfun import _esym, _spectrum
+from nconvex.symfun import _check_k, _entries, _esym, _spectrum
 
 __all__ = [
     "Convexity",
@@ -23,24 +29,47 @@ __all__ = [
 ]
 
 
+def _check_m(vals: np.ndarray, m: int) -> None:
+    if not 1 <= m <= vals.shape[-1]:
+        raise ValueError(f"subset size m={m} out of range 1..{vals.shape[-1]}")
+
+
 def lift_spectrum(mu, m: int) -> np.ndarray:
     """All m-subset sums of the spectrum, sorted descending.
 
     This is the spectrum of the lifted operator W built from a Hessian with
-    eigenvalues ``mu``.
+    eigenvalues ``mu``.  A ``(..., n)`` stack gives a ``(..., C(n, m))`` stack.
     """
     vals = _spectrum(mu)
-    if not 1 <= m <= vals.size:
-        raise ValueError(f"subset size m={m} out of range 1..{vals.size}")
-    return _spectrum([sum(c) for c in combinations(vals, m)])
+    _check_m(vals, m)
+    cols = _entries(vals)
+    sums = [sum(cols[i] for i in c) for c in combinations(range(len(cols)), m)]
+    return _spectrum(np.moveaxis(np.array(sums), 0, -1))
 
 
-def in_gamma_k(lam, k: int) -> bool:
-    """True iff S_i > 0 for every 1 <= i <= k (level-k cone membership)."""
+def in_gamma_k(lam, k: int) -> bool | np.ndarray:
+    """True iff S_i > 0 for every 1 <= i <= k (level-k cone membership).
+
+    A ``(..., p)`` stack gives a boolean array over the stack.
+    """
     vals = _spectrum(lam)
-    if not 1 <= k <= vals.size:
-        raise ValueError(f"k={k} out of range for a {vals.size}-tuple")
-    return all(s > 0.0 for s in _esym(vals, k)[1:])
+    _check_k(vals, k, low=1)
+    e = _esym(vals, k)
+    inside = e[1] > 0.0
+    for s in e[2:]:
+        inside = inside & (s > 0.0)
+    return inside
+
+
+def _smallest_m_sum(mu, m: int) -> np.ndarray:
+    """Sum of the m smallest entries of each spectrum: the smallest m-subset sum.
+
+    Positive exactly when the spectrum is strictly m-convex.  A
+    ``(..., n)`` stack gives one sum per spectrum.
+    """
+    vals = _spectrum(mu)
+    _check_m(vals, m)
+    return np.sum(vals[..., -m:], axis=-1)
 
 
 class Convexity(enum.Enum):
@@ -57,10 +86,7 @@ def m_convexity(mu, m: int) -> Convexity:
     no enumeration is needed.  Thresholds are exact comparisons on the
     computed value; quantitative margins are a solver concern.
     """
-    vals = _spectrum(mu)
-    if not 1 <= m <= vals.size:
-        raise ValueError(f"subset size m={m} out of range 1..{vals.size}")
-    smallest = float(np.sum(vals[-m:]))
+    smallest = float(_smallest_m_sum(mu, m))
     if smallest > 0.0:
         return Convexity.STRICT
     if smallest >= 0.0:

@@ -375,7 +375,10 @@ class Grid:
         self.colloc_nu = nu[first]
         self.n_colloc = int(first.size)
         self.ghost_colloc = inverse
-        self.ghost_s = -d  # signed ray coordinate: positive outside
+        # signed ray coordinate, positive outside; a ghost within the dedupe
+        # tolerance of the boundary is on it, so its closure row is exactly
+        # its trace unknown (l0 = 1, l1 = l2 = 0) rather than round-off weights
+        self.ghost_s = np.where(np.abs(d) <= tol, 0.0, -d)
         self.colloc_quad = seed_datum(self.colloc_y, self.colloc_nu)
         self.delta = self.h
         # MLS interpolation of the interior ray values at depths delta and 2 delta

@@ -4,10 +4,19 @@ Re-runs the library invariants (symmetric-function identities, cone
 nesting, lift conformance, gradients, concavity) with a configurable seed
 and reports one result per suite.  Kept separate from the pytest suite so
 a deployed install can self-check without test infrastructure.
+
+The algebra kernels take a leading batch axis.  The identity, cone,
+spectral, gradient and concavity suites draw their cases one by one in a
+fixed RNG order, group them by shape, and evaluate one stack per shape
+group; the output is identical, seed for seed, to evaluating the cases
+one at a time.  The mean-comparison suite stays per draw, because whether
+it draws ``l`` depends on each membership verdict, and the conformance
+suite compares each lift with its explicit 3x3 form.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +38,16 @@ class CheckResult:
 
 
 def _suite_symfun(rng, cases=2000):
-    worst = 0.0
+    groups = defaultdict(list)
     for _ in range(cases):
         p = int(rng.integers(1, 11))
         lam = rng.standard_normal(p) * rng.uniform(0.1, 10.0)
         k = int(rng.integers(1, p + 1))
-        rep = symfun.check_identities(lam, k)
-        worst = max(worst, rep.max_relative)
+        groups[p, k].append(lam)
+    worst = 0.0
+    for (_, k), lams in groups.items():
+        rep = symfun.check_identities(np.stack(lams), k)
+        worst = max(worst, float(np.max(rep.max_relative)))
     ok = worst < 1e-12
     return CheckResult(
         name="symmetric-function identities",
@@ -65,15 +77,18 @@ def _suite_newton_maclaurin(rng, cases=2000):
 
 
 def _suite_cone(rng, cases=1500):
-    mismatches = 0
+    groups = defaultdict(list)
     for _ in range(cases):
         n = int(rng.integers(2, woperator.MAX_LIFT_N + 1))
         m = int(rng.integers(1, n + 1))
-        mu = rng.uniform(-1.0, 2.0, size=n)
+        groups[n, m].append(rng.uniform(-1.0, 2.0, size=n))
+    mismatches = 0
+    for (_, m), mus in groups.items():
+        mu = np.stack(mus)
         lifted = cone.lift_spectrum(mu, m)
-        via_cone = cone.in_gamma_k(lifted, lifted.size) and bool(np.all(lifted > 0))
-        via_minsum = cone.m_convexity(mu, m) is cone.Convexity.STRICT
-        mismatches += via_cone != via_minsum
+        via_cone = cone.in_gamma_k(lifted, lifted.shape[-1]) & np.all(lifted > 0, axis=-1)
+        via_minsum = cone._smallest_m_sum(mu, m) > 0.0  # m_convexity's STRICT verdict
+        mismatches += int(np.count_nonzero(via_cone != via_minsum))
     return CheckResult(
         name="cone membership cross-check",
         passed=mismatches == 0,
@@ -107,14 +122,17 @@ def _suite_conformance(rng, cases=100):
 
 
 def _suite_spectral(rng, cases=200):
-    worst = 0.0
+    groups = defaultdict(list)
     for _ in range(cases):
         n = int(rng.integers(2, woperator.MAX_LIFT_N + 1))
         m = int(rng.integers(1, n + 1))
         a = rng.standard_normal((n, n)) * 2.0
-        h = 0.5 * (a + a.T)
-        got = np.sort(np.linalg.eigvalsh(woperator.assemble_w(h, m)))
-        want = np.sort(cone.lift_spectrum(np.linalg.eigvalsh(h), m))
+        groups[n, m].append(0.5 * (a + a.T))
+    worst = 0.0
+    for (_, m), hs in groups.items():
+        h = np.stack(hs)
+        got = np.sort(np.linalg.eigvalsh(woperator.assemble_w(h, m)), axis=-1)
+        want = np.sort(cone.lift_spectrum(np.linalg.eigvalsh(h), m), axis=-1)
         worst = max(worst, float(np.max(np.abs(got - want))))
     ok = worst < 1e-9
     return CheckResult(
@@ -124,22 +142,36 @@ def _suite_spectral(rng, cases=200):
     )
 
 
-def _random_admissible(rng, n, m):
+def _draw_admissible(rng, n, m):
+    """The draws behind one strictly m-convex Hessian: its spectrum and a Gaussian n x n matrix.
+
+    A spectrum whose m smallest entries sum to at most 0.1 is shifted up
+    until they sum to more.
+    """
     mu = rng.uniform(-0.5, 2.0, size=n)
     smallest = np.sort(mu)[:m].sum()
     if smallest <= 0.1:
         mu += (0.1 - smallest) / m + 0.05
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return (q * mu) @ q.T
+    return mu, rng.standard_normal((n, n))
+
+
+def _admissible(draws):
+    """The stack of Hessians q diag(mu) q^T, q the Q factor of each drawn Gaussian matrix."""
+    q, _ = np.linalg.qr(np.stack([g for _, g in draws]))
+    mu = np.stack([mu for mu, _ in draws])
+    return (q * mu[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def _suite_gradient(rng, cases=100):
-    worst = 0.0
-    step = 1e-5
+    groups = defaultdict(list)
     for _ in range(cases):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(1, n + 1))
-        h = _random_admissible(rng, n, m)
+        groups[n, m].append(_draw_admissible(rng, n, m))
+    worst = 0.0
+    step = 1e-5
+    for (n, m), draws in groups.items():
+        h = _admissible(draws)
         grad = woperator.linearization(h, m)
         fd = np.zeros_like(grad)
         for i in range(n):
@@ -149,9 +181,9 @@ def _suite_gradient(rng, cases=100):
                 diff = (
                     woperator.det_w(h + step * e, m) - woperator.det_w(h - step * e, m)
                 ) / (2 * step)
-                fd[i, j] = fd[j, i] = diff / (2.0 if i != j else 1.0)
-        scale = np.max(np.abs(fd)) + 1e-30
-        worst = max(worst, float(np.max(np.abs(grad - fd)) / scale))
+                fd[..., i, j] = fd[..., j, i] = diff / (2.0 if i != j else 1.0)
+        scale = np.max(np.abs(fd), axis=(-2, -1)) + 1e-30
+        worst = max(worst, float(np.max(np.max(np.abs(grad - fd), axis=(-2, -1)) / scale)))
     ok = worst < 1e-5
     return CheckResult(
         name="determinant gradient vs finite differences",
@@ -161,13 +193,17 @@ def _suite_gradient(rng, cases=100):
 
 
 def _suite_concavity(rng, cases=2000):
-    worst = np.inf
+    groups = defaultdict(lambda: ([], []))
     for _ in range(cases):
         n = int(rng.integers(3, 6))
         m = n - 1
-        a = _random_admissible(rng, n, m)
-        b = _random_admissible(rng, n, m)
-        worst = min(worst, woperator.concavity_probe(a, b, m))
+        first, second = groups[n]
+        first.append(_draw_admissible(rng, n, m))
+        second.append(_draw_admissible(rng, n, m))
+    worst = np.inf
+    for n, (first, second) in groups.items():
+        gaps = woperator.concavity_probe(_admissible(first), _admissible(second), n - 1)
+        worst = min(worst, float(np.min(gaps)))
     ok = worst >= -1e-10
     return CheckResult(
         name="root-determinant midpoint concavity",

@@ -11,6 +11,12 @@ The PDE uses m = n - 1 only.  There W is a signed permutation of
 M = tr(H) I - H, and the batched kernels the grid evaluates (det, gradient,
 and the ellipticity margin tr H - lambda_max(H), the smallest eigenvalue
 of M) work on M without assembling the lift.
+
+The general-m kernels take a leading batch axis too: ``assemble_w``,
+``det_w``, ``linearization`` and ``concavity_probe`` accept ``(..., n, n)``
+stacks and return one result per Hessian, bit for bit what the
+Hessian-by-Hessian calls give.  The selftest battery evaluates one stack
+per shape group this way, with seed-for-seed identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from nconvex.cone import Convexity, m_convexity
+from nconvex.cone import _smallest_m_sum
 
 __all__ = [
     "MAX_LIFT_N",
@@ -92,27 +98,45 @@ def _descriptors(n: int, m: int):
 
 
 def _check_hessian(hess) -> np.ndarray:
+    """The Hessian, or each Hessian of a ``(..., n, n)`` stack, checked and symmetrized.
+
+    Raises ValueError when the input is not square, or when any Hessian's
+    skew part exceeds 1e-10 times its largest entry (at least 1).
+    """
     arr = np.asarray(hess, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"Hessian must be square, got shape {arr.shape}")
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    if np.max(np.abs(arr - arr.T)) > 1.0e-10 * scale:
+    transpose = np.swapaxes(arr, -1, -2)
+    scale = np.maximum(1.0, np.max(np.abs(arr), axis=(-2, -1)))
+    if np.any(np.max(np.abs(arr - transpose), axis=(-2, -1)) > 1.0e-10 * scale):
         raise ValueError("Hessian must be symmetric")
-    return 0.5 * (arr + arr.T)
+    return 0.5 * (arr + transpose)
 
 
 def _assemble(arr: np.ndarray, m: int) -> np.ndarray:
-    """The lift of a checked Hessian; rows and columns follow ``multi_indices``."""
-    n = arr.shape[0]
+    """The lift of each checked Hessian; rows and columns follow ``multi_indices``."""
+    n = arr.shape[-1]
     p = len(multi_indices(n, m))
-    w = np.zeros((p, p))
+    # entries first, so that h[i, j] is a float for one Hessian and a column for a stack
+    h = np.moveaxis(arr, (-2, -1), (0, 1))
+    w = np.zeros((p, p) + arr.shape[:-2])
     for a, b, i, j, s in _descriptors(n, m):
-        w[a, b] += s * arr[i, j]
-    return w
+        w[a, b] += s * h[i, j]
+    return np.moveaxis(w, (0, 1), (-2, -1))
 
 
-def _det(arr: np.ndarray, m: int) -> float:
-    return float(np.linalg.det(_assemble(arr, m)))
+def _det(arr: np.ndarray, m: int) -> np.ndarray:
+    return np.linalg.det(_assemble(arr, m))
+
+
+def _root(values, exponent: float) -> np.ndarray:
+    """values ** exponent entry by entry through the C library's pow.
+
+    numpy's vectorized power loop can differ from it in the last bit, so a
+    stack would not give what its Hessians give one at a time.
+    """
+    arr = np.asarray(values)
+    return np.array([v ** exponent for v in arr.ravel().tolist()]).reshape(arr.shape)
 
 
 def assemble_w(hess, m: int) -> np.ndarray:
@@ -120,24 +144,26 @@ def assemble_w(hess, m: int) -> np.ndarray:
     return _assemble(_check_hessian(hess), m)
 
 
-def det_w(hess, m: int) -> float:
+def det_w(hess, m: int) -> float | np.ndarray:
     """det of the assembled lift (product of m-subset eigenvalue sums)."""
     return _det(_check_hessian(hess), m)
 
 
-def _adjugate(mat: np.ndarray) -> np.ndarray:
-    """Adjugate by cofactor minors; exact at any rank, fine for p <= 20."""
-    p = mat.shape[0]
+def _cofactors(mat: np.ndarray) -> np.ndarray:
+    """Cofactor matrix d det / d mat_ab of each matrix, entries first: (p, p, ...).
+
+    By minors, so exact at any rank; fine for p <= 20.
+    """
+    p = mat.shape[-1]
+    cof = np.ones((p, p) + mat.shape[:-2])
     if p == 1:
-        return np.ones((1, 1))
-    cof = np.empty((p, p))
+        return cof
     for i in range(p):
-        rows = np.delete(np.arange(p), i)
-        sub = mat[rows]
+        sub = np.delete(mat, i, axis=-2)
         for j in range(p):
-            minor = np.delete(sub, j, axis=1)
+            minor = np.delete(sub, j, axis=-1)
             cof[i, j] = ((-1.0) ** (i + j)) * np.linalg.det(minor)
-    return cof.T
+    return cof
 
 
 def linearization(hess, m: int) -> np.ndarray:
@@ -149,15 +175,16 @@ def linearization(hess, m: int) -> np.ndarray:
     d det(W(H + tE)) / dt = sum_ij G_ij E_ij for symmetric E.
     """
     arr = _check_hessian(hess)
-    n = arr.shape[0]
-    cof = _adjugate(_assemble(arr, m)).T  # cofactor matrix: d det / d W_ab
-    grad = np.zeros((n, n))
+    n = arr.shape[-1]
+    cof = _cofactors(_assemble(arr, m))
+    grad = np.zeros((n, n) + arr.shape[:-2])
     for a, b, i, j, s in _descriptors(n, m):
         grad[i, j] += s * cof[a, b]
-    return 0.5 * (grad + grad.T)  # exactly symmetric; kills last-bit skew
+    grad = np.moveaxis(grad, (0, 1), (-2, -1))
+    return 0.5 * (grad + np.swapaxes(grad, -1, -2))  # exactly symmetric; kills last-bit skew
 
 
-def concavity_probe(hess_a, hess_b, m: int) -> float:
+def concavity_probe(hess_a, hess_b, m: int) -> float | np.ndarray:
     """Midpoint concavity gap of det(W)^(1/p) between two admissible Hessians.
 
     Returns det(W((A+B)/2))^(1/p) - (det(W(A))^(1/p) + det(W(B))^(1/p)) / 2,
@@ -170,13 +197,11 @@ def concavity_probe(hess_a, hess_b, m: int) -> float:
     if a.shape != b.shape:
         raise ValueError("Hessians must share a dimension")
     for name, h in (("first", a), ("second", b)):
-        mu = np.linalg.eigvalsh(h)
-        if m_convexity(mu, m) is not Convexity.STRICT:
+        if not np.all(_smallest_m_sum(np.linalg.eigvalsh(h), m) > 0.0):
             raise ValueError(f"{name} Hessian is not strictly {m}-convex")
-    p = math.comb(a.shape[0], m)
-    root = 1.0 / p
-    mid = _det(0.5 * (a + b), m) ** root
-    return mid - 0.5 * (_det(a, m) ** root + _det(b, m) ** root)
+    root = 1.0 / math.comb(a.shape[-1], m)
+    mid = _root(_det(0.5 * (a + b), m), root)
+    return mid - 0.5 * (_root(_det(a, m), root) + _root(_det(b, m), root))
 
 
 # ---------------------------------------------------------------------------

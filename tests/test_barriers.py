@@ -202,7 +202,7 @@ class TestBarrierSection:
             verify_super_barrier(domain, state, grid, problem, params))
         assert section["sub"]["kind"] == "sub" and section["super"]["kind"] == "super"
 
-    def test_sub_and_super_share_one_strip_projection(self, solved25, monkeypatch):
+    def test_barrier_section_projects_nothing(self, solved25, monkeypatch):
         grid, problem, state = solved25
         params = recipe_params(BALL, state, grid, problem)
         calls = []

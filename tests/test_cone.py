@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from nconvex.cone import Convexity, in_gamma_k, lift_spectrum, m_convexity
+from nconvex.cone import Convexity, _smallest_m_sum, in_gamma_k, lift_spectrum, m_convexity
 from nconvex.symfun import elementary_symmetric
 
 
@@ -132,3 +132,43 @@ class TestConeNesting:
                     lifted = lift_spectrum(mu_bad, m)
                     for k in range(1, lifted.size + 1):
                         assert not in_gamma_k(lifted, k)
+
+
+class TestStacks:
+    """A (..., n) stack evaluated at once equals the row-by-row calls bit for bit."""
+
+    def test_lift_gamma_and_smallest_sum_match_rows(self):
+        rng = np.random.default_rng(79)
+        for n in range(1, 7):
+            for m in range(1, n + 1):
+                mu = rng.uniform(-1.0, 2.0, size=(40, n))
+                mu[0] = 0.0
+                mu[1, 0] = -0.0
+                lifted = lift_spectrum(mu, m)
+                assert lifted.shape == (40, math.comb(n, m))
+                members = in_gamma_k(lifted, lifted.shape[-1])
+                smallest = _smallest_m_sum(mu, m)
+                for r in range(40):
+                    row = lift_spectrum(mu[r], m)
+                    assert lifted[r].tobytes() == row.tobytes()
+                    assert members[r] == in_gamma_k(row, row.size)
+                    assert smallest[r].tobytes() == _smallest_m_sum(mu[r], m).tobytes()
+                    verdict = m_convexity(mu[r], m)
+                    assert (smallest[r] > 0.0) == (verdict is Convexity.STRICT)
+
+    def test_in_gamma_k_every_level(self):
+        rng = np.random.default_rng(83)
+        lam = rng.uniform(-1.0, 3.0, size=(200, 6))
+        verdicts = set()
+        for k in range(1, 7):
+            got = in_gamma_k(lam, k)
+            assert got.dtype == bool
+            assert got.tolist() == [in_gamma_k(row, k) for row in lam]
+            verdicts.update(got.tolist())
+        assert verdicts == {True, False}
+
+    def test_ranges_checked_on_the_last_axis(self):
+        with pytest.raises(ValueError, match="out of range"):
+            lift_spectrum(np.ones((5, 3)), 4)
+        with pytest.raises(ValueError, match="out of range"):
+            in_gamma_k(np.ones((5, 3)), 4)

@@ -81,6 +81,23 @@ class TestGridBuild:
         assert np.max(np.abs(level - 1.0)) < 1e-12
         assert np.allclose(np.linalg.norm(grid17.colloc_nu, axis=1), 1.0)
 
+    @pytest.mark.parametrize("domain, res", [
+        (BALL, 13), (BALL, 25), (DomainSpec.ellipsoid((1.0, 1.0, 1.2)), 13),
+    ], ids=["ball-13", "ball-25", "ellipsoid-13"])
+    def test_boundary_ghost_closure_row_is_its_trace(self, domain, res):
+        # a ghost on the boundary has ray coordinate exactly 0, so its closure
+        # row holds one entry, l0 = 1 on its trace unknown, and no round-off
+        # weights on the interior ray values
+        grid = Grid(domain, res)
+        level = np.sum(grid.ghost_pts**2 / np.square(domain.semi_axes), axis=1)
+        on = np.flatnonzero(np.abs(np.sqrt(level) - 1.0) < 1e-12)
+        assert on.size > 0
+        assert np.all(grid.ghost_s[on] == 0.0)
+        c = grid.C
+        assert np.array_equal(c.indptr[on + 1] - c.indptr[on], np.ones(on.size))
+        assert np.array_equal(c.indices[c.indptr[on]], grid.n_active + grid.ghost_colloc[on])
+        assert np.all(c.data[c.indptr[on]] == 1.0)
+
     def test_too_coarse_rejected(self):
         with pytest.raises(ValueError):
             Grid(BALL, 5)

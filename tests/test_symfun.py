@@ -198,3 +198,57 @@ class TestNewtonMaclaurin:
                 * sum(deleted_symmetric(lam, k - 1, omit={i + 1}) for i in range(p))
             )
             assert grad_sum >= math.comb(p, k) ** (1.0 / k) - 1e-10
+
+
+def same_bits(got, want):
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+class TestStacks:
+    """A (..., p) stack evaluated at once equals the row-by-row calls bit for bit."""
+
+    def test_esym_matches_rows(self):
+        rng = np.random.default_rng(67)
+        for p in range(1, 11):
+            lam = rng.standard_normal((30, p)) * rng.uniform(0.1, 10.0, size=(30, 1))
+            for k in range(1, p + 1):
+                e = _esym(lam, k)
+                assert e[0] == 1.0
+                stacked = np.stack(e[1:], axis=-1)
+                for row, want in zip(stacked, lam):
+                    assert same_bits(row, _esym(want, k)[1:]), (p, k)
+
+    def test_identities_match_rows(self):
+        rng = np.random.default_rng(71)
+        for p in range(1, 11):
+            lam = rng.standard_normal((30, p)) * rng.uniform(0.1, 10.0, size=(30, 1))
+            for k in range(1, p + 1):
+                rep = check_identities(lam, k)
+                for r in range(lam.shape[0]):
+                    want = check_identities(lam[r], k)
+                    for field in ("decomposition", "weighted_sum", "deleted_sum", "scale",
+                                  "max_relative"):
+                        assert same_bits(getattr(rep, field)[r], getattr(want, field)), field
+
+    def test_deeper_stack_and_symmetric_functions(self):
+        rng = np.random.default_rng(73)
+        lam = rng.standard_normal((2, 3, 5))
+        flat = lam.reshape(-1, 5)
+        for k in range(6):
+            got = elementary_symmetric(lam, k)
+            assert np.shape(got) in ((), (2, 3))
+            want = [elementary_symmetric(row, k) for row in flat]
+            assert same_bits(np.broadcast_to(got, (2, 3)).reshape(-1), want)
+            got = deleted_symmetric(lam, k, omit=(2, 4))
+            want = [deleted_symmetric(row, k, omit=(2, 4)) for row in flat]
+            assert same_bits(np.broadcast_to(got, (2, 3)).reshape(-1), want)
+        rep = check_identities(lam, 3)
+        assert rep.max_relative.shape == (2, 3)
+        assert same_bits(rep.max_relative.reshape(-1),
+                         [check_identities(row, 3).max_relative for row in flat])
+
+    def test_one_bad_row_rejects_the_stack(self):
+        lam = np.ones((4, 3))
+        lam[2, 1] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            check_identities(lam, 2)

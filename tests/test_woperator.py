@@ -328,3 +328,56 @@ class TestMIdentities:
     def test_singular_m_gradient_is_finite_and_matches(self, hs):
         assert batch_det_w(hs)[0] == 0.0  # the permuted diagonal's M is exactly singular
         assert_batch_matches_lift(hs)
+
+
+class TestStacks:
+    """A (..., n, n) stack evaluated at once equals the Hessian-by-Hessian calls bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_lift_det_and_gradient_match_rows(self, n):
+        rng = np.random.default_rng(89 + n)
+        hs = np.stack([random_symmetric(rng, n, 2.0) for _ in range(6)])
+        for m in range(1, n + 1):
+            w, det = assemble_w(hs, m), det_w(hs, m)
+            grad = linearization(hs, m) if n <= 4 else None
+            for r, h in enumerate(hs):
+                assert w[r].tobytes() == np.ascontiguousarray(assemble_w(h, m)).tobytes()
+                assert det[r].tobytes() == np.float64(det_w(h, m)).tobytes()
+                if grad is not None:
+                    assert grad[r].tobytes() == linearization(h, m).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_concavity_probe_matches_rows(self, n):
+        rng = np.random.default_rng(97 + n)
+        a = np.stack([random_admissible(rng, n, n - 1) for _ in range(50)])
+        b = np.stack([random_admissible(rng, n, n - 1) for _ in range(50)])
+        gaps = concavity_probe(a, b, n - 1)
+        assert gaps.shape == (50,)
+        for r in range(50):
+            assert gaps[r].tobytes() == np.float64(concavity_probe(a[r], b[r], n - 1)).tobytes()
+            # the roots are the C library's pow on Python floats, whose last
+            # bit numpy's vectorized power does not always reproduce
+            sa, sb = 0.5 * (a[r] + a[r].T), 0.5 * (b[r] + b[r].T)
+            root = 1.0 / n
+            want = float(det_w(0.5 * (sa + sb), n - 1)) ** root - 0.5 * (
+                float(det_w(sa, n - 1)) ** root + float(det_w(sb, n - 1)) ** root)
+            assert gaps[r] == want
+        deeper = concavity_probe(a.reshape(5, 10, n, n), b.reshape(5, 10, n, n), n - 1)
+        assert deeper.reshape(-1).tobytes() == gaps.tobytes()
+
+    def test_one_asymmetric_hessian_rejects_the_stack(self):
+        hs = np.stack([np.eye(3)] * 4)
+        hs[2, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="Hessian must be symmetric"):
+            assemble_w(hs, 2)
+        with pytest.raises(ValueError, match="Hessian must be symmetric"):
+            concavity_probe(np.stack([np.eye(3)] * 4), hs, 2)
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_one_inadmissible_hessian_is_named(self, which):
+        good = np.stack([np.eye(3)] * 4)
+        bad = good.copy()
+        bad[1] = np.diag([1.0, 1.0, -3.0])  # smallest pair sum -2
+        args = (bad, good) if which == "first" else (good, bad)
+        with pytest.raises(ValueError, match=f"^{which} Hessian is not strictly 2-convex$"):
+            concavity_probe(*args, 2)
