@@ -22,92 +22,52 @@ from nconvex.barriers import barrier_section, recipe_params
 from nconvex.discretize import (
     DiscreteField,
     Grid,
-    ProblemSpec,
     SampledProblem,
-    homotopy_constant,
+    manufactured_problem,
     sample_problem,
-    seed_datum,
 )
 from nconvex.geometry import (
     DomainSpec,
     mean_curvature_range,
     pinching_check,
-    project_to_boundary_batch,
 )
 from nconvex.solver import ContinuationFailure, SolverConfig, continuation
 
 __all__ = ["main", "named_case", "parse_config", "config_digest",
            "write_solution_dump", "load_solution_dump"]
 
-NAMED_CASES = ("ball-constant", "ball-manufactured-exp", "ellipsoid-near-sphere")
-MANUFACTURED_AMPLITUDE = 0.05
+# name -> (semi-axes of the default domain, None for the unit ball in any n;
+# amplitude a of the exact solution |x|^2/2 + a exp(x_1))
+NAMED_CASES = {
+    "ball-constant": (None, 0.0),
+    "ball-manufactured-exp": (None, 0.05),
+    "ellipsoid-near-sphere": ((1.0, 1.0, 1.05), 0.0),
+}
 
 
 # -- problem construction -----------------------------------------------------
 
 
-def _extended_normal(domain):
-    def nu(pts):
-        _, normal, _ = project_to_boundary_batch(domain, pts)
-        return normal
-
-    return nu
-
-
 def named_case(name: str, n: int = 3, domain: DomainSpec | None = None):
-    """Return (domain, problem, exact_solution_or_None) for a built-in case.
+    """Return (domain, problem, exact_solution) for a built-in case.
 
-    A config may override the domain: the data formulas are rebuilt against
-    it (the boundary datum uses the actual domain's normal field), so the
-    exact solutions stay exact.
+    A config may override the domain: the data are rebuilt against it (the
+    boundary datum uses the actual domain's normal field), so the exact
+    solutions stay exact.  Without one, a ball case is the unit ball in
+    dimension n; ellipsoid-near-sphere's default domain is three-dimensional.
     """
-    if name == "ball-constant":
-        if domain is None:
+    if name not in NAMED_CASES:
+        raise ValueError(f"unknown case {name!r}; available: {', '.join(NAMED_CASES)}")
+    axes, amplitude = NAMED_CASES[name]
+    if domain is None:
+        if axes is None:
             domain = DomainSpec.ball(1.0, n=n)
-        return (domain, _quadratic_problem(domain, name),
-                lambda pts: 0.5 * np.sum(pts**2, axis=1))
-    if name == "ball-manufactured-exp":
-        if n != 3 or (domain is not None and domain.n != 3):
-            raise ValueError("ball-manufactured-exp is a three-dimensional case")
-        if domain is None:
-            domain = DomainSpec.ball(1.0, n=3)
-        amp = MANUFACTURED_AMPLITUDE
-
-        def u_star(pts):
-            return 0.5 * np.sum(pts**2, axis=1) + amp * np.exp(pts[:, 0])
-
-        def f(pts):
-            a = amp * np.exp(pts[:, 0])
-            return 2.0 * (2.0 + a) ** 2  # lifted spectrum (2+a, 2+a, 2)
-
-        nu = _extended_normal(domain)
-
-        def phi(pts):
-            grad = pts.copy()
-            grad[:, 0] += amp * np.exp(pts[:, 0])
-            return np.einsum("ij,ij->i", grad, nu(pts)) + u_star(pts)
-
-        return domain, ProblemSpec(n=3, f=f, phi=phi, name=name), u_star
-    if name == "ellipsoid-near-sphere":
-        if n != 3 or (domain is not None and domain.n != 3):
-            raise ValueError("ellipsoid-near-sphere is a three-dimensional case")
-        if domain is None:
-            domain = DomainSpec.ellipsoid((1.0, 1.0, 1.05))
-        return (domain, _quadratic_problem(domain, name),
-                lambda pts: 0.5 * np.sum(pts**2, axis=1))
-    raise ValueError(f"unknown case {name!r}; available: {', '.join(NAMED_CASES)}")
-
-
-def _quadratic_problem(domain, name):
-    """Data for which u = |x|^2/2 is exact: f = (n-1)^n, phi = x.nu + |x|^2/2."""
-    c0 = homotopy_constant(domain.n)
-    nu = _extended_normal(domain)
-    return ProblemSpec(
-        n=domain.n,
-        f=lambda pts: np.full(pts.shape[0], c0),
-        phi=lambda pts: seed_datum(pts, nu(pts)),
-        name=name,
-    )
+        elif n != len(axes):
+            raise ValueError(f"{name} is a three-dimensional case; n = {n} needs a domain")
+        else:
+            domain = DomainSpec.ellipsoid(axes)
+    problem, exact = manufactured_problem(domain, amplitude, name=name)
+    return domain, problem, exact
 
 
 def _array_problem(grid, f_path, phi_path):

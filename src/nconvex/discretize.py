@@ -53,6 +53,7 @@ __all__ = [
     "ProblemSpec",
     "SampledProblem",
     "sample_problem",
+    "manufactured_problem",
     "homotopy_constant",
     "seed_datum",
     "hessian_batch",
@@ -128,6 +129,34 @@ def sample_problem(problem: ProblemSpec, grid: "Grid") -> SampledProblem:
     if phi_vals.shape != (grid.n_colloc,):
         raise ValueError("phi must return one value per collocation point")
     return SampledProblem(f_active=f_vals, phi_colloc=phi_vals, spec=problem)
+
+
+def manufactured_problem(domain: DomainSpec, amplitude: float, direction=None,
+                         name: str = "manufactured"):
+    """(problem, u*) whose exact solution is u* = |x|^2/2 + a exp(w.x) on ``domain``.
+
+    For a unit w (e1 when ``direction`` is None) D2u* = I + b w w^T with
+    b = a exp(w.x), whose lift M has spectrum (n-1+b) n-1 times and n-1
+    once, so f = (n-1)(n-1+b)^(n-1); phi = Du*.nu + u* with nu the normal
+    of the closest boundary point.  a = 0 is the quadratic seed: f is
+    ``homotopy_constant(n)`` and u* is |x|^2/2.
+    """
+    n = domain.n
+    w = np.eye(n)[0] if direction is None else np.asarray(direction, dtype=float)
+
+    def u_star(pts):
+        return 0.5 * np.sum(pts**2, axis=1) + amplitude * np.exp(pts @ w)
+
+    def f(pts):
+        b = amplitude * np.exp(pts @ w)
+        return (n - 1) * (n - 1 + b) ** (n - 1)
+
+    def phi(pts):
+        _, nu, _ = project_to_boundary_batch(domain, pts)
+        grad = pts + (amplitude * np.exp(pts @ w))[:, None] * w
+        return np.einsum("ij,ij->i", grad, nu) + u_star(pts)
+
+    return ProblemSpec(n=n, f=f, phi=phi, name=name), u_star
 
 
 def seed_datum(pts: np.ndarray, nu: np.ndarray) -> np.ndarray:

@@ -106,7 +106,7 @@ class StepFailure(RuntimeError):
 
 
 class ContinuationFailure(RuntimeError):
-    """The homotopy step size underflowed; carries the last good state."""
+    """The homotopy failed; carries the last good state, if any, and the report."""
 
     def __init__(self, message, state=None, report=None):
         super().__init__(message)
@@ -501,7 +501,8 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     step needs a linear solve; a GMRES stall rebuilds it from the stalled
     step.  A step that fails from the last accepted state halves dt.  On
     persistent step failure raises ContinuationFailure carrying the last
-    accepted state and report.
+    accepted state and report; a failure of the t = 0 solve raises it
+    with no state.
     """
     if not force:
         gate = pinching_check(grid.domain)
@@ -522,7 +523,11 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     state = HomotopyState(t=0.0, field=seed, residual_norm=float("nan"),
                           ellipticity_margin=margin, monitors=bound_monitors(seed, eig, grid),
                           det_w=woperator.batch_det_w(d2), hessians=d2, eigenvalues=eig)
-    state = newton_solve(state, grid, problem, config, linear)
+    try:
+        state = newton_solve(state, grid, problem, config, linear)
+    except StepFailure as exc:
+        # no state is accepted yet, so there is no step to halve
+        raise ContinuationFailure(str(exc), state=None, report=report) from exc
     report.add(state)
     earlier = ()  # (t, packed field) of up to two states accepted before ``state``, newest first
     dt_init = 1.0 / config.homotopy_steps

@@ -17,31 +17,18 @@ from nconvex.barriers import (
     verify_super_barrier,
 )
 from nconvex.cli import named_case
-from nconvex.discretize import Grid, ProblemSpec, homotopy_constant, sample_problem
+from nconvex.discretize import Grid, sample_problem
 from nconvex.geometry import DomainSpec
 from nconvex.solver import SolverConfig, continuation
 
 BALL = DomainSpec.ball(1.0, n=3)
 
 
-def nu_of(pts):
-    return pts / np.linalg.norm(pts, axis=1)[:, None]
-
-
-def constant_problem(n=3):
-    c0 = homotopy_constant(n)
-    return ProblemSpec(
-        n=n,
-        f=lambda p: np.full(p.shape[0], c0),
-        phi=lambda p: np.einsum("ij,ij->i", p, nu_of(p)) + 0.5 * np.sum(p**2, axis=1),
-        name="ball-constant",
-    )
-
-
 @pytest.fixture(scope="module")
 def solved25():
-    grid = Grid(BALL, 25)
-    problem = sample_problem(constant_problem(), grid)
+    domain, spec, _ = named_case("ball-constant")
+    grid = Grid(domain, 25)
+    problem = sample_problem(spec, grid)
     state, _ = continuation(problem, grid, SolverConfig())
     return grid, problem, state
 
@@ -215,8 +202,9 @@ class TestBarrierSection:
         for module in (geometry, discretize):
             monkeypatch.setattr(module, "project_to_boundary_batch", counted)
         barrier_section(BALL, state, grid, problem, params)
-        # the one projection is the grid's: every strip reads d and nu from it
-        assert len(calls) == 0
+        # every strip reads d and nu from the grid's projection; the one call
+        # is the boundary datum's, whose phi is defined through the normal
+        assert calls == [_strip_data(grid, params.mu)[1].shape[0]]
 
     @pytest.mark.parametrize("fixture", ["solved25", "solved_egg25"])
     def test_strip_geometry_matches_a_fresh_projection(self, fixture, request):

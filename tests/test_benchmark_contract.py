@@ -1,30 +1,50 @@
-"""The names the traced benchmark run patches must stay bound in the library.
+"""What the benchmark relies on in the library stays as it expects.
 
 ``perfbench/layers.py`` wraps library functions by (module, attribute) and
 reads a few grid attributes; a renamed or deleted name would only show as a
-failure of ``perfbench/run.py --trace 1``.  The file is read, never written
-or imported as a package (so no bytecode cache lands next to it).
+failure of ``perfbench/run.py --trace 1``.  ``perfbench/workloads.py``
+keeps a frozen copy of the manufactured data, which must sample the same
+bytes as ``discretize.manufactured_problem``.  The files are read, never
+written or imported as a package (so no bytecode cache lands next to them).
 """
 
+import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nconvex.barriers
 import nconvex.solver
-from nconvex.discretize import Grid
+from nconvex.discretize import Grid, manufactured_problem, sample_problem
 from nconvex.geometry import DomainSpec
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def read_only_module(path):
+    """Execute a perfbench file as a module without importing it."""
+    name = f"perfbench_{path.stem}"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    # @dataclass looks the defining module up in sys.modules while it runs
+    sys.modules[name] = module
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[name]
+    return module
 
 
 @pytest.fixture(scope="module")
 def layers():
-    module = types.ModuleType("perfbench_layers")
-    module.__file__ = str(LAYERS)
-    exec(compile(LAYERS.read_text(), str(LAYERS), "exec"), module.__dict__)
-    return module
+    return read_only_module(PERFBENCH / "layers.py")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return read_only_module(PERFBENCH / "workloads.py")
 
 
 def test_every_wrapped_name_resolves(layers):
@@ -54,3 +74,18 @@ def test_grid_has_the_sizes_the_grid_hook_reads():
     for name in ("W1", "W2", "C"):
         assert getattr(grid, name).nnz > 0, name
     assert grid.n_unknowns > 0
+
+
+def test_frozen_manufactured_copy_samples_the_library_bytes(workloads):
+    ball = DomainSpec.ball(1.0, n=3)
+    grid = Grid(ball, 17)
+    for seed in range(10):
+        w = workloads.manufactured_direction(seed)
+        frozen, frozen_exact = workloads.manufactured_problem(ball, w, "frozen")
+        library, library_exact = manufactured_problem(
+            ball, workloads.MANUFACTURED_AMPLITUDE, w)
+        want, got = sample_problem(frozen, grid), sample_problem(library, grid)
+        assert got.f_active.tobytes() == want.f_active.tobytes(), seed
+        assert got.phi_colloc.tobytes() == want.phi_colloc.tobytes(), seed
+        pts = grid.active_pts
+        assert np.array_equal(library_exact(pts), frozen_exact(pts)), seed

@@ -111,10 +111,17 @@ class TestConfig:
 
 class TestNamedCases:
     def test_all_cases_construct(self):
-        for name in ("ball-constant", "ball-manufactured-exp", "ellipsoid-near-sphere"):
-            domain, problem, exact = named_case(name)
+        for name, n in (("ball-constant", 3), ("ball-manufactured-exp", 3),
+                        ("ellipsoid-near-sphere", 3), ("ball-constant", 4),
+                        ("ball-manufactured-exp", 4)):
+            domain, problem, exact = named_case(name, n=n)
             assert problem.name == name
-            assert domain.n == 3
+            assert domain.n == problem.n == n
+        # the ellipsoid case's default domain is three-dimensional
+        with pytest.raises(ValueError, match="three-dimensional"):
+            named_case("ellipsoid-near-sphere", n=4)
+        domain = DomainSpec.ellipsoid((1.0, 1.0, 1.0, 1.05))
+        assert named_case("ellipsoid-near-sphere", n=4, domain=domain)[1].n == 4
 
     def test_unknown_case(self):
         with pytest.raises(ValueError):
@@ -251,6 +258,18 @@ class TestSolveCommand:
         assert not (out / "solution").exists()
         _, _, t = load_solution_dump(out / "last_good")
         assert t == 0.0
+
+    def test_newton_failure_at_t0_is_one_line(self, tmp_path, capsys):
+        # the seed residual (2.7e-14) cannot be pushed below newton_tol
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("case = ball-constant\nresolution = 9\nnewton_tol = 1e-18\n"
+                       f"output = {out}\n")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("continuation failed:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (out / "last_good").exists()
 
 
 class TestErrorReporting:

@@ -14,6 +14,7 @@ from nconvex.discretize import (
     hessian_batch,
     homotopy_constant,
     interior_residual,
+    manufactured_problem,
     normal_derivative,
     robin_residual,
     sample_problem,
@@ -26,21 +27,8 @@ ELLIPSOID = DomainSpec.ellipsoid((1.0, 1.0, 1.05))
 # at 11^3 some depth-delta points of this ellipsoid find a rank-deficient
 # design at the first radius, so their rows come from a widened search
 ELONGATED = DomainSpec.ellipsoid((1.0, 1.0, 2.5))
-
-
-def quad_seed(pts):
-    return 0.5 * np.sum(pts**2, axis=1)
-
-
-def constant_problem(n=3):
-    c0 = homotopy_constant(n)
-    return ProblemSpec(
-        n=n,
-        f=lambda pts: np.full(pts.shape[0], c0),
-        phi=lambda pts: np.einsum("ij,ij->i", pts, pts / np.linalg.norm(pts, axis=1)[:, None])
-        + 0.5 * np.sum(pts**2, axis=1),
-        name="ball-constant",
-    )
+QUADRATIC, quad_seed = manufactured_problem(BALL, 0.0)
+MANUFACTURED, U_STAR = manufactured_problem(BALL, 0.05)
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +318,7 @@ class TestRobinResidual:
     def test_quadratic_seed_exact_any_resolution(self):
         for res in (9, 17, 33):
             grid = Grid(BALL, res)
-            problem = sample_problem(constant_problem(), grid)
+            problem = sample_problem(QUADRATIC, grid)
             field = DiscreteField.from_function(grid, quad_seed)
             r = robin_residual(field, grid, problem, t=0.0)
             assert np.max(np.abs(r)) < 1e-11
@@ -354,26 +342,11 @@ class TestRobinResidual:
         assert np.max(np.abs(second_normal_derivative(field, grid9) - 1.0)) < 1e-10
 
     def test_manufactured_second_order(self):
-        amp = 0.05
-
-        def u_star(pts):
-            return 0.5 * np.sum(pts**2, axis=1) + amp * np.exp(pts[:, 0])
-
-        def u_star_phi(pts):
-            nu = pts / np.linalg.norm(pts, axis=1)[:, None]
-            grad = pts + np.stack(
-                [amp * np.exp(pts[:, 0]), np.zeros(pts.shape[0]), np.zeros(pts.shape[0])],
-                axis=1,
-            )
-            return np.einsum("ij,ij->i", grad, nu) + u_star(pts)
-
         errs = []
         for res in (9, 17):
             grid = Grid(BALL, res)
-            problem = sample_problem(
-                ProblemSpec(n=3, f=lambda p: np.ones(p.shape[0]), phi=u_star_phi), grid
-            )
-            field = DiscreteField.from_function(grid, u_star)
+            problem = sample_problem(MANUFACTURED, grid)
+            field = DiscreteField.from_function(grid, U_STAR)
             r = robin_residual(field, grid, problem, t=1.0)
             errs.append(np.max(np.abs(r)))
         assert errs[0] / errs[1] > 2.0  # at least ~first order in the sup norm
@@ -383,13 +356,13 @@ class TestInteriorResidual:
     def test_quadratic_seed_t0(self):
         for res in (9, 17):
             grid = Grid(BALL, res)
-            problem = sample_problem(constant_problem(), grid)
+            problem = sample_problem(QUADRATIC, grid)
             field = DiscreteField.from_function(grid, quad_seed)
             r = interior_residual(field, grid, problem, t=0.0)
             assert np.max(np.abs(r)) < 1e-11
 
     def test_t1_is_det_minus_f(self, grid9):
-        problem = sample_problem(constant_problem(), grid9)
+        problem = sample_problem(QUADRATIC, grid9)
         field = DiscreteField.from_function(grid9, quad_seed)
         r = interior_residual(field, grid9, problem, t=1.0)
         # det(W) = 8 = f everywhere for the quadratic seed
@@ -400,22 +373,11 @@ class TestInteriorResidual:
         assert homotopy_constant(4) == 81.0
 
     def test_manufactured_second_order(self):
-        amp = 0.05
-
-        def u_star(pts):
-            return 0.5 * np.sum(pts**2, axis=1) + amp * np.exp(pts[:, 0])
-
-        def f_star(pts):
-            a = amp * np.exp(pts[:, 0])
-            return 2.0 * (2.0 + a) ** 2  # lifted eigenvalues 2+a, 2+a, 2
-
         errs = []
         for res in (17, 33):
             grid = Grid(BALL, res)
-            problem = sample_problem(
-                ProblemSpec(n=3, f=f_star, phi=lambda p: np.zeros(p.shape[0])), grid
-            )
-            field = DiscreteField.from_function(grid, u_star)
+            problem = sample_problem(MANUFACTURED, grid)
+            field = DiscreteField.from_function(grid, U_STAR)
             r = interior_residual(field, grid, problem, t=1.0)
             errs.append(np.max(np.abs(r[grid.active_d > 0.35])))
         ratio = errs[0] / errs[1]
@@ -429,7 +391,7 @@ class TestInteriorResidual:
             sample_problem(bad, grid9)
 
     def test_t_out_of_range(self, grid9):
-        problem = sample_problem(constant_problem(), grid9)
+        problem = sample_problem(QUADRATIC, grid9)
         field = DiscreteField.from_function(grid9, quad_seed)
         with pytest.raises(ValueError):
             interior_residual(field, grid9, problem, t=1.5)
@@ -464,3 +426,17 @@ class TestProblemData:
         spec = ProblemSpec(n=3, f=lambda p: np.full(p.shape[0], 8.0), phi=phi)
         with pytest.raises(ValueError, match="phi at collocation point 7 is inf"):
             sample_problem(spec, grid9)
+
+
+class TestManufacturedProblem:
+    @pytest.mark.parametrize("domain", [BALL, DomainSpec.ball(1.0, n=4), ELLIPSOID],
+                             ids=["ball-3d", "ball-4d", "ellipsoid"])
+    def test_amplitude_zero_is_the_quadratic_seed(self, domain):
+        problem, exact = manufactured_problem(domain, 0.0)
+        grid = Grid(domain, 9)
+        sampled = sample_problem(problem, grid)
+        assert np.all(sampled.f_active == homotopy_constant(domain.n))
+        # phi projects y onto the boundary again, so it may differ by an ulp
+        assert np.max(np.abs(sampled.phi_colloc - grid.colloc_quad)) <= 1e-15
+        pts = grid.active_pts
+        assert exact(pts).tobytes() == (0.5 * np.sum(pts**2, axis=1)).tobytes()

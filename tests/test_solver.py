@@ -10,6 +10,7 @@ from scipy.sparse.linalg import splu
 
 import nconvex.solver
 from nconvex import woperator
+from nconvex.cli import named_case
 from nconvex.discretize import (
     DiscreteField,
     Grid,
@@ -17,6 +18,7 @@ from nconvex.discretize import (
     hessian_batch,
     hessian_contraction,
     homotopy_constant,
+    manufactured_problem,
     sample_problem,
 )
 from nconvex.geometry import DomainSpec
@@ -39,42 +41,12 @@ from nconvex.solver import (
 )
 
 BALL = DomainSpec.ball(1.0, n=3)
+_, MANUFACTURED, U_STAR = named_case("ball-manufactured-exp")
 
 
-def nu_of(pts):
-    return pts / np.linalg.norm(pts, axis=1)[:, None]
-
-
-def constant_problem(n=3):
-    c0 = homotopy_constant(n)
-    return ProblemSpec(
-        n=n,
-        f=lambda pts: np.full(pts.shape[0], c0),
-        phi=lambda pts: np.einsum("ij,ij->i", pts, nu_of(pts)) + 0.5 * np.sum(pts**2, axis=1),
-        name="ball-constant",
-    )
-
-
-AMP = 0.05
-E1 = np.array([1.0, 0.0, 0.0])
-
-
-def u_star(pts, w=E1):
-    return 0.5 * np.sum(pts**2, axis=1) + AMP * np.exp(pts @ w)
-
-
-def manufactured_problem(w=E1):
-    """u* = |x|^2/2 + AMP exp(w.x); D2u* = I + AMP exp(w.x) w w^T for unit w."""
-    def f(pts):
-        a = AMP * np.exp(pts @ w)
-        return 2.0 * (2.0 + a) ** 2
-
-    def phi(pts):
-        nu = nu_of(pts)
-        grad = pts + (AMP * np.exp(pts @ w))[:, None] * w
-        return np.einsum("ij,ij->i", grad, nu) + u_star(pts, w)
-
-    return ProblemSpec(n=3, f=f, phi=phi, name="ball-manufactured-exp")
+def quadratic_data(grid):
+    """Sampled data whose exact solution is the quadratic seed |x|^2/2."""
+    return sample_problem(manufactured_problem(grid.domain, 0.0)[0], grid)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +56,7 @@ def grid9():
 
 @pytest.fixture(scope="module")
 def sp9(grid9):
-    return sample_problem(constant_problem(), grid9)
+    return quadratic_data(grid9)
 
 
 def margin_of(fld, grid):
@@ -172,7 +144,7 @@ class TestNewton:
     def test_jacobian_matches_directional_differences(self, grid9, sp9):
         # the 9^3 ball and, for a non-spherical boundary, the (1, 1, 1.05) ellipsoid
         egg = Grid(DomainSpec.ellipsoid((1.0, 1.0, 1.05)), 9)
-        for grid, problem in ((grid9, sp9), (egg, sample_problem(constant_problem(), egg))):
+        for grid, problem in ((grid9, sp9), (egg, quadratic_data(egg))):
             rng = np.random.default_rng(11)
             seed = quadratic_seed(grid)
             tested = 0
@@ -248,9 +220,9 @@ class TestContinuation:
 
     def test_manufactured_converges_to_reference(self):
         grid = Grid(BALL, 13)
-        problem = sample_problem(manufactured_problem(), grid)
+        problem = sample_problem(MANUFACTURED, grid)
         # admissibility of the reference is a precondition of the setup
-        ref = DiscreteField.from_function(grid, u_star)
+        ref = DiscreteField.from_function(grid, U_STAR)
         assert margin_of(ref, grid) > 0.0
         state, report = continuation(problem, grid, SolverConfig())
         assert state.t == 1.0
@@ -269,12 +241,12 @@ class TestContinuation:
     def test_pinching_gate_blocks_eccentric_domain(self):
         egg = DomainSpec.ellipsoid((1.0, 1.0, 3.0))
         grid = Grid(egg, 21)
-        problem = sample_problem(constant_problem(), grid)
+        problem = quadratic_data(grid)
         with pytest.raises(ValueError, match="pinching"):
             continuation(problem, grid, SolverConfig())
 
     def test_step_underflow_raises_with_last_good_state(self, grid9):
-        problem = sample_problem(manufactured_problem(), grid9)
+        problem = sample_problem(MANUFACTURED, grid9)
         config = SolverConfig(homotopy_steps=1, max_newton_iters=1, min_step=0.3)
         with pytest.raises(ContinuationFailure, match="step size underflow") as info:
             continuation(problem, grid9, config)
@@ -283,6 +255,13 @@ class TestContinuation:
         assert state.ellipticity_margin > 0.0
         assert [row["t"] for row in report.rows] == [0.0]
 
+    def test_newton_failure_at_t0_is_a_continuation_failure(self, grid9, sp9):
+        # the seed residual sits at round-off, above a tolerance below it
+        with pytest.raises(ContinuationFailure, match="line search floor") as info:
+            continuation(sp9, grid9, SolverConfig(newton_tol=1e-18))
+        assert info.value.state is None
+        assert info.value.report.rows == []
+
     def test_determinism(self, grid9, sp9):
         _, rep_a = continuation(sp9, grid9, SolverConfig())
         _, rep_b = continuation(sp9, grid9, SolverConfig())
@@ -290,8 +269,6 @@ class TestContinuation:
 
     def test_four_dimensional_constant_path(self):
         # largest supported PDE dimension; lifted matrices are 4x4, m = 3
-        from nconvex.cli import named_case
-
         domain, problem, _ = named_case("ball-constant", n=4)
         grid = Grid(domain, 9)
         sampled = sample_problem(problem, grid)
@@ -302,10 +279,17 @@ class TestContinuation:
         seed = quadratic_seed(grid)
         assert np.max(np.abs(state.field.values - seed.values)) < 1e-10
 
+    def test_four_dimensional_manufactured_path(self):
+        # u* = |x|^2/2 + 0.05 exp(x_1) at n = 4: lifted spectrum (3+b, 3+b, 3+b, 3)
+        domain, problem, exact = named_case("ball-manufactured-exp", n=4)
+        grid = Grid(domain, 9)
+        state, report = continuation(sample_problem(problem, grid), grid, SolverConfig())
+        assert state.t == 1.0
+        assert np.max(np.abs(state.field.values - exact(grid.active_pts))) < 1.2e-3
+        assert min(row["margin"] for row in report.rows) > 2.9
+
     def test_four_dimensional_newton_from_perturbed_start(self):
         # Newton steps at n = 4 run on the 4x4 M kernels and return to the quadratic
-        from nconvex.cli import named_case
-
         domain, problem, _ = named_case("ball-constant", n=4)
         grid = Grid(domain, 9)
         sampled = sample_problem(problem, grid)
@@ -323,7 +307,7 @@ class TestContinuation:
 
 @pytest.fixture(scope="module")
 def manufactured9(grid9):
-    return sample_problem(manufactured_problem(), grid9)
+    return sample_problem(MANUFACTURED, grid9)
 
 
 def count_calls(monkeypatch, name):
@@ -446,7 +430,7 @@ class TestLinearSolve:
     def test_preconditioner_is_the_seed_operator_whatever_the_first_state(
             self, grid9, egg9, monkeypatch, domain):
         grid = grid9 if domain == "ball" else egg9
-        problem = sample_problem(manufactured_problem(), grid)
+        problem = sample_problem(MANUFACTURED, grid)
         seeds, _ = count_factorizations(monkeypatch)
         for x in seed_and_bumped(grid):
             r = residual_vector(x, 0.4, grid, problem)
@@ -485,7 +469,7 @@ class TestLinearSolve:
     @pytest.mark.parametrize("domain", ["ball", "ellipsoid"])
     def test_condensed_map_is_the_robin_elimination(self, grid9, egg9, domain):
         grid = grid9 if domain == "ball" else egg9
-        problem = sample_problem(manufactured_problem(), grid)
+        problem = sample_problem(MANUFACTURED, grid)
         emap, lift = condensed_map(grid)
         n, r_u = grid.n_active, grid.robin_jac[:, :grid.n_active]
         data = 0.4 * problem.phi_colloc + 0.6 * grid.colloc_quad
@@ -507,7 +491,7 @@ class TestLinearSolve:
         # a stalled step falls back to an ILU of its own S, not the seed
         # operator's, and is retried: from the last accepted state when it
         # began at the path prediction, else at half the step; no splu is called
-        ref = DiscreteField.from_function(grid9, u_star).values
+        ref = DiscreteField.from_function(grid9, U_STAR).values
         seeds, lus = count_factorizations(monkeypatch)
         state, report = continuation(manufactured9, grid9, SolverConfig())
         err = np.max(np.abs(state.field.values - ref))
@@ -589,7 +573,7 @@ class TestLinearSolve:
         w = np.random.default_rng(1).standard_normal(3)
         w /= np.linalg.norm(w)
         grid = Grid(BALL, 17)
-        problem = sample_problem(manufactured_problem(w), grid)
+        problem = sample_problem(manufactured_problem(BALL, 0.05, w)[0], grid)
         state, report = continuation(problem, grid, SolverConfig())
         assert state.t == 1.0
         assert report.ilu_rebuilds == 0 and lus == []
@@ -641,7 +625,7 @@ class TestMonitors:
 @pytest.fixture(scope="module")
 def ball13():
     grid = Grid(BALL, 13)
-    return grid, sample_problem(constant_problem(), grid)
+    return grid, quadratic_data(grid)
 
 
 class TestStateEvaluation:
