@@ -7,14 +7,18 @@ outside the active set.  Those outside neighbors ("closure" points) are not
 unknowns: each lies on the normal ray through its collocation point, so its
 value is the quadratic along that ray determined by the trace and two
 interpolated interior ray values.  Those come from moving-least-squares
-rows (``W1``, ``W2``) built in batched blocks: one neighbor query per
-block of collocation points, and per target one Cholesky factorization of
-the Gram matrix of its quadratic design (10 x 10 at n = 3), which gives
-the solve, its one refinement step and a certificate for the rank test;
-only the targets with too few neighbors or a rank-deficient design are
-searched again at a wider radius.  The construction is exact for
-quadratic fields, which pins the discrete problem to the continuum one at
-the homotopy start.
+rows (``W1``, ``W2``) built on the lattice, with no neighbor search: the
+candidate nodes of a target are its grid cell's corner plus the integer
+offsets of one fixed table per radius, so one quadratic design at the
+offsets serves a whole block of collocation points and only the weights
+differ.  Every Gram matrix of a block comes from one matrix product of the
+weights with the design's moment table; per target, one Cholesky
+factorization of the target-centred Gram matrix (10 x 10 at n = 3) gives
+the solve, its one refinement step and a certificate for the rank test.
+Only the targets with too few nodes or a rank-deficient design are tried
+again at a wider radius.  The construction is exact for quadratic fields,
+which pins the discrete problem to the continuum one at the homotopy
+start.
 
 Classification projects every point of the box that can be active once,
 and the grid keeps each active point's depth and normal from it; the
@@ -36,13 +40,12 @@ m = n - 1 evaluated through its n x n form M.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from nconvex import woperator
 from nconvex.geometry import DomainSpec, project_to_boundary_batch
@@ -204,9 +207,17 @@ def _quad_basis(xi: np.ndarray) -> np.ndarray:
     return np.moveaxis(ext[left] * ext[right], 0, -1)
 
 
-# Targets per batched MLS solve.  The padded (block, k, q) design is built
-# for a whole block at once; this cap keeps its memory flat in the grid size.
+# Targets per batched MLS block.  A block holds a few (block, K) arrays over
+# the K offsets of its radius' table (at most 160 at n = 3 and 2 784 at
+# n = 5 for the first radius), smaller than the padded (block, k, q) design
+# of per-target neighbor lists with k ~ 40 and 230 nodes.
 _MLS_BLOCK = 256
+
+# Rows per BLAS call in the block products.  A product's row is computed the
+# same way in every full tile, so a target's MLS row does not depend on the
+# block it is built in; one (block, K) x (K, m) product per block would sum
+# the rows of a short block in another order.
+_MLS_TILE = 16
 
 # A Cholesky factor certifies full rank when ||L^-1||_F^2 tr G stays below
 # this; it bounds lambda_max / lambda_min of G from above, and the factor 2
@@ -230,46 +241,85 @@ def _inverse_cholesky(gram: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _mls_block(tree, nodes: np.ndarray, p: np.ndarray, h: float, rho: float):
-    """Weighted least-squares value rows for the targets p (b, n) at radius rho.
+@functools.lru_cache(maxsize=None)
+def _translation_terms(n: int) -> np.ndarray:
+    """S (q, q*q) with T(s) = I + b(-s) S, the translation of ``_translation``.
 
-    Row i holds weights lam with u(p_i) ~= lam . u(neighbors), exact for
-    quadratics, over the nodes within rho of p_i in ascending index order,
-    with a Wendland-style weight.  Returns the mask of targets that got a
-    row, and the rows' node counts, node indices and weights (concatenated
-    in target order).  A target fails with fewer than q + 2 neighbors or a
-    rank-deficient design; the caller widens its search.
-
-    The row is the minimum-norm solution of the moment conditions
-    D^T mu = e0 on the weighted design D, lam = sqrt(w) mu.  It is formed
-    by the normal equations of the second kind, mu = D G^-1 e0 with the
-    q x q Gram matrix G = D^T D, plus one refinement step on the moment
-    conditions.  One batched Cholesky factorization G = L L^T per block,
-    and L^-1 by forward substitution, give both solves.  The design is full
-    rank when lambda_min(G) > 1e-12 lambda_max(G), the square of a 1e-6
-    singular-value ratio.  lambda_min >= 1 / ||L^-1||_F^2 and
-    lambda_max <= tr G certify that for most targets; the others, and every
-    target of a block whose factorization fails, are decided from the
-    eigenvalues of G.
+    [1, x - s] = [1, x] - s_a e_0, so the monomial (a, b) of [1, x - s] is
+    (a, b) - s_b (0, a) - s_a (0, b) + s_a s_b (0, 0) in monomials of
+    [1, x], with s_0 = 0; -s_a, -s_b and s_a s_b are the monomials
+    (0, a), (0, b) and (a, b) of -s.
     """
-    b, n = p.shape
-    q = 1 + n + n * (n + 1) // 2
-    lists = tree.query_ball_point(p, rho, return_sorted=True)
-    counts = np.fromiter(map(len, lists), dtype=np.int64, count=b)
-    ok = counts >= q + 2
-    if not np.any(ok):
-        return ok, counts[ok], np.empty(0, dtype=np.int64), np.empty(0)
-    counts = counts[ok]
-    # pad the ragged neighbor lists; padded slots get zero weight
-    real = np.arange(counts.max()) < counts[:, None]
-    idx = np.zeros(real.shape, dtype=np.int64)
-    idx[real] = np.fromiter(itertools.chain.from_iterable(lists[ok]),
-                            dtype=np.int64, count=int(counts.sum()))
-    diff = nodes[idx] - p[ok, None, :]
-    r2 = np.sum(diff ** 2, axis=-1) / rho**2
-    sw = np.where(real, np.maximum(0.0, 1.0 - r2), 0.0)  # square root of the weight
-    design = _quad_basis(diff / h) * sw[..., None]
-    gram = np.matmul(design.transpose(0, 2, 1), design)
+    left, right = np.triu_indices(n + 1)
+    q = left.size
+    slot = np.zeros((n + 1, n + 1), dtype=np.int64)
+    slot[left, right] = slot[right, left] = np.arange(q)
+    terms = np.zeros((q, q, q))
+    for m, (a, b) in enumerate(zip(left, right)):
+        if b > 0:
+            terms[slot[0, b], m, slot[0, a]] += 1.0
+        if a > 0:
+            terms[slot[0, a], m, slot[0, b]] += 1.0
+            terms[m, m, 0] += 1.0
+    return terms.reshape(q, q * q)
+
+
+def _translation(shift: np.ndarray) -> np.ndarray:
+    """T (b, q, q) with b(x - s) = T b(x) for the quadratic basis and shifts s (b, n)."""
+    b, n = shift.shape
+    q = (n + 1) * (n + 2) // 2
+    return np.eye(q) + (_quad_basis(-shift) @ _translation_terms(n)).reshape(b, q, q)
+
+
+def _tiled(rows: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """rows @ shared in stacked tiles of ``_MLS_TILE`` rows, the last one zero-padded."""
+    b, k = rows.shape
+    pad = -b % _MLS_TILE
+    if pad:
+        rows = np.concatenate([rows, np.zeros((pad, k))])
+    return np.matmul(rows.reshape(-1, _MLS_TILE, k), shared).reshape(-1, shared.shape[1])[:b]
+
+
+def _design(points: np.ndarray):
+    """A quadratic design at the points (K, n) for ``_mls_rows``.
+
+    Returns the basis B (K, q), the table (K, m) of the distinct entries of
+    b b^T, which are the monomials of degree at most four, and the (q, q)
+    index of each entry of b b^T into that table.
+    """
+    basis = _quad_basis(points)
+    q, n = basis.shape[1], points.shape[1]
+    left, right = np.triu_indices(n + 1)
+    expo = (np.eye(n + 1, dtype=np.int64)[left] + np.eye(n + 1, dtype=np.int64)[right])[:, 1:]
+    pairs = (expo[:, None, :] + expo[None, :, :]).reshape(q * q, n)
+    _, first, index = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    return basis, basis[:, first // q] * basis[:, first % q], index.reshape(q, q)
+
+
+def _mls_rows(weights: np.ndarray, design, shift: np.ndarray):
+    """Weighted least-squares value rows of b targets over one shared design.
+
+    ``design`` is ``_design`` of the K design points x_o, ``weights``
+    (b, K) each target's weight on them (0 off its support) and ``shift``
+    (b, q, q) the translation T with b(x - p) = T b(x) to each target p.
+    Row i is the minimum weighted-norm lam with sum_o lam_o b(x_o - p_i) =
+    e0, which makes lam . u(x) exact for quadratics at p_i.  Returns the
+    mask of targets with a full-rank design and their rows (b_full, K).
+
+    Every Gram matrix of the block comes from one product, of the weights
+    with the design's table of distinct entries of b b^T, and is moved to
+    the target-centred basis, G = T (sum_o w_o b b^T) T^T.  One batched
+    Cholesky factorization G = L L^T and L^-1 by forward substitution give
+    c = G^-1 e0, the row lam = w (B T^T c), and one refinement step on the
+    moment conditions.  The design is full rank when lambda_min(G) > 1e-12
+    lambda_max(G), the square of a 1e-6 singular-value ratio.
+    lambda_min >= 1 / ||L^-1||_F^2 and lambda_max <= tr G certify that for
+    most targets; the others, and every target of a block whose
+    factorization fails, are decided from the eigenvalues of G.
+    """
+    basis, entries, index = design
+    shift_t = shift.transpose(0, 2, 1)
+    gram = shift @ _tiled(weights, entries)[:, index] @ shift_t
     try:
         inv = _inverse_cholesky(gram)
         full = (np.sum(inv ** 2, axis=(1, 2)) * np.trace(gram, axis1=1, axis2=2)
@@ -279,48 +329,109 @@ def _mls_block(tree, nodes: np.ndarray, p: np.ndarray, h: float, rho: float):
     if not np.all(full):
         eig = np.linalg.eigvalsh(gram[~full])
         full[~full] = eig[:, 0] > 1e-12 * eig[:, -1]
-        ok[ok] = full
-        counts, real, idx, sw, design = (a[full] for a in (counts, real, idx, sw, design))
+        weights, shift, shift_t = weights[full], shift[full], shift_t[full]
         inv = _inverse_cholesky(gram[full]) if inv is None else inv[full]
     inv_t = inv.transpose(0, 2, 1)
     # G^-1 e0 = L^-T (L^-1 e0), and L^-1 e0 is the first column of L^-1
-    mu = design @ (inv_t @ inv[:, :, :1])
-    resid = -(design.transpose(0, 2, 1) @ mu)
+    coef = (shift_t @ (inv_t @ inv[:, :, :1]))[..., 0]
+    resid = -(shift @ _tiled(weights * _tiled(coef, basis.T), basis)[..., None])
     resid[:, 0] += 1.0
-    mu += design @ (inv_t @ (inv @ resid))
-    return ok, counts, idx[real], (mu[..., 0] * sw)[real]
+    coef += (shift_t @ (inv_t @ (inv @ resid)))[..., 0]
+    return full, weights * _tiled(coef, basis.T)
 
 
-def _mls_value_rows(nodes: np.ndarray, targets: np.ndarray, h: float) -> sp.csr_matrix:
-    """Sparse (len(targets), len(nodes)) MLS value rows, built in blocks.
+def _offset_table(n: int, reach: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integer offsets within ``reach`` of the unit cell [0, 1]^n, lexicographic.
 
-    The search radius starts at 2.5 h; targets whose rows fail go on to
-    the next radius, 1.4 times wider, for at most five radii.
+    Built one coordinate at a time, keeping the partial offsets whose
+    distance to the cell stays within reach; coordinate i is kept in
+    [lo_i, hi_i].
     """
-    tree = cKDTree(nodes)
+    table, gap2 = np.zeros((1, 0), dtype=np.int64), np.zeros(1)
+    r = int(np.floor(reach))
+    for i in range(n):
+        ticks = np.arange(max(lo[i], -r), min(hi[i], r + 1) + 1)
+        d2 = gap2[:, None] + np.maximum(np.maximum(-ticks, ticks - 1), 0) ** 2
+        rows, cols = np.nonzero(d2 <= reach * reach)
+        table = np.column_stack([table[rows], ticks[cols]])
+        gap2 = d2[rows, cols]
+    return table
+
+
+def _mls_value_rows(grid: "Grid", targets: np.ndarray) -> sp.csr_matrix:
+    """Sparse (len(targets), n_active) MLS value rows over the grid's active points.
+
+    A target is origin + h (base + frac) with integer base and frac in
+    [0, 1)^n.  Its candidate nodes are base + o for the offsets o of one
+    table per radius, in lexicographic order, which is ascending column
+    order; a node that is inactive or farther than the radius gets weight
+    0.  So the quadratic basis at the offsets, taken about the cell centre,
+    is one design shared by every target, and only the weights and the
+    translation by frac - 1/2 differ (``_mls_rows``).  The table keeps only
+    offsets by which some pending target reaches the box of the active
+    points.  A target needs q + 2 nodes within the radius and a full-rank
+    design; the radius starts at 2.5 h, and targets whose rows fail go on
+    to the next radius, 1.4 times wider, for at most five radii.
+    """
+    n = grid.n
+    q = 1 + n + n * (n + 1) // 2
+    shape = np.asarray(grid.shape)
+    strides = np.array([int(np.prod(grid.shape[i + 1:])) for i in range(n)])
+    cell = (targets - grid.origin) / grid.h
+    base = np.floor(cell).astype(np.int64)
+    frac = cell - base
+    active_k = np.column_stack(np.unravel_index(grid.active_idx, grid.shape))
     pending = np.arange(targets.shape[0])
-    rho = 2.5 * h
+    reach = 2.5
     rows, cols, vals = [], [], []
     for _ in range(5):
+        table = _offset_table(n, reach, active_k.min(0) - base[pending].max(0),
+                              active_k.max(0) - base[pending].min(0))
+        table_lin, low, high = table @ strides, table.min(0), table.max(0)
+        # |o - frac|^2 = [-2 frac, |frac|^2, 1] . [o, 1, |o|^2], over reach^2
+        lifted = np.vstack([table.T, np.ones(len(table)), np.sum(table**2, axis=1)]) / reach**2
+        design = _design(table - 0.5)
         failed = []
         for start in range(0, pending.size, _MLS_BLOCK):
             blk = pending[start:start + _MLS_BLOCK]
-            ok, counts, idx, lam = _mls_block(tree, nodes, targets[blk], h, rho)
-            rows.append(np.repeat(blk[ok], counts))
-            cols.append(idx)
-            vals.append(lam)
+            lin = (base[blk] @ strides)[:, None] + table_lin
+            # a target near the box edge clips its offsets to the box faces,
+            # which hold no active point
+            edge = np.any((base[blk] + low < 0) | (base[blk] + high >= shape), axis=1)
+            if np.any(edge):
+                lin[edge] = sum(np.clip(base[blk][edge, i, None] + table[:, i], 0, shape[i] - 1)
+                                * strides[i] for i in range(n))
+            col = grid.box_col[lin]
+            r2 = _tiled(np.column_stack([-2.0 * frac[blk], np.sum(frac[blk]**2, axis=1),
+                                         np.ones(len(blk))]), lifted)
+            inside = (col >= 0) & (r2 <= 1.0)
+            counts = np.count_nonzero(inside, axis=1)
+            ok = counts >= q + 2
+            keep = np.flatnonzero(ok)
+            if keep.size < len(blk):
+                inside, col, r2 = inside[keep], col[keep], r2[keep]
+            weights = np.subtract(1.0, r2, out=r2)
+            weights *= weights
+            weights *= inside
+            full, lam = _mls_rows(weights, design, _translation(frac[blk[keep]] - 0.5))
+            if not np.all(full):
+                inside, col = inside[full], col[full]
+            ok[keep] = full
+            rows.append(np.repeat(blk[ok], counts[ok]))
+            cols.append(col[inside])
+            vals.append(lam[inside])
             failed.append(blk[~ok])
         pending = np.concatenate(failed)
         if pending.size == 0:
             break
-        rho *= 1.4
+        reach *= 1.4
     else:
         raise ValueError(
             "boundary collocation stencil is rank deficient; the grid is too "
             "coarse for this domain"
         )
     return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(targets.shape[0], nodes.shape[0]))
+                         shape=(targets.shape[0], grid.n_active))
 
 
 class Grid:
@@ -331,7 +442,9 @@ class Grid:
     stored here.  ``active_pts`` (N, n), ``active_d`` (N,) and ``active_nu``
     (N, n) hold each active point, its distance to the boundary and the
     outward normal at its closest boundary point, which is
-    ``active_pts + active_d[:, None] * active_nu``.  The stencil is data:
+    ``active_pts + active_d[:, None] * active_nu``, and ``box_col`` gives
+    the active column of each point of the box, -1 for the others.  The
+    stencil is data:
 
     - ``nbr`` (q, N): for each stencil offset and active point, the index
       of the neighbor in the extended vector [active values; closure
@@ -390,10 +503,11 @@ class Grid:
         self.ghost_pts = pts[ghost_lin]
         self.n_active = active_lin.size
         self.n_ghost = ghost_lin.size
-        col = np.empty(pts.shape[0], dtype=np.int64)
+        col = np.full(pts.shape[0], -1, dtype=np.int64)
         col[active_lin] = np.arange(self.n_active)
         col[ghost_lin] = self.n_active + np.arange(self.n_ghost)
         self.nbr = col[tgt]
+        self.box_col = np.where(col < self.n_active, col, -1)
 
     def _build_collocation(self):
         y, nu, d = project_to_boundary_batch(self.domain, self.ghost_pts)
@@ -412,8 +526,7 @@ class Grid:
         self.delta = self.h
         # MLS interpolation of the interior ray values at depths delta and 2 delta
         self.W1, self.W2 = (
-            _mls_value_rows(self.active_pts,
-                            self.colloc_y - depth * self.delta * self.colloc_nu, self.h)
+            _mls_value_rows(self, self.colloc_y - depth * self.delta * self.colloc_nu)
             for depth in (1, 2))
         # closure: ghost value = quadratic along its ray through the trace
         dl = self.delta

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 from nconvex import discretize
@@ -143,6 +144,26 @@ def pinv_value_row(grid, tree, target, cols):
     return np.linalg.pinv(design)[0] * sw
 
 
+def shared_design_rows(nodes, targets, h, rho):
+    """The builder's accept mask and rows from its shared-design solve.
+
+    Each target gets its own target-centred design over the nodes within
+    rho, so its translation is the identity; a target is accepted with at
+    least q + 2 such nodes and a full-rank design.
+    """
+    q = monomials(targets[:1]).shape[1]
+    accept, rows = [], []
+    for target in targets:
+        xi = (nodes - target) / h
+        near = np.sum(xi**2, axis=1) * h**2 <= rho**2
+        weights = np.maximum(0.0, 1.0 - np.sum(xi[near]**2, axis=1) * h**2 / rho**2) ** 2
+        full, lam = discretize._mls_rows(weights[None], discretize._design(xi[near]),
+                                         np.eye(q)[None])
+        accept.append(np.count_nonzero(near) >= q + 2 and bool(full[0]))
+        rows.append(lam)
+    return np.array(accept), rows
+
+
 def eigenvalue_rank_test(nodes, targets, h, rho):
     """The builder's accept mask, decided target by target from eigenvalues.
 
@@ -233,10 +254,9 @@ class TestCollocationWeights:
         turn = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]) @ np.array(
             [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
         nodes, targets = nodes @ turn.T, targets @ turn.T
-        ok, counts, idx, lam = discretize._mls_block(cKDTree(nodes), nodes, targets,
-                                                     h=0.25, rho=0.8)
+        ok, rows = shared_design_rows(nodes, targets, h=0.25, rho=0.8)
         assert not ok.any()
-        assert counts.size == idx.size == lam.size == 0
+        assert all(lam.shape[0] == 0 for lam in rows)
 
     @pytest.mark.parametrize("bump, accepted", [
         (3e-3, True), (1e-4, False),
@@ -251,10 +271,28 @@ class TestCollocationWeights:
         nodes = np.stack(np.meshgrid(ticks, ticks, [0.0], indexing="ij"), -1).reshape(-1, 3)
         nodes[:, 2] = bump * np.random.default_rng(1).uniform(-1.0, 1.0, len(nodes))
         targets = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.0], [0.3, 0.3, 0.0]])
-        ok, *_ = discretize._mls_block(cKDTree(nodes), nodes, targets, h=0.25, rho=0.8)
+        ok, _ = shared_design_rows(nodes, targets, h=0.25, rho=0.8)
         assert np.array_equal(ok, eigenvalue_rank_test(nodes, targets, h=0.25, rho=0.8))
         if accepted is not None:
             assert np.all(ok == accepted)
+
+    @pytest.mark.parametrize("domain, res", [
+        (BALL, 17), (ELLIPSOID, 41), (ELONGATED, 11), (DomainSpec.ball(1.0, n=4), 9),
+    ], ids=["ball-17", "ellipsoid-41", "elongated-11", "ball4-9"])
+    def test_row_columns_are_the_nodes_within_the_radius(self, domain, res):
+        # the lattice offsets give each row exactly the k-d tree's neighbor set
+        # at the smallest of the builder's radii that holds the row
+        grid = Grid(domain, res)
+        tree = cKDTree(grid.active_pts)
+        radii = 2.5 * grid.h * 1.4 ** np.arange(5)
+        for depth, w in ((1, grid.W1), (2, grid.W2)):
+            targets = mls_targets(grid, depth)
+            for i in range(w.shape[0]):
+                cols = w.indices[w.indptr[i]:w.indptr[i + 1]]
+                reach = np.max(np.linalg.norm(grid.active_pts[cols] - targets[i], axis=1))
+                rho = radii[np.searchsorted(radii, reach)]
+                want = tree.query_ball_point(targets[i], rho, return_sorted=True)
+                assert cols.tolist() == want, (depth, i)
 
     def test_closure_row_count_at_17(self, grid17):
         assert grid17.W1.nnz + grid17.W2.nnz == 100_734
@@ -265,6 +303,14 @@ class TestCollocationWeights:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         Grid(ELONGATED, 11)
+
+    def test_build_uses_no_kdtree(self, monkeypatch):
+        def no_kdtree(*args, **kwargs):
+            raise AssertionError("grid build called scipy.spatial.cKDTree")
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_kdtree)
+        Grid(ELONGATED, 11)
+        Grid(DomainSpec.ball(1.0, n=4), 9)
 
     @pytest.mark.parametrize("domain, res", [(BALL, 17), (ELLIPSOID, 41)],
                              ids=["ball-17", "ellipsoid-41"])

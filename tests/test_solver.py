@@ -14,7 +14,6 @@ from nconvex.cli import named_case
 from nconvex.discretize import (
     DiscreteField,
     Grid,
-    ProblemSpec,
     hessian_batch,
     hessian_contraction,
     homotopy_constant,
@@ -232,11 +231,6 @@ class TestContinuation:
             assert row["margin"] > 0.0
             # second-derivative-to-boundary-normal ratio stays bounded
             assert row["ratio"] < 1.0
-
-    def test_positivity_precondition(self, grid9):
-        bad = ProblemSpec(n=3, f=lambda p: p[:, 0], phi=lambda p: np.zeros(p.shape[0]))
-        with pytest.raises(ValueError):
-            sample_problem(bad, grid9)
 
     def test_pinching_gate_blocks_eccentric_domain(self):
         egg = DomainSpec.ellipsoid((1.0, 1.0, 3.0))
