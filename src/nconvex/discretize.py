@@ -31,8 +31,9 @@ gradient coefficient matrices with one row per offset.  Hessians and
 gradients are one gather and one matrix product, and the same
 coefficients contracted with the det W gradient give the stencil matrix of
 the Newton linearization on the extended vector.  The one-sided normal
-derivative is one sparse operator, ``normal_op``; the Robin rows are that
-operator plus the trace identity, so their trace block is ``robin_diag`` I.
+derivative and the Robin rows share one stored block, ``robin_u`` on the
+active values; each row touches its own trace unknown alone, with the
+scalar 3/(2 delta) in u_nu and ``robin_diag`` = 3/(2 delta) + 1 in u_nu + u.
 
 The interior equation is det W(D2u) = det(tr(D2u) I - D2u) = f, the lift at
 m = n - 1 evaluated through its n x n form M.
@@ -41,6 +42,7 @@ m = n - 1 evaluated through its n x n form M.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -142,10 +144,17 @@ def manufactured_problem(domain: DomainSpec, amplitude: float, direction=None,
     b = a exp(w.x), whose lift M has spectrum (n-1+b) n-1 times and n-1
     once, so f = (n-1)(n-1+b)^(n-1); phi = Du*.nu + u* with nu the normal
     of the closest boundary point.  a = 0 is the quadratic seed: f is
-    ``homotopy_constant(n)`` and u* is |x|^2/2.
+    ``homotopy_constant(n)`` and u* is |x|^2/2.  A ``direction`` that is
+    not a unit vector of length n raises ValueError, since f holds only
+    for |w| = 1.
     """
     n = domain.n
     w = np.eye(n)[0] if direction is None else np.asarray(direction, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"direction must have {n} components, got shape {w.shape}")
+    norm = float(np.linalg.norm(w))
+    if not abs(norm - 1.0) <= 1e-12:
+        raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
 
     def u_star(pts):
         return 0.5 * np.sum(pts**2, axis=1) + amplitude * np.exp(pts @ w)
@@ -453,13 +462,15 @@ class Grid:
       unknowns to that extended vector;
     - ``hess_coef`` (q, n*n) and ``grad_coef`` (q, n): the Hessian and
       gradient weight of each offset;
-    - ``normal_op``: the one-sided u_nu at collocation points on the packed
-      unknowns; the Robin rows are ``robin_jac`` = ``normal_op`` plus the
-      trace identity, whose trace block is ``robin_diag`` = 3/(2 delta) + 1
-      times the identity.
+    - ``robin_u`` (B, N): the active-value block (-4 W1 + W2)/(2 delta) of
+      the one-sided u_nu at collocation points; u_nu adds 3/(2 delta) times
+      the trace, and the Robin rows u_nu + u add ``robin_diag`` =
+      3/(2 delta) + 1 times the trace.
     """
 
     def __init__(self, domain: DomainSpec, resolution: int):
+        if not isinstance(resolution, numbers.Integral):
+            raise ValueError(f"resolution must be an integer, got {resolution!r}")
         if resolution < 7:
             raise ValueError("resolution must be at least 7")
         self.domain = domain
@@ -543,14 +554,10 @@ class Grid:
         self.extension = sp.vstack(
             [sp.eye(self.n_active, self.n_unknowns, format="csr"),
              sp.hstack([c_u, c_b], format="csr")], format="csr")
-        # one-sided u_nu through the trace and the two interior ray values
-        self.normal_op = sp.hstack(
-            [(-4.0 * self.W1 + self.W2) / (2.0 * dl),
-             3.0 / (2.0 * dl) * sp.identity(self.n_colloc, format="csr")], format="csr")
-        # constant Jacobian of the Robin rows: u_nu + u(y)
-        self.robin_jac = self.normal_op + sp.eye(self.n_colloc, self.n_unknowns,
-                                                 k=self.n_active, format="csr")
-        self.robin_diag = 3.0 / (2.0 * dl) + 1.0  # each trace unknown's own coefficient
+        # one-sided u_nu through the two interior ray values and the trace:
+        # the active-value block, shared by u_nu and the Robin rows u_nu + u(y)
+        self.robin_u = (-4.0 * self.W1 + self.W2) / (2.0 * dl)
+        self.robin_diag = 3.0 / (2.0 * dl) + 1.0  # each trace unknown's own Robin coefficient
 
     # -- field plumbing ------------------------------------------------------
 
@@ -632,7 +639,7 @@ def hessian_contraction(coef: np.ndarray, grid: Grid) -> sp.csr_matrix:
 def normal_derivative(field: DiscreteField, grid: Grid) -> np.ndarray:
     """Outward normal derivative at collocation points (one-sided, 3 nodes)."""
     field.check(grid)
-    return grid.normal_op @ field.pack()
+    return grid.robin_u @ field.values + 3.0 / (2.0 * grid.delta) * field.trace
 
 
 def second_normal_derivative(field: DiscreteField, grid: Grid) -> np.ndarray:
@@ -664,4 +671,4 @@ def robin_residual(field: DiscreteField, grid: Grid, problem: SampledProblem,
         raise ValueError(f"homotopy parameter t={t} outside [0, 1]")
     field.check(grid)
     data = t * problem.phi_colloc + (1.0 - t) * grid.colloc_quad
-    return grid.robin_jac @ field.pack() - data
+    return grid.robin_u @ field.values + grid.robin_diag * field.trace - data

@@ -249,23 +249,28 @@ def assemble_jacobian(hessians: np.ndarray, grid: Grid) -> sp.csr_matrix:
 
 def full_jacobian(x: np.ndarray, t: float, grid: Grid,
                   problem: SampledProblem) -> sp.csc_matrix:
-    """Sparse Jacobian of ``residual_vector``: [[K @ extension], [Robin rows]]."""
+    """Sparse Jacobian of ``residual_vector``: [[K @ extension], [R_u, d I]].
+
+    The Robin rows are formed here from ``grid.robin_u`` and ``grid.robin_diag``.
+    """
     d2 = hessian_batch(DiscreteField.unpack(x, grid), grid)
-    return sp.vstack([assemble_jacobian(d2, grid) @ grid.extension, grid.robin_jac],
-                     format="csc")
+    robin = sp.hstack([grid.robin_u, grid.robin_diag * sp.identity(grid.n_colloc, format="csr")],
+                      format="csr")
+    return sp.vstack([assemble_jacobian(d2, grid) @ grid.extension, robin], format="csc")
 
 
 def condensed_map(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """The extension with the trace eliminated through the Robin rows: (E, L).
 
-    The Robin rows R_u u + d b = g fix b = (g - R_u u) / d (d =
-    ``grid.robin_diag``), so ``extension @ [u; b]`` = E u + L g with
-    E = [I; C_u - C_b R_u / d] and L = [0; C_b] / d, where [C_u, C_b] = C.
+    The Robin rows R_u u + d b = g (R_u = ``grid.robin_u``, d =
+    ``grid.robin_diag``) fix b = (g - R_u u) / d, so ``extension @ [u; b]``
+    = E u + L g with E = [I; C_u - C_b R_u / d] and L = [0; C_b] / d, where
+    [C_u, C_b] = C.
     """
     n = grid.n_active
     ext = grid.extension.tocsc()
     lift = (ext[:, n:] / grid.robin_diag).tocsr()
-    return (ext[:, :n] - lift @ grid.robin_jac[:, :n]).tocsr(), lift
+    return (ext[:, :n] - lift @ grid.robin_u).tocsr(), lift
 
 
 class CondensedSolver:
@@ -320,8 +325,7 @@ class CondensedSolver:
                 raise StepFailure(f"{stall}; rebuilding the preconditioner: {exc}")
             self.report.ilu_rebuilds += 1
             raise StepFailure(f"{stall}; preconditioner rebuilt from this step's system")
-        r_du = grid.robin_jac @ np.concatenate([du, np.zeros_like(g2)])  # R_u du
-        return np.concatenate([du, (g2 - r_du) / grid.robin_diag])
+        return np.concatenate([du, (g2 - grid.robin_u @ du) / grid.robin_diag])
 
 
 def _incomplete_lu(schur: sp.csr_matrix):

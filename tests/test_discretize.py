@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.spatial
 from scipy.spatial import cKDTree
 
-from nconvex import discretize
+from nconvex import discretize, woperator
 from nconvex.discretize import (
     DiscreteField,
     Grid,
@@ -22,6 +23,7 @@ from nconvex.discretize import (
     second_normal_derivative,
 )
 from nconvex.geometry import DomainSpec, project_to_boundary_batch
+from nconvex.solver import full_jacobian
 
 BALL = DomainSpec.ball(1.0, n=3)
 ELLIPSOID = DomainSpec.ellipsoid((1.0, 1.0, 1.05))
@@ -91,12 +93,24 @@ class TestGridBuild:
         with pytest.raises(ValueError):
             Grid(BALL, 5)
 
+    @pytest.mark.parametrize("resolution", [17.5, 17.0, "17"])
+    def test_non_integral_resolution_rejected(self, resolution):
+        # a fractional resolution would set h from one value and record another
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            Grid(BALL, resolution)
+
+    def test_numpy_integer_resolution_builds(self):
+        grid = Grid(BALL, np.int64(9))
+        assert grid.resolution == 9 and type(grid.resolution) is int
+
     @pytest.mark.parametrize("domain", [BALL, ELLIPSOID],
                              ids=["ball", "ellipsoid"])
     def test_robin_trace_block_is_scaled_identity(self, domain):
         # the solver eliminates the trace unknowns exactly only while this holds
         grid = Grid(domain, 9)
-        block = grid.robin_jac[:, grid.n_active:]
+        seed = DiscreteField.from_function(grid, quad_seed).pack()
+        jac = full_jacobian(seed, 0.0, grid, sample_problem(QUADRATIC, grid))
+        block = jac[grid.n_active:, grid.n_active:]
         assert grid.robin_diag == 3.0 / (2.0 * grid.delta) + 1.0
         assert np.array_equal(block.toarray(), grid.robin_diag * np.eye(grid.n_colloc))
 
@@ -397,6 +411,28 @@ class TestRobinResidual:
             errs.append(np.max(np.abs(r)))
         assert errs[0] / errs[1] > 2.0  # at least ~first order in the sup norm
 
+    @pytest.mark.parametrize("domain, res",
+                             [(BALL, 17), (DomainSpec.ellipsoid((1.0, 1.0, 1.5)), 11)],
+                             ids=["ball-17", "ellipsoid-11"])
+    def test_rows_are_the_one_stored_block_and_the_trace_scalar(self, domain, res):
+        # u_nu and the Robin residual are the full rows [robin_u, c I] applied
+        # to [u; b], bit for bit, without the grid storing those rows
+        grid = Grid(domain, res)
+        assert not hasattr(grid, "normal_op") and not hasattr(grid, "robin_jac")
+        assert grid.robin_u.shape == (grid.n_colloc, grid.n_active)
+        problem = sample_problem(manufactured_problem(domain, 0.05)[0], grid)
+        data = 0.3 * problem.phi_colloc + 0.7 * grid.colloc_quad
+        eye = sp.identity(grid.n_colloc, format="csr")
+        u_nu_rows = sp.hstack([grid.robin_u, 3.0 / (2.0 * grid.delta) * eye], format="csr")
+        robin_rows = sp.hstack([grid.robin_u, grid.robin_diag * eye], format="csr")
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            x = rng.standard_normal(grid.n_unknowns)
+            field = DiscreteField.unpack(x, grid)
+            assert np.array_equal(normal_derivative(field, grid), u_nu_rows @ x)
+            assert np.array_equal(robin_residual(field, grid, problem, t=0.3),
+                                  robin_rows @ x - data)
+
 
 class TestInteriorResidual:
     def test_quadratic_seed_t0(self):
@@ -475,6 +511,23 @@ class TestProblemData:
 
 
 class TestManufacturedProblem:
+    @pytest.mark.parametrize("direction", [(2.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0),
+                                           (1.0 + 1e-9, 0.0, 0.0)],
+                             ids=["long", "diagonal", "short-vector", "near-unit"])
+    def test_non_unit_direction_rejected(self, direction):
+        # f = (n-1)(n-1+b)^(n-1) holds for |w| = 1 only
+        with pytest.raises(ValueError, match="direction"):
+            manufactured_problem(BALL, 0.5, direction)
+
+    def test_unit_direction_matches_its_f(self, grid9):
+        # det W(D2u*) = f with the exact Hessian I + a exp(w.x) w w^T
+        w = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        problem, _ = manufactured_problem(BALL, 0.5, w)
+        pts = grid9.active_pts
+        hess = np.eye(3) + (0.5 * np.exp(pts @ w))[:, None, None] * np.outer(w, w)
+        f = problem.f(pts)
+        assert np.max(np.abs(woperator.batch_det_w(hess) - f) / f) < 1e-13
+
     @pytest.mark.parametrize("domain", [BALL, DomainSpec.ball(1.0, n=4), ELLIPSOID],
                              ids=["ball-3d", "ball-4d", "ellipsoid"])
     def test_amplitude_zero_is_the_quadratic_seed(self, domain):

@@ -377,7 +377,7 @@ def schur_of(jac, grid):
     n = grid.n_active
     jac = sp.csr_matrix(jac)
     d = grid.robin_diag
-    return sp.csr_matrix(jac[:n, :n] - jac[:n, n:] @ grid.robin_jac[:, :n] / d)
+    return sp.csr_matrix(jac[:n, :n] - jac[:n, n:] @ grid.robin_u / d)
 
 
 @pytest.fixture(scope="module")
@@ -465,7 +465,7 @@ class TestLinearSolve:
         grid = grid9 if domain == "ball" else egg9
         problem = sample_problem(MANUFACTURED, grid)
         emap, lift = condensed_map(grid)
-        n, r_u = grid.n_active, grid.robin_jac[:, :grid.n_active]
+        n, r_u = grid.n_active, grid.robin_u
         data = 0.4 * problem.phi_colloc + 0.6 * grid.colloc_quad
         for x in seed_and_bumped(grid):
             u = x[:n]
