@@ -159,7 +159,13 @@ def _coerce(key, value):
 
 
 def config_digest(cfg: dict) -> str:
-    canon = json.dumps({k: cfg[k] for k in sorted(cfg)}, sort_keys=True, default=str)
+    """Hash of the keys that define the solve.
+
+    Where the results are written (``output``) and in which format
+    (``report``) are left out, so two runs of the same solve share a digest.
+    """
+    solve = {k: cfg[k] for k in sorted(cfg) if k not in ("output", "report")}
+    canon = json.dumps(solve, sort_keys=True, default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

@@ -6,10 +6,12 @@ the Robin rows are linear and precomputed on the grid.  Every accepted
 iterate must keep the ellipticity margin tr(D2u) - lambda_max(D2u), the
 smallest eigenvalue of M = tr(D2u) I - D2u and hence of W, positive at all
 active points (the discrete ellipticity certificate), which the line
-search enforces alongside plain residual decrease.  Each iterate's Hessian
-stack is formed once and gives its det W, its margin and the next Jacobian;
-one eigendecomposition of it gives both the margin and the monitors'
-sup|D2u|.  The accepted state carries the stack and its eigenvalues.
+search enforces alongside plain residual decrease.  Every homotopy state
+(the seed, a path prediction, a line-search trial) is built by
+``evaluate_state``: one Hessian stack of its field gives its det W, its
+residual at its own t and the next Jacobian, and one eigendecomposition of
+the stack gives both its margin and the monitors' sup|D2u|.  The monitors
+are evaluated once per state that Newton returns.
 
 Each Newton step eliminates the trace unknowns exactly (the Robin block
 on them is a multiple of the identity) through a map that is constant for
@@ -27,15 +29,16 @@ from the polynomial through the last accepted states, in Newton form: the
 secant x_k + (t_{k+1} - t_k)/(t_k - t_{k-1}) (x_k - x_{k-1}) and, once a
 third state is accepted, the correction (t_{k+1} - t_k)(t_{k+1} - t_{k-1})
 D2, with D2 the second divided difference of x_k, x_{k-1} and x_{k-2}.
-One Hessian stack of the prediction gives its margin and det W; a
-prediction with margin <= 0, or one from which Newton fails, gives way to
-a start from x_k at the same t.  On an exact path x_k = x_{k-1} and no
-prediction is formed.
+A prediction with margin <= 0, or one from which Newton fails, gives way
+to a start from x_k at the same t, which keeps x_k's state and recomputes
+only its residual.  On an exact path x_k = x_{k-1} and no prediction is
+formed.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,6 +76,7 @@ __all__ = [
     "condensed_map",
     "ellipticity_margin",
     "bound_monitors",
+    "evaluate_state",
     "newton_solve",
     "quadratic_seed",
     "continuation",
@@ -125,6 +129,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.newton_tol) and self.newton_tol > 0.0):
             raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
+        for key in ("max_newton_iters", "homotopy_steps"):
+            if not isinstance(getattr(self, key), numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
         if self.homotopy_steps < 1:
@@ -151,14 +158,20 @@ class BoundMonitors:
 
 @dataclass
 class HomotopyState:
+    """One point of the homotopy path, built by ``evaluate_state``."""
+
     t: float
     field: DiscreteField
-    residual_norm: float
+    residual: np.ndarray  # residual_vector of the field at t
     ellipticity_margin: float
-    monitors: BoundMonitors | None  # None only on a predicted start (``continuation``)
+    monitors: BoundMonitors | None  # None until ``newton_solve`` returns the state
     det_w: np.ndarray  # det W(D2u) at every active point of the field
     hessians: np.ndarray  # D2u at every active point of the field (``hessian_batch``)
     eigenvalues: np.ndarray  # np.linalg.eigvalsh(hessians): the margin and sup|D2u| read it
+
+    @property
+    def residual_norm(self) -> float:
+        return float(np.max(np.abs(self.residual)))
 
 
 @dataclass
@@ -288,12 +301,13 @@ class CondensedSolver:
     on every step, and GMRES always solves the step's full S.  A step GMRES
     does not finish replaces the preconditioner with an incomplete LU of its
     own S and raises StepFailure, so the caller retries with a smaller step.
-    GMRES iterations and rebuilds are recorded on ``report``.
+    GMRES iterations and rebuilds are recorded on ``report``, a fresh one
+    when none is given.
     """
 
-    def __init__(self, grid: Grid, report: PathReport):
+    def __init__(self, grid: Grid, report: PathReport | None = None):
         self.grid = grid
-        self.report = report
+        self.report = PathReport() if report is None else report
         self._map = None  # (E, L), built by the first step
         self._ilu = None  # the preconditioner: the seed S's ILU, or a stalled step's
 
@@ -352,59 +366,59 @@ def bound_monitors(fld: DiscreteField, eigenvalues: np.ndarray, grid: Grid) -> B
     return BoundMonitors(sup_u=sup_u, sup_du=sup_du, sup_d2u=sup_d2u, sup_unn=sup_unn)
 
 
+def evaluate_state(x: np.ndarray, t: float, grid: Grid,
+                   problem: SampledProblem) -> HomotopyState:
+    """The homotopy state of the packed field x at t, with no monitors yet.
+
+    One Hessian stack of the field gives its det W, which the residual
+    reads, and one eigendecomposition, which gives its margin and later the
+    monitors' sup|D2u|.
+    """
+    fld = DiscreteField.unpack(x, grid)
+    d2 = hessian_batch(fld, grid)
+    det = woperator.batch_det_w(d2)
+    eig = np.linalg.eigvalsh(d2)
+    return HomotopyState(t=t, field=fld, residual=residual_vector(x, t, grid, problem, det),
+                         ellipticity_margin=ellipticity_margin(d2, eig), monitors=None,
+                         det_w=det, hessians=d2, eigenvalues=eig)
+
+
 def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
                  config: SolverConfig,
                  linear: CondensedSolver | None = None) -> HomotopyState:
     """Damped Newton at fixed t with the cone guard in the line search.
 
-    Each step solves the Jacobian system with ``linear`` (a fresh
-    CondensedSolver when none is passed) and backtracks until the trial
-    iterate both decreases the sup-norm residual and keeps the ellipticity
-    margin positive at every active point.  Raises StepFailure when the
-    iteration budget, the line-search floor, or the linear solve gives out.
+    Each step solves the Jacobian system at the state's Hessian stack for
+    the right side -``state.residual`` with ``linear`` (a fresh
+    CondensedSolver when none is passed), and backtracks until the trial
+    state (``evaluate_state``) both decreases the sup-norm residual and
+    keeps the ellipticity margin positive at every active point; that trial
+    becomes the state.  Raises StepFailure when the iteration budget, the
+    line-search floor, or the linear solve gives out.
 
-    The start state's Hessian stack, its eigenvalues, margin, monitors and
-    det W are trusted to describe its field.  A trial's stack gives its det W
-    and, if the trial decreases the residual, one eigendecomposition for its
-    margin; once accepted, the stack gives the next Jacobian.  The result
-    reuses the accepted iterate's stack, eigenvalues, residual, margin and
-    det W, and evaluates the monitors from those eigenvalues once if a step
-    was taken or the start carries none (a prediction, whose start residual
-    is recorded on the report).
+    The start state is trusted to describe its field at its t.  The result
+    is the last accepted state, whose monitors are evaluated once, from its
+    eigenvalues, if it carries none.
     """
     if state.ellipticity_margin <= 0.0:
         raise ValueError(
             f"inadmissible start: ellipticity margin {state.ellipticity_margin:.3g} <= 0"
         )
     if linear is None:
-        linear = CondensedSolver(grid, PathReport())
-    t = state.t
-    fld, margin, monitors = state.field, state.ellipticity_margin, state.monitors
-    det, d2, eig = state.det_w, state.hessians, state.eigenvalues
-    x = fld.pack()
-    r = residual_vector(x, t, grid, problem, det)
-    rnorm = float(np.max(np.abs(r)))
-    if monitors is None:
-        linear.report.predicted_start_residuals.append(rnorm)
+        linear = CondensedSolver(grid)
+    t, rnorm = state.t, state.residual_norm
     for _ in range(config.max_newton_iters):
         if rnorm <= config.newton_tol:
             break
-        delta = linear.solve(assemble_jacobian(d2, grid), -r, t)
+        x = state.field.pack()
+        delta = linear.solve(assemble_jacobian(state.hessians, grid), -state.residual, t)
         alpha = 1.0
         while True:
-            trial = x + alpha * delta
-            trial_fld = DiscreteField.unpack(trial, grid)
-            trial_d2 = hessian_batch(trial_fld, grid)
-            trial_det = woperator.batch_det_w(trial_d2)
-            trial_r = residual_vector(trial, t, grid, problem, trial_det)
-            trial_norm = float(np.max(np.abs(trial_r)))
-            if trial_norm < rnorm:
-                trial_eig = np.linalg.eigvalsh(trial_d2)
-                trial_margin = ellipticity_margin(trial_d2, trial_eig)
-                if trial_margin > 0.0:
-                    x, r, rnorm, det, d2 = trial, trial_r, trial_norm, trial_det, trial_d2
-                    fld, margin, monitors, eig = trial_fld, trial_margin, None, trial_eig
-                    break
+            trial = evaluate_state(x + alpha * delta, t, grid, problem)
+            trial_norm = trial.residual_norm
+            if trial_norm < rnorm and trial.ellipticity_margin > 0.0:
+                state, rnorm = trial, trial_norm
+                break
             alpha *= config.damping
             if alpha < LINE_SEARCH_FLOOR:
                 raise StepFailure(
@@ -415,10 +429,9 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
             f"Newton did not reach tol {config.newton_tol:.1e} at t={t:.6g} "
             f"(residual {rnorm:.3g} after {config.max_newton_iters} iterations)"
         )
-    if monitors is None:
-        monitors = bound_monitors(fld, eig, grid)
-    return HomotopyState(t=t, field=fld, residual_norm=rnorm, ellipticity_margin=margin,
-                         monitors=monitors, det_w=det, hessians=d2, eigenvalues=eig)
+    if state.monitors is None:
+        state = replace(state, monitors=bound_monitors(state.field, state.eigenvalues, grid))
+    return state
 
 
 def quadratic_seed(grid: Grid) -> DiscreteField:
@@ -426,8 +439,8 @@ def quadratic_seed(grid: Grid) -> DiscreteField:
     return DiscreteField.from_function(grid, lambda pts: 0.5 * np.sum(pts**2, axis=1))
 
 
-def _predicted_start(state: HomotopyState, earlier: tuple, t_next: float,
-                     grid: Grid) -> HomotopyState | None:
+def _predicted_start(state: HomotopyState, earlier: tuple, t_next: float, grid: Grid,
+                     problem: SampledProblem) -> HomotopyState | None:
     """The start at t_next predicted from ``state`` and the states before it.
 
     ``earlier`` holds (t, packed field) of up to two states accepted before
@@ -437,9 +450,9 @@ def _predicted_start(state: HomotopyState, earlier: tuple, t_next: float,
     ``earlier`` holds two states, (t_next - t_k)(t_next - t_{k-1}) D2, with
     D2 the second divided difference of x_k, x_{k-1} and x_{k-2}.  Returns
     None when there is no secant: no earlier state, or an exact path, where
-    x_k - x_{k-1} is exactly 0.  Otherwise one Hessian stack of the
-    prediction gives its det W and, through one eigendecomposition, its
-    margin; the monitors are left to the field that Newton accepts.
+    x_k - x_{k-1} is exactly 0.  Otherwise the prediction is evaluated at
+    t_next (``evaluate_state``); the monitors are left to the field that
+    Newton accepts.
     """
     if not earlier:
         return None
@@ -454,12 +467,7 @@ def _predicted_start(state: HomotopyState, earlier: tuple, t_next: float,
         t_2, x_2 = earlier[1]
         curvature = (secant / (state.t - t_1) - (x_1 - x_2) / (t_1 - t_2)) / (state.t - t_2)
         predicted += step * (t_next - t_1) * curvature
-    fld = DiscreteField.unpack(predicted, grid)
-    d2 = hessian_batch(fld, grid)
-    eig = np.linalg.eigvalsh(d2)
-    return HomotopyState(t=t_next, field=fld, residual_norm=float("nan"),
-                         ellipticity_margin=ellipticity_margin(d2, eig), monitors=None,
-                         det_w=woperator.batch_det_w(d2), hessians=d2, eigenvalues=eig)
+    return evaluate_state(predicted, t_next, grid, problem)
 
 
 def _advance(state: HomotopyState, earlier: tuple, t_next: float, grid: Grid,
@@ -468,14 +476,16 @@ def _advance(state: HomotopyState, earlier: tuple, t_next: float, grid: Grid,
     """Newton at t_next from the predicted start, or from ``state``.
 
     ``earlier`` is as in ``_predicted_start``.  A prediction is used only
-    when its margin is positive.  If it is refused, or Newton fails from it,
-    the solve is retried once from ``state`` at the same t; a StepFailure of
-    that retry propagates.
+    when its margin is positive, and its residual norm is then recorded on
+    the report.  If it is refused, or Newton fails from it, the solve is
+    retried once from ``state`` at the same t, with only its residual
+    recomputed; a StepFailure of that retry propagates.
     """
     report = linear.report
-    predicted = _predicted_start(state, earlier, t_next, grid)
+    predicted = _predicted_start(state, earlier, t_next, grid, problem)
     if predicted is not None:
         if predicted.ellipticity_margin > 0.0:
+            report.predicted_start_residuals.append(predicted.residual_norm)
             try:
                 out = newton_solve(predicted, grid, problem, config, linear)
             except StepFailure:
@@ -484,7 +494,9 @@ def _advance(state: HomotopyState, earlier: tuple, t_next: float, grid: Grid,
                 report.predicted_starts += 1
                 return out
         report.predictor_fallbacks += 1
-    return newton_solve(replace(state, t=t_next), grid, problem, config, linear)
+    residual = residual_vector(state.field.pack(), t_next, grid, problem, state.det_w)
+    return newton_solve(replace(state, t=t_next, residual=residual), grid, problem, config,
+                        linear)
 
 
 def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
@@ -492,21 +504,21 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     """March t from 0 to 1 with adaptive halving; returns (state, report).
 
     The curvature-pinching gate runs first unless ``force`` is set; the
-    start iterate is the exact t = 0 solution, whose margin, det W and
-    monitors are read from one Hessian stack and one eigendecomposition
-    here.  Once two states are accepted, each Newton solve starts from the
+    start state is the exact t = 0 solution (``evaluate_state`` of
+    ``quadratic_seed``), and its monitors come from the Newton solve at
+    t = 0.  Once two states are accepted, each Newton solve starts from the
     prediction through the last two or three of them (``_predicted_start``)
     when its margin is positive, and otherwise, or when Newton fails from
-    it, from the last accepted state, whose stack, eigenvalues, margin,
-    monitors and det W still describe its field.  Only the t and packed
-    field of the two states before it are kept for the prediction, and no
-    earlier Hessian stack.  One CondensedSolver serves every Newton
-    step, so the seed ILU is built at most once per call and only when some
-    step needs a linear solve; a GMRES stall rebuilds it from the stalled
-    step.  A step that fails from the last accepted state halves dt.  On
-    persistent step failure raises ContinuationFailure carrying the last
-    accepted state and report; a failure of the t = 0 solve raises it
-    with no state.
+    it, from the last accepted state with its residual recomputed at the new
+    t; its stack, eigenvalues, margin, monitors and det W still describe its
+    field.  Only the t and packed field of the two states before it are
+    kept for the prediction, and no earlier Hessian stack.  One
+    CondensedSolver serves every Newton step, so the seed ILU is built at
+    most once per call and only when some step needs a linear solve; a GMRES
+    stall rebuilds it from the stalled step.  A step that fails from the
+    last accepted state halves dt.  On persistent step failure raises
+    ContinuationFailure carrying the last accepted state and report; a
+    failure of the t = 0 solve raises it with no state.
     """
     if not force:
         gate = pinching_check(grid.domain)
@@ -518,15 +530,9 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
             )
     report = PathReport()
     linear = CondensedSolver(grid, report)
-    seed = quadratic_seed(grid)
-    d2 = hessian_batch(seed, grid)
-    eig = np.linalg.eigvalsh(d2)
-    margin = ellipticity_margin(d2, eig)
-    if margin <= 0.0:
+    state = evaluate_state(quadratic_seed(grid).pack(), 0.0, grid, problem)
+    if state.ellipticity_margin <= 0.0:
         raise ValueError("quadratic seed is not admissible on this grid")
-    state = HomotopyState(t=0.0, field=seed, residual_norm=float("nan"),
-                          ellipticity_margin=margin, monitors=bound_monitors(seed, eig, grid),
-                          det_w=woperator.batch_det_w(d2), hessians=d2, eigenvalues=eig)
     try:
         state = newton_solve(state, grid, problem, config, linear)
     except StepFailure as exc:

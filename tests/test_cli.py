@@ -156,14 +156,68 @@ class TestSolveCommand:
         for sub in ("one", "two"):
             cfg = tmp_path / f"{sub}.cfg"
             cfg.write_text(
-                "case = ball-constant\nresolution = 9\nreport = csv\n"
+                "case = ball-constant\nresolution = 9\nreport = json\n"
                 f"output = {tmp_path / sub}\n"
             )
             assert main(["solve", "--config", str(cfg)]) == 0
-        a = (tmp_path / "one" / "path_report.csv").read_text()
-        b = (tmp_path / "two" / "path_report.csv").read_text()
-        # identical up to the output path, which is not part of the rows
+        a = (tmp_path / "one" / "path_report.json").read_text()
+        b = (tmp_path / "two" / "path_report.json").read_text()
+        # the output directory is not part of the solve, so not of its digest either
+        assert "config_digest" in json.loads(a)
         assert a == b
+
+    def test_digest_ignores_output_and_report_format(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("resolution = 9\n")
+        cfg = parse_config(path)
+        moved = {**cfg, "output": str(tmp_path / "elsewhere"), "report": "json"}
+        assert config_digest(moved) == config_digest(cfg)
+
+    def test_flags_override_the_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "case = ball-constant\nresolution = 17\nhomotopy_steps = 10\nreport = csv\n"
+            f"output = {tmp_path / 'A'}\n"
+        )
+        assert main(["solve", "--config", str(cfg), "--resolution", "9",
+                     "--homotopy-steps", "2", "--report", "json", "--verify-barriers",
+                     "--output", str(tmp_path / "B")]) == 0
+        assert not (tmp_path / "A").exists()
+        report = json.loads((tmp_path / "B" / "path_report.json").read_text())
+        assert [row["t"] for row in report["rows"]] == [0.0, 0.5, 1.0]
+        assert "barriers" in report
+        grid, _, _ = load_solution_dump(tmp_path / "B" / "solution")
+        assert grid.resolution == 9
+
+    def test_barrier_failure_is_reported_not_fatal(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "case = ball-constant\nresolution = 9\nreport = json\n"
+            f"verify_barriers = true\noutput = {tmp_path / 'out'}\n"
+        )
+        assert main(["solve", "--config", str(cfg)]) == 0
+        error = ("boundary strip of width 0.06923 holds no active grid point (h = 0.25); "
+                 "refine the grid or widen the strip")
+        assert capsys.readouterr().err == f"barrier verification skipped: {error}\n"
+        report = json.loads((tmp_path / "out" / "path_report.json").read_text())
+        assert report["barriers"] == {"error": error}
+        assert report["rows"][-1]["t"] == 1.0
+
+    def test_barriers_skipped_for_file_data(self, tmp_path, capsys):
+        grid = Grid(DomainSpec.ball(1.0, n=3), 9)
+        np.full(grid.n_active, 8.0).astype("<f8").tofile(tmp_path / "f.bin")
+        grid.colloc_quad.astype("<f8").tofile(tmp_path / "phi.bin")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"resolution = 9\nf.file = {tmp_path / 'f.bin'}\n"
+            f"phi.file = {tmp_path / 'phi.bin'}\nreport = json\nverify_barriers = true\n"
+            f"output = {tmp_path / 'out'}\n"
+        )
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == (
+            "barrier verification needs a named case (callable data); skipped\n")
+        report = json.loads((tmp_path / "out" / "path_report.json").read_text())
+        assert "barriers" not in report and report["rows"][-1]["t"] == 1.0
 
     def test_manufactured_error_ratio_between_resolutions(self, tmp_path):
         errors = {}
@@ -420,6 +474,25 @@ class TestErrorReporting:
         assert code == 2
         assert err == f"configuration error: {detail}\n"
         assert work == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("longer, detail", [
+        ("f", "f array has 180 values, grid has 179 active points"),
+        ("phi", "phi array has 283 values, grid has 282 collocation points"),
+    ], ids=["f", "phi"])
+    def test_data_file_of_the_wrong_size(self, tmp_path, capsys, longer, detail):
+        grid = Grid(DomainSpec.ball(1.0, n=3), 9)
+        data = {"f": np.full(grid.n_active, 8.0), "phi": grid.colloc_quad}
+        data[longer] = np.append(data[longer], 1.0)
+        for name, values in data.items():
+            values.astype("<f8").tofile(tmp_path / f"{name}.bin")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"resolution = 9\nf.file = {tmp_path / 'f.bin'}\n"
+            f"phi.file = {tmp_path / 'phi.bin'}\noutput = {tmp_path / 'out'}\n"
+        )
+        code, err = self.run(["solve", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err == f"configuration error: {detail}\n"
 
     def test_rank_deficient_grid(self, tmp_path, capsys):
         # forced past the pinching gate, the (1, 1, 3) ellipsoid cannot build

@@ -24,7 +24,6 @@ from nconvex.geometry import DomainSpec
 from nconvex.solver import (
     CondensedSolver,
     ContinuationFailure,
-    HomotopyState,
     PathReport,
     SolverConfig,
     StepFailure,
@@ -33,6 +32,7 @@ from nconvex.solver import (
     condensed_map,
     continuation,
     ellipticity_margin,
+    evaluate_state,
     full_jacobian,
     newton_solve,
     quadratic_seed,
@@ -68,19 +68,7 @@ def stencil_at(x, grid):
 
 
 def make_state(t, fld, grid, problem):
-    r = residual_vector(fld.pack(), t, grid, problem)
-    d2 = hessian_batch(fld, grid)
-    eig = np.linalg.eigvalsh(d2)
-    return HomotopyState(
-        t=t,
-        field=fld,
-        residual_norm=float(np.max(np.abs(r))),
-        ellipticity_margin=ellipticity_margin(d2),
-        monitors=bound_monitors(fld, eig, grid),
-        det_w=woperator.batch_det_w(d2),
-        hessians=d2,
-        eigenvalues=eig,
-    )
+    return evaluate_state(fld.pack(), t, grid, problem)
 
 
 class TestSolverConfig:
@@ -93,12 +81,21 @@ class TestSolverConfig:
         ("newton_tol", float("nan")),
         ("newton_tol", float("inf")),
         ("max_newton_iters", 0),
+        ("max_newton_iters", 2.5),
+        ("max_newton_iters", "30"),
         ("homotopy_steps", 0),
+        ("homotopy_steps", 2.5),
+        ("homotopy_steps", 10.0),
+        ("homotopy_steps", "3"),
         ("damping", 1.0),
     ])
     def test_bad_value_refused(self, key, value):
         with pytest.raises(ValueError, match=key):
             SolverConfig(**{key: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = SolverConfig(homotopy_steps=np.int64(10), max_newton_iters=np.int64(30))
+        assert config.homotopy_steps == 10 and config.max_newton_iters == 30
 
     def test_whole_step_is_a_valid_min_step(self):
         assert SolverConfig(min_step=1.0).min_step == 1.0
@@ -635,9 +632,10 @@ class TestStateEvaluation:
         assert [s.t for s in accepted] == [row["t"] for row in report.rows]
         for state in accepted:
             fresh = make_state(state.t, state.field, grid, problem)
+            assert np.array_equal(state.residual, fresh.residual)
             assert state.residual_norm == fresh.residual_norm
             assert state.ellipticity_margin == fresh.ellipticity_margin
-            assert state.monitors == fresh.monitors
+            assert state.monitors == bound_monitors(fresh.field, fresh.eigenvalues, grid)
             assert np.array_equal(state.hessians, hessian_batch(state.field, grid))
             assert np.array_equal(state.det_w, woperator.batch_det_w(state.hessians))
             assert np.array_equal(state.eigenvalues, np.linalg.eigvalsh(state.hessians))
@@ -764,25 +762,32 @@ class TestStateEvaluation:
         assert len(set(keys)) == len(keys)
         assert len(residuals) == len(solves) + len(trials)
         assert len(trials) >= len(steps) > 0
-        # the margin: once at the seed, once per prediction, then at most once
-        # per trial point
+        # the margin: once per evaluated state, the seed, each prediction and
+        # each trial point
         predictions = [out for _, out in predicted if out is not None]
         assert len(predictions) > 0
         assert len({d2.tobytes() for d2 in margins}) == len(margins)
         assert all(sum(p.hessians is d2 for d2 in margins) == 1 for p in predictions)
-        assert len(margins) <= 1 + len(predictions) + len(trials)
-        # the monitors: once at the seed, then once per accepted state whose
-        # field its start did not carry monitors for; never at a prediction
+        assert len(margins) == 1 + len(predictions) + len(trials)
+        # the monitors: once per accepted state whose field its start did not
+        # carry monitors for (the seed, a prediction, or a start Newton moved
+        # from); never at a prediction itself
+        seed = solves[0][0][0]
         fresh = [out for args, out in solves if out is not None
-                 and (args[0].monitors is None
+                 and (args[0] is seed or is_prediction(args[0], predictions)
                       or not np.array_equal(out.field.pack(), args[0].field.pack()))]
-        assert len(monitors) == 1 + len(fresh)
-        assert all(any(fld is out.field for out in fresh) for fld in monitors[1:])
+        assert len(monitors) == len(fresh)
+        assert all(any(fld is out.field for out in fresh) for fld in monitors)
 
 
-def starts_of(solves):
-    """(t, whether the start is a path prediction) of each recorded newton_solve."""
-    return [(args[0].t, args[0].monitors is None) for args, _ in solves]
+def is_prediction(state, predictions):
+    """Whether ``state`` is one of ``predictions``, outputs of ``_predicted_start``."""
+    return any(state is p for p in predictions)
+
+
+def starts_of(solves, predictions):
+    """(t, whether the start is one of ``predictions``) of each recorded newton_solve."""
+    return [(args[0].t, is_prediction(args[0], predictions)) for args, _ in solves]
 
 
 def bumped_field(grid, scale, freq):
@@ -809,7 +814,7 @@ class TestSecantPredictor:
         ts = (0.2, 0.3, 0.35)
         (s2, s1, s0), x = self.quadratic_path(grid9, manufactured9, ts)
         earlier = ((s1.t, s1.field.pack()), (s2.t, s2.field.pack()))
-        out = nconvex.solver._predicted_start(s0, earlier, 0.45, grid9)
+        out = nconvex.solver._predicted_start(s0, earlier, 0.45, grid9, manufactured9)
         assert out.t == 0.45 and out.monitors is None
         assert np.max(np.abs(out.field.pack() - x(0.45))) <= 1e-14 * np.max(np.abs(x(0.45)))
         # the prediction's stack, eigenvalues, margin and det W describe its field
@@ -817,24 +822,29 @@ class TestSecantPredictor:
         assert np.array_equal(out.eigenvalues, np.linalg.eigvalsh(out.hessians))
         assert out.ellipticity_margin == margin_of(out.field, grid9)
         assert np.array_equal(out.det_w, woperator.batch_det_w(out.hessians))
+        # and its residual is the one at t = 0.45
+        assert np.array_equal(out.residual,
+                              residual_vector(out.field.pack(), 0.45, grid9, manufactured9))
         # the secant through the last two alone misses the curvature
-        secant = nconvex.solver._predicted_start(s0, earlier[:1], 0.45, grid9)
+        secant = nconvex.solver._predicted_start(s0, earlier[:1], 0.45, grid9, manufactured9)
         assert np.max(np.abs(secant.field.pack() - x(0.45))) > 1e-4
 
     def test_two_states_give_the_secant_bit_for_bit(self, grid9, manufactured9):
         (s1, s0), _ = self.quadratic_path(grid9, manufactured9, (0.2, 0.35))
         x, x1 = s0.field.pack(), s1.field.pack()
-        out = nconvex.solver._predicted_start(s0, ((s1.t, x1),), 0.45, grid9)
+        out = nconvex.solver._predicted_start(s0, ((s1.t, x1),), 0.45, grid9, manufactured9)
         assert np.array_equal(out.field.pack(), x + (0.45 - s0.t) / (s0.t - s1.t) * (x - x1))
 
     def test_no_prediction_without_a_secant(self, grid9, manufactured9):
         (s2, s1), _ = self.quadratic_path(grid9, manufactured9, (0.2, 0.3))
         x1, x2 = s1.field.pack(), s2.field.pack()
-        predict = nconvex.solver._predicted_start
-        assert predict(s1, (), 0.4, grid9) is None
+        def predict(earlier):
+            return nconvex.solver._predicted_start(s1, earlier, 0.4, grid9, manufactured9)
+
+        assert predict(()) is None
         # x_k - x_{k-1} = 0 forms no prediction, whatever x_{k-2} is
-        assert predict(s1, ((0.25, x1.copy()),), 0.4, grid9) is None
-        assert predict(s1, ((0.25, x1.copy()), (0.2, x2)), 0.4, grid9) is None
+        assert predict(((0.25, x1.copy()),)) is None
+        assert predict(((0.25, x1.copy()), (0.2, x2))) is None
 
     def test_manufactured_path_takes_at_most_13_linear_solves(self, grid9, manufactured9):
         state, report = continuation(manufactured9, grid9, SolverConfig())
@@ -867,7 +877,7 @@ class TestSecantPredictor:
         assert [row["t"] for row in report.rows] == pytest.approx(np.linspace(0.0, 1.0, 11))
         # no Newton solve starts at a refused prediction
         assert len(refused) == len(report.rows) - 2 > 0
-        assert not any(t_pred for _, t_pred in starts_of(solves))
+        assert not any(t_pred for _, t_pred in starts_of(solves, refused))
         assert report.predicted_starts == 0
         assert report.predictor_fallbacks == len(refused)
         assert len(report.krylov_iters) == 30
@@ -875,9 +885,10 @@ class TestSecantPredictor:
     def test_failed_prediction_is_retried_from_the_last_state(self, grid9, manufactured9,
                                                               monkeypatch):
         original = nconvex.solver.newton_solve
+        predicted = record_calls(monkeypatch, "_predicted_start")
 
         def newton_solve(state, *args):
-            if state.monitors is None:
+            if is_prediction(state, (out for _, out in predicted)):
                 raise StepFailure("predicted start refused by the test")
             return original(state, *args)
 
@@ -888,13 +899,13 @@ class TestSecantPredictor:
         # dt is never halved: each prediction fails and is retried at the same t
         ts = [row["t"] for row in report.rows]
         assert ts == pytest.approx(np.linspace(0.0, 1.0, 11))
-        starts = starts_of(solves)
+        starts = starts_of(solves, [out for _, out in predicted])
         assert starts[:2] == [(0.0, False), (ts[1], False)]
         assert starts[2:] == [(t, predicted) for t in ts[2:] for predicted in (True, False)]
         # each retry starts from the field of the state accepted just before it
         last = None
         for (start, *_), out in solves:
-            if last is not None and start.monitors is not None:
+            if last is not None and not is_prediction(start, (out for _, out in predicted)):
                 assert start.field is last.field
             last = out or last
         assert report.predicted_starts == 0
@@ -903,11 +914,12 @@ class TestSecantPredictor:
     def test_dt_halves_only_when_the_retry_fails_too(self, grid9, manufactured9,
                                                       monkeypatch):
         original = nconvex.solver.newton_solve
+        predicted = record_calls(monkeypatch, "_predicted_start")
         failed = []
 
         def newton_solve(state, *args):
             if state.t == pytest.approx(0.3) and len(failed) < 2:
-                failed.append(state.monitors is None)
+                failed.append(is_prediction(state, (out for _, out in predicted)))
                 raise StepFailure("step at t=0.3 refused by the test")
             return original(state, *args)
 
@@ -918,7 +930,7 @@ class TestSecantPredictor:
         # the prediction at 0.3 fails, then the retry from the state at 0.2;
         # only then is dt halved, and the step to 0.25 starts from a prediction
         assert failed == [True, False]
-        starts = starts_of(solves)
+        starts = starts_of(solves, [out for _, out in predicted])
         at = starts.index((pytest.approx(0.3), True))
         assert starts[at:at + 3] == [(pytest.approx(0.3), True), (pytest.approx(0.3), False),
                                      (pytest.approx(0.25), True)]
@@ -960,7 +972,9 @@ class TestMarginGuard:
         out = newton_solve(start, grid9, sp9, SolverConfig(max_newton_iters=60))
         assert out.residual_norm <= 1e-10
         assert len(rejected) == len(steps) > 0
-        assert len(residuals) >= 1 + 2 * len(steps)  # every step backtracked
+        # the start carries its residual, so every call is a trial: every step
+        # backtracked at least once
+        assert len(residuals) >= 2 * len(steps)
         # the returned margin is the field's true one, not the guard's -1
         assert out.ellipticity_margin == margin_of(out.field, grid9) > 0.0
 
