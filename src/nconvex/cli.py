@@ -163,8 +163,13 @@ def config_digest(cfg: dict) -> str:
 
     Where the results are written (``output``) and in which format
     (``report``) are left out, so two runs of the same solve share a digest.
+    A data file (``f.file``, ``phi.file``) enters by the SHA-256 of its
+    bytes, not by its path: new data changes the digest, moved data keeps it.
     """
     solve = {k: cfg[k] for k in sorted(cfg) if k not in ("output", "report")}
+    for key in ("f.file", "phi.file"):
+        if solve.get(key):
+            solve[key] = hashlib.sha256(Path(solve[key]).read_bytes()).hexdigest()
     canon = json.dumps(solve, sort_keys=True, default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -298,7 +303,6 @@ def _load_run(args):
 
 def cmd_solve(args) -> int:
     cfg = _load_run(args)
-    digest = config_digest(cfg)
     config = SolverConfig(**{f.name: cfg[f.name] for f in fields(SolverConfig)})
     domain = _domain_from_config(cfg)
     if domain.n < 3:
@@ -322,6 +326,7 @@ def cmd_solve(args) -> int:
     else:
         _, spec, exact = named_case(cfg["case"], n=int(cfg["n"]), domain=domain)
         problem = sample_problem(spec, grid)
+    digest = config_digest(cfg)  # after the data files are known to be readable
     out_dir = Path(cfg["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -415,7 +420,9 @@ def main(argv=None) -> int:
     p_solve.add_argument("--config", type=str, default=None)
     p_solve.add_argument("--resolution", type=int, default=None)
     p_solve.add_argument("--homotopy-steps", type=int, default=None,
-                         dest="homotopy_steps")
+                         dest="homotopy_steps",
+                         help="the first homotopy step is 1/N (default 10); later "
+                              "steps grow or halve with the Newton solves")
     p_solve.add_argument("--report", choices=REPORT_FORMATS, default=None)
     p_solve.add_argument("--verify-barriers", action="store_true",
                          dest="verify_barriers")

@@ -5,13 +5,14 @@ nesting, lift conformance, gradients, concavity) with a configurable seed
 and reports one result per suite.  Kept separate from the pytest suite so
 a deployed install can self-check without test infrastructure.
 
-The algebra kernels take a leading batch axis.  The identity, cone,
-spectral, gradient and concavity suites draw their cases one by one in a
-fixed RNG order, group them by shape, and evaluate one stack per shape
-group; the output is identical, seed for seed, to evaluating the cases
-one at a time.  The mean-comparison suite stays per draw, because whether
-it draws ``l`` depends on each membership verdict, and the conformance
-suite compares each lift with its explicit 3x3 form.
+The algebra kernels take a leading batch axis.  The identity,
+mean-comparison, cone, spectral, gradient and concavity suites draw their
+cases one by one in a fixed RNG order, group them by shape, and evaluate
+one stack per shape group; the output is identical, seed for seed, to
+evaluating the cases one at a time.  The mean-comparison suite still takes
+each membership verdict per draw, because whether it draws ``l`` depends
+on it; only the margins wait for the loop to end.  The conformance suite
+compares each lift with its explicit 3x3 form.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _suite_symfun(rng, cases=2000):
 
 
 def _suite_newton_maclaurin(rng, cases=2000):
-    worst = np.inf
+    groups = defaultdict(list)
     tried = 0
     while tried < cases:
         p = int(rng.integers(2, 9))
@@ -66,8 +67,11 @@ def _suite_newton_maclaurin(rng, cases=2000):
         if not cone.in_gamma_k(lam, k):
             continue
         tried += 1
-        l = int(rng.integers(1, k))
-        worst = min(worst, symfun.newton_maclaurin_margin(lam, k, l))
+        groups[p, k, int(rng.integers(1, k))].append(lam)
+    worst = np.inf
+    for (_, k, l), lams in groups.items():
+        margins = symfun.newton_maclaurin_margin(np.stack(lams), k, l)
+        worst = min(worst, float(np.min(margins)))
     ok = worst >= -1e-12
     return CheckResult(
         name="mean-comparison margins",

@@ -33,6 +33,10 @@ A prediction with margin <= 0, or one from which Newton fails, gives way
 to a start from x_k at the same t, which keeps x_k's state and recomputes
 only its residual.  On an exact path x_k = x_{k-1} and no prediction is
 formed.
+
+The path sets its own step (``continuation``): the first is
+1/``homotopy_steps``, each acceptance grows dt by 2 or, after at most two
+Newton iterations, by 4, and each rejected step halves it.
 """
 
 from __future__ import annotations
@@ -130,8 +134,9 @@ class SolverConfig:
         if not (np.isfinite(self.newton_tol) and self.newton_tol > 0.0):
             raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
         for key in ("max_newton_iters", "homotopy_steps"):
-            if not isinstance(getattr(self, key), numbers.Integral):
-                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
         if self.homotopy_steps < 1:
@@ -188,6 +193,8 @@ class PathReport:
     predictor_fallbacks: int = 0  # predictions refused by the guard or failed, retried from x_k
     # sup-norm residual at the start of each Newton solve begun at a prediction
     predicted_start_residuals: list = field(default_factory=list)
+    # (t, dt, StepFailure text) of each homotopy step that failed and halved dt
+    rejected_steps: list = field(default_factory=list)
 
     def add(self, state: HomotopyState):
         m = state.monitors
@@ -218,6 +225,7 @@ class PathReport:
             "predicted_starts": self.predicted_starts,
             "predictor_fallbacks": self.predictor_fallbacks,
             "predicted_start_residuals": self.predicted_start_residuals,
+            "rejected_steps": self.rejected_steps,
         }
         if self.config_digest is not None:
             payload["config_digest"] = self.config_digest
@@ -501,7 +509,7 @@ def _advance(state: HomotopyState, earlier: tuple, t_next: float, grid: Grid,
 
 def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
                  force: bool = False):
-    """March t from 0 to 1 with adaptive halving; returns (state, report).
+    """March t from 0 to 1 with an adaptive step; returns (state, report).
 
     The curvature-pinching gate runs first unless ``force`` is set; the
     start state is the exact t = 0 solution (``evaluate_state`` of
@@ -515,10 +523,17 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     kept for the prediction, and no earlier Hessian stack.  One
     CondensedSolver serves every Newton step, so the seed ILU is built at
     most once per call and only when some step needs a linear solve; a GMRES
-    stall rebuilds it from the stalled step.  A step that fails from the
-    last accepted state halves dt.  On persistent step failure raises
-    ContinuationFailure carrying the last accepted state and report; a
-    failure of the t = 0 solve raises it with no state.
+    stall rebuilds it from the stalled step.
+
+    The first step is 1/``config.homotopy_steps``.  After an accepted step
+    dt doubles, or quadruples if that step made at most two linear solves
+    (``report.krylov_iters`` entries), and stays as it is if the step before
+    was rejected; a step that would pass t = 1 is cut to end there.  A step
+    that fails from the last accepted state halves the step it tried, and
+    (t, dt, message) goes on ``report.rejected_steps``.  When dt falls below
+    ``config.min_step`` raises ContinuationFailure carrying the last
+    accepted state and report; a failure of the t = 0 solve raises it with
+    no state.
     """
     if not force:
         gate = pinching_check(grid.domain)
@@ -540,16 +555,19 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
         raise ContinuationFailure(str(exc), state=None, report=report) from exc
     report.add(state)
     earlier = ()  # (t, packed field) of up to two states accepted before ``state``, newest first
-    dt_init = 1.0 / config.homotopy_steps
-    dt = dt_init
+    dt = 1.0 / config.homotopy_steps
+    grow = True  # False on the acceptance that follows a rejected step
     while state.t < 1.0:
         t_next = state.t + dt
         if t_next >= 1.0 - 1e-12:
-            t_next = 1.0
+            t_next, dt = 1.0, 1.0 - state.t
+        solves = len(report.krylov_iters)
         try:
             accepted = _advance(state, earlier, t_next, grid, problem, config, linear)
         except StepFailure as exc:
+            report.rejected_steps.append((state.t, dt, str(exc)))
             dt *= 0.5
+            grow = False
             if dt < config.min_step:
                 raise ContinuationFailure(
                     f"step size underflow below {config.min_step:.3g} at "
@@ -560,5 +578,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
             continue
         earlier, state = ((state.t, state.field.pack()),) + earlier[:1], accepted
         report.add(state)
-        dt = min(dt * 2.0, dt_init)
+        if grow:
+            dt *= 4.0 if len(report.krylov_iters) - solves <= 2 else 2.0
+        grow = True
     return state, report

@@ -7,10 +7,13 @@ plain float array; every function validates its input and is pure and safe
 for concurrent use.
 
 The kernels take a leading batch axis: ``_esym``, ``elementary_symmetric``,
-``deleted_symmetric`` and ``check_identities`` accept a ``(..., p)`` stack
-of spectra sharing one k and return one value per spectrum, bit for bit
-what the row-by-row calls give.  The selftest battery evaluates one stack
-per (p, k) group this way, with seed-for-seed identical output.
+``deleted_symmetric``, ``check_identities`` and ``newton_maclaurin_margin``
+accept a ``(..., p)`` stack of spectra sharing one k (and l) and return one
+value per spectrum, bit for bit what the row-by-row calls give; only the
+margin's roots may differ by an ulp, since numpy's vectorised power and
+the C library's pow round differently.  The selftest battery evaluates one
+stack per (p, k) or (p, k, l) group this way, with seed-for-seed identical
+output.
 """
 
 from __future__ import annotations
@@ -164,11 +167,12 @@ def check_identities(lam, k: int) -> IdentityReport:
     )
 
 
-def newton_maclaurin_margin(lam, k: int, l: int) -> float:
+def newton_maclaurin_margin(lam, k: int, l: int) -> float | np.ndarray:
     """Gap (S_l / C(p,l))^(1/l) - (S_k / C(p,k))^(1/k), the l = 0 term read as 1.
 
     Nonnegative whenever the tuple lies in the k-th Garding cone; the caller
-    is responsible for that membership.
+    is responsible for that membership.  A stack gives one gap per tuple
+    and is refused whole if any tuple has S_k or S_l <= 0.
     """
     vals = _spectrum(lam)
     p = vals.shape[-1]
@@ -176,14 +180,14 @@ def newton_maclaurin_margin(lam, k: int, l: int) -> float:
         raise ValueError(f"need 0 <= l < k <= p, got k={k}, l={l}, p={p}")
     e = _esym(vals, k)
     sk = e[k]
-    if sk <= 0.0:
+    if np.any(sk <= 0.0):
         raise ValueError("S_k must be positive (tuple outside the cone)")
     right = (sk / math.comb(p, k)) ** (1.0 / k)
     if l == 0:
         left = 1.0
     else:
         sl = e[l]
-        if sl <= 0.0:
+        if np.any(sl <= 0.0):
             raise ValueError("S_l must be positive (tuple outside the cone)")
         left = (sl / math.comb(p, l)) ** (1.0 / l)
     return left - right

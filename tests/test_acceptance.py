@@ -301,7 +301,7 @@ def test_criterion_07_manufactured_convergence(manufactured_runs):
 
 def test_newton_residual_floor(manufactured_runs):
     # every accepted state sits two decades below newton_tol = 1e-10
-    # (measured maxima 7.6e-12 at 17^3 and 1.7e-12 at 33^3)
+    # (measured maxima 3.7e-13 at 17^3 and 5.0e-12 at 33^3)
     for res in (17, 33):
         rows = manufactured_runs[res]["report"].rows
         worst = max(row["residual"] for row in rows)

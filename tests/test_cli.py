@@ -139,8 +139,10 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "reached t=1.0" in out
         report = json.loads((tmp_path / "out" / "path_report.json").read_text())
-        assert len(report["rows"]) == 11
+        # the exact path takes no Newton step, so dt quadruples from 0.1
+        assert [row["t"] for row in report["rows"]] == pytest.approx([0.0, 0.1, 0.5, 1.0])
         assert report["rows"][-1]["t"] == 1.0
+        assert report["krylov_iters"] == [] and report["rejected_steps"] == []
         assert "config_digest" in report
 
         # reloaded dump reproduces the residual norm bit-exactly
@@ -172,6 +174,34 @@ class TestSolveCommand:
         cfg = parse_config(path)
         moved = {**cfg, "output": str(tmp_path / "elsewhere"), "report": "json"}
         assert config_digest(moved) == config_digest(cfg)
+
+    def solve_file_data(self, tmp_path, data_dir, f_value):
+        """``solve`` at the 9^3 ball on f = f_value and phi = colloc_quad from data_dir."""
+        grid = Grid(DomainSpec.ball(1.0, n=3), 9)
+        data_dir.mkdir(exist_ok=True)
+        np.full(grid.n_active, f_value).astype("<f8").tofile(data_dir / "f.bin")
+        grid.colloc_quad.astype("<f8").tofile(data_dir / "phi.bin")
+        out = tmp_path / f"out-{len(list(tmp_path.glob('out-*')))}"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"resolution = 9\nf.file = {data_dir / 'f.bin'}\n"
+            f"phi.file = {data_dir / 'phi.bin'}\nreport = json\noutput = {out}\n"
+        )
+        assert main(["solve", "--config", str(cfg)]) == 0
+        return json.loads((out / "path_report.json").read_text())
+
+    def test_digest_follows_the_contents_of_data_files(self, tmp_path, capsys):
+        # the same f.bin path holding f = 8 and then f = 8.5: different solves
+        first = self.solve_file_data(tmp_path, tmp_path / "data", 8.0)
+        second = self.solve_file_data(tmp_path, tmp_path / "data", 8.5)
+        assert first["rows"][-1]["sup_u"] != second["rows"][-1]["sup_u"]
+        assert first["config_digest"] != second["config_digest"]
+
+    def test_digest_ignores_where_data_files_live(self, tmp_path, capsys):
+        here = self.solve_file_data(tmp_path, tmp_path / "here", 8.5)
+        there = self.solve_file_data(tmp_path, tmp_path / "there", 8.5)
+        assert here["config_digest"] == there["config_digest"]
+        assert here["rows"] == there["rows"]
 
     def test_flags_override_the_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

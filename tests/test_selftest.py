@@ -1,16 +1,19 @@
 """The stacked selftest battery against its per-case form.
 
-The identity, cone, spectral, gradient and concavity suites draw their
-cases in RNG order and evaluate one stack per shape group.  The oracle
-below keeps the per-case loops, one public scalar call per case; the
-battery must print the same lines and leave the generator in the same
-state, so a reordered or extra draw fails.
+The identity, mean-comparison, cone, spectral, gradient and concavity
+suites draw their cases in RNG order and evaluate one stack per shape
+group.  The oracle below keeps the per-case loops, one public scalar call
+per case; the battery must print the same lines and leave the generator in
+the same state, so a reordered or extra draw fails.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from nconvex import cone, selftest, symfun, woperator
+from nconvex.cli import main
 from nconvex.selftest import CheckResult
 
 
@@ -34,6 +37,25 @@ def oracle_symfun(rng, cases=2000):
         name="symmetric-function identities",
         passed=worst < 1e-12,
         detail=f"{cases} tuples, worst relative discrepancy {worst:.3e}",
+    )
+
+
+def oracle_newton_maclaurin(rng, cases=2000):
+    worst = np.inf
+    tried = 0
+    while tried < cases:
+        p = int(rng.integers(2, 9))
+        k = int(rng.integers(2, p + 1))
+        lam = rng.uniform(-1.0, 3.0, size=p)
+        if not cone.in_gamma_k(lam, k):
+            continue
+        tried += 1
+        l = int(rng.integers(1, k))
+        worst = min(worst, symfun.newton_maclaurin_margin(lam, k, l))
+    return CheckResult(
+        name="mean-comparison margins",
+        passed=worst >= -1e-12,
+        detail=f"{cases} cone samples, smallest margin {worst:.3e}",
     )
 
 
@@ -112,10 +134,10 @@ def oracle_concavity(rng, cases=2000):
     )
 
 
-# run_all's order; the mean-comparison and conformance suites are per case already
+# run_all's order; the conformance suite is per case already
 ORACLE_SUITES = (
     oracle_symfun,
-    selftest._suite_newton_maclaurin,
+    oracle_newton_maclaurin,
     oracle_cone,
     selftest._suite_conformance,
     oracle_spectral,
@@ -149,14 +171,34 @@ def test_battery_matches_the_per_case_oracle(seed, monkeypatch):
 
 @pytest.mark.parametrize("stacked, oracle", [
     (selftest._suite_symfun, oracle_symfun),
+    (selftest._suite_newton_maclaurin, oracle_newton_maclaurin),
     (selftest._suite_cone, oracle_cone),
     (selftest._suite_spectral, oracle_spectral),
     (selftest._suite_gradient, oracle_gradient),
     (selftest._suite_concavity, oracle_concavity),
-], ids=["symfun", "cone", "spectral", "gradient", "concavity"])
+], ids=["symfun", "newton-maclaurin", "cone", "spectral", "gradient", "concavity"])
 @pytest.mark.parametrize("cases", [1, 60])
 def test_each_stacked_suite_draws_what_its_oracle_draws(stacked, oracle, cases):
     # one case makes that case the worst one, so a dropped case shows
     a, b = np.random.default_rng(7), np.random.default_rng(7)
     assert stacked(a, cases=cases).line() == oracle(b, cases=cases).line()
     assert a.bit_generator.state == b.bit_generator.state
+
+
+# SHA-256 of the `nconvex selftest --seed N` output, as recorded before the
+# mean-comparison suite was stacked; the battery's text must not move
+SELFTEST_OUTPUT_SHA256 = {
+    0: "633890f0dffd67d9cde327dd7da7374777bde453a6e621ff448122d38f6676ac",
+    1: "e01c4187651d48c01ab338b20e3f0586bedfc75a1a527a5953e7b7641a05b537",
+    2: "198340823feba16758cc14ca23ed46d0d6e603d8b5e01b16539cd02d940dae18",
+    3: "514783df513996e9170beba10d9505004b8cbf2940d4a02906751f8631907917",
+    4: "fed1088086a14c206394aad10e6e6f920025abb7a7d4cb109a8218733bd08ee6",
+    5: "5d80f16efeb6bc19a6c4fc393ba093024358ecef6495dcd42861cc24f68fd1be",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SELFTEST_OUTPUT_SHA256))
+def test_selftest_command_output_is_unchanged(seed, capsys):
+    assert main(["selftest", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_OUTPUT_SHA256[seed]

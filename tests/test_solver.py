@@ -83,10 +83,12 @@ class TestSolverConfig:
         ("max_newton_iters", 0),
         ("max_newton_iters", 2.5),
         ("max_newton_iters", "30"),
+        ("max_newton_iters", True),
         ("homotopy_steps", 0),
         ("homotopy_steps", 2.5),
         ("homotopy_steps", 10.0),
         ("homotopy_steps", "3"),
+        ("homotopy_steps", True),
         ("damping", 1.0),
     ])
     def test_bad_value_refused(self, key, value):
@@ -197,9 +199,11 @@ class TestContinuation:
         assert state.residual_norm < 1e-11
         seed = quadratic_seed(grid9)
         assert np.max(np.abs(state.field.values - seed.values)) < 1e-10
-        # monitors constant along the path
+        # the exact path takes no Newton step, so dt quadruples: steps 0.1, 0.4, then the 0.5 left
         rows = report.rows
-        assert len(rows) == 11
+        assert [row["t"] for row in rows] == pytest.approx([0.0, 0.1, 0.5, 1.0])
+        assert report.krylov_iters == [] and report.rejected_steps == []
+        # monitors constant along the path
         for col in ("sup_u", "sup_du", "sup_d2u", "N"):
             vals = [row[col] for row in rows]
             assert np.ptp(vals) < 1e-9
@@ -245,6 +249,79 @@ class TestContinuation:
         assert state.t == 0.0
         assert state.ellipticity_margin > 0.0
         assert [row["t"] for row in report.rows] == [0.0]
+
+    def test_dt_grows_past_the_first_step(self, grid9, manufactured9, monkeypatch):
+        # each accepted step sets the next: 4 dt after at most two Newton
+        # iterations, else 2 dt; only the step that reaches t = 1 is clipped
+        original = nconvex.solver._advance
+        steps = []  # (t, t_next, linear solves) of each step, all accepted here
+
+        def advance(state, earlier, t_next, grid, problem, config, linear):
+            before = len(linear.report.krylov_iters)
+            out = original(state, earlier, t_next, grid, problem, config, linear)
+            steps.append((state.t, t_next, len(linear.report.krylov_iters) - before))
+            return out
+
+        monkeypatch.setattr(nconvex.solver, "_advance", advance)
+        config = SolverConfig(homotopy_steps=20)
+        state, report = continuation(manufactured9, grid9, config)
+        assert state.t == 1.0 and report.rejected_steps == []
+        dts = [t_next - t for t, t_next, _ in steps]
+        assert dts[0] == 1.0 / 20
+        for (_, _, solves), dt, dt_next in zip(steps, dts, dts[1:-1]):
+            assert dt_next == pytest.approx(dt * (4.0 if solves <= 2 else 2.0), rel=1e-12)
+        assert steps[-1][1] == 1.0 and dts[-1] <= dts[-2] * 4.0
+        assert max(dts) > 2.0 / config.homotopy_steps
+        assert len(report.rows) == len(steps) + 1 < config.homotopy_steps
+
+    def test_dt_does_not_grow_right_after_a_rejection(self, grid9, manufactured9,
+                                                       monkeypatch):
+        original = nconvex.solver._advance
+        attempts = []
+
+        def advance(state, earlier, t_next, *args):
+            attempts.append((state.t, t_next))
+            if len(attempts) == 1:
+                raise StepFailure("first step refused by the test")
+            return original(state, earlier, t_next, *args)
+
+        monkeypatch.setattr(nconvex.solver, "_advance", advance)
+        state, report = continuation(manufactured9, grid9, SolverConfig())
+        assert state.t == 1.0
+        # 0.1 fails and halves dt; the acceptance at 0.05 keeps it, the one at
+        # 0.1 (from a secant start) grows it again
+        assert attempts[:3] == [(0.0, 0.1), (0.0, 0.05), (0.05, 0.1)]
+        assert attempts[3][1] - attempts[3][0] > 0.05
+        assert report.rejected_steps == [(0.0, 0.1, "first step refused by the test")]
+
+    @pytest.mark.parametrize("fail_after", [0.0, 0.2])
+    def test_forced_failure_halves_dt_below_min_step(self, grid9, manufactured9,
+                                                      monkeypatch, fail_after):
+        # every step from a state past fail_after fails; from the seed dt
+        # halves from 0.1, from the state at 0.3 from the 0.7 left to t = 1
+        original = nconvex.solver._advance
+
+        def advance(state, *args):
+            if state.t >= fail_after:
+                raise StepFailure(f"step from t={state.t:.6g} refused by the test")
+            return original(state, *args)
+
+        monkeypatch.setattr(nconvex.solver, "_advance", advance)
+        config = SolverConfig()
+        with pytest.raises(ContinuationFailure, match="step size underflow") as info:
+            continuation(manufactured9, grid9, config)
+        state, report = info.value.state, info.value.report
+        t0, first = (0.0, 0.1) if fail_after == 0.0 else (pytest.approx(0.3), 0.7)
+        assert state.t == t0 and report.rows[-1]["t"] == t0
+        rejected = report.rejected_steps
+        dts = [dt for _, dt, _ in rejected]
+        assert dts == pytest.approx([first * 0.5**i for i in range(len(dts))], rel=1e-12)
+        assert dts[-1] * 0.5 < config.min_step <= dts[-1]
+        assert all(t == t0 and text == f"step from t={state.t:.6g} refused by the test"
+                   for t, _, text in rejected)
+        payload = json.loads(report.to_json())
+        assert payload["rejected_steps"] == [list(step) for step in rejected]
+        assert report.to_csv().count("\n") == len(report.rows) + 1
 
     def test_newton_failure_at_t0_is_a_continuation_failure(self, grid9, sp9):
         # the seed residual sits at round-off, above a tolerance below it
@@ -489,8 +566,8 @@ class TestLinearSolve:
         assert len(seeds) == 1 and lus == []
         assert report.ilu_rebuilds == 0
 
-        # the first solve (t = 0.1, no prediction yet), and the first at t = 0.3,
-        # which starts from the prediction through t = 0, 0.1 and 0.2
+        # the first solve (t = 0.1, no prediction yet), and the first at t = 1,
+        # which starts from the prediction through t = 0, 0.1 and 0.3
         for stall_call, predicted in ((1, False), (6, True)):
             with monkeypatch.context() as patch:
                 seeds, lus = count_factorizations(patch)
@@ -595,6 +672,7 @@ class TestLinearSolve:
         assert payload["ilu_rebuilds"] == 0
         assert payload["predicted_starts"] == report.predicted_starts > 0
         assert payload["predictor_fallbacks"] == report.predictor_fallbacks == 0
+        assert payload["rejected_steps"] == report.rejected_steps == []
         # one start residual per Newton solve begun at a prediction
         assert payload["predicted_start_residuals"] == report.predicted_start_residuals
         assert len(report.predicted_start_residuals) == report.predicted_starts
@@ -650,7 +728,8 @@ class TestStateEvaluation:
         assert steps == []
         assert len(margins) == len(monitors) == 1
         assert len(stacks) == 1  # the seed's, for its margin, det W and monitors
-        assert len(residuals) == len(report.rows) == 11
+        # one residual per accepted state: the seed's, then t = 0.1, 0.5 and 1
+        assert len(residuals) == len(report.rows) == 4
 
     def test_exact_path_evaluates_det_w_once(self, grid9, sp9, monkeypatch):
         dets = record_det_w(monkeypatch)
@@ -846,17 +925,26 @@ class TestSecantPredictor:
         assert predict(((0.25, x1.copy()),)) is None
         assert predict(((0.25, x1.copy()), (0.2, x2))) is None
 
-    def test_manufactured_path_takes_at_most_13_linear_solves(self, grid9, manufactured9):
+    def test_manufactured_path_takes_7_linear_solves(self, grid9, manufactured9,
+                                                      monkeypatch):
+        solves = record_calls(monkeypatch, "newton_solve")
         state, report = continuation(manufactured9, grid9, SolverConfig())
         assert state.t == 1.0
-        # 30 when every step starts from the last accepted state, 21 from the secant
-        assert len(report.krylov_iters) <= 13
+        # three Newton iterations from the seed's field at t = 0.1 double dt;
+        # two from the secant start at 0.3 quadruple it, and 0.3 + 0.8 clips to 1
+        assert [row["t"] for row in report.rows] == pytest.approx([0.0, 0.1, 0.3, 1.0])
+        # 12 when every step starts from the last accepted state
+        assert len(report.krylov_iters) == 7
         assert report.predicted_starts == len(report.rows) - 2
         assert report.predictor_fallbacks == 0
-        # the secant start at t = 0.2, then the three-point starts, far closer to the path
+        # the secant start at t = 0.3, then the three-point start at t = 1, far
+        # closer to the path than the secant through the same last two states
         first, *rest = report.predicted_start_residuals
         assert len(rest) == report.predicted_starts - 1 > 0
-        assert max(rest) < 0.1 * first
+        (s2, s1, s0) = [out for _, out in solves if out is not None][-4:-1]
+        secant = nconvex.solver._predicted_start(s0, ((s1.t, s1.field.pack()),), 1.0,
+                                                 grid9, manufactured9)
+        assert max(rest) < 0.1 * secant.residual_norm
 
     def test_refused_prediction_starts_from_the_last_state(self, grid9, manufactured9,
                                                            monkeypatch):
@@ -874,13 +962,14 @@ class TestSecantPredictor:
         solves = record_calls(monkeypatch, "newton_solve")
         state, report = continuation(manufactured9, grid9, SolverConfig())
         assert state.t == 1.0
-        assert [row["t"] for row in report.rows] == pytest.approx(np.linspace(0.0, 1.0, 11))
+        # three Newton iterations per step from x_k: dt doubles every time
+        assert [row["t"] for row in report.rows] == pytest.approx([0.0, 0.1, 0.3, 0.7, 1.0])
         # no Newton solve starts at a refused prediction
         assert len(refused) == len(report.rows) - 2 > 0
         assert not any(t_pred for _, t_pred in starts_of(solves, refused))
         assert report.predicted_starts == 0
         assert report.predictor_fallbacks == len(refused)
-        assert len(report.krylov_iters) == 30
+        assert len(report.krylov_iters) == 12
 
     def test_failed_prediction_is_retried_from_the_last_state(self, grid9, manufactured9,
                                                               monkeypatch):
@@ -896,9 +985,11 @@ class TestSecantPredictor:
         solves = record_calls(monkeypatch, "newton_solve")
         state, report = continuation(manufactured9, grid9, SolverConfig())
         assert state.t == 1.0
-        # dt is never halved: each prediction fails and is retried at the same t
+        # dt is never halved: each prediction fails and is retried at the same t,
+        # and each retry's three Newton iterations double dt
         ts = [row["t"] for row in report.rows]
-        assert ts == pytest.approx(np.linspace(0.0, 1.0, 11))
+        assert ts == pytest.approx([0.0, 0.1, 0.3, 0.7, 1.0])
+        assert len(report.krylov_iters) == 12 and report.rejected_steps == []
         starts = starts_of(solves, [out for _, out in predicted])
         assert starts[:2] == [(0.0, False), (ts[1], False)]
         assert starts[2:] == [(t, predicted) for t in ts[2:] for predicted in (True, False)]
@@ -927,15 +1018,20 @@ class TestSecantPredictor:
         solves = record_calls(monkeypatch, "newton_solve")
         state, report = continuation(manufactured9, grid9, SolverConfig())
         assert state.t == 1.0
-        # the prediction at 0.3 fails, then the retry from the state at 0.2;
-        # only then is dt halved, and the step to 0.25 starts from a prediction
+        # the prediction at 0.3 fails, then the retry from the state at 0.1;
+        # only then is dt halved, and the step to 0.2 starts from a prediction
         assert failed == [True, False]
         starts = starts_of(solves, [out for _, out in predicted])
         at = starts.index((pytest.approx(0.3), True))
         assert starts[at:at + 3] == [(pytest.approx(0.3), True), (pytest.approx(0.3), False),
-                                     (pytest.approx(0.25), True)]
-        assert 0.25 == pytest.approx([row["t"] for row in report.rows][3])
+                                     (pytest.approx(0.2), True)]
+        # dt does not grow on the acceptance at 0.2, so the next step is to 0.3
+        assert [row["t"] for row in report.rows] == pytest.approx(
+            [0.0, 0.1, 0.2, 0.3, 0.7, 1.0])
+        assert len(report.krylov_iters) == 10
         assert report.predictor_fallbacks == 1
+        assert report.rejected_steps == [(0.1, pytest.approx(0.2),
+                                          "step at t=0.3 refused by the test")]
 
 
 def guarded_margin(monkeypatch, reject_every_trial=False):

@@ -230,6 +230,24 @@ class TestStacks:
                                   "max_relative"):
                         assert same_bits(getattr(rep, field)[r], getattr(want, field)), field
 
+    def test_margins_match_rows(self):
+        # S_k and S_l match bit for bit; numpy's vectorised power may round
+        # the k-th and l-th roots one ulp away from the C library's pow
+        rng = np.random.default_rng(79)
+        for p in range(2, 9):
+            for k in range(1, p + 1):
+                lam = np.stack([sample_gamma_k(rng, p, k) for _ in range(20)])
+                for l in range(k):
+                    got = newton_maclaurin_margin(lam, k, l)
+                    assert got.shape == (20,)
+                    want = [newton_maclaurin_margin(row, k, l) for row in lam]
+                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+    def test_one_tuple_outside_the_cone_rejects_the_margin_stack(self):
+        lam = np.array([[1.0, 2.0, 3.0], [1.0, -2.0, 3.0]])
+        with pytest.raises(ValueError, match="S_k must be positive"):
+            newton_maclaurin_margin(lam, 2, 1)
+
     def test_deeper_stack_and_symmetric_functions(self):
         rng = np.random.default_rng(73)
         lam = rng.standard_normal((2, 3, 5))
