@@ -101,13 +101,10 @@ DEFAULTS = {
     "output": "out",
 }
 
-_INT_KEYS = {"n", "resolution", "homotopy_steps", "max_newton_iters"}
-_FLOAT_KEYS = {"newton_tol", "min_step", "damping", "domain.radius",
-               "barrier.gamma", "barrier.sigma", "barrier.epsilon"}
-_BOOL_KEYS = {"verify_barriers", "force"}
-_LIST_KEYS = {"domain.center", "domain.semi_axes"}
-_STR_KEYS = {"domain.kind", "f.file", "phi.file"}
-_KNOWN_KEYS = set(DEFAULTS) | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _LIST_KEYS | _STR_KEYS
+# The keys without a default and their types; a key with one takes its default's type.
+_UNDEFAULTED_TYPES = {"domain.kind": str, "domain.radius": float, "domain.center": tuple,
+                      "domain.semi_axes": tuple, "f.file": str, "phi.file": str, "force": bool}
+_KNOWN_KEYS = set(DEFAULTS) | set(_UNDEFAULTED_TYPES)
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 REPORT_FORMATS = ("csv", "json")
@@ -117,9 +114,10 @@ def parse_config(path) -> dict:
     """Flat ``key = value`` file into a typed dict over the defaults.
 
     Raises ValueError naming ``path:lineno`` for a malformed line, a key
-    the command line does not read, or a value of the wrong type.
+    the command line does not read or one set twice, or a wrong-typed value.
     """
     cfg = dict(DEFAULTS)
+    set_on = {}  # key -> the line that set it
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -133,6 +131,10 @@ def parse_config(path) -> dict:
                 f"{path}:{lineno}: unknown key {key!r}; known keys: "
                 f"{', '.join(sorted(_KNOWN_KEYS))}"
             )
+        if key in set_on:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}, first set at "
+                             f"{path}:{set_on[key]}")
+        set_on[key] = lineno
         try:
             cfg[key] = _coerce(key, value)
         except ValueError as exc:
@@ -141,21 +143,18 @@ def parse_config(path) -> dict:
 
 
 def _coerce(key, value):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _BOOL_KEYS:
+    kind = _UNDEFAULTED_TYPES.get(key) or type(DEFAULTS[key])
+    if kind is bool:
         word = value.lower()
         if word in _TRUE_WORDS or word in _FALSE_WORDS:
             return word in _TRUE_WORDS
         raise ValueError(f"expected {'/'.join(_TRUE_WORDS)} or {'/'.join(_FALSE_WORDS)}, "
                          f"got {value!r}")
-    if key in _LIST_KEYS:
+    if kind is tuple:
         return tuple(float(v) for v in value.split(","))
     if key == "report" and value not in REPORT_FORMATS:
         raise ValueError(f"expected {' or '.join(REPORT_FORMATS)}, got {value!r}")
-    return value
+    return kind(value)
 
 
 def config_digest(cfg: dict) -> str:

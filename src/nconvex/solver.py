@@ -36,7 +36,8 @@ formed.
 
 The path sets its own step (``continuation``): the first is
 1/``homotopy_steps``, each acceptance grows dt by 2 or, after at most two
-Newton iterations, by 4, and each rejected step halves it.
+Newton iterations, by 4, and each rejected step halves it, down to
+``MIN_STEP``.
 """
 
 from __future__ import annotations
@@ -105,8 +106,12 @@ ILU_DROP_TOL = 1e-3
 ILU_FILL_FACTOR = 10
 ILU_PERMC = "MMD_AT_PLUS_A"
 
-# The line search gives up on a Newton step once alpha falls below this.
+# Newton's step budget at one t, the line search's factor on alpha and the
+# alpha it gives up below, and the smallest homotopy step.
+MAX_NEWTON_ITERS = 30
+LINE_SEARCH_DAMPING = 0.5
 LINE_SEARCH_FLOOR = 1e-8
+MIN_STEP = 1.0 / 1280.0
 
 
 class StepFailure(RuntimeError):
@@ -124,27 +129,18 @@ class ContinuationFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The sup-norm residual Newton must reach, and the first step 1/homotopy_steps."""
+
     newton_tol: float = 1e-10
-    max_newton_iters: int = 30
     homotopy_steps: int = 10
-    min_step: float = 1.0 / 1280.0
-    damping: float = 0.5
 
     def __post_init__(self):
-        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0.0):
-            raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
-        for key in ("max_newton_iters", "homotopy_steps"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be at least 1")
-        if self.homotopy_steps < 1:
-            raise ValueError("homotopy_steps must be at least 1")
-        if not (np.isfinite(self.min_step) and 0.0 < self.min_step <= 1.0):
-            raise ValueError(f"min_step must lie in (0, 1], got {self.min_step}")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping must lie in (0, 1)")
+        tol, steps = self.newton_tol, self.homotopy_steps
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and np.isfinite(tol)
+                                         and tol > 0.0):
+            raise ValueError(f"newton_tol must be finite and positive, got {tol!r}")
+        if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and steps >= 1):
+            raise ValueError(f"homotopy_steps must be an integer of at least 1, got {steps!r}")
 
 
 @dataclass(frozen=True)
@@ -401,7 +397,7 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     CondensedSolver when none is passed), and backtracks until the trial
     state (``evaluate_state``) both decreases the sup-norm residual and
     keeps the ellipticity margin positive at every active point; that trial
-    becomes the state.  Raises StepFailure when the iteration budget, the
+    becomes the state.  Raises StepFailure when ``MAX_NEWTON_ITERS``, the
     line-search floor, or the linear solve gives out.
 
     The start state is trusted to describe its field at its t.  The result
@@ -415,7 +411,7 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     if linear is None:
         linear = CondensedSolver(grid)
     t, rnorm = state.t, state.residual_norm
-    for _ in range(config.max_newton_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         if rnorm <= config.newton_tol:
             break
         x = state.field.pack()
@@ -427,7 +423,7 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
             if trial_norm < rnorm and trial.ellipticity_margin > 0.0:
                 state, rnorm = trial, trial_norm
                 break
-            alpha *= config.damping
+            alpha *= LINE_SEARCH_DAMPING
             if alpha < LINE_SEARCH_FLOOR:
                 raise StepFailure(
                     f"line search floor reached at t={t:.6g} (residual {rnorm:.3g})"
@@ -435,7 +431,7 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     if rnorm > config.newton_tol:
         raise StepFailure(
             f"Newton did not reach tol {config.newton_tol:.1e} at t={t:.6g} "
-            f"(residual {rnorm:.3g} after {config.max_newton_iters} iterations)"
+            f"(residual {rnorm:.3g} after {MAX_NEWTON_ITERS} iterations)"
         )
     if state.monitors is None:
         state = replace(state, monitors=bound_monitors(state.field, state.eigenvalues, grid))
@@ -531,9 +527,8 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     was rejected; a step that would pass t = 1 is cut to end there.  A step
     that fails from the last accepted state halves the step it tried, and
     (t, dt, message) goes on ``report.rejected_steps``.  When dt falls below
-    ``config.min_step`` raises ContinuationFailure carrying the last
-    accepted state and report; a failure of the t = 0 solve raises it with
-    no state.
+    ``MIN_STEP`` raises ContinuationFailure carrying the last accepted state
+    and report; a failure of the t = 0 solve raises it with no state.
     """
     if not force:
         gate = pinching_check(grid.domain)
@@ -568,9 +563,9 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
             report.rejected_steps.append((state.t, dt, str(exc)))
             dt *= 0.5
             grow = False
-            if dt < config.min_step:
+            if dt < MIN_STEP:
                 raise ContinuationFailure(
-                    f"step size underflow below {config.min_step:.3g} at "
+                    f"step size underflow below {MIN_STEP:.3g} at "
                     f"t={state.t:.6g}: {exc}",
                     state=state,
                     report=report,

@@ -223,9 +223,13 @@ def batch_min_lift_eig(hessians: np.ndarray, eigenvalues: np.ndarray | None = No
     """Smallest lifted eigenvalue tr H - lambda_max(H) per Hessian (the ellipticity quantity).
 
     ``eigenvalues``, when given, is ``np.linalg.eigvalsh(hessians)`` and is not recomputed.
+    Otherwise entries below 2^-104 of their Hessian's largest are zeroed first:
+    they move no eigenvalue by a rounding error, yet LAPACK's eigvalsh can
+    miss the spectrum by 1e-2 when an off-diagonal is subnormal or 1e-150.
     """
     if eigenvalues is None:
-        eigenvalues = np.linalg.eigvalsh(hessians)
+        tiny = 2.0**-104 * np.max(np.abs(hessians), axis=(-2, -1), keepdims=True)
+        eigenvalues = np.linalg.eigvalsh(np.where(np.abs(hessians) <= tiny, 0.0, hessians))
     return np.trace(hessians, axis1=-2, axis2=-1) - eigenvalues[..., -1]
 
 

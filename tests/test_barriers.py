@@ -72,6 +72,13 @@ class TestParams:
             BarrierParams(**{**good, "gamma": 1.0}).validate(BALL)
         with pytest.raises(ValueError):
             BarrierParams(**{**good, "epsilon": 0.6}).validate(BALL)
+        for key in ("k3", "beta", "cap_a"):
+            with pytest.raises(ValueError, match="K3, beta and A must be positive"):
+                BarrierParams(**{**good, key: 0.0}).validate(BALL)
+        BarrierParams(**{**good, "sigma": 1.0}).validate(BALL)
+        for sigma in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"sigma must lie in \(0, 1\]"):
+                BarrierParams(**{**good, "sigma": sigma}).validate(BALL)
 
     def test_kappa0_on_a_ball_is_one_over_the_radius(self):
         # kappa0 = H / (n-1) with H = (n-1)/r: exact when n-1 is a power of two

@@ -1,6 +1,7 @@
 """Command-line surface: selftest, solve, check-domain, dumps, digests."""
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import nconvex.geometry
 import nconvex.solver
 from nconvex import selftest, woperator
 from nconvex.cli import (
+    DEFAULTS,
     config_digest,
     load_solution_dump,
     main,
@@ -19,7 +21,21 @@ from nconvex.cli import (
 )
 from nconvex.discretize import Grid, sample_problem
 from nconvex.geometry import DomainSpec, pinching_check
-from nconvex.solver import quadratic_seed, residual_vector
+from nconvex.solver import SolverConfig, quadratic_seed, residual_vector
+
+
+def flip_off_diagonal_signs(monkeypatch):
+    """Flip the sign rule of every off-diagonal lift entry in ``woperator``."""
+    original = woperator._descriptors
+
+    def flipped(n, m):
+        des = list(original(n, m))
+        for idx, (a, b, i, j, s) in enumerate(des):
+            if a != b:
+                des[idx] = (a, b, i, j, -s)
+        return tuple(des)
+
+    monkeypatch.setattr(woperator, "_descriptors", flipped)
 
 
 class TestSelftest:
@@ -33,21 +49,21 @@ class TestSelftest:
         assert "PASS" in out and "FAIL" not in out
 
     def test_sign_flip_mutation_caught(self, monkeypatch):
-        # flip the sign rule of one off-diagonal lift entry: the explicit
-        # 3d conformance fixture must fail
-        original = woperator._descriptors
-
-        def flipped(n, m):
-            des = list(original(n, m))
-            for idx, (a, b, i, j, s) in enumerate(des):
-                if a != b:
-                    des[idx] = (a, b, i, j, -s)
-            return tuple(des)
-
-        monkeypatch.setattr(woperator, "_descriptors", flipped)
+        # the explicit 3d conformance fixture must fail
+        flip_off_diagonal_signs(monkeypatch)
         results = selftest.run_all(seed=0)
         conformance = [r for r in results if "conformance" in r.name][0]
         assert not conformance.passed
+
+    def test_cli_exit_one_counts_the_failed_suites(self, monkeypatch, capsys):
+        flip_off_diagonal_signs(monkeypatch)
+        results = selftest.run_all(seed=0)
+        failed = sum(not r.passed for r in results)
+        assert failed >= 1
+        assert main(["selftest"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{failed} of {len(results)} suites failed\n"
+        assert captured.out.count("[FAIL]") == failed
 
 
 class TestConfig:
@@ -95,11 +111,18 @@ class TestConfig:
         cfg = parse_config(path)
         assert cfg["verify_barriers"] is want and cfg["force"] is want
 
+    def test_repeated_key_rejected_with_both_lines(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("resolution = 17\ncase = ball-constant\nresolution = 33\n")
+        with pytest.raises(ValueError, match=r"twice\.cfg:3: repeated key 'resolution', "
+                                             r"first set at .*twice\.cfg:1$"):
+            parse_config(path)
+
     @pytest.mark.parametrize("line, key, detail", [
         ("verify_barriers = ture", "verify_barriers", "expected 1/true/yes/on or 0/false/no/off"),
         ("force = 2", "force", "got '2'"),
         ("resolution = 33.5", "resolution", "invalid literal for int"),
-        ("damping = half", "damping", "could not convert"),
+        ("newton_tol = half", "newton_tol", "could not convert"),
     ])
     def test_bad_value_rejected_with_location(self, tmp_path, line, key, detail):
         path = tmp_path / "bad.cfg"
@@ -107,6 +130,55 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"bad\.cfg:2: bad value for '{key}': ") as err:
             parse_config(path)
         assert detail in str(err.value)
+
+
+# The keys without a default, each with a value of its type.
+UNDEFAULTED = {
+    "domain.kind": "ball",
+    "domain.radius": "1.0",
+    "domain.center": "0,0,0",
+    "domain.semi_axes": "1,1,1.05",
+    "f.file": "f.bin",
+    "phi.file": "phi.bin",
+    "force": "yes",
+}
+
+
+class TestConfigSurface:
+    """The config keys are the defaults plus the seven keys without one."""
+
+    def test_known_keys_are_the_defaults_and_the_undefaulted(self, tmp_path):
+        path = tmp_path / "typo.cfg"
+        path.write_text("no_such_key = 1\n")
+        with pytest.raises(ValueError, match="unknown key") as err:
+            parse_config(path)
+        listed = str(err.value).split("known keys: ", 1)[1].split(", ")
+        assert sorted(listed) == sorted(set(DEFAULTS) | set(UNDEFAULTED))
+        assert not set(DEFAULTS) & set(UNDEFAULTED)
+
+    def test_every_key_parses_to_its_type(self, tmp_path):
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{key} = {value}\n"
+                                for key, value in {**DEFAULTS, **UNDEFAULTED}.items()))
+        cfg = parse_config(path)
+        for key, value in DEFAULTS.items():
+            assert cfg[key] == value and type(cfg[key]) is type(value)
+        assert cfg["domain.center"] == (0.0, 0.0, 0.0) and cfg["force"] is True
+
+    def test_every_solver_field_is_a_default_key(self):
+        assert {f.name: DEFAULTS[f.name] for f in fields(SolverConfig)} == asdict(SolverConfig())
+
+    @pytest.mark.parametrize("key", ["damping", "min_step", "max_newton_iters"])
+    def test_removed_solver_setting_is_an_unknown_key(self, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        path = tmp_path / "run.cfg"
+        path.write_text(f"resolution = 9\n{key} = 1\noutput = {out}\n")
+        with pytest.raises(ValueError, match=rf"run\.cfg:2: unknown key '{key}'"):
+            parse_config(path)
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and f"unknown key '{key}'" in err
+        assert not out.exists()
 
 
 class TestNamedCases:
@@ -327,14 +399,16 @@ class TestSolveCommand:
         assert "Traceback" not in err
 
 
-    def test_step_underflow_dumps_last_good_state(self, tmp_path, capsys):
+    def test_step_underflow_dumps_last_good_state(self, tmp_path, capsys, monkeypatch):
         # one Newton iteration per step cannot reach t = 0.5, and halving
-        # the step once more underflows min_step
+        # the step once more underflows MIN_STEP
+        monkeypatch.setattr(nconvex.solver, "MAX_NEWTON_ITERS", 1)
+        monkeypatch.setattr(nconvex.solver, "MIN_STEP", 0.3)
         out = tmp_path / "out"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "case = ball-manufactured-exp\nresolution = 9\nhomotopy_steps = 1\n"
-            f"max_newton_iters = 1\nmin_step = 0.3\noutput = {out}\n"
+            f"output = {out}\n"
         )
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "step size underflow" in capsys.readouterr().err
@@ -436,7 +510,8 @@ class TestErrorReporting:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", ["min_step = 0", "min_step = -0.01", "min_step = nan",
-                                      "newton_tol = nan", "max_newton_iters = 0"])
+                                      "newton_tol = nan", "max_newton_iters = 0",
+                                      "homotopy_steps = 0", "newton_tol = 0"])
     def test_bad_solver_setting_refused_before_any_work(self, tmp_path, capsys,
                                                        monkeypatch, line):
         work = []
@@ -559,6 +634,21 @@ class TestSolutionDump:
         header["domain"]["kind"] = "cube"
         (dump / "header.json").write_text(json.dumps(header))
         with pytest.raises(ValueError, match=r"header\.json names unknown domain kind 'cube'"):
+            load_solution_dump(dump)
+
+
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda header: header.update(format="nconvex-dump-0"), "unrecognized dump format"),
+        (lambda header: header["counts"].update(active=header["counts"]["active"] + 1),
+         "dump counts do not match the rebuilt grid"),
+    ], ids=["format", "counts"])
+    def test_edited_header_rejected(self, tmp_path, edit, detail):
+        grid = Grid(DomainSpec.ball(1.0, n=3), 9)
+        dump = write_solution_dump(tmp_path / "dump", grid, quadratic_seed(grid), 1.0)
+        header = json.loads((dump / "header.json").read_text())
+        edit(header)
+        (dump / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=detail):
             load_solution_dump(dump)
 
 

@@ -509,6 +509,23 @@ class TestProblemData:
         with pytest.raises(ValueError, match="phi at collocation point 7 is inf"):
             sample_problem(spec, grid9)
 
+    def test_two_dimensional_spec_refused(self):
+        with pytest.raises(ValueError, match="PDE problems need n >= 3"):
+            ProblemSpec(n=2, f=lambda p: np.ones(p.shape[0]),
+                        phi=lambda p: np.zeros(p.shape[0]))
+
+    @pytest.mark.parametrize("n, f, phi, detail", [
+        (4, None, None, "problem dimension 4 != grid dimension 3"),
+        (3, lambda p: np.ones(p.shape[0] + 1), None, "f must return one value per active point"),
+        (3, None, lambda p: np.zeros((p.shape[0], 1)),
+         "phi must return one value per collocation point"),
+    ], ids=["dimension", "f-shape", "phi-shape"])
+    def test_mismatched_spec_refused(self, grid9, n, f, phi, detail):
+        spec = ProblemSpec(n=n, f=f or (lambda p: np.full(p.shape[0], 8.0)),
+                           phi=phi or (lambda p: np.zeros(p.shape[0])))
+        with pytest.raises(ValueError, match=detail):
+            sample_problem(spec, grid9)
+
 
 class TestManufacturedProblem:
     @pytest.mark.parametrize("direction", [(2.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0),

@@ -1,7 +1,7 @@
 """Newton and continuation behavior on the unit ball."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -72,6 +72,11 @@ def make_state(t, fld, grid, problem):
 
 
 class TestSolverConfig:
+    def test_fields_are_the_two_run_settings(self):
+        assert [f.name for f in fields(SolverConfig)] == ["newton_tol", "homotopy_steps"]
+        assert (nconvex.solver.MAX_NEWTON_ITERS, nconvex.solver.MIN_STEP,
+                nconvex.solver.LINE_SEARCH_DAMPING) == (30, 1.0 / 1280.0, 0.5)
+
     @pytest.mark.parametrize("key, value", [
         ("min_step", 0.0),
         ("min_step", -1e-3),
@@ -80,6 +85,9 @@ class TestSolverConfig:
         ("newton_tol", 0.0),
         ("newton_tol", float("nan")),
         ("newton_tol", float("inf")),
+        ("newton_tol", True),
+        ("newton_tol", "1e-10"),
+        ("newton_tol", None),
         ("max_newton_iters", 0),
         ("max_newton_iters", 2.5),
         ("max_newton_iters", "30"),
@@ -92,15 +100,15 @@ class TestSolverConfig:
         ("damping", 1.0),
     ])
     def test_bad_value_refused(self, key, value):
-        with pytest.raises(ValueError, match=key):
+        # min_step, max_newton_iters and damping are solver module constants,
+        # not fields: SolverConfig refuses them as keywords, whatever the value
+        removed = key in ("min_step", "max_newton_iters", "damping")
+        with pytest.raises(TypeError if removed else ValueError, match=key):
             SolverConfig(**{key: value})
 
     def test_numpy_integer_counts_accepted(self):
-        config = SolverConfig(homotopy_steps=np.int64(10), max_newton_iters=np.int64(30))
-        assert config.homotopy_steps == 10 and config.max_newton_iters == 30
-
-    def test_whole_step_is_a_valid_min_step(self):
-        assert SolverConfig(min_step=1.0).min_step == 1.0
+        config = SolverConfig(newton_tol=np.float64(1e-9), homotopy_steps=np.int64(10))
+        assert config.newton_tol == 1e-9 and config.homotopy_steps == 10
 
 
 class TestNewton:
@@ -240,9 +248,11 @@ class TestContinuation:
         with pytest.raises(ValueError, match="pinching"):
             continuation(problem, grid, SolverConfig())
 
-    def test_step_underflow_raises_with_last_good_state(self, grid9):
+    def test_step_underflow_raises_with_last_good_state(self, grid9, monkeypatch):
         problem = sample_problem(MANUFACTURED, grid9)
-        config = SolverConfig(homotopy_steps=1, max_newton_iters=1, min_step=0.3)
+        monkeypatch.setattr(nconvex.solver, "MAX_NEWTON_ITERS", 1)
+        monkeypatch.setattr(nconvex.solver, "MIN_STEP", 0.3)
+        config = SolverConfig(homotopy_steps=1)
         with pytest.raises(ContinuationFailure, match="step size underflow") as info:
             continuation(problem, grid9, config)
         state, report = info.value.state, info.value.report
@@ -316,7 +326,7 @@ class TestContinuation:
         rejected = report.rejected_steps
         dts = [dt for _, dt, _ in rejected]
         assert dts == pytest.approx([first * 0.5**i for i in range(len(dts))], rel=1e-12)
-        assert dts[-1] * 0.5 < config.min_step <= dts[-1]
+        assert dts[-1] * 0.5 < nconvex.solver.MIN_STEP <= dts[-1]
         assert all(t == t0 and text == f"step from t={state.t:.6g} refused by the test"
                    for t, _, text in rejected)
         payload = json.loads(report.to_json())
@@ -1065,7 +1075,8 @@ class TestMarginGuard:
         residuals = count_calls(monkeypatch, "residual_vector")
         # every step is cut to at most half a Newton step, so the contraction is
         # linear (about 30 steps here) instead of quadratic
-        out = newton_solve(start, grid9, sp9, SolverConfig(max_newton_iters=60))
+        monkeypatch.setattr(nconvex.solver, "MAX_NEWTON_ITERS", 60)
+        out = newton_solve(start, grid9, sp9, SolverConfig())
         assert out.residual_norm <= 1e-10
         assert len(rejected) == len(steps) > 0
         # the start carries its residual, so every call is a trial: every step

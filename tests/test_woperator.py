@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nconvex.cone import lift_spectrum
@@ -320,6 +320,10 @@ class TestMIdentities:
 
     @settings(deadline=None)
     @given(symmetric_stacks())
+    # a subnormal and a 1e-147 off-diagonal, on which LAPACK's eigvalsh is off by 8e-3
+    @example(np.array([[[0.0, 1.57830108e-147, 1.11253693e-308],
+                        [1.57830108e-147, 1.0, 1.5],
+                        [1.11253693e-308, 1.5, 0.0]]]))
     def test_batch_kernels_match_lift(self, hs):
         assert_batch_matches_lift(hs)
 
