@@ -158,14 +158,20 @@ def _coerce(key, value):
 
 
 def config_digest(cfg: dict) -> str:
-    """Hash of the keys that define the solve.
+    """Hash of what defines the solve, not of how the config spells it.
 
-    Where the results are written (``output``) and in which format
-    (``report``) are left out, so two runs of the same solve share a digest.
-    A data file (``f.file``, ``phi.file``) enters by the SHA-256 of its
-    bytes, not by its path: new data changes the digest, moved data keeps it.
+    The domain enters as the resolved ``DomainSpec`` (center and
+    semi-axes), not as the ``domain.*`` keys, and ``force`` is left out: it
+    lets a refused domain through but changes no number.  Where the results
+    are written (``output``) and in which format (``report``) are left out
+    too, so two runs of the same solve share a digest.  A data file
+    (``f.file``, ``phi.file``) enters by the SHA-256 of its bytes, not by its
+    path: new data changes the digest, moved data keeps it.
     """
-    solve = {k: cfg[k] for k in sorted(cfg) if k not in ("output", "report")}
+    domain = _domain_from_config(cfg)
+    solve = {k: cfg[k] for k in sorted(cfg)
+             if k not in ("output", "report", "force") and not k.startswith("domain.")}
+    solve["domain"] = {"center": domain.center, "semi_axes": domain.semi_axes}
     for key in ("f.file", "phi.file"):
         if solve.get(key):
             solve[key] = hashlib.sha256(Path(solve[key]).read_bytes()).hexdigest()

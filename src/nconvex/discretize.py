@@ -1,24 +1,24 @@
 """Cartesian-grid discretization with boundary-trace collocation.
 
 Unknowns are the field values at active grid points (strictly inside, depth
-greater than h/2) plus boundary trace values at collocation points, which
-are the closest-point projections of the stencil neighbors that fall
-outside the active set.  Those outside neighbors ("closure" points) are not
-unknowns: each lies on the normal ray through its collocation point, so its
-value is the quadratic along that ray determined by the trace and two
-interpolated interior ray values.  Those come from moving-least-squares
-rows (``W1``, ``W2``) built on the lattice, with no neighbor search: the
-candidate nodes of a target are its grid cell's corner plus the integer
-offsets of one fixed table per radius, so one quadratic design at the
-offsets serves a whole block of collocation points and only the weights
-differ.  Every Gram matrix of a block comes from one matrix product of the
-weights with the design's moment table; per target, one Cholesky
-factorization of the target-centred Gram matrix (10 x 10 at n = 3) gives
-the solve, its one refinement step and a certificate for the rank test.
-Only the targets with too few nodes or a rank-deficient design are tried
-again at a wider radius.  The construction is exact for quadratic fields,
-which pins the discrete problem to the continuum one at the homotopy
-start.
+greater than h/2); the trace values at collocation points, the
+closest-point projections of the stencil neighbors outside the active set,
+follow from them and t through the Robin rows (``field_at``).  Those
+outside neighbors ("closure" points) are not unknowns: each lies on the
+normal ray through its collocation point, so its value is the quadratic
+along that ray determined by the trace and two interpolated interior ray
+values.  Those come from moving-least-squares rows (``W1``, ``W2``) built
+on the lattice, with no neighbor search: the candidate nodes of a target
+are its grid cell's corner plus the integer offsets of one fixed table per
+radius, so one quadratic design at the offsets serves a whole block of
+collocation points and only the weights differ.  Every Gram matrix of a
+block comes from one matrix product of the weights with the design's
+moment table; per target, one Cholesky factorization of the
+target-centred Gram matrix (10 x 10 at n = 3) gives the solve, its one
+refinement step and a certificate for the rank test.  Only the targets
+with too few nodes or a rank-deficient design are tried again at a wider
+radius.  The construction is exact for quadratic fields, which pins the
+discrete problem to the continuum one at the homotopy start.
 
 Classification projects every point of the box that can be active once,
 and the grid keeps each active point's depth and normal from it; the
@@ -26,13 +26,13 @@ barrier strip reads them instead of projecting again.
 
 The stencil is held as data on the Grid: an index ``nbr`` of each stencil
 neighbor into the extended vector [active values; closure values], the
-sparse ``extension`` map from the unknowns to that vector, and Hessian and
-gradient coefficient matrices with one row per offset.  Hessians and
-gradients are one gather and one matrix product, and the same
-coefficients contracted with the det W gradient give the stencil matrix of
-the Newton linearization on the extended vector.  The one-sided normal
-derivative and the Robin rows share one stored block, ``robin_u`` on the
-active values; each row touches its own trace unknown alone, with the
+sparse ``extension`` map from the field [values; trace] to that vector,
+and Hessian and gradient coefficient matrices with one row per offset.
+Hessians and gradients are one gather and one matrix product, and the
+same coefficients contracted with the det W gradient give the stencil
+matrix of the Newton linearization on the extended vector.  The one-sided
+normal derivative and the Robin rows share one stored block, ``robin_u``
+on the active values; each row touches its own trace value alone, with the
 scalar 3/(2 delta) in u_nu and ``robin_diag`` = 3/(2 delta) + 1 in u_nu + u.
 
 The interior equation is det W(D2u) = det(tr(D2u) I - D2u) = f, the lift at
@@ -61,6 +61,8 @@ __all__ = [
     "manufactured_problem",
     "homotopy_constant",
     "seed_datum",
+    "robin_datum",
+    "field_at",
     "hessian_batch",
     "gradient_batch",
     "hessian_contraction",
@@ -458,14 +460,14 @@ class Grid:
     - ``nbr`` (q, N): for each stencil offset and active point, the index
       of the neighbor in the extended vector [active values; closure
       values];
-    - ``extension``: the sparse map x -> [values; C x] from the packed
-      unknowns to that extended vector;
+    - ``extension``: the sparse map x -> [values; C x] from a field
+      x = [values; trace] to that extended vector;
     - ``hess_coef`` (q, n*n) and ``grad_coef`` (q, n): the Hessian and
       gradient weight of each offset;
     - ``robin_u`` (B, N): the active-value block (-4 W1 + W2)/(2 delta) of
       the one-sided u_nu at collocation points; u_nu adds 3/(2 delta) times
       the trace, and the Robin rows u_nu + u add ``robin_diag`` =
-      3/(2 delta) + 1 times the trace.
+      3/(2 delta) + 1 times the trace, which ``field_at`` solves them for.
     """
 
     def __init__(self, domain: DomainSpec, resolution: int):
@@ -567,7 +569,7 @@ class Grid:
 
     @property
     def C(self) -> sp.csr_matrix:
-        """Closure map: closure values = C @ packed unknowns (rows of ``extension``)."""
+        """Closure map: closure values = C @ [values; trace] (rows of ``extension``)."""
         return self.extension[self.n_active:]
 
     def strip_mask(self, mu: float) -> np.ndarray:
@@ -577,7 +579,7 @@ class Grid:
 
 @dataclass
 class DiscreteField:
-    """Grid unknowns: values at active points, trace values at collocation."""
+    """A grid field: values at active points, trace values at collocation."""
 
     values: np.ndarray
     trace: np.ndarray
@@ -590,10 +592,6 @@ class DiscreteField:
 
     def pack(self) -> np.ndarray:
         return np.concatenate([self.values, self.trace])
-
-    @classmethod
-    def unpack(cls, x: np.ndarray, grid: Grid) -> "DiscreteField":
-        return cls(values=x[: grid.n_active].copy(), trace=x[grid.n_active:].copy())
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "DiscreteField":
@@ -624,9 +622,9 @@ def hessian_contraction(coef: np.ndarray, grid: Grid) -> sp.csr_matrix:
     """Stencil matrix K: v -> sum_ij coef[k, i, j] (D2 v)_ij at each active point k.
 
     K is (N, N + G) and acts on the extended vector v = [values; closure
-    values], so ``K @ grid.extension`` is the same map on the packed
-    unknowns.  With coef the gradient of det W at D2u, K is the Newton
-    linearization of the interior equation.
+    values], so ``K @ grid.extension`` is the same map on a field
+    [values; trace].  With coef the gradient of det W at D2u, K is the
+    Newton linearization of the interior equation.
     """
     weights = coef.reshape(grid.n_active, -1) @ grid.hess_coef.T  # (N, q)
     q = weights.shape[1]
@@ -664,11 +662,27 @@ def interior_residual(field: DiscreteField, grid: Grid, problem: SampledProblem,
     return det - t * problem.f_active - (1.0 - t) * c0
 
 
+def robin_datum(grid: Grid, problem: SampledProblem, t: float) -> np.ndarray:
+    """Right side t phi + (1-t)(y.nu + |y|^2/2) of the Robin rows at collocation points."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"homotopy parameter t={t} outside [0, 1]")
+    return t * problem.phi_colloc + (1.0 - t) * grid.colloc_quad
+
+
 def robin_residual(field: DiscreteField, grid: Grid, problem: SampledProblem,
                    t: float) -> np.ndarray:
     """u_nu + u - t phi - (1-t)(y.nu + |y|^2/2) at collocation points."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"homotopy parameter t={t} outside [0, 1]")
+    data = robin_datum(grid, problem, t)
     field.check(grid)
-    data = t * problem.phi_colloc + (1.0 - t) * grid.colloc_quad
     return grid.robin_u @ field.values + grid.robin_diag * field.trace - data
+
+
+def field_at(u: np.ndarray, t: float, grid: Grid, problem: SampledProblem) -> DiscreteField:
+    """The field of the active values u at t, its trace solving the Robin rows.
+
+    The rows R_u u + d b = g_t (R_u = ``grid.robin_u``, d =
+    ``grid.robin_diag``, g_t = ``robin_datum``) touch each trace value b
+    alone, so b = (g_t - R_u u) / d.
+    """
+    trace = (robin_datum(grid, problem, t) - grid.robin_u @ u) / grid.robin_diag
+    return DiscreteField(values=u, trace=trace)

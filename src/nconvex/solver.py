@@ -1,38 +1,36 @@
 """Damped Newton inside homotopy continuation for the discrete problem.
 
-The interior equation is linearized through the gradient of det(W) with
-respect to the Hessian entries, contracted with the stencil coefficients;
-the Robin rows are linear and precomputed on the grid.  Every accepted
+The unknowns are the active values u alone: the linear Robin rows fix the
+trace at t (``discretize.field_at``), and the residual is the interior
+equation, linearized through the gradient of det(W) with respect to the
+Hessian entries, contracted with the stencil coefficients.  Every accepted
 iterate must keep the ellipticity margin tr(D2u) - lambda_max(D2u), the
 smallest eigenvalue of M = tr(D2u) I - D2u and hence of W, positive at all
 active points (the discrete ellipticity certificate), which the line
 search enforces alongside plain residual decrease.  Every homotopy state
-(the seed, a path prediction, a line-search trial) is built by
+(the seed, a path start, a line-search trial) is built by
 ``evaluate_state``: one Hessian stack of its field gives its det W, its
 residual at its own t and the next Jacobian, and one eigendecomposition of
 the stack gives both its margin and the monitors' sup|D2u|.  The monitors
 are evaluated once per state that Newton returns.
 
-Each Newton step eliminates the trace unknowns exactly (the Robin block
-on them is a multiple of the identity) through a map that is constant for
-the whole continuation, and solves the remaining system on the active
-points by GMRES, preconditioned with one incomplete LU of the seed system.
-At the quadratic seed the det W gradient is exactly (n-1)^n I, so that
-system is the grid's scaled Laplacian composed with the map, and it is
-built from the grid alone.  A step GMRES cannot finish replaces the
-preconditioner with an incomplete LU of its own system and fails, so the
-continuation retries it: from x_k if it began at the prediction below, else
-at half the step.
+Each Newton step solves S du = -r, S = K E the stencil matrix times the
+extension with the trace eliminated (constant for the whole continuation),
+by GMRES preconditioned with one incomplete LU of the seed system.  At the
+quadratic seed the det W gradient is exactly (n-1)^n I, so that system is
+the grid's scaled Laplacian composed with E, built from the grid alone.  A
+step GMRES cannot finish replaces the preconditioner with an incomplete LU
+of its own system and fails, so the continuation retries it: from u_k if
+it began at the prediction below, else at half the step.
 
 Once two states are accepted, the continuation starts each Newton solve
 from the polynomial through the last accepted states, in Newton form: the
-secant x_k + (t_{k+1} - t_k)/(t_k - t_{k-1}) (x_k - x_{k-1}) and, once a
+secant u_k + (t_{k+1} - t_k)/(t_k - t_{k-1}) (u_k - u_{k-1}) and, once a
 third state is accepted, the correction (t_{k+1} - t_k)(t_{k+1} - t_{k-1})
-D2, with D2 the second divided difference of x_k, x_{k-1} and x_{k-2}.
-A prediction with margin <= 0, or one from which Newton fails, gives way
-to a start from x_k at the same t, which keeps x_k's state and recomputes
-only its residual.  On an exact path x_k = x_{k-1} and no prediction is
-formed.
+D2, with D2 the second divided difference of u_k, u_{k-1} and u_{k-2}.
+Without a usable prediction (none on an exact path, where u_k = u_{k-1}),
+or when Newton fails from it, the start is u_k itself if it still solves
+the problem at t_{k+1}, else one tangent step from it (``_tangent_start``).
 
 The path sets its own step (``continuation``): the first is
 1/``homotopy_steps``, each acceptance grows dt by 2 or, after at most two
@@ -44,7 +42,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,13 +54,14 @@ from nconvex.discretize import (
     DiscreteField,
     Grid,
     SampledProblem,
+    field_at,
     gradient_batch,
     hessian_batch,
     hessian_contraction,
     homotopy_constant,
     interior_residual,
     normal_derivative,
-    robin_residual,
+    robin_datum,
     second_normal_derivative,
 )
 from nconvex.geometry import pinching_check
@@ -163,12 +162,12 @@ class HomotopyState:
 
     t: float
     field: DiscreteField
-    residual: np.ndarray  # residual_vector of the field at t
+    residual: np.ndarray  # interior residual of the field at t
     ellipticity_margin: float
     monitors: BoundMonitors | None  # None until ``newton_solve`` returns the state
     det_w: np.ndarray  # det W(D2u) at every active point of the field
     hessians: np.ndarray  # D2u at every active point of the field (``hessian_batch``)
-    eigenvalues: np.ndarray  # np.linalg.eigvalsh(hessians): the margin and sup|D2u| read it
+    eigenvalues: np.ndarray  # woperator.batch_eigvalsh(hessians): the margin and sup|D2u| read it
 
     @property
     def residual_norm(self) -> float:
@@ -186,7 +185,7 @@ class PathReport:
     krylov_iters: list = field(default_factory=list)  # GMRES iterations per Newton step
     ilu_rebuilds: int = 0  # GMRES stalls, each answered by an ILU of the stalled step's S
     predicted_starts: int = 0  # accepted steps whose Newton solve began at the prediction
-    predictor_fallbacks: int = 0  # predictions refused by the guard or failed, retried from x_k
+    predictor_fallbacks: int = 0  # predictions refused by the guard or failed, retried from u_k
     # sup-norm residual at the start of each Newton solve begun at a prediction
     predicted_start_residuals: list = field(default_factory=list)
     # (t, dt, StepFailure text) of each homotopy step that failed and halved dt
@@ -214,43 +213,21 @@ class PathReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "rows": self.rows,
-            "krylov_iters": self.krylov_iters,
-            "ilu_rebuilds": self.ilu_rebuilds,
-            "predicted_starts": self.predicted_starts,
-            "predictor_fallbacks": self.predictor_fallbacks,
-            "predicted_start_residuals": self.predicted_start_residuals,
-            "rejected_steps": self.rejected_steps,
-        }
-        if self.config_digest is not None:
-            payload["config_digest"] = self.config_digest
-        if self.exact_error is not None:
-            payload["exact_error"] = self.exact_error
-        if self.barriers is not None:
-            payload["barriers"] = self.barriers
+        """Every field of the report, those still None left out."""
+        payload = {k: v for k, v in asdict(self).items() if v is not None}
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def residual_vector(x: np.ndarray, t: float, grid: Grid, problem: SampledProblem,
-                    det: np.ndarray | None = None) -> np.ndarray:
-    """Stacked interior and Robin residuals for the packed unknown vector.
-
-    ``det``, when given, is det W(D2u) at x and is not recomputed.
-    """
-    fld = DiscreteField.unpack(x, grid)
-    return np.concatenate(
-        [
-            interior_residual(fld, grid, problem, t, det),
-            robin_residual(fld, grid, problem, t),
-        ]
-    )
+def residual_vector(u: np.ndarray, t: float, grid: Grid,
+                    problem: SampledProblem) -> np.ndarray:
+    """Interior residual of the active values u at t, their trace from ``field_at``."""
+    return interior_residual(field_at(u, t, grid, problem), grid, problem, t)
 
 
 def ellipticity_margin(hessians: np.ndarray, eigenvalues: np.ndarray | None = None) -> float:
     """Smallest tr(D2u) - lambda_max(D2u) over a Hessian stack (``hessian_batch``).
 
-    ``eigenvalues``, when given, is ``np.linalg.eigvalsh(hessians)`` and is not recomputed.
+    ``eigenvalues``, when given, is ``woperator.batch_eigvalsh(hessians)``.
     """
     return float(np.min(woperator.batch_min_lift_eig(hessians, eigenvalues)))
 
@@ -264,73 +241,59 @@ def assemble_jacobian(hessians: np.ndarray, grid: Grid) -> sp.csr_matrix:
     return hessian_contraction(woperator.batch_linearization(hessians), grid)
 
 
-def full_jacobian(x: np.ndarray, t: float, grid: Grid,
+def full_jacobian(u: np.ndarray, t: float, grid: Grid,
                   problem: SampledProblem) -> sp.csc_matrix:
-    """Sparse Jacobian of ``residual_vector``: [[K @ extension], [R_u, d I]].
-
-    The Robin rows are formed here from ``grid.robin_u`` and ``grid.robin_diag``.
-    """
-    d2 = hessian_batch(DiscreteField.unpack(x, grid), grid)
-    robin = sp.hstack([grid.robin_u, grid.robin_diag * sp.identity(grid.n_colloc, format="csr")],
-                      format="csr")
-    return sp.vstack([assemble_jacobian(d2, grid) @ grid.extension, robin], format="csc")
+    """Sparse Jacobian K E of ``residual_vector`` in the active values u."""
+    d2 = hessian_batch(field_at(u, t, grid, problem), grid)
+    return (assemble_jacobian(d2, grid) @ condensed_map(grid)).tocsc()
 
 
-def condensed_map(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The extension with the trace eliminated through the Robin rows: (E, L).
+def condensed_map(grid: Grid) -> sp.csr_matrix:
+    """The extension with the trace eliminated through the Robin rows: E.
 
     The Robin rows R_u u + d b = g (R_u = ``grid.robin_u``, d =
-    ``grid.robin_diag``) fix b = (g - R_u u) / d, so ``extension @ [u; b]``
-    = E u + L g with E = [I; C_u - C_b R_u / d] and L = [0; C_b] / d, where
+    ``grid.robin_diag``) fix b = (g - R_u u) / d (``field_at``), so the
+    extended vector moves with u by E = [I; C_u - C_b R_u / d], where
     [C_u, C_b] = C.
     """
     n = grid.n_active
     ext = grid.extension.tocsc()
-    lift = (ext[:, n:] / grid.robin_diag).tocsr()
-    return (ext[:, :n] - lift @ grid.robin_u).tocsr(), lift
+    return (ext[:, :n] - (ext[:, n:] / grid.robin_diag).tocsr() @ grid.robin_u).tocsr()
 
 
 class CondensedSolver:
-    """Newton-step solver for one continuation: condensed system, one ILU.
+    """Newton-step solver for one continuation: S du = r, S = K E, one ILU.
 
-    ``solve`` takes K from ``assemble_jacobian`` and the right side [g1; g2]
-    of the full system and eliminates the trace unknowns exactly:
-    S du = g1 - K L g2 on the active points with S = K E, (E, L) from
-    ``condensed_map``, then db = (g2 - R_u du) / d.
-
-    At the quadratic seed D2u = I and M = (n-1) I, so the det W gradient is
-    c0 I with c0 = ``homotopy_constant(n)``, and the seed's S is
-    ``hessian_contraction(c0 I) @ E``, known from the grid alone.  The first
-    step builds E, L and an incomplete LU of that S; it preconditions GMRES
-    on every step, and GMRES always solves the step's full S.  A step GMRES
-    does not finish replaces the preconditioner with an incomplete LU of its
-    own S and raises StepFailure, so the caller retries with a smaller step.
-    GMRES iterations and rebuilds are recorded on ``report``, a fresh one
-    when none is given.
+    ``solve`` takes K (``assemble_jacobian``) and r on the active points and
+    returns du; E is ``condensed_map``.  At the quadratic seed D2u = I and
+    M = (n-1) I, so the det W gradient is c0 I, c0 = ``homotopy_constant(n)``,
+    and the seed's S is ``hessian_contraction(c0 I) @ E``, known from the
+    grid alone.  The first step builds E and an incomplete LU of that S; it
+    preconditions GMRES on every step, and GMRES always solves the step's
+    full S.  A step GMRES does not finish replaces the preconditioner with an
+    incomplete LU of its own S and raises StepFailure, so the caller retries
+    with a smaller step.  GMRES iterations and rebuilds are recorded on
+    ``report``, a fresh one when none is given.
     """
 
     def __init__(self, grid: Grid, report: PathReport | None = None):
         self.grid = grid
         self.report = PathReport() if report is None else report
-        self._map = None  # (E, L), built by the first step
+        self._map = None  # E, built by the first step
         self._ilu = None  # the preconditioner: the seed S's ILU, or a stalled step's
 
     def solve(self, stencil: sp.csr_matrix, rhs: np.ndarray, t: float) -> np.ndarray:
-        """Solve the full Newton system for delta; raises StepFailure if GMRES stalls."""
+        """Solve S du = rhs for du; raises StepFailure if GMRES stalls."""
         grid = self.grid
         if self._map is None:
-            emap, lift = condensed_map(grid)
+            self._map = condensed_map(grid)
             seed_grad = np.broadcast_to(homotopy_constant(grid.n) * np.eye(grid.n),
                                         (grid.n_active, grid.n, grid.n))
-            self._ilu = _incomplete_lu(hessian_contraction(seed_grad, grid) @ emap)
-            self._map = emap, lift
-        emap, lift = self._map
-        g1, g2 = rhs[:grid.n_active], rhs[grid.n_active:]
-        schur = stencil @ emap
-        rhs_u = g1 - stencil @ (lift @ g2)
+            self._ilu = _incomplete_lu(hessian_contraction(seed_grad, grid) @ self._map)
+        schur = stencil @ self._map
         norms = []  # GMRES's preconditioned residual norm, one per iteration
         precond = LinearOperator(schur.shape, matvec=self._ilu.solve)
-        du, info = gmres(schur, rhs_u, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
+        du, info = gmres(schur, rhs, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
                          maxiter=GMRES_MAX_RESTARTS, M=precond, callback=norms.append,
                          callback_type="pr_norm")
         iters = len(norms)
@@ -343,7 +306,7 @@ class CondensedSolver:
                 raise StepFailure(f"{stall}; rebuilding the preconditioner: {exc}")
             self.report.ilu_rebuilds += 1
             raise StepFailure(f"{stall}; preconditioner rebuilt from this step's system")
-        return np.concatenate([du, (g2 - grid.robin_u @ du) / grid.robin_diag])
+        return du
 
 
 def _incomplete_lu(schur: sp.csr_matrix):
@@ -357,8 +320,8 @@ def _incomplete_lu(schur: sp.csr_matrix):
 def bound_monitors(fld: DiscreteField, eigenvalues: np.ndarray, grid: Grid) -> BoundMonitors:
     """Norm monitors: sup|u|, sup|Du|, sup|D2u| and the boundary N.
 
-    ``eigenvalues`` is ``np.linalg.eigvalsh`` of the field's Hessian stack
-    (``hessian_batch``), the one its ellipticity margin was read from.
+    ``eigenvalues`` is ``woperator.batch_eigvalsh`` of the field's Hessian
+    stack (``hessian_batch``), the one its ellipticity margin was read from.
     """
     fld.check(grid)
     sup_u = max(float(np.max(np.abs(fld.values))), float(np.max(np.abs(fld.trace))))
@@ -370,19 +333,19 @@ def bound_monitors(fld: DiscreteField, eigenvalues: np.ndarray, grid: Grid) -> B
     return BoundMonitors(sup_u=sup_u, sup_du=sup_du, sup_d2u=sup_d2u, sup_unn=sup_unn)
 
 
-def evaluate_state(x: np.ndarray, t: float, grid: Grid,
+def evaluate_state(u: np.ndarray, t: float, grid: Grid,
                    problem: SampledProblem) -> HomotopyState:
-    """The homotopy state of the packed field x at t, with no monitors yet.
+    """The homotopy state of the active values u at t, with no monitors yet.
 
-    One Hessian stack of the field gives its det W, which the residual
-    reads, and one eigendecomposition, which gives its margin and later the
-    monitors' sup|D2u|.
+    Its field is ``field_at(u, t)``.  One Hessian stack of the field gives
+    its det W, which the residual reads, and one guarded eigendecomposition
+    (``woperator.batch_eigvalsh``), its margin and the monitors' sup|D2u|.
     """
-    fld = DiscreteField.unpack(x, grid)
+    fld = field_at(u, t, grid, problem)
     d2 = hessian_batch(fld, grid)
     det = woperator.batch_det_w(d2)
-    eig = np.linalg.eigvalsh(d2)
-    return HomotopyState(t=t, field=fld, residual=residual_vector(x, t, grid, problem, det),
+    eig = woperator.batch_eigvalsh(d2)
+    return HomotopyState(t=t, field=fld, residual=interior_residual(fld, grid, problem, t, det),
                          ellipticity_margin=ellipticity_margin(d2, eig), monitors=None,
                          det_w=det, hessians=d2, eigenvalues=eig)
 
@@ -392,13 +355,13 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
                  linear: CondensedSolver | None = None) -> HomotopyState:
     """Damped Newton at fixed t with the cone guard in the line search.
 
-    Each step solves the Jacobian system at the state's Hessian stack for
-    the right side -``state.residual`` with ``linear`` (a fresh
-    CondensedSolver when none is passed), and backtracks until the trial
-    state (``evaluate_state``) both decreases the sup-norm residual and
-    keeps the ellipticity margin positive at every active point; that trial
-    becomes the state.  Raises StepFailure when ``MAX_NEWTON_ITERS``, the
-    line-search floor, or the linear solve gives out.
+    Each step solves S du = -``state.residual``, S the Jacobian at the
+    state's Hessian stack, with ``linear`` (a fresh CondensedSolver when none
+    is passed), and backtracks until the trial state (``evaluate_state`` of
+    u + alpha du) both decreases the sup-norm residual and keeps the
+    ellipticity margin positive at every active point; that trial becomes
+    the state.  Raises StepFailure when ``MAX_NEWTON_ITERS``, the line-search
+    floor, or the linear solve gives out.
 
     The start state is trusted to describe its field at its t.  The result
     is the last accepted state, whose monitors are evaluated once, from its
@@ -414,11 +377,10 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     for _ in range(MAX_NEWTON_ITERS):
         if rnorm <= config.newton_tol:
             break
-        x = state.field.pack()
-        delta = linear.solve(assemble_jacobian(state.hessians, grid), -state.residual, t)
+        du = linear.solve(assemble_jacobian(state.hessians, grid), -state.residual, t)
         alpha = 1.0
         while True:
-            trial = evaluate_state(x + alpha * delta, t, grid, problem)
+            trial = evaluate_state(state.field.values + alpha * du, t, grid, problem)
             trial_norm = trial.residual_norm
             if trial_norm < rnorm and trial.ellipticity_margin > 0.0:
                 state, rnorm = trial, trial_norm
@@ -447,43 +409,69 @@ def _predicted_start(state: HomotopyState, earlier: tuple, t_next: float, grid: 
                      problem: SampledProblem) -> HomotopyState | None:
     """The start at t_next predicted from ``state`` and the states before it.
 
-    ``earlier`` holds (t, packed field) of up to two states accepted before
-    ``state`` = (t_k, x_k), newest first.  The prediction is the polynomial
+    ``earlier`` holds (t, active values) of up to two states accepted before
+    ``state`` = (t_k, u_k), newest first.  The prediction is the polynomial
     through them in Newton form: the secant
-    x_k + (t_next - t_k)/(t_k - t_{k-1}) (x_k - x_{k-1}) and, when
+    u_k + (t_next - t_k)/(t_k - t_{k-1}) (u_k - u_{k-1}) and, when
     ``earlier`` holds two states, (t_next - t_k)(t_next - t_{k-1}) D2, with
-    D2 the second divided difference of x_k, x_{k-1} and x_{k-2}.  Returns
+    D2 the second divided difference of u_k, u_{k-1} and u_{k-2}.  Returns
     None when there is no secant: no earlier state, or an exact path, where
-    x_k - x_{k-1} is exactly 0.  Otherwise the prediction is evaluated at
+    u_k - u_{k-1} is exactly 0.  Otherwise the prediction is evaluated at
     t_next (``evaluate_state``); the monitors are left to the field that
     Newton accepts.
     """
     if not earlier:
         return None
-    t_1, x_1 = earlier[0]
-    x = state.field.pack()
-    secant = x - x_1
+    t_1, u_1 = earlier[0]
+    u = state.field.values
+    secant = u - u_1
     if not np.any(secant):
         return None
     step = t_next - state.t
-    predicted = x + step / (state.t - t_1) * secant
+    predicted = u + step / (state.t - t_1) * secant
     if len(earlier) == 2:
-        t_2, x_2 = earlier[1]
-        curvature = (secant / (state.t - t_1) - (x_1 - x_2) / (t_1 - t_2)) / (state.t - t_2)
+        t_2, u_2 = earlier[1]
+        curvature = (secant / (state.t - t_1) - (u_1 - u_2) / (t_1 - t_2)) / (state.t - t_2)
         predicted += step * (t_next - t_1) * curvature
     return evaluate_state(predicted, t_next, grid, problem)
+
+
+def _tangent_start(state: HomotopyState, t_next: float, grid: Grid, problem: SampledProblem,
+                   config: SolverConfig, linear: CondensedSolver) -> HomotopyState:
+    """The start at t_next from ``state`` = (t_k, u_k) alone.
+
+    r is the interior residual of the state's field at t_next, from its
+    det W, and dg = g_{t_next} - g_{t_k} the change of the Robin data.
+    When both are within ``newton_tol`` the state itself is the start and
+    nothing is built.  Otherwise the start is u_k + du at t_next after one
+    tangent step S du = -(r + K ext [0; dg / d]), K at the state's stack:
+    Newton's first step with the trace still unknown.  (The trace of u_k
+    derived at t_next would take all of dg, and the start residual would
+    grow by orders of magnitude.)  Raises StepFailure if its margin is <= 0.
+    """
+    residual = interior_residual(state.field, grid, problem, t_next, state.det_w)
+    dg = robin_datum(grid, problem, t_next) - robin_datum(grid, problem, state.t)
+    if max(np.max(np.abs(residual)), np.max(np.abs(dg))) <= config.newton_tol:
+        return replace(state, t=t_next, residual=residual)
+    stencil = assemble_jacobian(state.hessians, grid)
+    trace_move = grid.extension[:, grid.n_active:] @ (dg / grid.robin_diag)
+    du = linear.solve(stencil, -(residual + stencil @ trace_move), t_next)
+    start = evaluate_state(state.field.values + du, t_next, grid, problem)
+    if start.ellipticity_margin <= 0.0:
+        raise StepFailure(f"tangent start at t={t_next:.6g} has ellipticity margin "
+                          f"{start.ellipticity_margin:.3g} <= 0")
+    return start
 
 
 def _advance(state: HomotopyState, earlier: tuple, t_next: float, grid: Grid,
              problem: SampledProblem, config: SolverConfig,
              linear: CondensedSolver) -> HomotopyState:
-    """Newton at t_next from the predicted start, or from ``state``.
+    """Newton at t_next from the predicted start, or else from ``_tangent_start``.
 
     ``earlier`` is as in ``_predicted_start``.  A prediction is used only
     when its margin is positive, and its residual norm is then recorded on
     the report.  If it is refused, or Newton fails from it, the solve is
-    retried once from ``state`` at the same t, with only its residual
-    recomputed; a StepFailure of that retry propagates.
+    retried once; a StepFailure of the retry propagates.
     """
     report = linear.report
     predicted = _predicted_start(state, earlier, t_next, grid, problem)
@@ -498,9 +486,8 @@ def _advance(state: HomotopyState, earlier: tuple, t_next: float, grid: Grid,
                 report.predicted_starts += 1
                 return out
         report.predictor_fallbacks += 1
-    residual = residual_vector(state.field.pack(), t_next, grid, problem, state.det_w)
-    return newton_solve(replace(state, t=t_next, residual=residual), grid, problem, config,
-                        linear)
+    start = _tangent_start(state, t_next, grid, problem, config, linear)
+    return newton_solve(start, grid, problem, config, linear)
 
 
 def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
@@ -513,13 +500,11 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     t = 0.  Once two states are accepted, each Newton solve starts from the
     prediction through the last two or three of them (``_predicted_start``)
     when its margin is positive, and otherwise, or when Newton fails from
-    it, from the last accepted state with its residual recomputed at the new
-    t; its stack, eigenvalues, margin, monitors and det W still describe its
-    field.  Only the t and packed field of the two states before it are
-    kept for the prediction, and no earlier Hessian stack.  One
-    CondensedSolver serves every Newton step, so the seed ILU is built at
-    most once per call and only when some step needs a linear solve; a GMRES
-    stall rebuilds it from the stalled step.
+    it, from the last accepted state (``_tangent_start``).  Only the t and
+    active values of the two states before it are kept for the prediction,
+    and no earlier Hessian stack.  One CondensedSolver serves every Newton
+    step, so the seed ILU is built at most once per call and only when some
+    step needs a linear solve; a GMRES stall rebuilds it from the stalled step.
 
     The first step is 1/``config.homotopy_steps``.  After an accepted step
     dt doubles, or quadruples if that step made at most two linear solves
@@ -540,7 +525,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
             )
     report = PathReport()
     linear = CondensedSolver(grid, report)
-    state = evaluate_state(quadratic_seed(grid).pack(), 0.0, grid, problem)
+    state = evaluate_state(quadratic_seed(grid).values, 0.0, grid, problem)
     if state.ellipticity_margin <= 0.0:
         raise ValueError("quadratic seed is not admissible on this grid")
     try:
@@ -549,7 +534,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
         # no state is accepted yet, so there is no step to halve
         raise ContinuationFailure(str(exc), state=None, report=report) from exc
     report.add(state)
-    earlier = ()  # (t, packed field) of up to two states accepted before ``state``, newest first
+    earlier = ()  # (t, active values) of up to two states accepted before ``state``, newest first
     dt = 1.0 / config.homotopy_steps
     grow = True  # False on the acceptance that follows a rejected step
     while state.t < 1.0:
@@ -571,7 +556,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
                     report=report,
                 ) from exc
             continue
-        earlier, state = ((state.t, state.field.pack()),) + earlier[:1], accepted
+        earlier, state = ((state.t, state.field.values),) + earlier[:1], accepted
         report.add(state)
         if grow:
             dt *= 4.0 if len(report.krylov_iters) - solves <= 2 else 2.0

@@ -38,6 +38,7 @@ __all__ = [
     "linearization",
     "concavity_probe",
     "batch_det_w",
+    "batch_eigvalsh",
     "batch_min_lift_eig",
     "batch_linearization",
 ]
@@ -219,17 +220,24 @@ def batch_det_w(hessians: np.ndarray) -> np.ndarray:
     return np.linalg.det(trace[..., None, None] * np.eye(hessians.shape[-1]) - hessians)
 
 
+def batch_eigvalsh(hessians: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hessian of the stack, ``np.linalg.eigvalsh`` guarded.
+
+    Entries below 2^-104 of their Hessian's largest are zeroed first: they
+    move no eigenvalue by a rounding error, yet LAPACK's eigvalsh can miss
+    the spectrum by 1e-2 when an off-diagonal is subnormal or 1e-150.
+    """
+    tiny = 2.0**-104 * np.max(np.abs(hessians), axis=(-2, -1), keepdims=True)
+    return np.linalg.eigvalsh(np.where(np.abs(hessians) <= tiny, 0.0, hessians))
+
+
 def batch_min_lift_eig(hessians: np.ndarray, eigenvalues: np.ndarray | None = None) -> np.ndarray:
     """Smallest lifted eigenvalue tr H - lambda_max(H) per Hessian (the ellipticity quantity).
 
-    ``eigenvalues``, when given, is ``np.linalg.eigvalsh(hessians)`` and is not recomputed.
-    Otherwise entries below 2^-104 of their Hessian's largest are zeroed first:
-    they move no eigenvalue by a rounding error, yet LAPACK's eigvalsh can
-    miss the spectrum by 1e-2 when an off-diagonal is subnormal or 1e-150.
+    ``eigenvalues``, when given, is ``batch_eigvalsh(hessians)`` and is not recomputed.
     """
     if eigenvalues is None:
-        tiny = 2.0**-104 * np.max(np.abs(hessians), axis=(-2, -1), keepdims=True)
-        eigenvalues = np.linalg.eigvalsh(np.where(np.abs(hessians) <= tiny, 0.0, hessians))
+        eigenvalues = batch_eigvalsh(hessians)
     return np.trace(hessians, axis1=-2, axis2=-1) - eigenvalues[..., -1]
 
 

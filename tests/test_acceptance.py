@@ -23,6 +23,7 @@ from nconvex.cone import in_gamma_k, lift_spectrum
 from nconvex.discretize import (
     DiscreteField,
     Grid,
+    field_at,
     hessian_batch,
     interior_residual,
     robin_residual,
@@ -208,20 +209,20 @@ def test_criterion_04_gradient_and_jacobian_checks():
     domain, problem, _ = named_case("ball-constant")
     grid = Grid(domain, 9)
     sampled = sample_problem(problem, grid)
-    seed = quadratic_seed(grid).pack()
+    seed = quadratic_seed(grid).values
     worst_jac = 0.0
     states = 0
     while states < 20:
-        x = seed + smooth_bump(rng, grid).pack()
-        if ellipticity_margin(hessian_batch(DiscreteField.unpack(x, grid), grid)) <= 0.0:
+        u = seed + smooth_bump(rng, grid).values
+        if ellipticity_margin(hessian_batch(field_at(u, 0.4, grid, sampled), grid)) <= 0.0:
             continue
         states += 1
-        jac = full_jacobian(x, 0.4, grid, sampled)
-        delta = rng.standard_normal(grid.n_unknowns)
+        jac = full_jacobian(u, 0.4, grid, sampled)
+        delta = rng.standard_normal(grid.n_active)
         delta /= np.linalg.norm(delta)
         fd = (
-            residual_vector(x + 1e-6 * delta, 0.4, grid, sampled)
-            - residual_vector(x - 1e-6 * delta, 0.4, grid, sampled)
+            residual_vector(u + 1e-6 * delta, 0.4, grid, sampled)
+            - residual_vector(u - 1e-6 * delta, 0.4, grid, sampled)
         ) / 2e-6
         jd = jac @ delta
         worst_jac = max(worst_jac, float(np.max(np.abs(jd - fd)) / (np.max(np.abs(jd)) + 1e-30)))
@@ -262,21 +263,22 @@ def test_criterion_06_exact_t0_solve():
     bump = DiscreteField.from_function(
         grid, lambda p: 0.01 * np.exp(p[:, 0]) * np.cos(p[:, 1])
     )
-    x = quadratic_seed(grid).pack() + bump.pack()
+    u = quadratic_seed(grid).values + bump.values
     from scipy.sparse.linalg import splu
 
-    norms = [float(np.max(np.abs(residual_vector(x, 0.0, grid, sampled))))]
+    norms = [float(np.max(np.abs(residual_vector(u, 0.0, grid, sampled))))]
     for _ in range(6):
-        jac = full_jacobian(x, 0.0, grid, sampled)
-        x = x + splu(jac).solve(-residual_vector(x, 0.0, grid, sampled))
-        norms.append(float(np.max(np.abs(residual_vector(x, 0.0, grid, sampled)))))
+        jac = full_jacobian(u, 0.0, grid, sampled)
+        u = u + splu(jac).solve(-residual_vector(u, 0.0, grid, sampled))
+        norms.append(float(np.max(np.abs(residual_vector(u, 0.0, grid, sampled)))))
         if norms[-1] < 1e-13:
             break
     quad_ok = norms[-1] < 1e-10
     for before, after in zip(norms[1:], norms[2:]):
         if before < 1e-12:
             break
-        quad_ok = quad_ok and after <= max(20.0 * before**2, 1e-13)
+        # 2e-13: the residual's round-off floor at 9^3 with the derived trace
+        quad_ok = quad_ok and after <= max(20.0 * before**2, 2e-13)
     record(6, exact_ok and quad_ok,
            f"seed residuals < 1e-10 at 9/17/33 (worst {worst:.2e}); "
            f"perturbed-start norms {['%.1e' % v for v in norms]}")

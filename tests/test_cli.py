@@ -19,9 +19,9 @@ from nconvex.cli import (
     parse_config,
     write_solution_dump,
 )
-from nconvex.discretize import Grid, sample_problem
+from nconvex.discretize import Grid, interior_residual, sample_problem
 from nconvex.geometry import DomainSpec, pinching_check
-from nconvex.solver import SolverConfig, quadratic_seed, residual_vector
+from nconvex.solver import SolverConfig, quadratic_seed
 
 
 def flip_off_diagonal_signs(monkeypatch):
@@ -221,8 +221,8 @@ class TestSolveCommand:
         grid, field, t = load_solution_dump(tmp_path / "out" / "solution")
         _, problem, _ = named_case("ball-constant")
         sampled = sample_problem(problem, grid)
-        r1 = residual_vector(field.pack(), t, grid, sampled)
-        r2 = residual_vector(field.pack(), t, grid, sampled)
+        r1 = interior_residual(field, grid, sampled, t)
+        r2 = interior_residual(field, grid, sampled, t)
         assert np.array_equal(r1, r2)
         assert float(np.max(np.abs(r1))) == report["rows"][-1]["residual"]
 
@@ -246,6 +246,41 @@ class TestSolveCommand:
         cfg = parse_config(path)
         moved = {**cfg, "output": str(tmp_path / "elsewhere"), "report": "json"}
         assert config_digest(moved) == config_digest(cfg)
+
+    def digest_of(self, tmp_path, text):
+        path = tmp_path / f"digest-{len(list(tmp_path.glob('digest-*')))}.cfg"
+        path.write_text(text)
+        return config_digest(parse_config(path))
+
+    def test_digest_hashes_the_solve_not_its_spelling(self, tmp_path, capsys):
+        # the default unit ball spelled three ways, and force = no, are one solve
+        plain = self.digest_of(tmp_path, "resolution = 9\n")
+        assert self.digest_of(tmp_path, "resolution = 9\nforce = no\n") == plain
+        assert self.digest_of(
+            tmp_path, "resolution = 9\ndomain.kind = ball\ndomain.radius = 1.0\n") == plain
+        assert self.digest_of(tmp_path, "resolution = 9\ndomain.kind = ellipsoid\n"
+                                        "domain.semi_axes = 1, 1, 1\n") == plain
+        # --force on a domain the gate passes changes no number, nor the digest
+        reports = []
+        for flags in ([], ["--force"]):
+            out = tmp_path / f"out-{len(flags)}"
+            path = tmp_path / f"force-{len(flags)}.cfg"
+            path.write_text(f"resolution = 9\nreport = json\noutput = {out}\n")
+            assert main(["solve", "--config", str(path), *flags]) == 0
+            reports.append(json.loads((out / "path_report.json").read_text()))
+        assert reports[0]["config_digest"] == reports[1]["config_digest"] == plain
+        assert reports[0]["rows"] == reports[1]["rows"]
+
+    @pytest.mark.parametrize("change", [
+        "resolution = 11\n",
+        "resolution = 9\nnewton_tol = 1e-9\n",
+        "resolution = 9\nhomotopy_steps = 5\n",
+        "resolution = 9\ndomain.kind = ball\ndomain.radius = 0.9\n",
+        "resolution = 9\ndomain.kind = ball\ndomain.radius = 1.0\ndomain.center = 0.1, 0, 0\n",
+        "resolution = 9\ncase = ball-manufactured-exp\n",
+    ], ids=["resolution", "newton_tol", "homotopy_steps", "radius", "center", "case"])
+    def test_digest_follows_what_changes_the_solve(self, tmp_path, change):
+        assert self.digest_of(tmp_path, change) != self.digest_of(tmp_path, "resolution = 9\n")
 
     def solve_file_data(self, tmp_path, data_dir, f_value):
         """``solve`` at the 9^3 ball on f = f_value and phi = colloc_quad from data_dir."""

@@ -12,6 +12,7 @@ from nconvex.discretize import (
     Grid,
     ProblemSpec,
     SampledProblem,
+    field_at,
     gradient_batch,
     hessian_batch,
     homotopy_constant,
@@ -23,7 +24,6 @@ from nconvex.discretize import (
     second_normal_derivative,
 )
 from nconvex.geometry import DomainSpec, project_to_boundary_batch
-from nconvex.solver import full_jacobian
 
 BALL = DomainSpec.ball(1.0, n=3)
 ELLIPSOID = DomainSpec.ellipsoid((1.0, 1.0, 1.05))
@@ -106,13 +106,20 @@ class TestGridBuild:
     @pytest.mark.parametrize("domain", [BALL, ELLIPSOID],
                              ids=["ball", "ellipsoid"])
     def test_robin_trace_block_is_scaled_identity(self, domain):
-        # the solver eliminates the trace unknowns exactly only while this holds
+        # field_at solves the Robin rows for the trace only while each row
+        # touches its own trace value alone, through robin_diag
         grid = Grid(domain, 9)
-        seed = DiscreteField.from_function(grid, quad_seed).pack()
-        jac = full_jacobian(seed, 0.0, grid, sample_problem(QUADRATIC, grid))
-        block = jac[grid.n_active:, grid.n_active:]
+        problem = sample_problem(QUADRATIC, grid)
         assert grid.robin_diag == 3.0 / (2.0 * grid.delta) + 1.0
-        assert np.array_equal(block.toarray(), grid.robin_diag * np.eye(grid.n_colloc))
+        base = field_at(DiscreteField.from_function(grid, quad_seed).values, 0.0, grid, problem)
+        before = robin_residual(base, grid, problem, 0.0)
+        for i in np.random.default_rng(5).choice(grid.n_colloc, 5, replace=False):
+            trace = base.trace.copy()
+            trace[i] += 1.0
+            moved = DiscreteField(values=base.values, trace=trace)
+            change = robin_residual(moved, grid, problem, 0.0) - before
+            assert np.flatnonzero(change).tolist() == [i]
+            assert change[i] == pytest.approx(grid.robin_diag, rel=1e-14)
 
     @pytest.mark.parametrize("domain, res", [
         (BALL, 9),
@@ -428,7 +435,7 @@ class TestRobinResidual:
         rng = np.random.default_rng(3)
         for _ in range(4):
             x = rng.standard_normal(grid.n_unknowns)
-            field = DiscreteField.unpack(x, grid)
+            field = DiscreteField(values=x[:grid.n_active], trace=x[grid.n_active:])
             assert np.array_equal(normal_derivative(field, grid), u_nu_rows @ x)
             assert np.array_equal(robin_residual(field, grid, problem, t=0.3),
                                   robin_rows @ x - data)
@@ -480,11 +487,23 @@ class TestInteriorResidual:
 
 
 class TestFieldPlumbing:
-    def test_pack_unpack_roundtrip(self, grid9):
-        field = DiscreteField.from_function(grid9, quad_seed)
-        again = DiscreteField.unpack(field.pack(), grid9)
-        assert np.array_equal(field.values, again.values)
-        assert np.array_equal(field.trace, again.trace)
+    @pytest.mark.parametrize("domain, res", [(BALL, 17), (ELLIPSOID, 11)],
+                             ids=["ball-17", "ellipsoid-11"])
+    def test_field_at_derives_the_trace_from_the_robin_rows(self, domain, res):
+        grid = Grid(domain, res)
+        problem = sample_problem(manufactured_problem(domain, 0.05)[0], grid)
+        seed = DiscreteField.from_function(grid, lambda p: 0.5 * np.sum(p**2, axis=1))
+        # the rows are exact for quadratics: at t = 0 the seed keeps its own trace
+        at_seed = field_at(seed.values, 0.0, grid, problem)
+        assert at_seed.values is seed.values
+        assert np.max(np.abs(at_seed.trace - seed.trace)) <= 1e-14
+        rng = np.random.default_rng(7)
+        for t in (0.0, 0.3, 1.0):
+            u = seed.values + 0.1 * rng.standard_normal(grid.n_active)
+            fld = field_at(u, t, grid, problem)
+            assert np.max(np.abs(robin_residual(fld, grid, problem, t))) <= 1e-12
+        with pytest.raises(ValueError, match="outside"):
+            field_at(seed.values, 1.5, grid, problem)
 
     def test_length_mismatch_rejected(self, grid9):
         field = DiscreteField(values=np.zeros(3), trace=np.zeros(grid9.n_colloc))

@@ -14,10 +14,13 @@ from nconvex.cli import named_case
 from nconvex.discretize import (
     DiscreteField,
     Grid,
+    field_at,
     hessian_batch,
     hessian_contraction,
     homotopy_constant,
+    interior_residual,
     manufactured_problem,
+    robin_residual,
     sample_problem,
 )
 from nconvex.geometry import DomainSpec
@@ -62,13 +65,14 @@ def margin_of(fld, grid):
     return ellipticity_margin(hessian_batch(fld, grid))
 
 
-def stencil_at(x, grid):
-    """The Newton stencil matrix K at the packed state x."""
-    return assemble_jacobian(hessian_batch(DiscreteField.unpack(x, grid), grid), grid)
+def stencil_at(u, t, grid, problem):
+    """The Newton stencil matrix K at the active values u, their trace at t."""
+    return assemble_jacobian(hessian_batch(field_at(u, t, grid, problem), grid), grid)
 
 
 def make_state(t, fld, grid, problem):
-    return evaluate_state(fld.pack(), t, grid, problem)
+    """The state of fld's active values at t; its trace is derived, fld's is not read."""
+    return evaluate_state(fld.values, t, grid, problem)
 
 
 class TestSolverConfig:
@@ -128,18 +132,19 @@ class TestNewton:
         assert state.ellipticity_margin > 0.0
         # track residual norms through full (undamped-accepted) steps
         norms = [state.residual_norm]
-        x = fld.pack()
+        u = fld.values
         for _ in range(6):
-            jac = full_jacobian(x, 0.0, grid9, sp9)
-            x = x + splu(jac).solve(-residual_vector(x, 0.0, grid9, sp9))
-            norms.append(float(np.max(np.abs(residual_vector(x, 0.0, grid9, sp9)))))
+            jac = full_jacobian(u, 0.0, grid9, sp9)
+            u = u + splu(jac).solve(-residual_vector(u, 0.0, grid9, sp9))
+            norms.append(float(np.max(np.abs(residual_vector(u, 0.0, grid9, sp9)))))
             if norms[-1] < 1e-13:
                 break
-        # quadratic contraction: each residual is at most ~C * previous^2
+        # quadratic contraction: each residual is at most ~C * previous^2, down
+        # to the residual's round-off floor at 9^3, 2e-13 with the derived trace
         for before, after in zip(norms[1:], norms[2:]):
             if before < 1e-12:
                 break
-            assert after <= max(20.0 * before**2, 1e-13)
+            assert after <= max(20.0 * before**2, 2e-13)
 
     def test_inadmissible_start_rejected(self, grid9, sp9):
         fld = DiscreteField.from_function(grid9, lambda p: -0.5 * np.sum(p**2, axis=1))
@@ -160,19 +165,19 @@ class TestNewton:
                 bump = DiscreteField.from_function(
                     grid,
                     lambda p: sum(c * np.sin(p @ w) for c, w in zip(coef, omega)),
-                ).pack()
-                x = seed.pack() + bump
-                fld = DiscreteField.unpack(x, grid)
-                if margin_of(fld, grid) <= 0.0:
+                ).values
+                u = seed.values + bump
+                if margin_of(field_at(u, 0.3, grid, problem), grid) <= 0.0:
                     continue
                 tested += 1
-                jac = full_jacobian(x, 0.3, grid, problem)
-                delta = rng.standard_normal(grid.n_unknowns)
+                jac = full_jacobian(u, 0.3, grid, problem)
+                assert jac.shape == (grid.n_active, grid.n_active)
+                delta = rng.standard_normal(grid.n_active)
                 delta /= np.linalg.norm(delta)
                 step = 1e-6
                 fd = (
-                    residual_vector(x + step * delta, 0.3, grid, problem)
-                    - residual_vector(x - step * delta, 0.3, grid, problem)
+                    residual_vector(u + step * delta, 0.3, grid, problem)
+                    - residual_vector(u - step * delta, 0.3, grid, problem)
                 ) / (2.0 * step)
                 jd = jac @ delta
                 scale = np.max(np.abs(jd)) + 1e-30
@@ -181,16 +186,15 @@ class TestNewton:
 
     def test_root_det_concave_along_segment(self, grid9, sp9):
         # det(W)^(1/n) at each active point is concave in the line-search
-        # parameter because the Hessian map is affine in the unknowns
-        seed = quadratic_seed(grid9).pack()
+        # parameter because the Hessian map is affine in the active values
+        seed = quadratic_seed(grid9).values
         bump = DiscreteField.from_function(
             grid9, lambda p: 0.1 * np.exp(p[:, 0]) * np.cos(p[:, 1])
         )
-        delta = bump.pack()
+        delta = bump.values
 
-        def root_det(x):
-            fld = DiscreteField.unpack(x, grid9)
-            det = woperator.batch_det_w(hessian_batch(fld, grid9))
+        def root_det(u):
+            det = woperator.batch_det_w(hessian_batch(field_at(u, 0.0, grid9, sp9), grid9))
             assert np.all(det > 0.0)
             return det ** (1.0 / 3.0)
 
@@ -456,14 +460,6 @@ def stall_gmres(monkeypatch, stalls, how="not-converged"):
     return matrices
 
 
-def schur_of(jac, grid):
-    """S = A - B R / d, the full Jacobian with the trace unknowns eliminated."""
-    n = grid.n_active
-    jac = sp.csr_matrix(jac)
-    d = grid.robin_diag
-    return sp.csr_matrix(jac[:n, :n] - jac[:n, n:] @ grid.robin_u / d)
-
-
 @pytest.fixture(scope="module")
 def egg9():
     return Grid(DomainSpec.ellipsoid((1.0, 1.0, 1.05)), 9)
@@ -473,14 +469,15 @@ def seed_operator(grid):
     """c0 I contracted with the Hessian stencil and composed with E: the seed's S."""
     n = grid.n
     seed_grad = np.broadcast_to(homotopy_constant(n) * np.eye(n), (grid.n_active, n, n))
-    return hessian_contraction(seed_grad, grid) @ condensed_map(grid)[0]
+    return hessian_contraction(seed_grad, grid) @ condensed_map(grid)
 
 
 def seed_and_bumped(grid):
-    seed = quadratic_seed(grid).pack()
+    """Active values of the quadratic seed and of the seed plus a smooth bump."""
+    seed = quadratic_seed(grid).values
     bump = DiscreteField.from_function(
         grid, lambda p: 0.02 * np.exp(p[:, 0]) * np.cos(p[:, 1])
-    ).pack()
+    ).values
     return seed, seed + bump
 
 
@@ -490,14 +487,16 @@ class TestLinearSolve:
         report = PathReport()
         linear = CondensedSolver(grid9, report)
         seed, bumped = seed_and_bumped(grid9)
-        for x in (seed, bumped):
-            r = residual_vector(x, 0.4, grid9, manufactured9)
-            direct = splu(full_jacobian(x, 0.4, grid9, manufactured9)).solve(-r)
-            step = linear.solve(stencil_at(x, grid9), -r, 0.4)
+        for u in (seed, bumped):
+            r = residual_vector(u, 0.4, grid9, manufactured9)
+            direct = splu(full_jacobian(u, 0.4, grid9, manufactured9)).solve(-r)
+            step = linear.solve(stencil_at(u, 0.4, grid9, manufactured9), -r, 0.4)
+            assert step.shape == (grid9.n_active,)
             assert np.linalg.norm(step - direct) <= 1e-10 * np.linalg.norm(direct)
-        # one preconditioner, built from the seed S (not the bumped one)
+        # one preconditioner, built from the seed S (not the bumped one); at
+        # t = 0 the seed's derived trace is its own quadratic trace
         assert len(seeds) == 1 and lus == []
-        seed_s = schur_of(full_jacobian(seed, 0.4, grid9, manufactured9), grid9)
+        seed_s = full_jacobian(seed, 0.0, grid9, manufactured9)
         built = sp.csr_matrix(seeds[0])
         assert built.shape == seed_s.shape
         assert abs(built - seed_s).max() <= 1e-12 * abs(seed_s).max()
@@ -510,9 +509,9 @@ class TestLinearSolve:
         grid = grid9 if domain == "ball" else egg9
         problem = sample_problem(MANUFACTURED, grid)
         seeds, _ = count_factorizations(monkeypatch)
-        for x in seed_and_bumped(grid):
-            r = residual_vector(x, 0.4, grid, problem)
-            CondensedSolver(grid, PathReport()).solve(stencil_at(x, grid), -r, 0.4)
+        for u in seed_and_bumped(grid):
+            r = residual_vector(u, 0.4, grid, problem)
+            CondensedSolver(grid, PathReport()).solve(stencil_at(u, 0.4, grid, problem), -r, 0.4)
         # a first solve at the bumped field builds the same ILU as one at the seed
         assert len(seeds) == 2
         assert abs(seeds[0] - seeds[1]).max() == 0.0
@@ -522,11 +521,11 @@ class TestLinearSolve:
                                                      monkeypatch):
         seeds, _ = count_factorizations(monkeypatch)
         solved = count_calls(monkeypatch, "gmres")
-        seed = quadratic_seed(grid9).pack()
-        stencil = stencil_at(seed, grid9)
-        rhs = np.ones(grid9.n_unknowns)
+        seed = quadratic_seed(grid9).values
+        stencil = stencil_at(seed, 0.0, grid9, manufactured9)
+        rhs = np.ones(grid9.n_active)
         CondensedSolver(grid9, PathReport()).solve(stencil, rhs, 0.0)
-        full = stencil @ condensed_map(grid9)[0]
+        full = stencil @ condensed_map(grid9)
         exact = seed_operator(grid9)
         assert abs(seeds[0] - exact).max() == 0.0
         # the computed seed S is the exact operator plus round-off entries
@@ -540,28 +539,28 @@ class TestLinearSolve:
         # GMRES solves the computed S itself, round-off entries and all
         assert solved[0].nnz == full.nnz
         assert abs(solved[0] - full).max() == 0.0
-        # the same S as eliminating the trace from the full Jacobian, to round-off
-        eliminated = schur_of(full_jacobian(seed, 0.0, grid9, manufactured9), grid9)
-        assert abs(full - eliminated).max() <= 1e-12 * abs(eliminated).max()
+        # and the Jacobian of the residual in the active values at the seed
+        assert abs(full - full_jacobian(seed, 0.0, grid9, manufactured9)).max() == 0.0
 
     @pytest.mark.parametrize("domain", ["ball", "ellipsoid"])
     def test_condensed_map_is_the_robin_elimination(self, grid9, egg9, domain):
         grid = grid9 if domain == "ball" else egg9
         problem = sample_problem(MANUFACTURED, grid)
-        emap, lift = condensed_map(grid)
-        n, r_u = grid.n_active, grid.robin_u
-        data = 0.4 * problem.phi_colloc + 0.6 * grid.colloc_quad
-        for x in seed_and_bumped(grid):
-            u = x[:n]
-            # extended vector with the trace the Robin rows fix
-            exact = grid.extension @ np.concatenate([u, (data - r_u @ u) / grid.robin_diag])
-            condensed = emap @ u + lift @ data
-            assert np.max(np.abs(condensed - exact)) <= 1e-12 * np.max(np.abs(exact))
-            # and the Newton matrix is the trace-eliminated full Jacobian
-            newton_s = stencil_at(x, grid) @ emap
-            eliminated = schur_of(full_jacobian(x, 0.4, grid, problem), grid)
-            assert newton_s.shape == eliminated.shape == (n, n)
-            assert abs(newton_s - eliminated).max() <= 1e-12 * abs(eliminated).max()
+        emap = condensed_map(grid)
+        n = grid.n_active
+        assert sp.issparse(emap) and emap.shape == (grid.extension.shape[0], n)
+        # the extended vector of field_at(u, t), the trace fixed by the Robin
+        # rows, is affine in u with slope E
+        zero = grid.extension @ field_at(np.zeros(n), 0.4, grid, problem).pack()
+        for u in seed_and_bumped(grid):
+            fld = field_at(u, 0.4, grid, problem)
+            assert np.max(np.abs(robin_residual(fld, grid, problem, 0.4))) <= 1e-12
+            exact = grid.extension @ fld.pack()
+            assert np.max(np.abs(emap @ u + zero - exact)) <= 1e-12 * np.max(np.abs(exact))
+            # and the Newton matrix is the Jacobian of the residual in u
+            newton_s = stencil_at(u, 0.4, grid, problem) @ emap
+            assert newton_s.shape == (n, n)
+            assert abs(newton_s - full_jacobian(u, 0.4, grid, problem)).max() == 0.0
 
     @pytest.mark.parametrize("stalled", ["not-converged", "non-finite"])
     def test_gmres_failure_falls_back_to_direct(self, grid9, manufactured9,
@@ -609,7 +608,7 @@ class TestLinearSolve:
             continuation(manufactured9, grid9, SolverConfig())
         failure = info.value
         assert failure.state.t == 0.0
-        assert np.array_equal(failure.state.field.pack(), quadratic_seed(grid9).pack())
+        assert np.array_equal(failure.state.field.values, quadratic_seed(grid9).values)
         assert [row["t"] for row in failure.report.rows] == [0.0]
         # dt halves from 1/10 to 1/1280 over eight stalled steps, each rebuilding the ILU
         assert failure.report.ilu_rebuilds == len(solved) == 8
@@ -719,17 +718,18 @@ class TestStateEvaluation:
         accepted = [out for _, out in solves if out is not None]
         assert [s.t for s in accepted] == [row["t"] for row in report.rows]
         for state in accepted:
-            fresh = make_state(state.t, state.field, grid, problem)
-            assert np.array_equal(state.residual, fresh.residual)
-            assert state.residual_norm == fresh.residual_norm
-            assert state.ellipticity_margin == fresh.ellipticity_margin
-            assert state.monitors == bound_monitors(fresh.field, fresh.eigenvalues, grid)
-            assert np.array_equal(state.hessians, hessian_batch(state.field, grid))
+            # what the state carries describes its own field at its t
+            fld = state.field
+            assert np.array_equal(state.hessians, hessian_batch(fld, grid))
             assert np.array_equal(state.det_w, woperator.batch_det_w(state.hessians))
-            assert np.array_equal(state.eigenvalues, np.linalg.eigvalsh(state.hessians))
+            assert np.array_equal(state.eigenvalues, woperator.batch_eigvalsh(state.hessians))
+            assert state.ellipticity_margin == margin_of(fld, grid)
+            assert np.array_equal(state.residual, interior_residual(fld, grid, problem, state.t))
+            assert state.residual_norm == float(np.max(np.abs(state.residual)))
+            assert state.monitors == bound_monitors(fld, state.eigenvalues, grid)
 
     def test_exact_path_evaluates_margin_and_monitors_once(self, grid9, sp9, monkeypatch):
-        residuals = count_calls(monkeypatch, "residual_vector")
+        residuals = count_calls(monkeypatch, "interior_residual")
         margins = count_calls(monkeypatch, "ellipticity_margin")
         monitors = count_calls(monkeypatch, "bound_monitors")
         steps = count_calls(monkeypatch, "assemble_jacobian")
@@ -738,8 +738,27 @@ class TestStateEvaluation:
         assert steps == []
         assert len(margins) == len(monitors) == 1
         assert len(stacks) == 1  # the seed's, for its margin, det W and monitors
-        # one residual per accepted state: the seed's, then t = 0.1, 0.5 and 1
+        # one residual per accepted state: the seed's, then t = 0.1, 0.5 and 1,
+        # each of the seed's field
         assert len(residuals) == len(report.rows) == 4
+        assert all(fld is residuals[0] for fld in residuals)
+
+    def test_margin_and_sup_d2u_read_guarded_eigenvalues(self, grid9, sp9, monkeypatch):
+        # a subnormal and a 1e-147 off-diagonal, on which LAPACK's eigvalsh
+        # misses the spectrum by 8e-3; zeroing them moves no eigenvalue
+        odd = np.array([[0.0, 1.57830108e-147, 1.11253693e-308],
+                        [1.57830108e-147, 1.0, 1.5],
+                        [1.11253693e-308, 1.5, 0.0]])
+        exact = np.array([-np.sqrt(10.0), 0.0, np.sqrt(10.0)]) / 2.0 + np.array([0.5, 0.0, 0.5])
+        seed = quadratic_seed(grid9)
+        stack = hessian_batch(seed, grid9)
+        stack[0] = odd
+        monkeypatch.setattr(nconvex.solver, "hessian_batch", lambda fld, grid: stack)
+        state = evaluate_state(seed.values, 0.0, grid9, sp9)
+        assert np.allclose(state.eigenvalues[0], exact, rtol=0.0, atol=1e-14)
+        assert state.ellipticity_margin == pytest.approx(1.0 - exact[2], abs=1e-14)
+        monitors = bound_monitors(state.field, state.eigenvalues, grid9)
+        assert monitors.sup_d2u == pytest.approx(exact[2], abs=1e-14)
 
     def test_exact_path_evaluates_det_w_once(self, grid9, sp9, monkeypatch):
         dets = record_det_w(monkeypatch)
@@ -763,17 +782,18 @@ class TestStateEvaluation:
         assert out.det_w is start.det_w
 
     def test_newton_leaves_the_start_state_unchanged(self, grid9, manufactured9):
-        x = seed_and_bumped(grid9)[1]
-        start = make_state(0.4, DiscreteField.unpack(x.copy(), grid9), grid9, manufactured9)
-        d2 = start.hessians.copy()
+        u = seed_and_bumped(grid9)[1]
+        start = evaluate_state(u.copy(), 0.4, grid9, manufactured9)
+        trace, d2 = start.field.trace.copy(), start.hessians.copy()
         out = newton_solve(start, grid9, manufactured9, SolverConfig())
-        assert not np.array_equal(out.field.pack(), x)
-        assert np.array_equal(start.field.pack(), x)
+        assert not np.array_equal(out.field.values, u)
+        assert np.array_equal(start.field.values, u)
+        assert np.array_equal(start.field.trace, trace)
         assert np.array_equal(start.hessians, d2)
 
     def test_each_iterate_forms_one_hessian_stack(self, grid9, manufactured9, monkeypatch):
-        solves = count_calls(monkeypatch, "newton_solve")
-        residuals = record_calls(monkeypatch, "residual_vector")
+        states = record_calls(monkeypatch, "evaluate_state")
+        residuals = record_calls(monkeypatch, "interior_residual")
         margin_calls = record_calls(monkeypatch, "ellipticity_margin")
         steps = count_calls(monkeypatch, "assemble_jacobian")
         monitors = record_calls(monkeypatch, "bound_monitors")
@@ -781,16 +801,20 @@ class TestStateEvaluation:
         predicted = record_calls(monkeypatch, "_predicted_start")
         continuation(manufactured9, grid9, SolverConfig())
         formed = [d2 for _, d2 in calls]
-        margins = [args[0] for args, _ in margin_calls]
+        built = [out for _, out in states]
+        # one stack per evaluated state (the seed, a prediction, a tangent
+        # start or a trial), and no other
+        assert len(formed) == len(built)
+        assert all(sum(state.hessians is d2 for d2 in formed) == 1 for state in built)
         # the margin and each Jacobian read a stack formed once, and the
         # monitors read the eigenvalues a margin was read from
+        margins = [args[0] for args, _ in margin_calls]
         for used in margins + steps:
             assert any(used is d2 for d2 in formed)
         for args, _ in monitors:
             assert any(args[1] is m_args[1] for m_args, _ in margin_calls)
         # every residual is handed its det W, so none forms a stack of its own
         assert all(len(args) == 5 and args[4] is not None for args, _ in residuals)
-        trials = len(residuals) - len(solves)
         # each prediction forms its stack once, and Newton starts from that stack
         predictions = [out for _, out in predicted if out is not None]
         assert len(predictions) > 0
@@ -798,11 +822,10 @@ class TestStateEvaluation:
             assert sum(start.hessians is d2 for d2 in formed) == 1
             if start.ellipticity_margin > 0.0:  # on this path each such start takes a step
                 assert sum(start.hessians is k for k in steps) >= 1
-        # each Jacobian reuses a stack that passed the margin check: the seed's,
-        # carried on the state, a prediction's or an accepted trial's
-        assert len(steps) > len(solves) > 1
-        assert all(any(k is m for m in margins) for k in steps)
-        assert len(formed) == 1 + trials + len(predictions)
+        # each Jacobian reuses the stack of a state whose margin passed
+        assert len(steps) > 1
+        assert all(any(k is state.hessians and state.ellipticity_margin > 0.0
+                       for state in built) for k in steps)
 
     def test_each_formed_stack_is_decomposed_at_most_once(self, grid9, manufactured9,
                                                          monkeypatch):
@@ -814,6 +837,14 @@ class TestStateEvaluation:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        guarded = []
+        batch_eigvalsh = woperator.batch_eigvalsh
+
+        def recording(hessians):
+            guarded.append(hessians)
+            return batch_eigvalsh(hessians)
+
+        monkeypatch.setattr(woperator, "batch_eigvalsh", recording)
         calls = record_calls(monkeypatch, "hessian_batch")
         in_monitors = []
         monitors = nconvex.solver.bound_monitors
@@ -827,44 +858,45 @@ class TestStateEvaluation:
         monkeypatch.setattr(nconvex.solver, "bound_monitors", counting_monitors)
         _, report = continuation(manufactured9, grid9, SolverConfig())
         formed = [d2 for _, d2 in calls]
-        # every decomposition is of a stack formed here (the seed, a prediction
-        # or a trial), and no stack is decomposed twice
-        assert all(any(a is d2 for d2 in formed) for a in decomposed)
-        assert all(sum(a is d2 for a in decomposed) <= 1 for d2 in formed)
-        assert len(report.rows) < len(decomposed) <= len(formed)
+        # every decomposition is a guarded one of a stack formed here (the
+        # seed, a path start or a trial), and no stack is decomposed twice
+        assert len(decomposed) == len(guarded)
+        assert all(any(a is d2 for d2 in formed) for a in guarded)
+        assert all(sum(a is d2 for a in guarded) <= 1 for d2 in formed)
+        assert len(report.rows) < len(guarded) <= len(formed)
         # the monitors read the line search's eigenvalues and decompose nothing
         assert len(in_monitors) == len(report.rows) and not any(in_monitors)
 
     def test_manufactured_path_evaluates_each_state_once(self, grid9, manufactured9,
                                                          monkeypatch):
         solves = record_calls(monkeypatch, "newton_solve")
-        residuals = record_calls(monkeypatch, "residual_vector")
+        states = record_calls(monkeypatch, "evaluate_state")
         margins = count_calls(monkeypatch, "ellipticity_margin")
         monitors = count_calls(monkeypatch, "bound_monitors")
         steps = count_calls(monkeypatch, "assemble_jacobian")
         predicted = record_calls(monkeypatch, "_predicted_start")
+        tangents = record_calls(monkeypatch, "_tangent_start")
         continuation(manufactured9, grid9, SolverConfig())
-        starts = {(args[0].t, args[0].field.pack().tobytes()) for args, _ in solves}
-        keys = [(t, x.tobytes()) for (x, t, *_), _ in residuals]
-        trials = [k for k in keys if k not in starts]
-        # no (t, x) is evaluated twice: each start once, then one call per trial
+        keys = [(t, u.tobytes()) for (u, t, *_), _ in states]
+        # no (t, u) is evaluated twice
         assert len(set(keys)) == len(keys)
-        assert len(residuals) == len(solves) + len(trials)
-        assert len(trials) >= len(steps) > 0
-        # the margin: once per evaluated state, the seed, each prediction and
-        # each trial point
         predictions = [out for _, out in predicted if out is not None]
-        assert len(predictions) > 0
-        assert len({d2.tobytes() for d2 in margins}) == len(margins)
+        starts = [out for _, out in tangents]
+        assert len(predictions) > 0 and len(starts) > 0
+        # the seed, each prediction, each tangent start (none reuses its
+        # state on this path) and then one state per trial
+        built = [out for _, out in states]
+        assert all(any(start is state for state in built) for start in predictions + starts)
+        trials = len(built) - 1 - len(predictions) - len(starts)
+        assert trials >= len(steps) - len(starts) > 0
+        # the margin: once per evaluated state
+        assert len({d2.tobytes() for d2 in margins}) == len(margins) == len(built)
         assert all(sum(p.hessians is d2 for d2 in margins) == 1 for p in predictions)
-        assert len(margins) == 1 + len(predictions) + len(trials)
-        # the monitors: once per accepted state whose field its start did not
-        # carry monitors for (the seed, a prediction, or a start Newton moved
-        # from); never at a prediction itself
-        seed = solves[0][0][0]
+        # the monitors: once per accepted state whose start carried none (the
+        # seed, a prediction or a tangent start) or that Newton moved to;
+        # never at a path start itself
         fresh = [out for args, out in solves if out is not None
-                 and (args[0] is seed or is_prediction(args[0], predictions)
-                      or not np.array_equal(out.field.pack(), args[0].field.pack()))]
+                 and (args[0].monitors is None or out.field is not args[0].field)]
         assert len(monitors) == len(fresh)
         assert all(any(fld is out.field for out in fresh) for fld in monitors)
 
@@ -890,58 +922,61 @@ class TestSecantPredictor:
 
     def quadratic_path(self, grid, problem, ts):
         """States at ``ts`` on the exactly quadratic path x(t) = a + b t + c t^2."""
-        a = quadratic_seed(grid).pack()
-        b, c = bumped_field(grid, 0.03, 1.0).pack(), bumped_field(grid, 0.02, -0.5).pack()
+        a = quadratic_seed(grid).values
+        b, c = bumped_field(grid, 0.03, 1.0).values, bumped_field(grid, 0.02, -0.5).values
 
         def x(t):
             return a + b * t + c * t * t
 
-        states = [make_state(t, DiscreteField.unpack(x(t), grid), grid, problem) for t in ts]
+        states = [evaluate_state(x(t), t, grid, problem) for t in ts]
         return states, x
 
     def test_three_states_predict_a_quadratic_path_exactly(self, grid9, manufactured9):
         ts = (0.2, 0.3, 0.35)
         (s2, s1, s0), x = self.quadratic_path(grid9, manufactured9, ts)
-        earlier = ((s1.t, s1.field.pack()), (s2.t, s2.field.pack()))
+        earlier = ((s1.t, s1.field.values), (s2.t, s2.field.values))
         out = nconvex.solver._predicted_start(s0, earlier, 0.45, grid9, manufactured9)
         assert out.t == 0.45 and out.monitors is None
-        assert np.max(np.abs(out.field.pack() - x(0.45))) <= 1e-14 * np.max(np.abs(x(0.45)))
-        # the prediction's stack, eigenvalues, margin and det W describe its field
+        assert np.max(np.abs(out.field.values - x(0.45))) <= 1e-14 * np.max(np.abs(x(0.45)))
+        # the prediction's trace, stack, eigenvalues, margin and det W describe its field
+        assert np.array_equal(out.field.trace,
+                              field_at(out.field.values, 0.45, grid9, manufactured9).trace)
         assert np.array_equal(out.hessians, hessian_batch(out.field, grid9))
-        assert np.array_equal(out.eigenvalues, np.linalg.eigvalsh(out.hessians))
+        assert np.array_equal(out.eigenvalues, woperator.batch_eigvalsh(out.hessians))
         assert out.ellipticity_margin == margin_of(out.field, grid9)
         assert np.array_equal(out.det_w, woperator.batch_det_w(out.hessians))
         # and its residual is the one at t = 0.45
         assert np.array_equal(out.residual,
-                              residual_vector(out.field.pack(), 0.45, grid9, manufactured9))
+                              residual_vector(out.field.values, 0.45, grid9, manufactured9))
         # the secant through the last two alone misses the curvature
         secant = nconvex.solver._predicted_start(s0, earlier[:1], 0.45, grid9, manufactured9)
-        assert np.max(np.abs(secant.field.pack() - x(0.45))) > 1e-4
+        assert np.max(np.abs(secant.field.values - x(0.45))) > 1e-4
 
     def test_two_states_give_the_secant_bit_for_bit(self, grid9, manufactured9):
         (s1, s0), _ = self.quadratic_path(grid9, manufactured9, (0.2, 0.35))
-        x, x1 = s0.field.pack(), s1.field.pack()
-        out = nconvex.solver._predicted_start(s0, ((s1.t, x1),), 0.45, grid9, manufactured9)
-        assert np.array_equal(out.field.pack(), x + (0.45 - s0.t) / (s0.t - s1.t) * (x - x1))
+        u, u1 = s0.field.values, s1.field.values
+        out = nconvex.solver._predicted_start(s0, ((s1.t, u1),), 0.45, grid9, manufactured9)
+        assert np.array_equal(out.field.values, u + (0.45 - s0.t) / (s0.t - s1.t) * (u - u1))
 
     def test_no_prediction_without_a_secant(self, grid9, manufactured9):
         (s2, s1), _ = self.quadratic_path(grid9, manufactured9, (0.2, 0.3))
-        x1, x2 = s1.field.pack(), s2.field.pack()
+        u1, u2 = s1.field.values, s2.field.values
         def predict(earlier):
             return nconvex.solver._predicted_start(s1, earlier, 0.4, grid9, manufactured9)
 
         assert predict(()) is None
-        # x_k - x_{k-1} = 0 forms no prediction, whatever x_{k-2} is
-        assert predict(((0.25, x1.copy()),)) is None
-        assert predict(((0.25, x1.copy()), (0.2, x2))) is None
+        # u_k - u_{k-1} = 0 forms no prediction, whatever u_{k-2} is
+        assert predict(((0.25, u1.copy()),)) is None
+        assert predict(((0.25, u1.copy()), (0.2, u2))) is None
 
     def test_manufactured_path_takes_7_linear_solves(self, grid9, manufactured9,
                                                       monkeypatch):
         solves = record_calls(monkeypatch, "newton_solve")
         state, report = continuation(manufactured9, grid9, SolverConfig())
         assert state.t == 1.0
-        # three Newton iterations from the seed's field at t = 0.1 double dt;
-        # two from the secant start at 0.3 quadruple it, and 0.3 + 0.8 clips to 1
+        # a tangent step and two Newton iterations from the seed at t = 0.1
+        # double dt; two from the secant start at 0.3 quadruple it, and
+        # 0.3 + 0.8 clips to 1
         assert [row["t"] for row in report.rows] == pytest.approx([0.0, 0.1, 0.3, 1.0])
         # 12 when every step starts from the last accepted state
         assert len(report.krylov_iters) == 7
@@ -952,7 +987,7 @@ class TestSecantPredictor:
         first, *rest = report.predicted_start_residuals
         assert len(rest) == report.predicted_starts - 1 > 0
         (s2, s1, s0) = [out for _, out in solves if out is not None][-4:-1]
-        secant = nconvex.solver._predicted_start(s0, ((s1.t, s1.field.pack()),), 1.0,
+        secant = nconvex.solver._predicted_start(s0, ((s1.t, s1.field.values),), 1.0,
                                                  grid9, manufactured9)
         assert max(rest) < 0.1 * secant.residual_norm
 
@@ -972,7 +1007,8 @@ class TestSecantPredictor:
         solves = record_calls(monkeypatch, "newton_solve")
         state, report = continuation(manufactured9, grid9, SolverConfig())
         assert state.t == 1.0
-        # three Newton iterations per step from x_k: dt doubles every time
+        # three linear solves per step from u_k, the tangent step's included:
+        # dt doubles every time
         assert [row["t"] for row in report.rows] == pytest.approx([0.0, 0.1, 0.3, 0.7, 1.0])
         # no Newton solve starts at a refused prediction
         assert len(refused) == len(report.rows) - 2 > 0
@@ -993,22 +1029,24 @@ class TestSecantPredictor:
 
         monkeypatch.setattr(nconvex.solver, "newton_solve", newton_solve)
         solves = record_calls(monkeypatch, "newton_solve")
+        tangents = record_calls(monkeypatch, "_tangent_start")
         state, report = continuation(manufactured9, grid9, SolverConfig())
         assert state.t == 1.0
         # dt is never halved: each prediction fails and is retried at the same t,
-        # and each retry's three Newton iterations double dt
+        # and each retry's three linear solves double dt
         ts = [row["t"] for row in report.rows]
         assert ts == pytest.approx([0.0, 0.1, 0.3, 0.7, 1.0])
         assert len(report.krylov_iters) == 12 and report.rejected_steps == []
         starts = starts_of(solves, [out for _, out in predicted])
         assert starts[:2] == [(0.0, False), (ts[1], False)]
         assert starts[2:] == [(t, predicted) for t in ts[2:] for predicted in (True, False)]
-        # each retry starts from the field of the state accepted just before it
-        last = None
-        for (start, *_), out in solves:
-            if last is not None and not is_prediction(start, (out for _, out in predicted)):
-                assert start.field is last.field
-            last = out or last
+        # each retry starts from the tangent start of the state accepted just before it
+        accepted = [out for _, out in solves if out is not None]
+        retries = [args[0] for args, _ in solves[1:]
+                   if not is_prediction(args[0], (out for _, out in predicted))]
+        assert len(tangents) == len(retries) == len(accepted) - 1
+        for (args, start), retry, last in zip(tangents, retries, accepted):
+            assert args[0] is last and retry is start
         assert report.predicted_starts == 0
         assert report.predictor_fallbacks == len(ts) - 2
 
@@ -1038,10 +1076,94 @@ class TestSecantPredictor:
         # dt does not grow on the acceptance at 0.2, so the next step is to 0.3
         assert [row["t"] for row in report.rows] == pytest.approx(
             [0.0, 0.1, 0.2, 0.3, 0.7, 1.0])
-        assert len(report.krylov_iters) == 10
+        # the refused retry at 0.3 made its tangent solve before Newton was refused
+        assert len(report.krylov_iters) == 11
         assert report.predictor_fallbacks == 1
         assert report.rejected_steps == [(0.1, pytest.approx(0.2),
                                           "step at t=0.3 refused by the test")]
+
+
+class TestTangentStart:
+    """The active values are the only unknowns; a start from u_k is u_k
+    itself or one tangent step from it, and every state solves the Robin rows."""
+
+    @pytest.mark.parametrize("res", [9, 17])
+    def test_every_state_satisfies_the_robin_rows(self, res, monkeypatch):
+        grid = Grid(BALL, res)
+        problem = sample_problem(MANUFACTURED, grid)
+        states = record_calls(monkeypatch, "evaluate_state")
+        predicted = record_calls(monkeypatch, "_predicted_start")
+        tangents = record_calls(monkeypatch, "_tangent_start")
+        continuation(problem, grid, SolverConfig())
+        built = [out for _, out in states]
+        # the seed, the predictions, the tangent starts and the trials
+        predictions = [out for _, out in predicted if out is not None]
+        starts = [out for _, out in tangents]
+        assert built[0].t == 0.0 and len(predictions) > 0 and len(starts) > 0
+        assert all(any(start is state for state in built) for start in predictions + starts)
+        assert len(built) > 1 + len(predictions) + len(starts)
+        worst = max(float(np.max(np.abs(robin_residual(state.field, grid, problem, state.t))))
+                    for state in built)
+        assert worst <= 1e-12
+
+    def test_forced_fallback_restarts_with_one_tangent_solve(self, grid9, manufactured9,
+                                                             monkeypatch):
+        # every prediction is refused; each restart from the last accepted
+        # state makes one linear solve, on the Jacobian at that state's stack
+        original = nconvex.solver._predicted_start
+
+        def predicted_start(*args):
+            out = original(*args)
+            return None if out is None else replace(out, ellipticity_margin=-1.0)
+
+        monkeypatch.setattr(nconvex.solver, "_predicted_start", predicted_start)
+        jacobians = record_calls(monkeypatch, "assemble_jacobian")
+        solved = []
+        solve = CondensedSolver.solve
+
+        def recording_solve(self, stencil, rhs, t):
+            solved.append(stencil)
+            return solve(self, stencil, rhs, t)
+
+        monkeypatch.setattr(CondensedSolver, "solve", recording_solve)
+        tangent_start = nconvex.solver._tangent_start
+        restarts = []  # (state, its Jacobians, its linear solves) of each restart
+
+        def recording_start(state, *args):
+            jacs, solves = len(jacobians), len(solved)
+            out = tangent_start(state, *args)
+            restarts.append((state, jacobians[jacs:], solved[solves:]))
+            return out
+
+        monkeypatch.setattr(nconvex.solver, "_tangent_start", recording_start)
+        state, report = continuation(manufactured9, grid9, SolverConfig())
+        assert state.t == 1.0
+        assert report.predictor_fallbacks == len(report.rows) - 2 > 0
+        assert len(restarts) == len(report.rows) - 1
+        for start, jacs, solves in restarts:
+            assert len(jacs) == len(solves) == 1
+            (args, stencil), = jacs
+            assert args[0] is start.hessians and solves[0] is stencil
+
+    def test_a_state_that_still_solves_is_its_own_start(self, grid9, sp9, manufactured9):
+        seed = make_state(0.0, quadratic_seed(grid9), grid9, sp9)
+        seed = newton_solve(seed, grid9, sp9, SolverConfig())
+        linear = CondensedSolver(grid9)
+        # exact data: the same field, its residual at the new t, no solve
+        same = nconvex.solver._tangent_start(seed, 0.5, grid9, sp9, SolverConfig(), linear)
+        assert same.t == 0.5 and same.field is seed.field and same.det_w is seed.det_w
+        assert np.array_equal(same.residual, interior_residual(seed.field, grid9, sp9, 0.5))
+        assert linear.report.krylov_iters == []
+        # manufactured data: one tangent solve, to a field that solves the Robin rows at 0.5
+        moved = nconvex.solver._tangent_start(seed, 0.5, grid9, manufactured9, SolverConfig(),
+                                              linear)
+        assert len(linear.report.krylov_iters) == 1 and moved.monitors is None
+        assert moved.t == 0.5 and not np.array_equal(moved.field.values, seed.field.values)
+        robin = robin_residual(moved.field, grid9, manufactured9, 0.5)
+        assert np.max(np.abs(robin)) <= 1e-12
+        # and it is far closer to the path than u_k with its trace moved to 0.5
+        jumped = evaluate_state(seed.field.values, 0.5, grid9, manufactured9)
+        assert moved.residual_norm < 0.1 * jumped.residual_norm
 
 
 def guarded_margin(monkeypatch, reject_every_trial=False):
@@ -1072,16 +1194,16 @@ class TestMarginGuard:
     def test_rejected_first_trial_is_backtracked(self, grid9, sp9, monkeypatch):
         start = self.perturbed_start(grid9, sp9)
         steps, rejected = guarded_margin(monkeypatch)
-        residuals = count_calls(monkeypatch, "residual_vector")
+        trials = count_calls(monkeypatch, "evaluate_state")
         # every step is cut to at most half a Newton step, so the contraction is
         # linear (about 30 steps here) instead of quadratic
         monkeypatch.setattr(nconvex.solver, "MAX_NEWTON_ITERS", 60)
         out = newton_solve(start, grid9, sp9, SolverConfig())
         assert out.residual_norm <= 1e-10
         assert len(rejected) == len(steps) > 0
-        # the start carries its residual, so every call is a trial: every step
-        # backtracked at least once
-        assert len(residuals) >= 2 * len(steps)
+        # the start is evaluated already, so every state built is a trial:
+        # every step backtracked at least once
+        assert len(trials) >= 2 * len(steps)
         # the returned margin is the field's true one, not the guard's -1
         assert out.ellipticity_margin == margin_of(out.field, grid9) > 0.0
 
