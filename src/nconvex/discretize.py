@@ -678,11 +678,10 @@ def robin_residual(field: DiscreteField, grid: Grid, problem: SampledProblem,
 
 
 def field_at(u: np.ndarray, t: float, grid: Grid, problem: SampledProblem) -> DiscreteField:
-    """The field of the active values u at t, its trace solving the Robin rows.
-
-    The rows R_u u + d b = g_t (R_u = ``grid.robin_u``, d =
-    ``grid.robin_diag``, g_t = ``robin_datum``) touch each trace value b
-    alone, so b = (g_t - R_u u) / d.
-    """
-    trace = (robin_datum(grid, problem, t) - grid.robin_u @ u) / grid.robin_diag
+    """The field of the active values u at t, its trace b solving the Robin rows
+    R_u u + d b = g_t (``grid.robin_u``, ``grid.robin_diag``, ``robin_datum``)."""
+    # R_u u cancels terms of size 1/delta; formed in np.longdouble (float64 where
+    # that is all there is) and rounded once, b keeps the residual's round-off floor
+    ru = grid.robin_u @ u.astype(np.longdouble)
+    trace = ((robin_datum(grid, problem, t) - ru) / grid.robin_diag).astype(float)
     return DiscreteField(values=u, trace=trace)

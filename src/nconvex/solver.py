@@ -16,12 +16,11 @@ are evaluated once per state that Newton returns.
 
 Each Newton step solves S du = -r, S = K E the stencil matrix times the
 extension with the trace eliminated (constant for the whole continuation),
-by GMRES preconditioned with one incomplete LU of the seed system.  At the
-quadratic seed the det W gradient is exactly (n-1)^n I, so that system is
-the grid's scaled Laplacian composed with E, built from the grid alone.  A
-step GMRES cannot finish replaces the preconditioner with an incomplete LU
-of its own system and fails, so the continuation retries it: from u_k if
-it began at the prediction below, else at half the step.
+by GMRES preconditioned with one incomplete LU of the seed system: the
+seed's det W gradient is (n-1)^n I, so that S is the grid's scaled
+Laplacian composed with E.  A step GMRES cannot finish replaces the
+preconditioner with an ILU of its own system and fails, so it is retried:
+from u_k if it began at the prediction below, else at half the step.
 
 Once two states are accepted, the continuation starts each Newton solve
 from the polynomial through the last accepted states, in Newton form: the
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,7 +60,7 @@ from nconvex.discretize import (
     homotopy_constant,
     interior_residual,
     normal_derivative,
-    robin_datum,
+    robin_residual,
     second_normal_derivative,
 )
 from nconvex.geometry import pinching_check
@@ -213,8 +212,21 @@ class PathReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        """Every field of the report, those still None left out."""
-        payload = {k: v for k, v in asdict(self).items() if v is not None}
+        payload = {
+            "rows": self.rows,
+            "krylov_iters": self.krylov_iters,
+            "ilu_rebuilds": self.ilu_rebuilds,
+            "predicted_starts": self.predicted_starts,
+            "predictor_fallbacks": self.predictor_fallbacks,
+            "predicted_start_residuals": self.predicted_start_residuals,
+            "rejected_steps": self.rejected_steps,
+        }
+        if self.config_digest is not None:
+            payload["config_digest"] = self.config_digest
+        if self.exact_error is not None:
+            payload["exact_error"] = self.exact_error
+        if self.barriers is not None:
+            payload["barriers"] = self.barriers
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -249,13 +261,8 @@ def full_jacobian(u: np.ndarray, t: float, grid: Grid,
 
 
 def condensed_map(grid: Grid) -> sp.csr_matrix:
-    """The extension with the trace eliminated through the Robin rows: E.
-
-    The Robin rows R_u u + d b = g (R_u = ``grid.robin_u``, d =
-    ``grid.robin_diag``) fix b = (g - R_u u) / d (``field_at``), so the
-    extended vector moves with u by E = [I; C_u - C_b R_u / d], where
-    [C_u, C_b] = C.
-    """
+    """E = [I; C_u - C_b R_u / d], [C_u, C_b] = C: how the extended vector moves
+    with u when the Robin rows fix the trace, b = (g - R_u u) / d (``field_at``)."""
     n = grid.n_active
     ext = grid.extension.tocsc()
     return (ext[:, :n] - (ext[:, n:] / grid.robin_diag).tocsr() @ grid.robin_u).tocsr()
@@ -264,16 +271,14 @@ def condensed_map(grid: Grid) -> sp.csr_matrix:
 class CondensedSolver:
     """Newton-step solver for one continuation: S du = r, S = K E, one ILU.
 
-    ``solve`` takes K (``assemble_jacobian``) and r on the active points and
-    returns du; E is ``condensed_map``.  At the quadratic seed D2u = I and
-    M = (n-1) I, so the det W gradient is c0 I, c0 = ``homotopy_constant(n)``,
-    and the seed's S is ``hessian_contraction(c0 I) @ E``, known from the
-    grid alone.  The first step builds E and an incomplete LU of that S; it
-    preconditions GMRES on every step, and GMRES always solves the step's
-    full S.  A step GMRES does not finish replaces the preconditioner with an
-    incomplete LU of its own S and raises StepFailure, so the caller retries
-    with a smaller step.  GMRES iterations and rebuilds are recorded on
-    ``report``, a fresh one when none is given.
+    ``solve`` takes K (``assemble_jacobian``) and r and returns du; E is
+    ``condensed_map``.  At the seed the det W gradient is c0 I (c0 =
+    ``homotopy_constant(n)``), so its S, ``hessian_contraction(c0 I) @ E``,
+    is known from the grid; the first step builds E and an incomplete LU of
+    that S, which preconditions GMRES on the full S of every step.  A step
+    GMRES does not finish replaces it with an ILU of its own S and raises
+    StepFailure, so the caller retries with a smaller step.  GMRES iterations
+    and rebuilds go on ``report``, a fresh one when none is given.
     """
 
     def __init__(self, grid: Grid, report: PathReport | None = None):
@@ -337,10 +342,9 @@ def evaluate_state(u: np.ndarray, t: float, grid: Grid,
                    problem: SampledProblem) -> HomotopyState:
     """The homotopy state of the active values u at t, with no monitors yet.
 
-    Its field is ``field_at(u, t)``.  One Hessian stack of the field gives
-    its det W, which the residual reads, and one guarded eigendecomposition
-    (``woperator.batch_eigvalsh``), its margin and the monitors' sup|D2u|.
-    """
+    One Hessian stack of its field ``field_at(u, t)`` gives its det W, read
+    by the residual, and one guarded eigendecomposition
+    (``woperator.batch_eigvalsh``) its margin and the monitors' sup|D2u|."""
     fld = field_at(u, t, grid, problem)
     d2 = hessian_batch(fld, grid)
     det = woperator.batch_det_w(d2)
@@ -438,24 +442,21 @@ def _predicted_start(state: HomotopyState, earlier: tuple, t_next: float, grid: 
 
 def _tangent_start(state: HomotopyState, t_next: float, grid: Grid, problem: SampledProblem,
                    config: SolverConfig, linear: CondensedSolver) -> HomotopyState:
-    """The start at t_next from ``state`` = (t_k, u_k) alone.
+    """The start at t_next from ``state`` = (t_k, u_k), taken whole like a prediction.
 
-    r is the interior residual of the state's field at t_next, from its
-    det W, and dg = g_{t_next} - g_{t_k} the change of the Robin data.
-    When both are within ``newton_tol`` the state itself is the start and
-    nothing is built.  Otherwise the start is u_k + du at t_next after one
-    tangent step S du = -(r + K ext [0; dg / d]), K at the state's stack:
-    Newton's first step with the trace still unknown.  (The trace of u_k
-    derived at t_next would take all of dg, and the start residual would
-    grow by orders of magnitude.)  Raises StepFailure if its margin is <= 0.
+    r and rr are the interior and Robin residuals of the state's field at
+    t_next.  If both are within ``newton_tol`` the state is the start, else
+    u_k + du after one tangent step S du = -(r - K ext [0; rr / d]), K at its
+    stack: Newton's first step with the trace unknown (u_k's trace derived at
+    t_next would take all of rr).  Raises StepFailure if its margin is <= 0.
     """
     residual = interior_residual(state.field, grid, problem, t_next, state.det_w)
-    dg = robin_datum(grid, problem, t_next) - robin_datum(grid, problem, state.t)
-    if max(np.max(np.abs(residual)), np.max(np.abs(dg))) <= config.newton_tol:
+    robin = robin_residual(state.field, grid, problem, t_next)
+    if max(np.max(np.abs(residual)), np.max(np.abs(robin))) <= config.newton_tol:
         return replace(state, t=t_next, residual=residual)
     stencil = assemble_jacobian(state.hessians, grid)
-    trace_move = grid.extension[:, grid.n_active:] @ (dg / grid.robin_diag)
-    du = linear.solve(stencil, -(residual + stencil @ trace_move), t_next)
+    trace_move = grid.extension[:, grid.n_active:] @ (robin / grid.robin_diag)
+    du = linear.solve(stencil, stencil @ trace_move - residual, t_next)
     start = evaluate_state(state.field.values + du, t_next, grid, problem)
     if start.ellipticity_margin <= 0.0:
         raise StepFailure(f"tangent start at t={t_next:.6g} has ellipticity margin "
