@@ -16,11 +16,14 @@ are evaluated once per state that Newton returns.
 
 Each Newton step solves S du = -r, S = K E the stencil matrix times the
 extension with the trace eliminated (constant for the whole continuation),
-by GMRES preconditioned with one incomplete LU of the seed system: the
+by GCROT(m,k) preconditioned with one incomplete LU of the seed system: the
 seed's det W gradient is (n-1)^n I, so that S is the grid's scaled
-Laplacian composed with E.  A step GMRES cannot finish replaces the
-preconditioner with an ILU of its own system and fails, so it is retried:
-from u_k if it began at the prediction below, else at half the step.
+Laplacian composed with E.  The ILU factors a pruned copy of that S, and
+one recycled Krylov subspace is carried from each Newton solve of the
+continuation to the next.  A step the Krylov solve cannot finish replaces
+the preconditioner with an ILU of its own system, empties the recycled
+subspace and fails, so it is retried: from u_k if it began at the
+prediction below, else at half the step.
 
 Once two states are accepted, the continuation starts each Newton solve
 from the polynomial through the last accepted states, in Newton form: the
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, spilu
+from scipy.sparse.linalg import LinearOperator, gcrotmk, spilu
 from scipy.sparse.linalg import splu  # noqa: F401 (unused here; perfbench wraps this binding)
 
 from nconvex import woperator
@@ -87,20 +90,29 @@ __all__ = [
 
 REPORT_COLUMNS = ("t", "residual", "margin", "sup_u", "sup_du", "sup_d2u", "N", "ratio")
 
-# GMRES on the condensed Newton system.  With the seed ILU as preconditioner
-# a manufactured-path step takes 8-9 iterations at 17^3, 12 at 25^3, 15-16
-# at 33^3 and 22-23 at 49^3, so a restart of 60 finishes in one cycle and the
-# caps only bound the work spent on a stalled solve before the step fails.
-# The tolerance sits above the round-off floor of the true residual (about
-# 1e-12 at 33^3), which GMRES cannot certify.  A cycle ends on the
-# preconditioned residual, and each restart tightens that target by only 4x,
-# so a step whose true residual lands just above the tolerance can need a
-# third cycle of one or two iterations.
-GMRES_RTOL = 1e-10
-GMRES_RESTART = 60
-GMRES_MAX_RESTARTS = 3
+# GCROT(m,k) (Hicken & Zingg, SIAM J. Sci. Comput. 32 (2010)) on the
+# condensed Newton system, with one recycled subspace of KRYLOV_RECYCLED
+# vectors carried across every solve of a continuation (Parks, de Sturler et
+# al., SIAM J. Sci. Comput. 28 (2006)): the path's systems are close, so the
+# subspace one solve leaves starts the next.  Its C vectors are recomputed
+# from S at each solve, because S changes.  A manufactured-path solve takes
+# 8-13 preconditioner applications at 9^3, 10-17 at 17^3, 16-25 at 25^3 and
+# 32-49 at 49^3, the first solves the most, so the outer cap only bounds the
+# work spent on a stalled solve (about 180 applications) before the step
+# fails.  The tolerance is tested on the true residual and sits above its
+# round-off floor (about 1e-12 at 33^3).
+KRYLOV_RTOL = 1e-10
+KRYLOV_INNER = 40
+KRYLOV_RECYCLED = 20
+KRYLOV_MAX_OUTER = 4
 
-ILU_DROP_TOL = 1e-3
+# The seed ILU factors S without its entries below ILU_PRUNE of their row's
+# largest magnitude (the diagonal stays): the closure rows carry many small
+# MLS weights, and without them the factorization is about three times
+# cheaper to build and to store at 25^3, at the price of more applications,
+# which the recycled subspace keeps few.
+ILU_PRUNE = 3e-2
+ILU_DROP_TOL = 1e-2
 ILU_FILL_FACTOR = 10
 ILU_PERMC = "MMD_AT_PLUS_A"
 
@@ -181,8 +193,8 @@ class PathReport:
     barriers: dict | None = None
     config_digest: str | None = None
     exact_error: float | None = None  # sup |u - reference| when one is known
-    krylov_iters: list = field(default_factory=list)  # GMRES iterations per Newton step
-    ilu_rebuilds: int = 0  # GMRES stalls, each answered by an ILU of the stalled step's S
+    krylov_iters: list = field(default_factory=list)  # preconditioner applications per Newton step
+    ilu_rebuilds: int = 0  # Krylov stalls, each answered by an ILU of the stalled step's S
     predicted_starts: int = 0  # accepted steps whose Newton solve began at the prediction
     predictor_fallbacks: int = 0  # predictions refused by the guard or failed, retried from u_k
     # sup-norm residual at the start of each Newton solve begun at a prediction
@@ -275,20 +287,24 @@ class CondensedSolver:
     ``condensed_map``.  At the seed the det W gradient is c0 I (c0 =
     ``homotopy_constant(n)``), so its S, ``hessian_contraction(c0 I) @ E``,
     is known from the grid; the first step builds E and an incomplete LU of
-    that S, which preconditions GMRES on the full S of every step.  A step
-    GMRES does not finish replaces it with an ILU of its own S and raises
-    StepFailure, so the caller retries with a smaller step.  GMRES iterations
-    and rebuilds go on ``report``, a fresh one when none is given.
+    that S, pruned (``_incomplete_lu``), which preconditions GCROT(m,k) on
+    the full S of every step.  The solver owns the recycled subspace
+    ``recycled`` (scipy's ``CU`` list) that each solve leaves to the next.
+    A step the Krylov solve does not finish empties it, replaces the ILU
+    with one of its own S and raises StepFailure, so the caller retries with
+    a smaller step.  Preconditioner applications per solve and rebuilds go
+    on ``report``, a fresh one when none is given.
     """
 
     def __init__(self, grid: Grid, report: PathReport | None = None):
         self.grid = grid
         self.report = PathReport() if report is None else report
+        self.recycled = []  # GCROT's (c, u) pairs, carried from one solve to the next
         self._map = None  # E, built by the first step
         self._ilu = None  # the preconditioner: the seed S's ILU, or a stalled step's
 
     def solve(self, stencil: sp.csr_matrix, rhs: np.ndarray, t: float) -> np.ndarray:
-        """Solve S du = rhs for du; raises StepFailure if GMRES stalls."""
+        """Solve S du = rhs for du; raises StepFailure if the Krylov solve stalls."""
         grid = self.grid
         if self._map is None:
             self._map = condensed_map(grid)
@@ -296,15 +312,23 @@ class CondensedSolver:
                                         (grid.n_active, grid.n, grid.n))
             self._ilu = _incomplete_lu(hessian_contraction(seed_grad, grid) @ self._map)
         schur = stencil @ self._map
-        norms = []  # GMRES's preconditioned residual norm, one per iteration
-        precond = LinearOperator(schur.shape, matvec=self._ilu.solve)
-        du, info = gmres(schur, rhs, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
-                         maxiter=GMRES_MAX_RESTARTS, M=precond, callback=norms.append,
-                         callback_type="pr_norm")
-        iters = len(norms)
-        self.report.krylov_iters.append(iters)
+        applications = 0
+
+        def precondition(v):
+            nonlocal applications
+            applications += 1
+            return self._ilu.solve(v)
+
+        du, info = gcrotmk(schur, rhs, rtol=KRYLOV_RTOL, atol=0.0, maxiter=KRYLOV_MAX_OUTER,
+                           M=LinearOperator(schur.shape, matvec=precondition, dtype=schur.dtype),
+                           m=KRYLOV_INNER, k=KRYLOV_RECYCLED, CU=self.recycled,
+                           discard_C=True)
+        self.report.krylov_iters.append(applications)
         if info != 0 or not np.all(np.isfinite(du)):
-            stall = f"GMRES stalled at t={t:.6g} after {iters} iterations"
+            # a stalled solve may have left non-finite vectors in the subspace
+            self.recycled.clear()
+            stall = (f"Krylov solve stalled at t={t:.6g} after {applications} "
+                     "preconditioner applications")
             try:
                 self._ilu = _incomplete_lu(schur)
             except StepFailure as exc:
@@ -315,8 +339,14 @@ class CondensedSolver:
 
 
 def _incomplete_lu(schur: sp.csr_matrix):
+    """ILU of S without the entries below ``ILU_PRUNE`` of their row's largest
+    magnitude; every diagonal entry is kept."""
+    coo = sp.coo_matrix(schur)
+    row_max = abs(schur).max(axis=1).toarray().ravel()
+    keep = (np.abs(coo.data) >= ILU_PRUNE * row_max[coo.row]) | (coo.row == coo.col)
+    pruned = sp.csc_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape)
     try:
-        return spilu(schur.tocsc(), drop_tol=ILU_DROP_TOL,
+        return spilu(pruned, drop_tol=ILU_DROP_TOL,
                      fill_factor=ILU_FILL_FACTOR, permc_spec=ILU_PERMC)
     except RuntimeError as exc:
         raise StepFailure(f"incomplete LU failed: {exc}")
@@ -505,7 +535,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     active values of the two states before it are kept for the prediction,
     and no earlier Hessian stack.  One CondensedSolver serves every Newton
     step, so the seed ILU is built at most once per call and only when some
-    step needs a linear solve; a GMRES stall rebuilds it from the stalled step.
+    step needs a linear solve; a Krylov stall rebuilds it from the stalled step.
 
     The first step is 1/``config.homotopy_steps``.  After an accepted step
     dt doubles, or quadruples if that step made at most two linear solves

@@ -292,7 +292,7 @@ def test_criterion_07_manufactured_convergence(manufactured_runs):
         manufactured_runs[17]["state"].t == 1.0
         and manufactured_runs[33]["state"].t == 1.0
     )
-    # a GMRES stall still converges through an ILU rebuild and a halved step, so count it
+    # a Krylov stall still converges through an ILU rebuild and a halved step, so count it
     rebuilds = sum(manufactured_runs[res]["report"].ilu_rebuilds for res in (17, 33))
     ok = reached and 2.5 <= ratio <= 4.5 and total < 300.0 and rebuilds == 0
     record(7, ok,

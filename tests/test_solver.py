@@ -439,23 +439,25 @@ def count_factorizations(monkeypatch):
 
 
 def stall_gmres(monkeypatch, stalls, how="not-converged"):
-    """Make GMRES stall on the calls (counted from 1) that ``stalls`` picks.
+    """Make the Krylov solve stall on the calls (counted from 1) that ``stalls`` picks.
 
-    A stall is reported as GMRES reports one: no convergence (info 1) or a
-    non-finite result.  Returns every matrix handed to GMRES, in order.
+    A stall is reported as ``gcrotmk`` reports one: no convergence (info 1)
+    or a non-finite result, which also leaves a non-finite vector in the
+    recycled list.  Returns every matrix handed to the Krylov solve, in order.
     """
     matrices = []
-    original = nconvex.solver.gmres
+    original = nconvex.solver.gcrotmk
 
-    def gmres(a, b, **kwargs):
+    def gcrotmk(a, b, **kwargs):
         matrices.append(a)
         if stalls(len(matrices)):
             if how == "not-converged":
                 return np.zeros_like(b), 1
+            kwargs["CU"].append((None, np.full_like(b, np.nan)))
             return np.full_like(b, np.nan), 0
         return original(a, b, **kwargs)
 
-    monkeypatch.setattr(nconvex.solver, "gmres", gmres)
+    monkeypatch.setattr(nconvex.solver, "gcrotmk", gcrotmk)
     return matrices
 
 
@@ -464,11 +466,25 @@ def egg9():
     return Grid(DomainSpec.ellipsoid((1.0, 1.0, 1.05)), 9)
 
 
-def seed_operator(grid):
-    """c0 I contracted with the Hessian stencil and composed with E: the seed's S."""
+def seed_stencil(grid):
+    """c0 I contracted with the Hessian stencil: the seed's K."""
     n = grid.n
     seed_grad = np.broadcast_to(homotopy_constant(n) * np.eye(n), (grid.n_active, n, n))
-    return hessian_contraction(seed_grad, grid) @ condensed_map(grid)
+    return hessian_contraction(seed_grad, grid)
+
+
+def seed_operator(grid):
+    """The seed's K composed with E: the seed's S."""
+    return seed_stencil(grid) @ condensed_map(grid)
+
+
+def pruned(matrix):
+    """``matrix`` without the entries below ILU_PRUNE of their row's largest
+    magnitude, its diagonal kept: what the solver hands ``spilu``."""
+    dense = matrix.toarray()
+    keep = np.abs(dense) >= nconvex.solver.ILU_PRUNE * np.abs(dense).max(axis=1, keepdims=True)
+    np.fill_diagonal(keep, True)
+    return sp.csr_matrix(np.where(keep, dense, 0.0))
 
 
 def seed_and_bumped(grid):
@@ -492,10 +508,10 @@ class TestLinearSolve:
             step = linear.solve(stencil_at(u, 0.4, grid9, manufactured9), -r, 0.4)
             assert step.shape == (grid9.n_active,)
             assert np.linalg.norm(step - direct) <= 1e-10 * np.linalg.norm(direct)
-        # one preconditioner, built from the seed S (not the bumped one); at
-        # t = 0 the seed's derived trace is its own quadratic trace
+        # one preconditioner, built from the pruned seed S (not the bumped
+        # one); at t = 0 the seed's derived trace is its own quadratic trace
         assert len(seeds) == 1 and lus == []
-        seed_s = full_jacobian(seed, 0.0, grid9, manufactured9)
+        seed_s = pruned(full_jacobian(seed, 0.0, grid9, manufactured9))
         built = sp.csr_matrix(seeds[0])
         assert built.shape == seed_s.shape
         assert abs(built - seed_s).max() <= 1e-12 * abs(seed_s).max()
@@ -514,19 +530,23 @@ class TestLinearSolve:
         # a first solve at the bumped field builds the same ILU as one at the seed
         assert len(seeds) == 2
         assert abs(seeds[0] - seeds[1]).max() == 0.0
-        assert abs(seeds[0] - seed_operator(grid)).max() == 0.0
+        assert abs(seeds[0] - pruned(seed_operator(grid))).max() == 0.0
 
     def test_seed_preconditioner_drops_only_roundoff(self, grid9, manufactured9,
                                                      monkeypatch):
         seeds, _ = count_factorizations(monkeypatch)
-        solved = count_calls(monkeypatch, "gmres")
+        solved = count_calls(monkeypatch, "gcrotmk")
         seed = quadratic_seed(grid9).values
         stencil = stencil_at(seed, 0.0, grid9, manufactured9)
         rhs = np.ones(grid9.n_active)
         CondensedSolver(grid9, PathReport()).solve(stencil, rhs, 0.0)
         full = stencil @ condensed_map(grid9)
         exact = seed_operator(grid9)
-        assert abs(seeds[0] - exact).max() == 0.0
+        # the ILU factors the pruned exact operator: the pruning drops every
+        # round-off entry of the computed S along with the small MLS weights
+        assert abs(seeds[0] - pruned(exact)).max() == 0.0
+        assert pruned(full).nnz == seeds[0].nnz
+        assert abs(seeds[0] - pruned(full)).max() <= 1e-12 * abs(full).max()
         # the computed seed S is the exact operator plus round-off entries
         # (M = 2I, so the off-diagonal terms vanish in exact arithmetic)
         row_max = abs(full).max(axis=1).toarray().ravel()
@@ -535,7 +555,7 @@ class TestLinearSolve:
         dropped = sp.coo_matrix(full - exact)
         assert np.all(np.abs(dropped.data) <= 1e-12 * row_max[dropped.row])
         assert kept.nnz < full.nnz
-        # GMRES solves the computed S itself, round-off entries and all
+        # the Krylov solver gets the computed S itself, round-off entries and all
         assert solved[0].nnz == full.nnz
         assert abs(solved[0] - full).max() == 0.0
         # and the Jacobian of the residual in the active values at the seed
@@ -564,9 +584,11 @@ class TestLinearSolve:
     @pytest.mark.parametrize("stalled", ["not-converged", "non-finite"])
     def test_gmres_failure_falls_back_to_direct(self, grid9, manufactured9,
                                                monkeypatch, stalled):
-        # a stalled step falls back to an ILU of its own S, not the seed
-        # operator's, and is retried: from the last accepted state when it
-        # began at the path prediction, else at half the step; no splu is called
+        # a stalled step falls back to an ILU of its own pruned S, not the
+        # seed operator's, and is retried: from the last accepted state when
+        # it began at the path prediction, else at half the step; no splu is
+        # called.  A non-finite stall leaves a non-finite recycled vector,
+        # which must not reach the retry.
         ref = DiscreteField.from_function(grid9, U_STAR).values
         seeds, lus = count_factorizations(monkeypatch)
         state, report = continuation(manufactured9, grid9, SolverConfig())
@@ -586,8 +608,8 @@ class TestLinearSolve:
             assert report_st.ilu_rebuilds == 1
             # the seed ILU, then one of the stalled step's own S; no direct LU
             assert len(seeds) == 2 and lus == []
-            assert abs(seeds[0] - seed_operator(grid9)).max() == 0.0
-            assert abs(seeds[1] - solved[stall_call - 1]).max() == 0.0
+            assert abs(seeds[0] - pruned(seed_operator(grid9))).max() == 0.0
+            assert abs(seeds[1] - pruned(solved[stall_call - 1])).max() == 0.0
             if predicted:
                 # retried from the last accepted state at the same t: the same rows
                 assert report_st.predictor_fallbacks == 1
@@ -603,7 +625,7 @@ class TestLinearSolve:
                                                               monkeypatch):
         seeds, lus = count_factorizations(monkeypatch)
         solved = stall_gmres(monkeypatch, lambda call: True)
-        with pytest.raises(ContinuationFailure, match="GMRES stalled") as info:
+        with pytest.raises(ContinuationFailure, match="Krylov solve stalled") as info:
             continuation(manufactured9, grid9, SolverConfig())
         failure = info.value
         assert failure.state.t == 0.0
@@ -632,19 +654,21 @@ class TestLinearSolve:
         with pytest.raises(ContinuationFailure) as info:
             continuation(manufactured9, grid9, SolverConfig())
         failure = info.value
-        assert "GMRES stalled at t=0.00078125 after 0 iterations; rebuilding the " \
-            "preconditioner: incomplete LU failed: Factor is exactly singular" in str(failure)
+        assert "Krylov solve stalled at t=0.00078125 after 0 preconditioner applications; " \
+            "rebuilding the preconditioner: incomplete LU failed: Factor is exactly singular" \
+            in str(failure)
         assert failure.state.t == 0.0
         assert [row["t"] for row in failure.report.rows] == [0.0]
         # eight stalled steps, each rebuild attempted on its own S and failed
         assert failure.report.ilu_rebuilds == 0
         assert len(built) == 1 + len(solved) == 1 + 8
-        assert all(abs(b - s).max() == 0.0 for b, s in zip(built[1:], solved))
+        assert all(abs(b - pruned(s)).max() == 0.0 for b, s in zip(built[1:], solved))
         assert lus == []
 
     def test_restart_finishes_a_step_the_first_cycle_leaves(self, monkeypatch):
-        # along this direction one step's first GMRES cycle ends with the true
-        # residual just above GMRES_RTOL; a restart, not an ILU rebuild, ends it
+        # along this direction one step's first GMRES cycle ended with the
+        # true residual just above the tolerance; GCROT tests the true
+        # residual, and no ILU rebuild is needed
         _, lus = count_factorizations(monkeypatch)
         w = np.random.default_rng(1).standard_normal(3)
         w /= np.linalg.norm(w)
@@ -676,7 +700,9 @@ class TestLinearSolve:
         _, report = continuation(manufactured9, grid9, SolverConfig())
         payload = json.loads(report.to_json())
         assert payload["krylov_iters"] == report.krylov_iters
-        assert all(1 <= k <= 10 for k in payload["krylov_iters"])
+        # preconditioner applications per solve: 9-14 on this path, the first
+        # solves the highest, before the recycled subspace fills
+        assert all(1 <= k <= 20 for k in payload["krylov_iters"])
         assert payload["ilu_rebuilds"] == 0
         assert payload["predicted_starts"] == report.predicted_starts > 0
         assert payload["predictor_fallbacks"] == report.predictor_fallbacks == 0
@@ -686,6 +712,117 @@ class TestLinearSolve:
         assert len(report.predicted_start_residuals) == report.predicted_starts
         assert all(0.0 < r < 1e-2 for r in report.predicted_start_residuals)
         assert report.to_csv().splitlines()[0] == "t,residual,margin,sup_u,sup_du,sup_d2u,N,ratio"
+
+
+    @pytest.mark.parametrize("domain", ["ball", "ellipsoid"])
+    def test_ilu_factors_the_pruned_system(self, grid9, egg9, monkeypatch, domain):
+        # the factored copy keeps exactly the entries of S at least ILU_PRUNE
+        # times their row's largest magnitude, and every diagonal entry
+        grid = grid9 if domain == "ball" else egg9
+        factored = record_calls(monkeypatch, "spilu")
+        CondensedSolver(grid).solve(seed_stencil(grid), np.ones(grid.n_active), 0.0)
+        full = seed_operator(grid)
+        built = sp.coo_matrix(factored[0][0][0])
+        row_max = abs(full).max(axis=1).toarray().ravel()
+        coo = sp.coo_matrix(full)
+        big = np.abs(coo.data) >= nconvex.solver.ILU_PRUNE * row_max[coo.row]
+        diagonal = coo.row == coo.col
+        assert set(zip(built.row, built.col)) == set(zip(coo.row[big | diagonal],
+                                                         coo.col[big | diagonal]))
+        assert abs(sp.csr_matrix(built) - full.multiply(built != 0)).max() == 0.0
+        assert np.count_nonzero(diagonal) == grid.n_active
+        assert built.nnz < 0.25 * full.nnz
+
+    def test_ilu_keeps_a_small_diagonal(self, monkeypatch):
+        factored = record_calls(monkeypatch, "spilu")
+        matrix = sp.csr_matrix(np.array([[1e-3, 1.0, 0.0], [1e-3, 1.0, 1e-3], [0.5, 0.0, 1.0]]))
+        nconvex.solver._incomplete_lu(matrix)
+        assert factored[0][0][0].toarray().tolist() == [[1e-3, 1.0, 0.0], [0.0, 1.0, 0.0],
+                                                        [0.5, 0.0, 1.0]]
+
+    @pytest.mark.parametrize("n, res", [(3, 17), (4, 9)])
+    def test_seed_ilu_is_not_fill_capped(self, monkeypatch, n, res):
+        # spilu silently stops filling at ILU_FILL_FACTOR times the entries it
+        # factors; the seed ILU stays well below that (3.5-4.3 at 9^3 to 25^3)
+        grid = Grid(DomainSpec.ball(1.0, n=n), res)
+        factored = record_calls(monkeypatch, "spilu")
+        CondensedSolver(grid).solve(seed_stencil(grid), np.ones(grid.n_active), 0.0)
+        (matrix,), ilu = factored[0][0], factored[0][1]
+        assert nconvex.solver.ILU_FILL_FACTOR == 10
+        assert ilu.L.nnz + ilu.U.nnz < 6 * matrix.nnz
+
+    def test_recycled_subspace_carries_a_solve_to_the_next(self, grid9, manufactured9,
+                                                           monkeypatch):
+        u = seed_and_bumped(grid9)[1]
+        stencil = stencil_at(u, 0.4, grid9, manufactured9)
+        rhs = -residual_vector(u, 0.4, grid9, manufactured9)
+        linear = CondensedSolver(grid9)
+        first = linear.solve(stencil, rhs, 0.4)
+        assert linear.recycled
+        # the recycled subspace holds the first solution: no new applications
+        second = linear.solve(stencil, rhs, 0.4)
+        assert linear.report.krylov_iters[0] > 1 and linear.report.krylov_iters[1] == 0
+        assert np.linalg.norm(second - first) <= 1e-9 * np.linalg.norm(first)
+
+        # each continuation owns one list, empty at its first solve
+        lists = []  # (the list, its length) at every Krylov call
+        original = nconvex.solver.gcrotmk
+
+        def gcrotmk(a, b, **kwargs):
+            lists.append((kwargs["CU"], len(kwargs["CU"])))
+            return original(a, b, **kwargs)
+
+        monkeypatch.setattr(nconvex.solver, "gcrotmk", gcrotmk)
+        firsts = []
+        for _ in range(2):
+            lists.clear()
+            continuation(manufactured9, grid9, SolverConfig())
+            assert lists[0][1] == 0 and all(length > 0 for _, length in lists[1:])
+            assert all(cu is lists[0][0] for cu, _ in lists)
+            firsts.append(lists[0][0])
+        assert firsts[0] is not firsts[1]
+
+    def test_recycling_saves_applications_along_the_path(self, grid9, manufactured9,
+                                                         monkeypatch):
+        _, report = continuation(manufactured9, grid9, SolverConfig())
+        original = nconvex.solver.gcrotmk
+
+        def gcrotmk(a, b, **kwargs):
+            return original(a, b, **{**kwargs, "CU": []})
+
+        monkeypatch.setattr(nconvex.solver, "gcrotmk", gcrotmk)
+        _, alone = continuation(manufactured9, grid9, SolverConfig())
+        # the same 7 solves (69 applications against 84 without recycling)
+        assert len(report.krylov_iters) == len(alone.krylov_iters) == 7
+        assert sum(report.krylov_iters) < 0.9 * sum(alone.krylov_iters)
+        assert max(report.krylov_iters[3:]) < min(alone.krylov_iters[3:])
+
+    def test_non_finite_stall_clears_the_recycled_subspace(self, grid9, manufactured9,
+                                                           monkeypatch):
+        seed, bumped = seed_and_bumped(grid9)
+        linear = CondensedSolver(grid9)
+        stall_gmres(monkeypatch, lambda call: call == 2, "non-finite")
+        systems = [(stencil_at(u, 0.4, grid9, manufactured9),
+                    -residual_vector(u, 0.4, grid9, manufactured9)) for u in (seed, bumped)]
+        linear.solve(*systems[0], 0.4)
+        assert linear.recycled
+        with pytest.raises(StepFailure, match="Krylov solve stalled"):
+            linear.solve(*systems[1], 0.4)
+        assert linear.recycled == [] and linear.report.ilu_rebuilds == 1
+        # the next solve starts clean and converges
+        step = linear.solve(*systems[1], 0.4)
+        direct = splu(full_jacobian(bumped, 0.4, grid9, manufactured9)).solve(systems[1][1])
+        assert np.linalg.norm(step - direct) <= 1e-10 * np.linalg.norm(direct)
+
+    def test_every_solve_meets_the_true_residual_tolerance(self, monkeypatch):
+        # GCROT tests ||S du - r|| itself, not a preconditioned residual
+        grid = Grid(BALL, 17)
+        solves = record_calls(monkeypatch, "gcrotmk")
+        state, report = continuation(sample_problem(MANUFACTURED, grid), grid, SolverConfig())
+        assert state.t == 1.0 and len(solves) == len(report.krylov_iters) == 7
+        for (schur, rhs), (du, info) in solves:
+            assert info == 0
+            assert np.linalg.norm(schur @ du - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 class TestMonitors:
