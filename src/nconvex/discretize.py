@@ -8,17 +8,18 @@ outside neighbors ("closure" points) are not unknowns: each lies on the
 normal ray through its collocation point, so its value is the quadratic
 along that ray determined by the trace and two interpolated interior ray
 values.  Those come from moving-least-squares rows (``W1``, ``W2``) built
-on the lattice, with no neighbor search: the candidate nodes of a target
-are its grid cell's corner plus the integer offsets of one fixed table per
-radius, so one quadratic design at the offsets serves a whole block of
-collocation points and only the weights differ.  Every Gram matrix of a
-block comes from one matrix product of the weights with the design's
-moment table; per target, one Cholesky factorization of the
-target-centred Gram matrix (10 x 10 at n = 3) gives the solve, its one
-refinement step and a certificate for the rank test.  Only the targets
-with too few nodes or a rank-deficient design are tried again at a wider
-radius.  The construction is exact for quadratic fields, which pins the
-discrete problem to the continuum one at the homotopy start.
+in one pass over the targets of both depths on the lattice, with no
+neighbor search: the candidate nodes of a target are its grid cell's
+corner plus the integer offsets of one fixed table per radius, so one
+quadratic design at the offsets serves a whole block of targets and only
+the weights differ.  Every Gram matrix of a block comes from one matrix
+product of the weights with the design's moment table; per target, one
+Cholesky factorization of the target-centred Gram matrix (10 x 10 at
+n = 3) gives the solve, its one refinement step and a certificate for the
+rank test.  Only the targets with too few nodes or a rank-deficient design
+are tried again at a wider radius.  The construction is exact for
+quadratic fields, which pins the discrete problem to the continuum one at
+the homotopy start.
 
 Classification projects every point of the box that can be active once,
 and the grid keeps each active point's depth and normal from it; the
@@ -383,6 +384,11 @@ def _mls_value_rows(grid: "Grid", targets: np.ndarray) -> sp.csr_matrix:
     points.  A target needs q + 2 nodes within the radius and a full-rank
     design; the radius starts at 2.5 h, and targets whose rows fail go on
     to the next radius, 1.4 times wider, for at most five radii.
+
+    Each block's entries are gathered through one ``flatnonzero`` of its
+    node mask, already in column order, and the CSR arrays are laid out
+    from the per-row counts; only rows that a wider radius finished, which
+    arrive after the others, need a stable sort of the entries by row.
     """
     n = grid.n
     q = 1 + n + n * (n + 1) // 2
@@ -394,7 +400,7 @@ def _mls_value_rows(grid: "Grid", targets: np.ndarray) -> sp.csr_matrix:
     active_k = np.column_stack(np.unravel_index(grid.active_idx, grid.shape))
     pending = np.arange(targets.shape[0])
     reach = 2.5
-    rows, cols, vals = [], [], []
+    done, lengths, cols, vals = [], [], [], []
     for _ in range(5):
         table = _offset_table(n, reach, active_k.min(0) - base[pending].max(0),
                               active_k.max(0) - base[pending].min(0))
@@ -428,9 +434,11 @@ def _mls_value_rows(grid: "Grid", targets: np.ndarray) -> sp.csr_matrix:
             if not np.all(full):
                 inside, col = inside[full], col[full]
             ok[keep] = full
-            rows.append(np.repeat(blk[ok], counts[ok]))
-            cols.append(col[inside])
-            vals.append(lam[inside])
+            entries = np.flatnonzero(inside)
+            done.append(blk[ok])
+            lengths.append(counts[ok])
+            cols.append(col.ravel()[entries])
+            vals.append(lam.ravel()[entries])
             failed.append(blk[~ok])
         pending = np.concatenate(failed)
         if pending.size == 0:
@@ -441,8 +449,15 @@ def _mls_value_rows(grid: "Grid", targets: np.ndarray) -> sp.csr_matrix:
             "boundary collocation stencil is rank deficient; the grid is too "
             "coarse for this domain"
         )
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(targets.shape[0], grid.n_active))
+    done, lengths = np.concatenate(done), np.concatenate(lengths)
+    cols, vals = np.concatenate(cols), np.concatenate(vals)
+    if np.any(done[1:] < done[:-1]):
+        order = np.argsort(np.repeat(done, lengths), kind="stable")
+        cols, vals = cols[order], vals[order]
+    indptr = np.zeros(targets.shape[0] + 1, dtype=np.int64)
+    indptr[1 + done] = lengths
+    np.cumsum(indptr, out=indptr)
+    return sp.csr_matrix((vals, cols, indptr), shape=(targets.shape[0], grid.n_active))
 
 
 class Grid:
@@ -537,10 +552,12 @@ class Grid:
         self.ghost_s = np.where(np.abs(d) <= tol, 0.0, -d)
         self.colloc_quad = seed_datum(self.colloc_y, self.colloc_nu)
         self.delta = self.h
-        # MLS interpolation of the interior ray values at depths delta and 2 delta
-        self.W1, self.W2 = (
-            _mls_value_rows(self, self.colloc_y - depth * self.delta * self.colloc_nu)
-            for depth in (1, 2))
+        # MLS interpolation of the interior ray values at depths delta and
+        # 2 delta, built in one pass over the targets of both depths
+        w = _mls_value_rows(self, np.concatenate(
+            [self.colloc_y - depth * self.delta * self.colloc_nu for depth in (1, 2)]))
+        self.W1, self.W2 = w[:self.n_colloc], w[self.n_colloc:]
+        del w  # the slices are copies; holding w too would raise the peak of the products below
         # closure: ghost value = quadratic along its ray through the trace
         dl = self.delta
         s = self.ghost_s

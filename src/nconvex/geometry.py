@@ -97,51 +97,75 @@ class DomainSpec:
         return 1.0 / self.kappa_max_global
 
 
+# Safeguarded Newton iterations a projection row may take.  Rows converge in
+# at most a few; one still live after this many is an error, not a result.
+_ROOT_ITERATIONS = 100
+
+
 def _center_ellipsoid_roots(domain: DomainSpec, x: np.ndarray):
     """Lagrange parameter t of the closest boundary point, vectorized.
 
     The closest point of a centred x is y_i = a_i^2 x_i / (a_i^2 + t), where
     t is the root of g(t) = sum_i (a_i x_i / (a_i^2 + t))^2 = 1 on
     [-min a_i^2, inf): t < 0 inside, t > 0 outside, t = 0 on the boundary.
-    g is convex and decreasing there, so safeguarded Newton starts from the
-    largest one-term lower bound max_i (a_i |x_i| - a_i^2) and takes a
-    bisection step whenever a Newton step would leave the bracket.  A row
-    stops once an iteration leaves its own bracket unchanged, so its root
-    does not depend on the rest of the batch.
+    g is convex and decreasing there.  The root lies above every one-term
+    root a_i |x_i| - a_i^2, where that term alone is 1, and below
+    |a x| - min a_i^2 (and 0 inside).  Safeguarded Newton starts at the
+    root of the ball through x of radius a, a^2 (sqrt(L) - 1) with
+    L = sum_i x_i^2 / a_i^2 and a^2 = |x|^2 / L, clipped into that bracket,
+    and takes a bisection step whenever a Newton step would leave it.  A row
+    stops when g = 1 or its Newton step or its bracket is below
+    4 eps max(max a_i^2, |t|), so a boundary point stops after one
+    iteration, and its root does not depend on the rest of the batch.  The
+    |t| term matters far outside, where t grows like a |x| and its float
+    spacing passes eps max a_i^2.  A row still live after
+    ``_ROOT_ITERATIONS`` raises RuntimeError.  The terms are held axis by
+    axis, (n, N), so each sum over the axes is n - 1 vector additions.
 
     A coordinate below 1e-14 max a_i counts as zero: its term vanishes at
     every t.  When every coordinate on a shortest axis is zero and
     g(-min a_i^2) <= 1 (a point of that axis plane inside the evolute), the
     root is t = -min a_i^2 exactly and the closest point leaves the plane.
     """
-    a = np.asarray(domain.semi_axes)
+    a = np.asarray(domain.semi_axes)[:, None]
     a2 = a * a
-    ax = np.where(np.abs(x) > 1e-14 * a.max(), a * np.abs(x), 0.0)
+    xt = np.ascontiguousarray(x.T)
+    ax = np.where(np.abs(xt) > 1e-14 * a.max(), a * np.abs(xt), 0.0)
     # a zero term is 0/inf = 0 at every t, also at t = -a_i^2
     poles = np.where(ax > 0.0, a2, np.inf)
-    t = np.max(ax - a2, axis=1)
-    lo = np.full(t.shape, -a2.min())
+    eps4 = 4.0 * np.finfo(float).eps
+    # the largest one-term root; a zero term on a shortest axis gives -min a_i^2
+    lo = np.max(ax - a2, axis=0)
+    level = np.sum(xt ** 2 / a2, axis=0)
     # g(t) <= |a x|^2 / (min a_i^2 + t)^2, and g(0) < 1 inside
-    hi = np.linalg.norm(ax, axis=1) - a2.min()
-    hi = np.maximum(t, np.where(np.sum(x ** 2 / a2, axis=1) < 1.0, np.minimum(hi, 0.0), hi))
+    hi = np.sqrt(np.sum(ax * ax, axis=0)) - a2.min()
+    hi = np.maximum(lo, np.where(level < 1.0, np.minimum(hi, 0.0), hi))
+    # the centre has level 0 and lo = hi, so it never iterates
+    ball = np.divide(np.sum(xt ** 2, axis=0), level, out=np.zeros_like(level), where=level > 0.0)
+    t = np.clip(ball * (np.sqrt(level) - 1.0), lo, hi)
     live = np.flatnonzero(lo < hi)
-    for it in range(100):
+    for _ in range(_ROOT_ITERATIONS):
         if live.size == 0:
             break
-        tl, lol, hil = t[live], lo[live], hi[live]
-        den = poles[live] + tl[:, None]
-        r2 = (ax[live] / den) ** 2
-        g = np.sum(r2, axis=1)
-        new_lo = np.where(g > 1.0, tl, lol)
-        new_hi = np.where(g < 1.0, tl, hil)
+        tl = t[live]
+        den = np.take(poles, live, axis=1) + tl
+        r2 = (np.take(ax, live, axis=1) / den) ** 2
+        g = np.sum(r2, axis=0)
+        lol = np.where(g > 1.0, tl, lo[live])
+        hil = np.where(g < 1.0, tl, hi[live])
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = tl + (g - 1.0) / (2.0 * np.sum(r2 / den, axis=1))
-        nxt = np.where((step >= new_lo) & (step <= new_hi), step, 0.5 * (new_lo + new_hi))
-        # the start may sit on lo = -min a_i^2, so the first step always counts
-        moved = (new_lo != lol) | (new_hi != hil) | (it == 0)
-        lo[live], hi[live] = new_lo, new_hi
-        t[live] = np.where(moved, nxt, tl)
-        live = live[moved]
+            step = (g - 1.0) / (2.0 * np.sum(r2 / den, axis=0))
+        nxt = tl + step
+        lo[live], hi[live] = lol, hil
+        t[live] = np.where((nxt >= lol) & (nxt <= hil), nxt, 0.5 * (lol + hil))
+        tol = eps4 * np.maximum(a2.max(), np.abs(tl))
+        # g = 1 gives a zero step; a NaN step keeps its row live
+        live = live[~((np.abs(step) <= tol) | (hil - lol <= tol))]
+    if live.size:
+        raise RuntimeError(
+            f"closest-point projection did not converge in {_ROOT_ITERATIONS} iterations "
+            f"at {live.size} points; the first is row {live[0]}, "
+            f"{x[live[0]]} from the centre")
     return t
 
 
@@ -151,9 +175,13 @@ def project_to_boundary_batch(domain: DomainSpec, pts: np.ndarray):
     Signed distance is positive inside the domain.  Works for points inside
     or outside; where the closest point is not unique (the domain center, or
     a point on a principal axis inside the evolute) one of them is returned:
-    the center resolves to the endpoint of a shortest semi-axis.
+    the center resolves to the endpoint of a shortest semi-axis.  A
+    non-finite point raises ValueError naming the first such row.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if not np.isfinite(pts).all():
+        i = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
+        raise ValueError(f"cannot project a non-finite point: row {i} is {pts[i]}")
     c = np.asarray(domain.center)
     x = pts - c
     if domain.is_ball:

@@ -315,6 +315,55 @@ class TestCollocationWeights:
                 want = tree.query_ball_point(targets[i], rho, return_sorted=True)
                 assert cols.tolist() == want, (depth, i)
 
+    @pytest.mark.parametrize("domain, res", [(BALL, 9), (ELLIPSOID, 9), (ELONGATED, 11)],
+                             ids=["ball-9", "ellipsoid-9", "elongated-11"])
+    def test_rows_are_canonical_csr(self, domain, res):
+        grid = Grid(domain, res)
+        for w in (grid.W1, grid.W2):
+            assert w.has_canonical_format
+            assert np.all(np.diff(w.indptr) >= 12)  # at least q + 2 nodes at n = 3
+
+    def test_joint_rows_match_the_rows_of_one_depth(self):
+        # both depths are built in one pass; on this ellipsoid some depth-delta
+        # rows widen, so their entries arrive after the rest and are sorted in
+        grid = Grid(ELONGATED, 11)
+        for depth, w in ((1, grid.W1), (2, grid.W2)):
+            alone = discretize._mls_value_rows(grid, mls_targets(grid, depth))
+            assert np.array_equal(w.indptr, alone.indptr), depth
+            assert np.array_equal(w.indices, alone.indices), depth
+            assert np.max(np.abs(w.data - alone.data)) < 1e-14, depth
+
+    @pytest.mark.parametrize("domain, res, counts", [
+        (BALL, 17, (1791, 1050, 40_818, 59_916, 63_285, 60_876)),
+        (BALL, 25, (6403, 2378, 94_522, 137_740, 148_177, 141_220)),
+        (BALL, 33, (15_515, 4178, 165_458, 240_256, 265_997, 246_736)),
+        (ELLIPSOID, 41, (28_115, 6122, 248_094, 354_916, 401_833, 367_740)),
+    ], ids=["ball-17", "ball-25", "ball-33", "ellipsoid-41"])
+    def test_closure_operators_match_rows_built_per_depth(self, domain, res, counts):
+        # the active, collocation and entry counts of W1, W2, extension and
+        # robin_u that a build with one MLS pass per depth gives, and the
+        # operators agree with ones formed from rows built one depth at a time
+        grid = Grid(domain, res)
+        ops = (grid.W1, grid.W2, grid.extension, grid.robin_u)
+        assert (grid.n_active, grid.n_colloc, *(op.nnz for op in ops)) == counts
+        w1, w2 = (discretize._mls_value_rows(grid, mls_targets(grid, depth)) for depth in (1, 2))
+        dl, s, gc = grid.delta, grid.ghost_s, grid.ghost_colloc
+        l0 = (s + dl) * (s + 2 * dl) / (2 * dl * dl)
+        l1 = -s * (s + 2 * dl) / (dl * dl)
+        l2 = s * (s + dl) / (2 * dl * dl)
+        trace = sp.csr_matrix((l0, gc, np.arange(grid.n_ghost + 1)),
+                              shape=(grid.n_ghost, grid.n_colloc))
+        closure = sp.hstack([sp.diags(l1) @ w1[gc] + sp.diags(l2) @ w2[gc], trace])
+        want = (w1, w2, sp.vstack([sp.eye(grid.n_active, grid.n_unknowns), closure]),
+                (w2 - 4.0 * w1) / (2.0 * dl))
+        for name, got, ref in zip(("W1", "W2", "extension", "robin_u"), ops, want):
+            got, ref = got.tocsr(copy=True), ref.tocsr(copy=True)
+            got.sort_indices()
+            ref.sort_indices()
+            assert np.array_equal(got.indptr, ref.indptr), name
+            assert np.array_equal(got.indices, ref.indices), name
+            assert np.max(np.abs(got.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data)), name
+
     def test_closure_row_count_at_17(self, grid17):
         assert grid17.W1.nnz + grid17.W2.nnz == 100_734
 

@@ -6,7 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from nconvex.discretize import Grid
+from nconvex import geometry
+from nconvex.barriers import barrier_section, recipe_params
+from nconvex.cli import named_case
+from nconvex.discretize import Grid, sample_problem
 from nconvex.geometry import (
     DomainSpec,
     _frame_at,
@@ -22,9 +25,24 @@ from nconvex.geometry import (
     signed_distance,
     strip_mu_max,
 )
+from nconvex.solver import SolverConfig, continuation
 
 BALL = DomainSpec.ball(1.0, n=3)
 EGG = DomainSpec.ellipsoid((1.0, 1.2, 0.9))
+NEAR_SPHERE = DomainSpec.ellipsoid((1.0, 1.0, 1.05))
+
+
+@pytest.fixture(scope="module")
+def near_sphere41():
+    return Grid(NEAR_SPHERE, 41)
+
+
+def box_points(grid):
+    """The grid's box points that classification projects (level <= 1)."""
+    ks = np.indices(grid.shape).reshape(grid.n, -1).T
+    pts = grid.origin + ks * grid.h
+    level = np.sum((pts - grid.domain.center) ** 2 / np.square(grid.domain.semi_axes), axis=1)
+    return pts[level <= 1.0]
 
 
 def project_oracle_3d(domain, x, iters=120):
@@ -186,6 +204,71 @@ class TestBatchProjection:
         assert abs(np.sum((y[0] / np.asarray(axes)) ** 2) - 1.0) < 1e-15
         gap = x - y[0]
         assert np.linalg.norm(gap - (gap @ nu[0]) * nu[0]) < 1e-14
+
+    @pytest.mark.parametrize("domain", [EGG, NEAR_SPHERE], ids=["egg", "near-sphere"])
+    def test_far_outside_points(self, domain):
+        # t grows like a |x|, so its float spacing there exceeds eps max a_i^2;
+        # the stopping tolerance scales with |t| and every row converges
+        rng = np.random.default_rng(7)
+        directions = rng.standard_normal((400, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        x = 10.0 ** rng.uniform(2.0, 4.0, 400)[:, None] * directions
+        y, nu, d = project_to_boundary_batch(domain, x)
+        a = np.asarray(domain.semi_axes)
+        assert np.max(np.abs(np.sum((y / a) ** 2, axis=1) - 1.0)) < 2e-15
+        gap = x - y
+        off_normal = gap - np.sum(gap * nu, axis=1)[:, None] * nu
+        assert np.max(np.linalg.norm(off_normal, axis=1) / -d) < 2e-15
+        assert np.array_equal(d, -np.linalg.norm(gap, axis=1))
+        for i in range(0, 400, 10):
+            # the chart Newton's objective is ~|x|^2, which limits its y to ~1e-7
+            want_y, want_d = project_oracle_3d(domain, x[i])
+            assert np.linalg.norm(y[i] - want_y) < 1e-6, i
+            assert -d[i] == pytest.approx(want_d, rel=1e-14), i
+
+    @pytest.mark.parametrize("domain", [BALL, NEAR_SPHERE], ids=["ball", "ellipsoid"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_points_refused(self, domain, bad):
+        pts = np.array([[0.1, 0.2, 0.3], [0.5, 0.0, 0.0], [0.0, bad, 0.0], [bad, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite point: row 2 "):
+            project_to_boundary_batch(domain, pts)
+        point = [bad, 0.0, 0.0]
+        for public in (project_to_boundary, signed_distance, distance):
+            with pytest.raises(ValueError, match="non-finite point: row 0 "):
+                public(domain, point)
+
+    def test_rows_do_not_depend_on_the_batch(self, near_sphere41):
+        # each row's iteration stops on its own values, so a point projected
+        # alone gets the same bits as inside the whole box or collocation set
+        rng = np.random.default_rng(29)
+        for pts in (box_points(near_sphere41), near_sphere41.colloc_y):
+            whole = project_to_boundary_batch(NEAR_SPHERE, pts)
+            for i in rng.choice(len(pts), 200, replace=False):
+                alone = project_to_boundary_batch(NEAR_SPHERE, pts[i:i + 1])
+                for got, want in zip(alone, whole):
+                    assert np.array_equal(got[0], want[i]), i
+
+    def test_a_few_iterations_project_and_verify_a_grid(self, near_sphere41, monkeypatch):
+        # box points take at most 6 iterations, ghosts 3 and boundary points
+        # 1; a rule that stops only when the bracket stops moving needs the
+        # full 100 on boundary points and fails here
+        monkeypatch.setattr(geometry, "_ROOT_ITERATIONS", 8)
+        domain, spec, _ = named_case("ellipsoid-near-sphere")
+        assert domain == NEAR_SPHERE
+        grid = Grid(domain, 41)
+        assert np.array_equal(grid.active_idx, near_sphere41.active_idx)
+        problem = sample_problem(spec, grid)
+        state, _ = continuation(problem, grid, SolverConfig())
+        section = barrier_section(domain, state, grid, problem,
+                                  recipe_params(domain, state, grid, problem))
+        assert section["h_inequality"]["strip_points"] > 0
+
+    def test_a_row_still_live_after_the_cap_raises(self, near_sphere41, monkeypatch):
+        monkeypatch.setattr(geometry, "_ROOT_ITERATIONS", 2)
+        with pytest.raises(RuntimeError, match="did not converge in 2 iterations"):
+            project_to_boundary_batch(NEAR_SPHERE, box_points(near_sphere41))
+        # boundary points stop after one
+        project_to_boundary_batch(NEAR_SPHERE, near_sphere41.colloc_y)
 
     def test_grid_build_with_zero_coordinates_is_warning_free(self):
         # grid points with x_i = 0 once sent a bisection midpoint to t = -a_i^2
