@@ -10,6 +10,12 @@ and the smallest-m-sum test behind ``m_convexity`` accept a ``(..., p)``
 stack of spectra and return one result per spectrum, bit for bit what the
 row-by-row calls give.  The selftest cone suite evaluates one stack per
 (n, m) group this way, with seed-for-seed identical output.
+
+``in_gamma_k`` on one tuple (1-d or 0-d) works on Python floats: the
+tuple is sorted, checked and run through the recurrence as a list, with
+no numpy call per entry.  The selftest mean-comparison suite takes one
+such verdict per draw, since the verdict decides which numbers it draws
+next.  Subset sums are added left to right, as numpy adds a stack.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from nconvex.symfun import _check_k, _entries, _esym, _spectrum
+from nconvex.symfun import _add_in_order, _check_k, _entries, _esym, _spectrum
 
 __all__ = [
     "Convexity",
@@ -43,16 +49,17 @@ def lift_spectrum(mu, m: int) -> np.ndarray:
     vals = _spectrum(mu)
     _check_m(vals, m)
     cols = _entries(vals)
-    sums = [sum(cols[i] for i in c) for c in combinations(range(len(cols)), m)]
+    sums = [_add_in_order(cols[i] for i in c) for c in combinations(range(len(cols)), m)]
     return _spectrum(np.moveaxis(np.array(sums), 0, -1))
 
 
 def in_gamma_k(lam, k: int) -> bool | np.ndarray:
     """True iff S_i > 0 for every 1 <= i <= k (level-k cone membership).
 
-    A ``(..., p)`` stack gives a boolean array over the stack.
+    One tuple gives a bool, worked out on Python floats; a ``(..., p)``
+    stack gives a boolean array over the stack.
     """
-    vals = _spectrum(lam)
+    vals = _spectrum(lam, floats=True)
     _check_k(vals, k, low=1)
     e = _esym(vals, k)
     inside = e[1] > 0.0

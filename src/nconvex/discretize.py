@@ -416,8 +416,9 @@ def _mls_value_rows(grid: "Grid", targets: np.ndarray) -> sp.csr_matrix:
             # which hold no active point
             edge = np.any((base[blk] + low < 0) | (base[blk] + high >= shape), axis=1)
             if np.any(edge):
-                lin[edge] = sum(np.clip(base[blk][edge, i, None] + table[:, i], 0, shape[i] - 1)
-                                * strides[i] for i in range(n))
+                nodes = base[blk][edge][:, None] + table
+                lin[edge] = np.ravel_multi_index(tuple(np.moveaxis(nodes, -1, 0)), grid.shape,
+                                                 mode="clip")
             col = grid.box_col[lin]
             r2 = _tiled(np.column_stack([-2.0 * frac[blk], np.sum(frac[blk]**2, axis=1),
                                          np.ones(len(blk))]), lifted)

@@ -9,10 +9,13 @@ The algebra kernels take a leading batch axis.  The identity,
 mean-comparison, cone, spectral, gradient and concavity suites draw their
 cases one by one in a fixed RNG order, group them by shape, and evaluate
 one stack per shape group; the output is identical, seed for seed, to
-evaluating the cases one at a time.  The mean-comparison suite still takes
-each membership verdict per draw, because whether it draws ``l`` depends
-on it; only the margins wait for the loop to end.  The conformance suite
-compares each lift with its explicit 3x3 form.
+evaluating the cases one at a time.  The mean-comparison suite takes each
+membership verdict per draw, because whether it draws ``l`` depends on it;
+``cone.in_gamma_k`` reads one tuple as Python floats, so a verdict costs
+no numpy round-trips, and only the margins wait for the loop to end.  The
+admissible draws likewise take their smallest m-sum from the sorted
+Python list.  The conformance suite compares each lift with its explicit
+3x3 form.
 """
 
 from __future__ import annotations
@@ -150,10 +153,11 @@ def _draw_admissible(rng, n, m):
     """The draws behind one strictly m-convex Hessian: its spectrum and a Gaussian n x n matrix.
 
     A spectrum whose m smallest entries sum to at most 0.1 is shifted up
-    until they sum to more.
+    until they sum to more.  The sum is taken left to right over the
+    ascending list, which is how numpy sums the m smallest entries too.
     """
     mu = rng.uniform(-0.5, 2.0, size=n)
-    smallest = np.sort(mu)[:m].sum()
+    smallest = symfun._add_in_order(sorted(mu.tolist())[:m])
     if smallest <= 0.1:
         mu += (0.1 - smallest) / m + 0.05
     return mu, rng.standard_normal((n, n))
@@ -177,15 +181,14 @@ def _suite_gradient(rng, cases=100):
     for (n, m), draws in groups.items():
         h = _admissible(draws)
         grad = woperator.linearization(h, m)
+        # both bumps of every entry pair i <= j, for every case, as one stack
+        i, j = np.triu_indices(n)
+        bumps = np.zeros((i.size, 1, n, n))
+        bumps[np.arange(i.size), 0, i, j] = bumps[np.arange(i.size), 0, j, i] = 1.0
+        det = woperator.det_w(np.stack([h + step * bumps, h - step * bumps]), m)
+        diff = (det[0] - det[1]) / (2 * step) / np.where(i != j, 2.0, 1.0)[:, None]
         fd = np.zeros_like(grad)
-        for i in range(n):
-            for j in range(i, n):
-                e = np.zeros((n, n))
-                e[i, j] = e[j, i] = 1.0
-                diff = (
-                    woperator.det_w(h + step * e, m) - woperator.det_w(h - step * e, m)
-                ) / (2 * step)
-                fd[..., i, j] = fd[..., j, i] = diff / (2.0 if i != j else 1.0)
+        fd[..., i, j] = fd[..., j, i] = np.moveaxis(diff, 0, -1)
         scale = np.max(np.abs(fd), axis=(-2, -1)) + 1e-30
         worst = max(worst, float(np.max(np.max(np.abs(grad - fd), axis=(-2, -1)) / scale)))
     ok = worst < 1e-5

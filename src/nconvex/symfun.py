@@ -13,12 +13,20 @@ value per spectrum, bit for bit what the row-by-row calls give; only the
 margin's roots may differ by an ulp, since numpy's vectorised power and
 the C library's pow round differently.  The selftest battery evaluates one
 stack per (p, k) or (p, k, l) group this way, with seed-for-seed identical
-output.
+output.  ``check_identities`` runs the p deleted tuples of every row of a
+stack as one ``(p, ..., p)`` stack, in one pass of the recurrence.
+
+One tuple takes a cheaper route where it is called per case: with
+``floats`` on, ``_spectrum`` returns it as a list of Python floats, sorted
+and checked as a stack row is, and ``_esym`` runs the same recurrence on
+that list, so the values are the row's bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,41 +40,72 @@ __all__ = [
 ]
 
 
-def _spectrum(seq, sort: bool = True) -> np.ndarray:
+def _spectrum(seq, sort: bool = True, floats: bool = False):
     """The tuple, or each tuple of a ``(..., p)`` stack, as floats sorted descending.
 
-    ``sort`` off keeps the supplied order.  Raises ValueError for an empty
-    or non-finite tuple.
+    ``sort`` off keeps the supplied order.  ``floats`` on gives a 1-d or
+    0-d input as a list of Python floats in the same order, which the
+    recurrence steps through without a numpy call per entry; a stack stays
+    an array.  Raises ValueError for an empty or non-finite tuple.
     """
-    arr = np.atleast_1d(np.asarray(seq, dtype=float))
-    if arr.shape[-1] == 0:
-        raise ValueError("eigenvalue tuple must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("eigenvalue tuple must be finite")
+    arr = np.asarray(seq, dtype=float)
+    if floats and arr.ndim <= 1:
+        vals = arr.tolist() if arr.ndim else [arr.item()]
+        _check_finite(len(vals), all(map(math.isfinite, vals)))
+        # list.sort is stable under reverse=True as well, so this is the
+        # order of the stable sort below, signed zeros included
+        return sorted(vals, reverse=True) if sort else vals
+    arr = np.atleast_1d(arr)
+    _check_finite(arr.shape[-1], bool(np.all(np.isfinite(arr))))
     # negation is exact and the stable sort keeps ties in order, so this is
     # arr[argsort(-arr)] bit for bit, signed zeros included
     return -np.sort(-arr, axis=-1, kind="stable") if sort else arr
 
 
-def _check_k(vals: np.ndarray, k: int, low: int = 0) -> None:
-    if not low <= k <= vals.shape[-1]:
-        raise ValueError(f"k={k} out of range for a {vals.shape[-1]}-tuple")
+def _check_finite(p: int, finite: bool) -> None:
+    if p == 0:
+        raise ValueError("eigenvalue tuple must be non-empty")
+    if not finite:
+        raise ValueError("eigenvalue tuple must be finite")
 
 
-def _entries(values: np.ndarray):
-    """Entry i of a 1-d tuple as a Python float, or of every tuple of a stack as an array."""
+def _check_k(vals, k: int, low: int = 0) -> int:
+    """The tuple length p of a spectrum (a list is one tuple), once low <= k <= p is checked."""
+    p = len(vals) if isinstance(vals, list) else vals.shape[-1]
+    if not low <= k <= p:
+        raise ValueError(f"k={k} out of range for a {p}-tuple")
+    return p
+
+
+def _entries(values):
+    """Entry i of one tuple as a Python float, or of every tuple of a stack as an array.
+
+    A list is taken to be one tuple's Python floats already.
+    """
+    if isinstance(values, list):
+        return values
     return values.tolist() if values.ndim == 1 else np.moveaxis(values, -1, 0)
 
 
-def _esym(values: np.ndarray, k: int) -> list:
+def _add_in_order(terms):
+    """The terms added left to right, starting from 0.
+
+    This is how numpy adds a short row or a stack column by column.  The
+    builtin ``sum`` compensates float sums from Python 3.12 on, so a
+    one-tuple would round differently from the same row of a stack.
+    """
+    return functools.reduce(operator.add, terms, 0)
+
+
+def _esym(values, k: int) -> list:
     """[S_0, ..., S_k] of a raw value array from one pass of the coefficient recurrence.
 
-    A 1-d tuple steps through Python floats; a ``(..., p)`` stack steps the
-    same recurrence through its columns, so each S_i is an array over the
-    stack holding bit for bit the values of the row-by-row passes.  O(p*k)
-    and numerically stable for the sizes used here; S_i does not depend on
-    the cap k.  The exponential subset enumeration lives in the test suite
-    as the independent oracle.
+    A 1-d tuple, or a list of Python floats, steps through Python floats; a
+    ``(..., p)`` stack steps the same recurrence through its columns, so
+    each S_i is an array over the stack holding bit for bit the values of
+    the row-by-row passes.  O(p*k) and numerically stable for the sizes used
+    here; S_i does not depend on the cap k.  The exponential subset
+    enumeration lives in the test suite as the independent oracle.
     """
     e = [1.0] + [0.0] * k
     for x in _entries(values):
@@ -91,8 +130,7 @@ def deleted_symmetric(lam, k: int, omit=()) -> float | np.ndarray:
     two positions may be omitted.
     """
     work = _spectrum(lam, sort=False).copy()
-    _check_k(work, k)
-    p = work.shape[-1]
+    p = _check_k(work, k)
     idx = [int(i) for i in omit]
     if len(idx) > 2:
         raise ValueError("at most two positions may be omitted")
@@ -138,23 +176,27 @@ def check_identities(lam, k: int) -> IdentityReport:
     two summed forms  sum_i lam_i S_{k-1}(.|i) = k S_k  and
     sum_i S_k(.|i) = (p-k) S_k.
     """
-    vals = _spectrum(lam)
-    _check_k(vals, k, low=1)
-    p = vals.shape[-1]
+    vals = _spectrum(lam, floats=True)
+    p = _check_k(vals, k, low=1)
     sk = _esym(vals, k)[k]
-    cols = _entries(vals)
-    weighted = 0.0
-    deleted = 0.0
-    deleted_sk, terms = [], []
-    for i in range(p):
-        work = vals.copy()
-        work[..., i] = 0.0
-        e = _esym(work, k)
-        deleted_sk.append(e[k])
-        terms.append(cols[i] * e[k - 1])
-        weighted += terms[-1]
-        deleted += deleted_sk[-1]
-    deleted_sk, terms = np.array(deleted_sk), np.array(terms)
+    if isinstance(vals, list):
+        passes = [_esym(vals[:i] + [0.0] + vals[i + 1:], k) for i in range(p)]
+        deleted_sk = np.array([e[k] for e in passes])
+        lower = np.array([e[k - 1] for e in passes])
+        cols = np.array(vals)
+    else:
+        # the p deleted tuples of every row as one (p, ..., p) stack, tuple i
+        # with entry i zeroed; laid out entry-major, so _esym's columns are
+        # contiguous
+        cols = np.moveaxis(vals, -1, 0)
+        work = np.repeat(cols[:, None], p, axis=1)
+        diag = np.arange(p)
+        work[diag, diag] = 0.0
+        e = _esym(np.moveaxis(work, 0, -1), k)
+        deleted_sk, lower = e[k], e[k - 1]
+    terms = cols * lower
+    weighted = _add_in_order(terms)
+    deleted = _add_in_order(deleted_sk)
     worst_dec = np.max(np.abs(sk - (deleted_sk + terms)), axis=0)
     scale = np.maximum(np.abs(sk), np.max(np.abs([deleted_sk, terms]), axis=(0, 1)))
     return IdentityReport(

@@ -53,6 +53,14 @@ class TestLiftSpectrum:
         with pytest.raises(ValueError):
             lift_spectrum([1.0, 2.0], 3)
 
+    def test_subset_sums_add_left_to_right(self):
+        # 1e16 + 1 rounds back to 1e16, so the plain sum of the one 3-subset
+        # is 0, as in a stack; a compensated sum (the builtin's from Python
+        # 3.12 on) would give 1
+        mu = [1e16, 1.0, -1e16]
+        assert lift_spectrum(mu, 3).tolist() == [0.0]
+        assert lift_spectrum(np.array([mu, mu]), 3).tolist() == [[0.0], [0.0]]
+
 
 class TestGammaK:
     def test_pinned_values(self):
@@ -60,6 +68,12 @@ class TestGammaK:
         assert not in_gamma_k([-2.0, 1.0, 1.0], 2)  # S_2 = -3
         # S_1 = 3.5, S_2 = 1.0: both positive
         assert in_gamma_k([3.0, 1.0, -0.5], 2)
+        # one tuple is read as Python floats: a 0-d input is a 1-tuple, and
+        # integers are converted the way numpy converts them
+        assert in_gamma_k(np.float64(2.0), 1) is True
+        assert in_gamma_k(-0.0, 1) is False
+        assert in_gamma_k([3, 2, -1], 2) is True  # S_1 = 4, S_2 = 1, S_3 = -6
+        assert in_gamma_k([3, 2, -1], 3) is False
 
     def test_definition_against_esym(self):
         rng = np.random.default_rng(31)

@@ -53,8 +53,9 @@ class TestSpectrumInput:
 
     @pytest.mark.parametrize("name", SPECTRUM_FUNCTIONS)
     @pytest.mark.parametrize("bad, message", [([1.0, np.nan], "must be finite"),
+                                              ([np.inf, 1.0], "must be finite"),
                                               ([], "must be non-empty")],
-                             ids=["nan", "empty"])
+                             ids=["nan", "inf", "empty"])
     def test_rejects_nan_and_empty(self, name, bad, message):
         with pytest.raises(ValueError, match=message):
             SPECTRUM_FUNCTIONS[name](bad)
@@ -260,10 +261,17 @@ class TestStacks:
             got = deleted_symmetric(lam, k, omit=(2, 4))
             want = [deleted_symmetric(row, k, omit=(2, 4)) for row in flat]
             assert same_bits(np.broadcast_to(got, (2, 3)).reshape(-1), want)
-        rep = check_identities(lam, 3)
-        assert rep.max_relative.shape == (2, 3)
-        assert same_bits(rep.max_relative.reshape(-1),
-                         [check_identities(row, 3).max_relative for row in flat])
+        # the deleted tuples of every row run as one (5, 2, 3, 5) stack; a signed
+        # zero checks that tuple i zeroes entry i of its own row only
+        lam[1, 2, 3] = -0.0
+        for k in range(1, 6):
+            rep = check_identities(lam, k)
+            assert rep.max_relative.shape == (2, 3)
+            for field in ("decomposition", "weighted_sum", "deleted_sum", "scale",
+                          "max_relative"):
+                got = getattr(rep, field)
+                want = [getattr(check_identities(row, k), field) for row in flat]
+                assert same_bits(got.reshape(-1), want), (k, field)
 
     def test_one_bad_row_rejects_the_stack(self):
         lam = np.ones((4, 3))
