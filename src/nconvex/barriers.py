@@ -89,7 +89,10 @@ def recipe_params(domain: DomainSpec, state, grid: Grid, problem: SampledProblem
     defining maximum (the alternative branch scales like a power of the
     norm ratio over epsilon and produces strips far below any desk-scale
     grid); A takes the largest of its three lower bounds with the unnamed
-    constants estimated numerically from the solution.
+    constants estimated numerically from the solution.  The residual bound
+    reads Du.nu + u - phi_t over the strip, which needs callable problem
+    data (ValueError otherwise), or the Robin residual on the boundary when
+    the strip holds no active point.
     """
     n = domain.n
     k0_min, k0_max = _kappa0_range(domain)
@@ -110,10 +113,10 @@ def recipe_params(domain: DomainSpec, state, grid: Grid, problem: SampledProblem
     mon = state.monitors
     c1 = 1.0 + mon.sup_u + mon.sup_du
     c2 = (1.0 + mon.sup_u + mon.sup_du) * (1.0 + domain.kappa_max_global) / epsilon
-    try:
+    if np.any(grid.strip_mask(mu)):
         core = _strip_core(state.field, grid, problem, state.t, _strip_data(grid, mu))
         resid_sup = float(np.max(np.abs(core)))
-    except ValueError:
+    else:
         # strip below grid resolution: estimate the core from the boundary
         resid_sup = float(
             np.max(np.abs(robin_residual(state.field, grid, problem, state.t)))

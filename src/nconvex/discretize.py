@@ -27,8 +27,9 @@ barrier strip reads them instead of projecting again.
 
 The stencil is held as data on the Grid: an index ``nbr`` of each stencil
 neighbor into the extended vector [active values; closure values], the
-sparse ``extension`` map from the field [values; trace] to that vector,
-and Hessian and gradient coefficient matrices with one row per offset.
+closure map ``C`` from the field [values; trace] to the closure values,
+stored once in canonical CSR order, and Hessian and gradient coefficient
+matrices with one row per offset.
 Hessians and gradients are one gather and one matrix product, and the
 same coefficients contracted with the det W gradient give the stencil
 matrix of the Newton linearization on the extended vector.  The one-sided
@@ -476,8 +477,9 @@ class Grid:
     - ``nbr`` (q, N): for each stencil offset and active point, the index
       of the neighbor in the extended vector [active values; closure
       values];
-    - ``extension``: the sparse map x -> [values; C x] from a field
-      x = [values; trace] to that extended vector;
+    - ``C`` (G, N + B): the closure values C x of a field x = [values;
+      trace], a canonical CSR whose row g is l1 W1 + l2 W2 at the ghost's
+      collocation point and l0 on its trace, the quadratic along its ray;
     - ``hess_coef`` (q, n*n) and ``grad_coef`` (q, n): the Hessian and
       gradient weight of each offset;
     - ``robin_u`` (B, N): the active-value block (-4 W1 + W2)/(2 delta) of
@@ -558,22 +560,24 @@ class Grid:
         w = _mls_value_rows(self, np.concatenate(
             [self.colloc_y - depth * self.delta * self.colloc_nu for depth in (1, 2)]))
         self.W1, self.W2 = w[:self.n_colloc], w[self.n_colloc:]
-        del w  # the slices are copies; holding w too would raise the peak of the products below
-        # closure: ghost value = quadratic along its ray through the trace
+        del w  # the slices are copies; holding w too would raise the peak of C below
+        # closure: ghost value = quadratic along its ray through the trace,
+        # C = [l1 W1 + l2 W2, l0] at each ghost's collocation point.  Row
+        # gathers keep W's canonical rows, and their sum merges each row in
+        # column order and drops exact zeros (l1 = l2 = 0 on the boundary)
         dl = self.delta
         s = self.ghost_s
         l0 = (s + dl) * (s + 2 * dl) / (2 * dl * dl)
         l1 = -s * (s + 2 * dl) / (dl * dl)
         l2 = s * (s + dl) / (2 * dl * dl)
-        pick = sp.csr_matrix(
-            (np.ones(self.n_ghost), (np.arange(self.n_ghost), self.ghost_colloc)),
-            shape=(self.n_ghost, self.n_colloc),
-        )
-        c_u = sp.diags(l1) @ pick @ self.W1 + sp.diags(l2) @ pick @ self.W2
-        c_b = sp.diags(l0) @ pick
-        self.extension = sp.vstack(
-            [sp.eye(self.n_active, self.n_unknowns, format="csr"),
-             sp.hstack([c_u, c_b], format="csr")], format="csr")
+
+        def gathered(w, scale):  # a temporary, freed once the sum is formed
+            rows = w[self.ghost_colloc]
+            rows.data *= np.repeat(scale, np.diff(rows.indptr))
+            return rows
+        c_b = sp.csr_matrix((l0, self.ghost_colloc, np.arange(self.n_ghost + 1)),
+                            shape=(self.n_ghost, self.n_colloc))
+        self.C = sp.hstack([gathered(self.W1, l1) + gathered(self.W2, l2), c_b], format="csr")
         # one-sided u_nu through the two interior ray values and the trace:
         # the active-value block, shared by u_nu and the Robin rows u_nu + u(y)
         self.robin_u = (-4.0 * self.W1 + self.W2) / (2.0 * dl)
@@ -584,11 +588,6 @@ class Grid:
     @property
     def n_unknowns(self) -> int:
         return self.n_active + self.n_colloc
-
-    @property
-    def C(self) -> sp.csr_matrix:
-        """Closure map: closure values = C @ [values; trace] (rows of ``extension``)."""
-        return self.extension[self.n_active:]
 
     def strip_mask(self, mu: float) -> np.ndarray:
         """Active-point mask for the boundary strip of width mu."""
@@ -622,7 +621,7 @@ class DiscreteField:
 def _stencil_values(field: DiscreteField, grid: Grid, offsets=slice(None)) -> np.ndarray:
     """Field values at the given stencil neighbors of every active point, (q', N)."""
     field.check(grid)
-    return (grid.extension @ field.pack())[grid.nbr[offsets]]
+    return np.concatenate([field.values, grid.C @ field.pack()])[grid.nbr[offsets]]
 
 
 def hessian_batch(field: DiscreteField, grid: Grid) -> np.ndarray:
@@ -640,15 +639,15 @@ def hessian_contraction(coef: np.ndarray, grid: Grid) -> sp.csr_matrix:
     """Stencil matrix K: v -> sum_ij coef[k, i, j] (D2 v)_ij at each active point k.
 
     K is (N, N + G) and acts on the extended vector v = [values; closure
-    values], so ``K @ grid.extension`` is the same map on a field
-    [values; trace].  With coef the gradient of det W at D2u, K is the
-    Newton linearization of the interior equation.
+    values] = [values; C x] of a field x = [values; trace].  With coef the
+    gradient of det W at D2u, K is the Newton linearization of the interior
+    equation.
     """
     weights = coef.reshape(grid.n_active, -1) @ grid.hess_coef.T  # (N, q)
     q = weights.shape[1]
     return sp.csr_matrix(
         (weights.ravel(), grid.nbr.T.ravel(), np.arange(0, weights.size + 1, q)),
-        shape=(grid.n_active, grid.extension.shape[0]),
+        shape=(grid.n_active, grid.n_active + grid.n_ghost),
     )
 
 

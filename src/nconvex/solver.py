@@ -15,15 +15,15 @@ the stack gives both its margin and the monitors' sup|D2u|.  The monitors
 are evaluated once per state that Newton returns.
 
 Each Newton step solves S du = -r, S = K E the stencil matrix times the
-extension with the trace eliminated (constant for the whole continuation),
-by GCROT(m,k) preconditioned with one incomplete LU of the seed system: the
-seed's det W gradient is (n-1)^n I, so that S is the grid's scaled
-Laplacian composed with E.  The ILU factors a pruned copy of that S, and
-one recycled Krylov subspace is carried from each Newton solve of the
-continuation to the next.  A step the Krylov solve cannot finish replaces
-the preconditioner with an ILU of its own system, empties the recycled
-subspace and fails, so it is retried: from u_k if it began at the
-prediction below, else at half the step.
+map E of u to [values; closure values] with the trace eliminated (constant
+for the whole continuation), by GCROT(m,k) preconditioned with one
+incomplete LU of the seed system: the seed's det W gradient is (n-1)^n I,
+so that S is the grid's scaled Laplacian composed with E.  The ILU factors
+a pruned copy of that S, and one recycled Krylov subspace is carried from
+each Newton solve of the continuation to the next.  A step the Krylov solve
+cannot finish replaces the preconditioner with an ILU of its own system,
+empties the recycled subspace and fails, so it is retried: from u_k if it
+began at the prediction below, else at half the step.
 
 Once two states are accepted, the continuation starts each Newton solve
 from the polynomial through the last accepted states, in Newton form: the
@@ -273,11 +273,11 @@ def full_jacobian(u: np.ndarray, t: float, grid: Grid,
 
 
 def condensed_map(grid: Grid) -> sp.csr_matrix:
-    """E = [I; C_u - C_b R_u / d], [C_u, C_b] = C: how the extended vector moves
-    with u when the Robin rows fix the trace, b = (g - R_u u) / d (``field_at``)."""
-    n = grid.n_active
-    ext = grid.extension.tocsc()
-    return (ext[:, :n] - (ext[:, n:] / grid.robin_diag).tocsr() @ grid.robin_u).tocsr()
+    """E = [I; C [I; -R_u / d]], canonical: how the extended vector moves with u
+    when the Robin rows fix the trace, b = (g - R_u u) / d (``field_at``)."""
+    eye = sp.identity(grid.n_active, format="csr")
+    closure = grid.C @ sp.vstack([eye, grid.robin_u / -grid.robin_diag], format="csr")
+    return sp.vstack([eye, closure.sorted_indices()], format="csr")
 
 
 class CondensedSolver:
@@ -476,17 +476,18 @@ def _tangent_start(state: HomotopyState, t_next: float, grid: Grid, problem: Sam
 
     r and rr are the interior and Robin residuals of the state's field at
     t_next.  If both are within ``newton_tol`` the state is the start, else
-    u_k + du after one tangent step S du = -(r - K ext [0; rr / d]), K at its
-    stack: Newton's first step with the trace unknown (u_k's trace derived at
-    t_next would take all of rr).  Raises StepFailure if its margin is <= 0.
+    u_k + du after one tangent step S du = -(r - K [0; C [0; rr / d]]), K at
+    its stack: Newton's first step with the trace unknown (u_k's trace derived
+    at t_next would take all of rr).  Raises StepFailure if its margin is <= 0.
     """
     residual = interior_residual(state.field, grid, problem, t_next, state.det_w)
     robin = robin_residual(state.field, grid, problem, t_next)
     if max(np.max(np.abs(residual)), np.max(np.abs(robin))) <= config.newton_tol:
         return replace(state, t=t_next, residual=residual)
     stencil = assemble_jacobian(state.hessians, grid)
-    trace_move = grid.extension[:, grid.n_active:] @ (robin / grid.robin_diag)
-    du = linear.solve(stencil, stencil @ trace_move - residual, t_next)
+    zeros = np.zeros(grid.n_active)
+    closure_move = grid.C @ np.concatenate([zeros, robin / grid.robin_diag])
+    du = linear.solve(stencil, stencil @ np.concatenate([zeros, closure_move]) - residual, t_next)
     start = evaluate_state(state.field.values + du, t_next, grid, problem)
     if start.ellipticity_margin <= 0.0:
         raise StepFailure(f"tangent start at t={t_next:.6g} has ellipticity margin "

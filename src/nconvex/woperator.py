@@ -191,7 +191,9 @@ def concavity_probe(hess_a, hess_b, m: int) -> float | np.ndarray:
     Returns det(W((A+B)/2))^(1/p) - (det(W(A))^(1/p) + det(W(B))^(1/p)) / 2,
     p the lifted dimension; nonnegative because W is linear in the Hessian
     and det^(1/p) is concave on positive definite matrices.  For m = n-1
-    the exponent is 1/n.
+    the exponent is 1/n.  A lift determinant that is not finite and
+    positive, which only a wrong lift gives, raises ValueError with their
+    count before any root is taken.
     """
     a = _check_hessian(hess_a)
     b = _check_hessian(hess_b)
@@ -200,9 +202,12 @@ def concavity_probe(hess_a, hess_b, m: int) -> float | np.ndarray:
     for name, h in (("first", a), ("second", b)):
         if not np.all(_smallest_m_sum(np.linalg.eigvalsh(h), m) > 0.0):
             raise ValueError(f"{name} Hessian is not strictly {m}-convex")
-    root = 1.0 / math.comb(a.shape[-1], m)
-    mid = _root(_det(0.5 * (a + b), m), root)
-    return mid - 0.5 * (_root(_det(a, m), root) + _root(_det(b, m), root))
+    dets = np.array([_det(0.5 * (a + b), m), _det(a, m), _det(b, m)])
+    bad = int(np.count_nonzero(~(np.isfinite(dets) & (dets > 0.0))))
+    if bad:
+        raise ValueError(f"{bad} lift determinants of {dets.size} are not positive")
+    mid, root_a, root_b = _root(dets, 1.0 / math.comb(a.shape[-1], m))
+    return mid - 0.5 * (root_a + root_b)
 
 
 # ---------------------------------------------------------------------------

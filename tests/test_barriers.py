@@ -17,7 +17,7 @@ from nconvex.barriers import (
     verify_super_barrier,
 )
 from nconvex.cli import named_case
-from nconvex.discretize import Grid, sample_problem
+from nconvex.discretize import Grid, SampledProblem, sample_problem
 from nconvex.geometry import DomainSpec
 from nconvex.solver import SolverConfig, continuation
 
@@ -92,6 +92,27 @@ class TestParams:
                     assert k_min == 1.0 / r
                 else:
                     assert abs(k_min - 1.0 / r) <= np.spacing(1.0 / r)
+
+    def test_array_data_is_refused(self, solved25):
+        # without callable data the strip core cannot be read; that is not
+        # a strip below grid resolution, so no boundary estimate stands in
+        grid, problem, state = solved25
+        arrays = SampledProblem(f_active=problem.f_active, phi_colloc=problem.phi_colloc)
+        with pytest.raises(ValueError, match="callable problem data"):
+            recipe_params(BALL, state, grid, arrays)
+
+    def test_strip_below_grid_resolution_falls_back(self):
+        # at 9^3 every active point is deeper than the recipe's strip
+        # (mu = 0.069 < h / 2), so the residual bound comes from the boundary
+        domain, spec, _ = named_case("ball-constant")
+        grid = Grid(domain, 9)
+        problem = sample_problem(spec, grid)
+        state, _ = continuation(problem, grid, SolverConfig())
+        params = recipe_params(domain, state, grid, problem)
+        assert params.mu == pytest.approx(0.069, abs=5e-4)
+        assert not np.any(grid.strip_mask(params.mu))
+        with pytest.raises(ValueError, match="holds no active grid point"):
+            barrier_section(domain, state, grid, problem, params)
 
     def test_empty_strip_is_config_error(self, solved25):
         grid, problem, state = solved25

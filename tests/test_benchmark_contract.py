@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import nconvex.barriers
 import nconvex.solver
@@ -74,6 +75,9 @@ def test_grid_has_the_sizes_the_grid_hook_reads():
     for name in ("W1", "W2", "C"):
         assert getattr(grid, name).nnz > 0, name
     assert grid.n_unknowns > 0
+    # the closure is stored once, as a CSR on the field [values; trace]
+    assert "C" in vars(grid) and isinstance(grid.C, sp.csr_matrix)
+    assert grid.C.shape == (grid.n_ghost, grid.n_unknowns)
 
 
 def test_frozen_manufactured_copy_samples_the_library_bytes(workloads):

@@ -1,6 +1,7 @@
 """Command-line surface: selftest, solve, check-domain, dumps, digests."""
 
 import json
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -54,6 +55,17 @@ class TestSelftest:
         results = selftest.run_all(seed=0)
         conformance = [r for r in results if "conformance" in r.name][0]
         assert not conformance.passed
+
+    def test_sign_flip_fails_the_concavity_suite_without_a_complex_root(self, monkeypatch):
+        # the flipped lift has non-positive determinants; the probe counts
+        # them before any root is taken, so no complex gap is cut to its real part
+        flip_off_diagonal_signs(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            results = selftest.run_all(seed=0)
+        concavity = [r for r in results if "concavity" in r.name][0]
+        assert not concavity.passed
+        assert "3 lift determinants of 2082 are not positive" in concavity.detail
 
     def test_cli_exit_one_counts_the_failed_suites(self, monkeypatch, capsys):
         flip_off_diagonal_signs(monkeypatch)

@@ -1,5 +1,7 @@
 """Grid construction, stencils, and residuals: exactness and convergence."""
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,6 +26,7 @@ from nconvex.discretize import (
     second_normal_derivative,
 )
 from nconvex.geometry import DomainSpec, project_to_boundary_batch
+from nconvex.solver import condensed_map
 
 BALL = DomainSpec.ball(1.0, n=3)
 ELLIPSOID = DomainSpec.ellipsoid((1.0, 1.0, 1.05))
@@ -147,6 +150,14 @@ def monomials(pts):
 
 def mls_targets(grid, depth):
     return grid.colloc_y - depth * grid.delta * grid.colloc_nu
+
+
+def ray_weights(grid):
+    """l0, l1, l2 of each ghost: the quadratic along its ray through the trace
+    and the values at depths delta and 2 delta."""
+    dl, s = grid.delta, grid.ghost_s
+    return ((s + dl) * (s + 2 * dl) / (2 * dl * dl), -s * (s + 2 * dl) / (dl * dl),
+            s * (s + dl) / (2 * dl * dl))
 
 
 def pinv_value_row(grid, tree, target, cols):
@@ -322,6 +333,34 @@ class TestCollocationWeights:
         for w in (grid.W1, grid.W2):
             assert w.has_canonical_format
             assert np.all(np.diff(w.indptr) >= 12)  # at least q + 2 nodes at n = 3
+        # sorted, duplicate-free rows: a row's sums do not depend on how it was assembled
+        for name, op in (("C", grid.C), ("robin_u", grid.robin_u),
+                         ("condensed_map", condensed_map(grid))):
+            assert op.has_canonical_format, name
+
+    @pytest.mark.parametrize("domain, res", [
+        (BALL, 13), (ELLIPSOID, 17), (ELONGATED, 11), (DomainSpec.ball(1.0, n=4), 9),
+    ], ids=["ball-13", "ellipsoid-17", "elongated-11", "ball4-9"])
+    def test_closure_is_the_sorted_product_and_sum(self, domain, res):
+        # the closure built another way (scaled collocation pick products,
+        # summed, then sorted) is the stored C to the bit, so the stencil
+        # reads the same ghost values through either
+        grid = Grid(domain, res)
+        gc = grid.ghost_colloc
+        l0, l1, l2 = ray_weights(grid)
+        pick = sp.csr_matrix((np.ones(grid.n_ghost), (np.arange(grid.n_ghost), gc)),
+                             shape=(grid.n_ghost, grid.n_colloc))
+        other = sp.hstack([sp.diags(l1) @ pick @ grid.W1 + sp.diags(l2) @ pick @ grid.W2,
+                           sp.diags(l0) @ pick], format="csr")
+        other.sort_indices()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(grid.C, attr), getattr(other, attr)), attr
+        twin = copy.copy(grid)
+        twin.C = other
+        rng = np.random.default_rng(5)
+        field = DiscreteField(values=rng.standard_normal(grid.n_active),
+                              trace=rng.standard_normal(grid.n_colloc))
+        assert hessian_batch(field, twin).tobytes() == hessian_batch(field, grid).tobytes()
 
     def test_joint_rows_match_the_rows_of_one_depth(self):
         # both depths are built in one pass; on this ellipsoid some depth-delta
@@ -334,31 +373,29 @@ class TestCollocationWeights:
             assert np.max(np.abs(w.data - alone.data)) < 1e-14, depth
 
     @pytest.mark.parametrize("domain, res, counts", [
-        (BALL, 17, (1791, 1050, 40_818, 59_916, 63_285, 60_876)),
-        (BALL, 25, (6403, 2378, 94_522, 137_740, 148_177, 141_220)),
-        (BALL, 33, (15_515, 4178, 165_458, 240_256, 265_997, 246_736)),
-        (ELLIPSOID, 41, (28_115, 6122, 248_094, 354_916, 401_833, 367_740)),
+        (BALL, 17, (1791, 1050, 40_818, 59_916, 61_494, 60_876)),
+        (BALL, 25, (6403, 2378, 94_522, 137_740, 141_774, 141_220)),
+        (BALL, 33, (15_515, 4178, 165_458, 240_256, 250_482, 246_736)),
+        (ELLIPSOID, 41, (28_115, 6122, 248_094, 354_916, 373_718, 367_740)),
     ], ids=["ball-17", "ball-25", "ball-33", "ellipsoid-41"])
     def test_closure_operators_match_rows_built_per_depth(self, domain, res, counts):
-        # the active, collocation and entry counts of W1, W2, extension and
-        # robin_u that a build with one MLS pass per depth gives, and the
-        # operators agree with ones formed from rows built one depth at a time
+        # the active, collocation and entry counts of W1, W2, C and robin_u
+        # that a build with one MLS pass per depth gives, and the operators,
+        # canonical as stored, agree with ones formed from rows built one
+        # depth at a time
         grid = Grid(domain, res)
-        ops = (grid.W1, grid.W2, grid.extension, grid.robin_u)
+        ops = (grid.W1, grid.W2, grid.C, grid.robin_u)
         assert (grid.n_active, grid.n_colloc, *(op.nnz for op in ops)) == counts
         w1, w2 = (discretize._mls_value_rows(grid, mls_targets(grid, depth)) for depth in (1, 2))
-        dl, s, gc = grid.delta, grid.ghost_s, grid.ghost_colloc
-        l0 = (s + dl) * (s + 2 * dl) / (2 * dl * dl)
-        l1 = -s * (s + 2 * dl) / (dl * dl)
-        l2 = s * (s + dl) / (2 * dl * dl)
+        gc = grid.ghost_colloc
+        l0, l1, l2 = ray_weights(grid)
         trace = sp.csr_matrix((l0, gc, np.arange(grid.n_ghost + 1)),
                               shape=(grid.n_ghost, grid.n_colloc))
         closure = sp.hstack([sp.diags(l1) @ w1[gc] + sp.diags(l2) @ w2[gc], trace])
-        want = (w1, w2, sp.vstack([sp.eye(grid.n_active, grid.n_unknowns), closure]),
-                (w2 - 4.0 * w1) / (2.0 * dl))
-        for name, got, ref in zip(("W1", "W2", "extension", "robin_u"), ops, want):
-            got, ref = got.tocsr(copy=True), ref.tocsr(copy=True)
-            got.sort_indices()
+        want = (w1, w2, closure, (w2 - 4.0 * w1) / (2.0 * grid.delta))
+        for name, got, ref in zip(("W1", "W2", "C", "robin_u"), ops, want):
+            assert got.has_canonical_format, name
+            ref = ref.tocsr(copy=True)
             ref.sort_indices()
             assert np.array_equal(got.indptr, ref.indptr), name
             assert np.array_equal(got.indices, ref.indices), name

@@ -567,14 +567,18 @@ class TestLinearSolve:
         problem = sample_problem(MANUFACTURED, grid)
         emap = condensed_map(grid)
         n = grid.n_active
-        assert sp.issparse(emap) and emap.shape == (grid.extension.shape[0], n)
-        # the extended vector of field_at(u, t), the trace fixed by the Robin
-        # rows, is affine in u with slope E
-        zero = grid.extension @ field_at(np.zeros(n), 0.4, grid, problem).pack()
+        assert sp.issparse(emap) and emap.shape == (n + grid.n_ghost, n)
+
+        def extended(fld):
+            return np.concatenate([fld.values, grid.C @ fld.pack()])
+
+        # the extended vector [values; closure values] of field_at(u, t), the
+        # trace fixed by the Robin rows, is affine in u with slope E
+        zero = extended(field_at(np.zeros(n), 0.4, grid, problem))
         for u in seed_and_bumped(grid):
             fld = field_at(u, 0.4, grid, problem)
             assert np.max(np.abs(robin_residual(fld, grid, problem, 0.4))) <= 1e-12
-            exact = grid.extension @ fld.pack()
+            exact = extended(fld)
             assert np.max(np.abs(emap @ u + zero - exact)) <= 1e-12 * np.max(np.abs(exact))
             # and the Newton matrix is the Jacobian of the residual in u
             newton_s = stencil_at(u, 0.4, grid, problem) @ emap
