@@ -10,20 +10,23 @@ active points (the discrete ellipticity certificate), which the line
 search enforces alongside plain residual decrease.  Every homotopy state
 (the seed, a path start, a line-search trial) is built by
 ``evaluate_state``: one Hessian stack of its field gives its det W, its
-residual at its own t and the next Jacobian, and one eigendecomposition of
-the stack gives both its margin and the monitors' sup|D2u|.  The monitors
-are evaluated once per state that Newton returns.
+residual at its own t and the next Jacobian, and one batched Cholesky
+of M, shifted a little, decides whether its margin is positive
+(``_admissible``).  Only a state that Newton returns is eigen-decomposed:
+one eigendecomposition of its stack gives both its margin and the
+monitors' sup|D2u|.
 
 Each Newton step solves S du = -r, S = K E the stencil matrix times the
 map E of u to [values; closure values] with the trace eliminated (constant
 for the whole continuation), by GCROT(m,k) preconditioned with one
 incomplete LU of the seed system: the seed's det W gradient is (n-1)^n I,
-so that S is the grid's scaled Laplacian composed with E.  The ILU factors
-a pruned copy of that S, and one recycled Krylov subspace is carried from
+so that S is the grid's scaled Laplacian composed with E.  S is applied as
+v -> K (E v) and never formed, except for an ILU: the ILU factors a pruned
+copy of the seed's S, and one recycled Krylov subspace is carried from
 each Newton solve of the continuation to the next.  A step the Krylov solve
-cannot finish replaces the preconditioner with an ILU of its own system,
-empties the recycled subspace and fails, so it is retried: from u_k if it
-began at the prediction below, else at half the step.
+cannot finish forms its own S, replaces the preconditioner with an ILU of
+it, empties the recycled subspace and fails, so it is retried: from u_k if
+it began at the prediction below, else at half the step.
 
 Once two states are accepted, the continuation starts each Newton solve
 from the polynomial through the last accepted states, in Newton form: the
@@ -116,6 +119,13 @@ ILU_DROP_TOL = 1e-2
 ILU_FILL_FACTOR = 10
 ILU_PERMC = "MMD_AT_PLUS_A"
 
+# The admissibility gate factors M - tau I by Cholesky, tau = GATE_SHIFT
+# tr(H) / n at each point (``_admissible``).  For an admissible H every eigenvalue of M lies in
+# (0, (n-1) tr H], so tau is at least 1e-10 / (n (n-1)) of |M|, some 10^5
+# times the round-off of a Cholesky or of ``batch_eigvalsh``: a factorization
+# that succeeds proves a margin that the eigenvalues read as positive too.
+GATE_SHIFT = 1e-10
+
 # Newton's step budget at one t, the line search's factor on alpha and the
 # alpha it gives up below, and the smallest homotopy step.
 MAX_NEWTON_ITERS = 30
@@ -169,16 +179,23 @@ class BoundMonitors:
 
 @dataclass
 class HomotopyState:
-    """One point of the homotopy path, built by ``evaluate_state``."""
+    """One point of the homotopy path, built by ``evaluate_state``.
+
+    ``admissible`` is whether its ellipticity margin is positive
+    (``_admissible``).  The margin itself, the eigenvalues it is read from
+    and the monitors are None until ``newton_solve`` returns the state, and
+    then all three come from one ``woperator.batch_eigvalsh`` of its stack.
+    """
 
     t: float
     field: DiscreteField
     residual: np.ndarray  # interior residual of the field at t
-    ellipticity_margin: float
-    monitors: BoundMonitors | None  # None until ``newton_solve`` returns the state
+    admissible: bool  # ellipticity_margin(hessians) > 0
+    ellipticity_margin: float | None
+    monitors: BoundMonitors | None
     det_w: np.ndarray  # det W(D2u) at every active point of the field
     hessians: np.ndarray  # D2u at every active point of the field (``hessian_batch``)
-    eigenvalues: np.ndarray  # woperator.batch_eigvalsh(hessians): the margin and sup|D2u| read it
+    eigenvalues: np.ndarray | None  # woperator.batch_eigvalsh(hessians)
 
     @property
     def residual_norm(self) -> float:
@@ -256,6 +273,35 @@ def ellipticity_margin(hessians: np.ndarray, eigenvalues: np.ndarray | None = No
     return float(np.min(woperator.batch_min_lift_eig(hessians, eigenvalues)))
 
 
+def _admissible(hessians: np.ndarray) -> bool:
+    """Whether ``ellipticity_margin(hessians) > 0``, mostly without eigenvalues.
+
+    The Cholesky factorization of M - tau I (``GATE_SHIFT``), run entry by
+    entry over the whole stack at once, says yes when every pivot is
+    positive.  It refuses where tr H <= 0, as M - tau I then has no positive
+    trace.  When it refuses, either some margin is not positive or every one
+    is but some is within tau; the guarded eigenvalue margin then decides.
+    """
+    n = hessians.shape[-1]
+    # entries first: h[i, j] holds entry (i, j) of every Hessian, contiguous
+    h = np.ascontiguousarray(np.moveaxis(hessians, (-2, -1), (0, 1)))
+    shift = np.trace(h) * (1.0 - GATE_SHIFT / n)
+    low = {}  # (i, j) -> that entry of the factor of M - tau I, M = tr(H) I - H
+    for j in range(n):
+        pivot = shift - h[j, j]
+        for k in range(j):
+            pivot -= low[j, k] ** 2
+        if not np.all(pivot > 0.0):
+            return ellipticity_margin(hessians) > 0.0
+        root = np.sqrt(pivot)
+        for i in range(j + 1, n):
+            entry = -h[i, j]
+            for k in range(j):
+                entry -= low[i, k] * low[j, k]
+            low[i, j] = entry / root
+    return True
+
+
 def assemble_jacobian(hessians: np.ndarray, grid: Grid) -> sp.csr_matrix:
     """Stencil matrix K of the interior linearization at a Hessian stack.
 
@@ -288,12 +334,13 @@ class CondensedSolver:
     ``homotopy_constant(n)``), so its S, ``hessian_contraction(c0 I) @ E``,
     is known from the grid; the first step builds E and an incomplete LU of
     that S, pruned (``_incomplete_lu``), which preconditions GCROT(m,k) on
-    the full S of every step.  The solver owns the recycled subspace
-    ``recycled`` (scipy's ``CU`` list) that each solve leaves to the next.
-    A step the Krylov solve does not finish empties it, replaces the ILU
-    with one of its own S and raises StepFailure, so the caller retries with
-    a smaller step.  Preconditioner applications per solve and rebuilds go
-    on ``report``, a fresh one when none is given.
+    the S of every step, applied as v -> K (E v) without forming it.  The
+    solver owns the recycled subspace ``recycled`` (scipy's ``CU`` list)
+    that each solve leaves to the next.  A step the Krylov solve does not
+    finish empties it, forms its own S, replaces the ILU with one of that S
+    and raises StepFailure, so the caller retries with a smaller step.
+    Preconditioner applications per solve and rebuilds go on ``report``, a
+    fresh one when none is given.
     """
 
     def __init__(self, grid: Grid, report: PathReport | None = None):
@@ -310,8 +357,12 @@ class CondensedSolver:
             self._map = condensed_map(grid)
             seed_grad = np.broadcast_to(homotopy_constant(grid.n) * np.eye(grid.n),
                                         (grid.n_active, grid.n, grid.n))
-            self._ilu = _incomplete_lu(hessian_contraction(seed_grad, grid) @ self._map)
-        schur = stencil @ self._map
+            seed_stencil = hessian_contraction(seed_grad, grid)
+            seed_stencil.eliminate_zeros()  # the mixed-derivative weights, times 0
+            self._ilu = _incomplete_lu(seed_stencil @ self._map)
+        emap = self._map
+        shape = (grid.n_active, grid.n_active)
+        schur = LinearOperator(shape, matvec=lambda v: stencil @ (emap @ v), dtype=float)
         applications = 0
 
         def precondition(v):
@@ -320,7 +371,7 @@ class CondensedSolver:
             return self._ilu.solve(v)
 
         du, info = gcrotmk(schur, rhs, rtol=KRYLOV_RTOL, atol=0.0, maxiter=KRYLOV_MAX_OUTER,
-                           M=LinearOperator(schur.shape, matvec=precondition, dtype=schur.dtype),
+                           M=LinearOperator(shape, matvec=precondition, dtype=float),
                            m=KRYLOV_INNER, k=KRYLOV_RECYCLED, CU=self.recycled,
                            discard_C=True)
         self.report.krylov_iters.append(applications)
@@ -330,7 +381,7 @@ class CondensedSolver:
             stall = (f"Krylov solve stalled at t={t:.6g} after {applications} "
                      "preconditioner applications")
             try:
-                self._ilu = _incomplete_lu(schur)
+                self._ilu = _incomplete_lu(stencil @ emap)
             except StepFailure as exc:
                 raise StepFailure(f"{stall}; rebuilding the preconditioner: {exc}")
             self.report.ilu_rebuilds += 1
@@ -340,13 +391,16 @@ class CondensedSolver:
 
 def _incomplete_lu(schur: sp.csr_matrix):
     """ILU of S without the entries below ``ILU_PRUNE`` of their row's largest
-    magnitude; every diagonal entry is kept."""
-    coo = sp.coo_matrix(schur)
-    row_max = abs(schur).max(axis=1).toarray().ravel()
-    keep = (np.abs(coo.data) >= ILU_PRUNE * row_max[coo.row]) | (coo.row == coo.col)
-    pruned = sp.csc_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape)
+    magnitude; every diagonal entry is kept.  ``schur`` is CSR."""
+    rows = np.repeat(np.arange(schur.shape[0]), np.diff(schur.indptr))
+    magnitude = np.abs(schur.data)
+    # no row of S is empty, so each reduceat segment is a whole row
+    row_max = np.maximum.reduceat(magnitude, schur.indptr[:-1])
+    keep = (magnitude >= ILU_PRUNE * row_max[rows]) | (schur.indices == rows)
+    indptr = np.concatenate(([0], np.cumsum(keep)))[schur.indptr]
+    pruned = sp.csr_matrix((schur.data[keep], schur.indices[keep], indptr), shape=schur.shape)
     try:
-        return spilu(pruned, drop_tol=ILU_DROP_TOL,
+        return spilu(pruned.tocsc(), drop_tol=ILU_DROP_TOL,
                      fill_factor=ILU_FILL_FACTOR, permc_spec=ILU_PERMC)
     except RuntimeError as exc:
         raise StepFailure(f"incomplete LU failed: {exc}")
@@ -370,18 +424,17 @@ def bound_monitors(fld: DiscreteField, eigenvalues: np.ndarray, grid: Grid) -> B
 
 def evaluate_state(u: np.ndarray, t: float, grid: Grid,
                    problem: SampledProblem) -> HomotopyState:
-    """The homotopy state of the active values u at t, with no monitors yet.
+    """The homotopy state of the active values u at t, with no margin,
+    eigenvalues or monitors yet.
 
     One Hessian stack of its field ``field_at(u, t)`` gives its det W, read
-    by the residual, and one guarded eigendecomposition
-    (``woperator.batch_eigvalsh``) its margin and the monitors' sup|D2u|."""
+    by the residual, and whether it is admissible (``_admissible``)."""
     fld = field_at(u, t, grid, problem)
     d2 = hessian_batch(fld, grid)
     det = woperator.batch_det_w(d2)
-    eig = woperator.batch_eigvalsh(d2)
     return HomotopyState(t=t, field=fld, residual=interior_residual(fld, grid, problem, t, det),
-                         ellipticity_margin=ellipticity_margin(d2, eig), monitors=None,
-                         det_w=det, hessians=d2, eigenvalues=eig)
+                         admissible=_admissible(d2), ellipticity_margin=None, monitors=None,
+                         det_w=det, hessians=d2, eigenvalues=None)
 
 
 def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
@@ -392,19 +445,19 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     Each step solves S du = -``state.residual``, S the Jacobian at the
     state's Hessian stack, with ``linear`` (a fresh CondensedSolver when none
     is passed), and backtracks until the trial state (``evaluate_state`` of
-    u + alpha du) both decreases the sup-norm residual and keeps the
-    ellipticity margin positive at every active point; that trial becomes
-    the state.  Raises StepFailure when ``MAX_NEWTON_ITERS``, the line-search
-    floor, or the linear solve gives out.
+    u + alpha du) both decreases the sup-norm residual and is admissible,
+    its ellipticity margin positive at every active point; that trial
+    becomes the state.  Raises StepFailure when ``MAX_NEWTON_ITERS``, the
+    line-search floor, or the linear solve gives out.
 
     The start state is trusted to describe its field at its t.  The result
-    is the last accepted state, whose monitors are evaluated once, from its
-    eigenvalues, if it carries none.
+    is the last accepted state.  If it carries no monitors, one guarded
+    eigendecomposition of its stack gives its eigenvalues, its margin and
+    its monitors.
     """
-    if state.ellipticity_margin <= 0.0:
-        raise ValueError(
-            f"inadmissible start: ellipticity margin {state.ellipticity_margin:.3g} <= 0"
-        )
+    if not state.admissible:
+        raise ValueError("inadmissible start: ellipticity margin "
+                         f"{ellipticity_margin(state.hessians):.3g} <= 0")
     if linear is None:
         linear = CondensedSolver(grid)
     t, rnorm = state.t, state.residual_norm
@@ -416,7 +469,7 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
         while True:
             trial = evaluate_state(state.field.values + alpha * du, t, grid, problem)
             trial_norm = trial.residual_norm
-            if trial_norm < rnorm and trial.ellipticity_margin > 0.0:
+            if trial_norm < rnorm and trial.admissible:
                 state, rnorm = trial, trial_norm
                 break
             alpha *= LINE_SEARCH_DAMPING
@@ -430,7 +483,9 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
             f"(residual {rnorm:.3g} after {MAX_NEWTON_ITERS} iterations)"
         )
     if state.monitors is None:
-        state = replace(state, monitors=bound_monitors(state.field, state.eigenvalues, grid))
+        eig = woperator.batch_eigvalsh(state.hessians)
+        state = replace(state, ellipticity_margin=ellipticity_margin(state.hessians, eig),
+                        monitors=bound_monitors(state.field, eig, grid), eigenvalues=eig)
     return state
 
 
@@ -478,7 +533,7 @@ def _tangent_start(state: HomotopyState, t_next: float, grid: Grid, problem: Sam
     t_next.  If both are within ``newton_tol`` the state is the start, else
     u_k + du after one tangent step S du = -(r - K [0; C [0; rr / d]]), K at
     its stack: Newton's first step with the trace unknown (u_k's trace derived
-    at t_next would take all of rr).  Raises StepFailure if its margin is <= 0.
+    at t_next would take all of rr).  Raises StepFailure if it is not admissible.
     """
     residual = interior_residual(state.field, grid, problem, t_next, state.det_w)
     robin = robin_residual(state.field, grid, problem, t_next)
@@ -489,9 +544,9 @@ def _tangent_start(state: HomotopyState, t_next: float, grid: Grid, problem: Sam
     closure_move = grid.C @ np.concatenate([zeros, robin / grid.robin_diag])
     du = linear.solve(stencil, stencil @ np.concatenate([zeros, closure_move]) - residual, t_next)
     start = evaluate_state(state.field.values + du, t_next, grid, problem)
-    if start.ellipticity_margin <= 0.0:
+    if not start.admissible:
         raise StepFailure(f"tangent start at t={t_next:.6g} has ellipticity margin "
-                          f"{start.ellipticity_margin:.3g} <= 0")
+                          f"{ellipticity_margin(start.hessians):.3g} <= 0")
     return start
 
 
@@ -501,14 +556,14 @@ def _advance(state: HomotopyState, earlier: tuple, t_next: float, grid: Grid,
     """Newton at t_next from the predicted start, or else from ``_tangent_start``.
 
     ``earlier`` is as in ``_predicted_start``.  A prediction is used only
-    when its margin is positive, and its residual norm is then recorded on
+    when it is admissible, and its residual norm is then recorded on
     the report.  If it is refused, or Newton fails from it, the solve is
     retried once; a StepFailure of the retry propagates.
     """
     report = linear.report
     predicted = _predicted_start(state, earlier, t_next, grid, problem)
     if predicted is not None:
-        if predicted.ellipticity_margin > 0.0:
+        if predicted.admissible:
             report.predicted_start_residuals.append(predicted.residual_norm)
             try:
                 out = newton_solve(predicted, grid, problem, config, linear)
@@ -531,7 +586,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     ``quadratic_seed``), and its monitors come from the Newton solve at
     t = 0.  Once two states are accepted, each Newton solve starts from the
     prediction through the last two or three of them (``_predicted_start``)
-    when its margin is positive, and otherwise, or when Newton fails from
+    when it is admissible, and otherwise, or when Newton fails from
     it, from the last accepted state (``_tangent_start``).  Only the t and
     active values of the two states before it are kept for the prediction,
     and no earlier Hessian stack.  One CondensedSolver serves every Newton
@@ -558,7 +613,7 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     report = PathReport()
     linear = CondensedSolver(grid, report)
     state = evaluate_state(quadratic_seed(grid).values, 0.0, grid, problem)
-    if state.ellipticity_margin <= 0.0:
+    if not state.admissible:
         raise ValueError("quadratic seed is not admissible on this grid")
     try:
         state = newton_solve(state, grid, problem, config, linear)

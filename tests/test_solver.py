@@ -129,7 +129,7 @@ class TestNewton:
         )
         fld = DiscreteField(values=seed.values + bump.values, trace=seed.trace + bump.trace)
         state = make_state(0.0, fld, grid9, sp9)
-        assert state.ellipticity_margin > 0.0
+        assert state.admissible and margin_of(fld, grid9) > 0.0
         # track residual norms through full (undamped-accepted) steps
         norms = [state.residual_norm]
         u = fld.values
@@ -438,12 +438,40 @@ def count_factorizations(monkeypatch):
     return count_calls(monkeypatch, "spilu"), count_calls(monkeypatch, "splu")
 
 
+def record_stencils(monkeypatch):
+    """The stencil matrix K of every ``CondensedSolver.solve`` call, in order."""
+    stencils = []
+    solve = CondensedSolver.solve
+
+    def recording_solve(self, stencil, rhs, t):
+        stencils.append(stencil)
+        return solve(self, stencil, rhs, t)
+
+    monkeypatch.setattr(CondensedSolver, "solve", recording_solve)
+    return stencils
+
+
+def record_sparse_products(monkeypatch):
+    """(left, right, product) of every sparse x sparse product of a CSR matrix."""
+    products = []
+    matmul = sp.csr_matrix.__matmul__
+
+    def recording(self, other):
+        out = matmul(self, other)
+        if sp.issparse(other):
+            products.append((self, other, out))
+        return out
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", recording)
+    return products
+
+
 def stall_gmres(monkeypatch, stalls, how="not-converged"):
     """Make the Krylov solve stall on the calls (counted from 1) that ``stalls`` picks.
 
     A stall is reported as ``gcrotmk`` reports one: no convergence (info 1)
     or a non-finite result, which also leaves a non-finite vector in the
-    recycled list.  Returns every matrix handed to the Krylov solve, in order.
+    recycled list.  Returns every operator handed to the Krylov solve, in order.
     """
     matrices = []
     original = nconvex.solver.gcrotmk
@@ -555,9 +583,12 @@ class TestLinearSolve:
         dropped = sp.coo_matrix(full - exact)
         assert np.all(np.abs(dropped.data) <= 1e-12 * row_max[dropped.row])
         assert kept.nnz < full.nnz
-        # the Krylov solver gets the computed S itself, round-off entries and all
-        assert solved[0].nnz == full.nnz
-        assert abs(solved[0] - full).max() == 0.0
+        # the Krylov solver applies the computed S itself, round-off entries
+        # and all, as K (E v), without forming it
+        assert not sp.issparse(solved[0])
+        emap = condensed_map(grid9)
+        for v in np.random.default_rng(0).standard_normal((3, grid9.n_active)):
+            assert np.array_equal(solved[0] @ v, stencil @ (emap @ v))
         # and the Jacobian of the residual in the active values at the seed
         assert abs(full - full_jacobian(seed, 0.0, grid9, manufactured9)).max() == 0.0
 
@@ -605,6 +636,7 @@ class TestLinearSolve:
         for stall_call, predicted in ((1, False), (6, True)):
             with monkeypatch.context() as patch:
                 seeds, lus = count_factorizations(patch)
+                stencils = record_stencils(patch)
                 solved = stall_gmres(patch, lambda call: call == stall_call, stalled)
                 state_st, report_st = continuation(manufactured9, grid9, SolverConfig())
             assert state_st.t == 1.0
@@ -613,7 +645,10 @@ class TestLinearSolve:
             # the seed ILU, then one of the stalled step's own S; no direct LU
             assert len(seeds) == 2 and lus == []
             assert abs(seeds[0] - pruned(seed_operator(grid9))).max() == 0.0
-            assert abs(seeds[1] - pruned(solved[stall_call - 1])).max() == 0.0
+            stencil, emap = stencils[stall_call - 1], condensed_map(grid9)
+            assert abs(seeds[1] - pruned(stencil @ emap)).max() == 0.0
+            v = np.linspace(-1.0, 1.0, grid9.n_active)
+            assert np.array_equal(solved[stall_call - 1] @ v, stencil @ (emap @ v))
             if predicted:
                 # retried from the last accepted state at the same t: the same rows
                 assert report_st.predictor_fallbacks == 1
@@ -624,6 +659,32 @@ class TestLinearSolve:
                 assert len(report_st.rows) == len(report.rows) + 1
             err_st = np.max(np.abs(state_st.field.values - ref))
             assert err_st == pytest.approx(err, rel=1e-10)
+
+    @pytest.mark.parametrize("stall", [False, True])
+    def test_newton_steps_form_no_sparse_product(self, grid9, manufactured9, monkeypatch,
+                                                 stall):
+        # S = K E is formed for the seed ILU, and for a stalled step's ILU;
+        # every Krylov solve applies it as K (E v)
+        products = record_sparse_products(monkeypatch)
+        condensed_map(grid9)
+        per_map = len(products)
+        products.clear()
+        stencils = record_stencils(monkeypatch)
+        if stall:
+            stall_gmres(monkeypatch, lambda call: call == 1)
+        _, report = continuation(manufactured9, grid9, SolverConfig())
+        assert len(report.krylov_iters) > 5 and report.ilu_rebuilds == stall
+        assert len(products) == per_map + 1 + stall
+        n = grid9.n_active
+        formed = [(left, right) for left, right, out in products if out.shape == (n, n)]
+        assert len(formed) == 1 + stall
+        # the seed S, its K stored without the exact zeros of the mixed weights
+        seed_k = seed_stencil(grid9)
+        assert formed[0][0].nnz == np.count_nonzero(seed_k.data) < seed_k.nnz
+        assert abs(formed[0][0] - seed_k).max() == 0.0
+        if stall:
+            assert formed[1][0] is stencils[0]
+        assert all(abs(right - condensed_map(grid9)).max() == 0.0 for _, right in formed)
 
     def test_gmres_always_stalling_fails_with_the_start_state(self, grid9, manufactured9,
                                                               monkeypatch):
@@ -654,6 +715,7 @@ class TestLinearSolve:
 
         monkeypatch.setattr(nconvex.solver, "spilu", spilu)
         lus = count_calls(monkeypatch, "splu")
+        stencils = record_stencils(monkeypatch)
         solved = stall_gmres(monkeypatch, lambda call: True)
         with pytest.raises(ContinuationFailure) as info:
             continuation(manufactured9, grid9, SolverConfig())
@@ -665,8 +727,9 @@ class TestLinearSolve:
         assert [row["t"] for row in failure.report.rows] == [0.0]
         # eight stalled steps, each rebuild attempted on its own S and failed
         assert failure.report.ilu_rebuilds == 0
-        assert len(built) == 1 + len(solved) == 1 + 8
-        assert all(abs(b - pruned(s)).max() == 0.0 for b, s in zip(built[1:], solved))
+        assert len(built) == 1 + len(solved) == 1 + len(stencils) == 1 + 8
+        emap = condensed_map(grid9)
+        assert all(abs(b - pruned(k @ emap)).max() == 0.0 for b, k in zip(built[1:], stencils))
         assert lus == []
 
     def test_restart_finishes_a_step_the_first_cycle_leaves(self, monkeypatch):
@@ -898,10 +961,39 @@ class TestStateEvaluation:
         stack[0] = odd
         monkeypatch.setattr(nconvex.solver, "hessian_batch", lambda fld, grid: stack)
         state = evaluate_state(seed.values, 0.0, grid9, sp9)
-        assert np.allclose(state.eigenvalues[0], exact, rtol=0.0, atol=1e-14)
-        assert state.ellipticity_margin == pytest.approx(1.0 - exact[2], abs=1e-14)
-        monitors = bound_monitors(state.field, state.eigenvalues, grid9)
+        eigenvalues = woperator.batch_eigvalsh(state.hessians)
+        assert np.allclose(eigenvalues[0], exact, rtol=0.0, atol=1e-14)
+        assert ellipticity_margin(state.hessians) == pytest.approx(1.0 - exact[2], abs=1e-14)
+        # the gate refuses the stack, and Newton names the guarded margin
+        assert not state.admissible
+        with pytest.raises(ValueError, match=f"margin {1.0 - exact[2]:.3g} <= 0"):
+            newton_solve(state, grid9, sp9, SolverConfig())
+        monitors = bound_monitors(state.field, eigenvalues, grid9)
         assert monitors.sup_d2u == pytest.approx(exact[2], abs=1e-14)
+
+    @pytest.mark.parametrize("case", ["manufactured", "exact"])
+    def test_one_eigendecomposition_per_report_row(self, grid9, sp9, manufactured9,
+                                                  monkeypatch, case):
+        decomposed = []
+        batch_eigvalsh = woperator.batch_eigvalsh
+
+        def recording(hessians):
+            decomposed.append(hessians)
+            return batch_eigvalsh(hessians)
+
+        monkeypatch.setattr(woperator, "batch_eigvalsh", recording)
+        solves = record_calls(monkeypatch, "newton_solve")
+        problem = manufactured9 if case == "manufactured" else sp9
+        _, report = continuation(problem, grid9, SolverConfig())
+        accepted = [out for _, out in solves if out is not None]
+        if case == "manufactured":
+            assert len(decomposed) == len(report.rows) == len(accepted)
+            assert all(d2 is out.hessians for d2, out in zip(decomposed, accepted))
+        else:
+            # the seed's state is the start, and the result, of every step
+            assert len(decomposed) == 1 and len(report.rows) == 4
+            assert all(out.eigenvalues is accepted[0].eigenvalues for out in accepted)
+        assert all(out.ellipticity_margin > 0.0 for out in accepted)
 
     def test_exact_path_evaluates_det_w_once(self, grid9, sp9, monkeypatch):
         dets = record_det_w(monkeypatch)
@@ -937,6 +1029,7 @@ class TestStateEvaluation:
     def test_each_iterate_forms_one_hessian_stack(self, grid9, manufactured9, monkeypatch):
         states = record_calls(monkeypatch, "evaluate_state")
         residuals = record_calls(monkeypatch, "interior_residual")
+        gates = count_calls(monkeypatch, "_admissible")
         margin_calls = record_calls(monkeypatch, "ellipticity_margin")
         steps = count_calls(monkeypatch, "assemble_jacobian")
         monitors = record_calls(monkeypatch, "bound_monitors")
@@ -949,10 +1042,10 @@ class TestStateEvaluation:
         # start or a trial), and no other
         assert len(formed) == len(built)
         assert all(sum(state.hessians is d2 for d2 in formed) == 1 for state in built)
-        # the margin and each Jacobian read a stack formed once, and the
-        # monitors read the eigenvalues a margin was read from
+        # the gate, the margin and each Jacobian read a stack formed once, and
+        # the monitors read the eigenvalues a margin was read from
         margins = [args[0] for args, _ in margin_calls]
-        for used in margins + steps:
+        for used in gates + margins + steps:
             assert any(used is d2 for d2 in formed)
         for args, _ in monitors:
             assert any(args[1] is m_args[1] for m_args, _ in margin_calls)
@@ -963,11 +1056,11 @@ class TestStateEvaluation:
         assert len(predictions) > 0
         for start in predictions:
             assert sum(start.hessians is d2 for d2 in formed) == 1
-            if start.ellipticity_margin > 0.0:  # on this path each such start takes a step
+            if start.admissible:  # on this path each such start takes a step
                 assert sum(start.hessians is k for k in steps) >= 1
-        # each Jacobian reuses the stack of a state whose margin passed
+        # each Jacobian reuses the stack of a state the gate passed
         assert len(steps) > 1
-        assert all(any(k is state.hessians and state.ellipticity_margin > 0.0
+        assert all(any(k is state.hessians and state.admissible
                        for state in built) for k in steps)
 
     def test_each_formed_stack_is_decomposed_at_most_once(self, grid9, manufactured9,
@@ -1006,14 +1099,16 @@ class TestStateEvaluation:
         assert len(decomposed) == len(guarded)
         assert all(any(a is d2 for d2 in formed) for a in guarded)
         assert all(sum(a is d2 for a in guarded) <= 1 for d2 in formed)
-        assert len(report.rows) < len(guarded) <= len(formed)
-        # the monitors read the line search's eigenvalues and decompose nothing
+        # only the states Newton returns are decomposed, one per report row
+        assert len(guarded) == len(report.rows) < len(formed)
+        # the monitors read the returned state's eigenvalues and decompose nothing
         assert len(in_monitors) == len(report.rows) and not any(in_monitors)
 
     def test_manufactured_path_evaluates_each_state_once(self, grid9, manufactured9,
                                                          monkeypatch):
         solves = record_calls(monkeypatch, "newton_solve")
         states = record_calls(monkeypatch, "evaluate_state")
+        gates = count_calls(monkeypatch, "_admissible")
         margins = count_calls(monkeypatch, "ellipticity_margin")
         monitors = count_calls(monkeypatch, "bound_monitors")
         steps = count_calls(monkeypatch, "assemble_jacobian")
@@ -1032,16 +1127,17 @@ class TestStateEvaluation:
         assert all(any(start is state for state in built) for start in predictions + starts)
         trials = len(built) - 1 - len(predictions) - len(starts)
         assert trials >= len(steps) - len(starts) > 0
-        # the margin: once per evaluated state
-        assert len({d2.tobytes() for d2 in margins}) == len(margins) == len(built)
-        assert all(sum(p.hessians is d2 for d2 in margins) == 1 for p in predictions)
-        # the monitors: once per accepted state whose start carried none (the
-        # seed, a prediction or a tangent start) or that Newton moved to;
-        # never at a path start itself
+        # the gate: once per evaluated state
+        assert len({d2.tobytes() for d2 in gates}) == len(gates) == len(built)
+        assert all(sum(p.hessians is d2 for d2 in gates) == 1 for p in predictions)
+        # the margin and the monitors: once per accepted state whose start
+        # carried none (the seed, a prediction or a tangent start) or that
+        # Newton moved to; never at a path start itself
         fresh = [out for args, out in solves if out is not None
                  and (args[0].monitors is None or out.field is not args[0].field)]
-        assert len(monitors) == len(fresh)
+        assert len(monitors) == len(margins) == len(fresh)
         assert all(any(fld is out.field for out in fresh) for fld in monitors)
+        assert all(any(d2 is out.hessians for out in fresh) for d2 in margins)
 
 
 def is_prediction(state, predictions):
@@ -1081,12 +1177,13 @@ class TestSecantPredictor:
         out = nconvex.solver._predicted_start(s0, earlier, 0.45, grid9, manufactured9)
         assert out.t == 0.45 and out.monitors is None
         assert np.max(np.abs(out.field.values - x(0.45))) <= 1e-14 * np.max(np.abs(x(0.45)))
-        # the prediction's trace, stack, eigenvalues, margin and det W describe its field
+        # the prediction's trace, stack, verdict and det W describe its field;
+        # its eigenvalues and margin are left to the state Newton returns
         assert np.array_equal(out.field.trace,
                               field_at(out.field.values, 0.45, grid9, manufactured9).trace)
         assert np.array_equal(out.hessians, hessian_batch(out.field, grid9))
-        assert np.array_equal(out.eigenvalues, woperator.batch_eigvalsh(out.hessians))
-        assert out.ellipticity_margin == margin_of(out.field, grid9)
+        assert out.eigenvalues is None and out.ellipticity_margin is None
+        assert out.admissible == (margin_of(out.field, grid9) > 0.0)
         assert np.array_equal(out.det_w, woperator.batch_det_w(out.hessians))
         # and its residual is the one at t = 0.45
         assert np.array_equal(out.residual,
@@ -1142,7 +1239,7 @@ class TestSecantPredictor:
         def predicted_start(*args):
             out = original(*args)
             if out is not None:
-                out = replace(out, ellipticity_margin=-1.0)
+                out = replace(out, admissible=False)
                 refused.append(out)
             return out
 
@@ -1257,18 +1354,11 @@ class TestTangentStart:
 
         def predicted_start(*args):
             out = original(*args)
-            return None if out is None else replace(out, ellipticity_margin=-1.0)
+            return None if out is None else replace(out, admissible=False)
 
         monkeypatch.setattr(nconvex.solver, "_predicted_start", predicted_start)
         jacobians = record_calls(monkeypatch, "assemble_jacobian")
-        solved = []
-        solve = CondensedSolver.solve
-
-        def recording_solve(self, stencil, rhs, t):
-            solved.append(stencil)
-            return solve(self, stencil, rhs, t)
-
-        monkeypatch.setattr(CondensedSolver, "solve", recording_solve)
+        solved = record_stencils(monkeypatch)
         tangent_start = nconvex.solver._tangent_start
         restarts = []  # (state, its Jacobians, its linear solves) of each restart
 
@@ -1322,7 +1412,7 @@ class TestTangentStart:
                                               FixedStep())
         assert np.array_equal(start.field.values, seed.field.values + bump)
         own = interior_residual(seed.field, grid9, manufactured9, 0.5, seed.det_w)
-        assert start.ellipticity_margin > 0.0
+        assert start.admissible and margin_of(start.field, grid9) > 0.0
         assert start.residual_norm > 10.0 * np.max(np.abs(own))
 
     def test_reused_states_keep_the_robin_rows_within_tolerance(self, grid9, sp9,
@@ -1346,18 +1436,18 @@ class TestTangentStart:
 
 
 def guarded_margin(monkeypatch, reject_every_trial=False):
-    """Patch the line search's margin to read -1 on the first trial of each Newton step."""
-    true_margin = nconvex.solver.ellipticity_margin
+    """Patch the admissibility gate to refuse the first trial of each Newton step."""
+    true_gate = nconvex.solver._admissible
     steps = count_calls(monkeypatch, "assemble_jacobian")
     rejected = set()
 
-    def guard(hessians, eigenvalues=None):
+    def guard(hessians):
         if reject_every_trial or len(steps) not in rejected:
             rejected.add(len(steps))
-            return -1.0
-        return true_margin(hessians, eigenvalues)
+            return False
+        return true_gate(hessians)
 
-    monkeypatch.setattr(nconvex.solver, "ellipticity_margin", guard)
+    monkeypatch.setattr(nconvex.solver, "_admissible", guard)
     return steps, rejected
 
 
@@ -1383,7 +1473,8 @@ class TestMarginGuard:
         # the start is evaluated already, so every state built is a trial:
         # every step backtracked at least once
         assert len(trials) >= 2 * len(steps)
-        # the returned margin is the field's true one, not the guard's -1
+        # the returned margin is the field's true one, read once Newton returns
+        assert out.admissible
         assert out.ellipticity_margin == margin_of(out.field, grid9) > 0.0
 
     def test_guard_rejecting_every_trial_fails_the_step(self, grid9, sp9, monkeypatch):
@@ -1391,3 +1482,69 @@ class TestMarginGuard:
         guarded_margin(monkeypatch, reject_every_trial=True)
         with pytest.raises(StepFailure, match="line search floor"):
             newton_solve(start, grid9, sp9, SolverConfig())
+
+
+def lifted_stack(lifted, count=5, seed=7):
+    """``count`` Hessians whose lifted eigenvalues tr H - lambda_i are
+    ``lifted``, each in a random basis."""
+    rng = np.random.default_rng(seed)
+    n = len(lifted)
+    hessian_eigs = np.sum(lifted) / (n - 1) - np.asarray(lifted)
+    bases = [np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(count)]
+    stack = np.array([q @ np.diag(hessian_eigs) @ q.T for q in bases])
+    return 0.5 * (stack + np.swapaxes(stack, -1, -2))
+
+
+class TestAdmissibilityGate:
+    """The gate's verdict is ``ellipticity_margin(h) > 0`` on every stack."""
+
+    def verdict(self, monkeypatch, hessians):
+        """(gate verdict, whether it fell back to the eigenvalue margin)."""
+        with monkeypatch.context() as patch:
+            margins = count_calls(patch, "ellipticity_margin")
+            return nconvex.solver._admissible(hessians), len(margins) > 0
+
+    def test_clear_stack_needs_no_eigenvalues(self, grid9, monkeypatch):
+        stack = hessian_batch(quadratic_seed(grid9), grid9)
+        assert self.verdict(monkeypatch, stack) == (True, False)
+        assert self.verdict(monkeypatch, -stack) == (False, True)
+        assert self.verdict(monkeypatch, lifted_stack([1.5, 3.0, 6.0])) == (True, False)
+
+    @pytest.mark.parametrize("smallest, sign", [(1e-13, 1), (0.0, 0), (-1e-13, -1)])
+    def test_verdict_equals_the_margin_at_the_edge(self, grid9, monkeypatch, smallest, sign):
+        # the margin is far below the Cholesky shift, so the eigenvalues decide
+        seed = hessian_batch(quadratic_seed(grid9), grid9)
+        for scale in (3.0, 3e-3):
+            edge = lifted_stack(scale * np.array([smallest, 1.0, 2.0]))
+            stack = np.concatenate([seed, edge])
+            margin = ellipticity_margin(stack)
+            if sign:
+                assert np.sign(margin) == sign
+            assert abs(margin) <= 1e-12 * np.max(np.abs(edge))
+            assert self.verdict(monkeypatch, stack) == (margin > 0.0, True)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_verdict_on_random_stacks(self, n):
+        # one Hessian per stack, its lifted spectrum of either sign
+        rng = np.random.default_rng(n)
+        verdicts = []
+        for seed in range(300):
+            stack = lifted_stack(rng.uniform(-1.0, 2.0, n), count=1, seed=seed)
+            verdicts.append(nconvex.solver._admissible(stack))
+            assert verdicts[-1] == (ellipticity_margin(stack) > 0.0)
+        assert 0 < np.count_nonzero(verdicts) < len(verdicts)
+
+    def test_verdict_on_the_guarded_eigenvalue_stack(self, grid9, monkeypatch):
+        # the subnormal and 1e-147 off-diagonals of
+        # test_margin_and_sup_d2u_read_guarded_eigenvalues
+        odd = np.array([[0.0, 1.57830108e-147, 1.11253693e-308],
+                        [1.57830108e-147, 1.0, 1.5],
+                        [1.11253693e-308, 1.5, 0.0]])
+        stack = hessian_batch(quadratic_seed(grid9), grid9)
+        stack[0] = odd
+        assert ellipticity_margin(stack) < 0.0
+        assert self.verdict(monkeypatch, stack) == (False, True)
+        # odd + 2 I has trace 7 and lambda_max 4.08, so margin 2.92
+        stack[0] = odd + 2.0 * np.eye(3)
+        assert ellipticity_margin(stack) > 0.0
+        assert self.verdict(monkeypatch, stack) == (True, False)
