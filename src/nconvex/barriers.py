@@ -90,9 +90,9 @@ def recipe_params(domain: DomainSpec, state, grid: Grid, problem: SampledProblem
     norm ratio over epsilon and produces strips far below any desk-scale
     grid); A takes the largest of its three lower bounds with the unnamed
     constants estimated numerically from the solution.  The residual bound
-    reads Du.nu + u - phi_t over the strip, which needs callable problem
-    data (ValueError otherwise), or the Robin residual on the boundary when
-    the strip holds no active point.
+    reads Du.nu + u - phi_t at the strip's active points
+    (``_strip_data``), so a strip that holds none raises ValueError, as
+    does problem data that is not callable.
     """
     n = domain.n
     k0_min, k0_max = _kappa0_range(domain)
@@ -113,15 +113,8 @@ def recipe_params(domain: DomainSpec, state, grid: Grid, problem: SampledProblem
     mon = state.monitors
     c1 = 1.0 + mon.sup_u + mon.sup_du
     c2 = (1.0 + mon.sup_u + mon.sup_du) * (1.0 + domain.kappa_max_global) / epsilon
-    if np.any(grid.strip_mask(mu)):
-        core = _strip_core(state.field, grid, problem, state.t, _strip_data(grid, mu))
-        resid_sup = float(np.max(np.abs(core)))
-    else:
-        # strip below grid resolution: estimate the core from the boundary
-        resid_sup = float(
-            np.max(np.abs(robin_residual(state.field, grid, problem, state.t)))
-        )
-    c3 = (1.0 + epsilon) * resid_sup
+    core = _strip_core(state.field, grid, problem, state.t, _strip_data(grid, mu))
+    c3 = (1.0 + epsilon) * float(np.max(np.abs(core)))
     cap_a = max(
         3.0 * beta * c2,
         (beta * c1 + 2.0 * domain.kappa_max_global * n * f_max) / (gamma * k0_min),

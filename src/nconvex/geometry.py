@@ -1,9 +1,13 @@
 """Strictly convex computational domains: balls and axis-aligned ellipsoids.
 
-Everything needed near the boundary is derived from closest-point
-projection: signed distance, the outward normal extended along normal rays,
-the distance Hessian in the principal frame, boundary curvatures, and the
-curvature-pinching gate the solver checks before a run.
+Near the boundary everything starts from one batched closest-point
+projection, ``project_to_boundary_batch``: the closest point, the outward
+normal extended along normal rays, and the signed distance d.  The grid
+projects its points once and keeps d and the normal; the strip kernels
+``_distance_hessian_at`` and ``_barrier_hessian`` turn them into the
+Hessians of d and of the barrier h = -d + K3 d^2 in the principal frame.
+The module also samples boundary curvatures for the curvature-pinching gate
+the solver checks before a run, and bounds the barrier strip's width.
 """
 
 from __future__ import annotations
@@ -16,13 +20,7 @@ import numpy as np
 __all__ = [
     "DomainSpec",
     "PinchingReport",
-    "distance",
-    "signed_distance",
-    "project_to_boundary",
     "project_to_boundary_batch",
-    "normal_field",
-    "distance_hessian",
-    "barrier_h",
     "boundary_samples",
     "mean_curvature_range",
     "pinching_check",
@@ -224,41 +222,6 @@ def project_to_boundary_batch(domain: DomainSpec, pts: np.ndarray):
     return y + c, nu, d
 
 
-def project_to_boundary(domain: DomainSpec, x):
-    y, nu, d = project_to_boundary_batch(domain, np.asarray(x, dtype=float))
-    return y[0], nu[0], float(d[0])
-
-
-def signed_distance(domain: DomainSpec, x) -> float:
-    """Distance to the boundary, positive inside and negative outside."""
-    _, _, d = project_to_boundary(domain, x)
-    return d
-
-
-def distance(domain: DomainSpec, x) -> float:
-    """Distance to the boundary for a point of the closed domain."""
-    d = signed_distance(domain, x)
-    if d < -1e-12 * max(domain.semi_axes):
-        raise ValueError(f"point {np.asarray(x)} lies outside the domain")
-    return max(d, 0.0)
-
-
-def normal_field(domain: DomainSpec, x) -> np.ndarray:
-    """Outward unit normal extended along normal rays into the strip.
-
-    Defined where the distance function is smooth, i.e. for interior points
-    with d(x) < mu0.
-    """
-    _, nu, d = project_to_boundary(domain, x)
-    if d < -1e-12 * max(domain.semi_axes):
-        raise ValueError("normal field queried outside the domain")
-    if d >= domain.mu0:
-        raise ValueError(
-            f"normal field queried at depth {d:.3g} >= mu0 = {domain.mu0:.3g}"
-        )
-    return nu
-
-
 def _frame_at(domain: DomainSpec, y: np.ndarray):
     """Principal frames at boundary points y of shape (N, n).
 
@@ -292,15 +255,6 @@ def _tangent_basis(nu: np.ndarray) -> np.ndarray:
     return np.swapaxes(house[:, :, 1:], 1, 2)
 
 
-def _strip_projection(domain: DomainSpec, x, what: str):
-    """(x is one point, y, nu, d) for one point or a stack; rejects outside points."""
-    pts = np.asarray(x, dtype=float)
-    y, nu, d = project_to_boundary_batch(domain, pts)
-    if np.any(d < -1e-12 * max(domain.semi_axes)):
-        raise ValueError(f"{what} queried outside the domain")
-    return pts.ndim == 1, y, nu, d
-
-
 def _distance_hessian_at(domain: DomainSpec, y: np.ndarray, d: np.ndarray):
     """Distance Hessians (N, n, n) at depths d below boundary points y.
 
@@ -318,37 +272,14 @@ def _distance_hessian_at(domain: DomainSpec, y: np.ndarray, d: np.ndarray):
 
 
 def _barrier_hessian(k3: float, d: np.ndarray, nu: np.ndarray, d2d: np.ndarray):
-    """Hessians of h = -d + K3 d^2 from the distance Hessians d2d; Dd = -nu."""
+    """Hessians of h = -d + K3 d^2 from the distance Hessians d2d; Dd = -nu.
+
+    The eigenvalues are (1 - 2 K3 d) kappa_i / (1 - kappa_i d) tangentially
+    and 2 K3 along the normal: all positive while 2 K3 d < 1, so h is
+    strictly convex there.
+    """
     return ((-1.0 + 2.0 * k3 * d)[:, None, None] * d2d
             + 2.0 * k3 * nu[:, :, None] * nu[:, None, :])
-
-
-def distance_hessian(domain: DomainSpec, x) -> np.ndarray:
-    """Hessian of the distance function at a strip point, or (N, n, n) at N points.
-
-    Eigenvalues are -kappa_i / (1 - kappa_i d) along the principal
-    directions of the projected boundary point and 0 along the normal.
-    """
-    single, y, _, d = _strip_projection(domain, x, "distance Hessian")
-    hess, _ = _distance_hessian_at(domain, y, d)
-    return hess[0] if single else hess
-
-
-def barrier_h(domain: DomainSpec, k3: float, x):
-    """Strip barrier h = -d + K3 d^2 with gradient and Hessian.
-
-    The gradient is (-1 + 2 K3 d) Dd, the Hessian has eigenvalues
-    (1 - 2 K3 d) kappa_i / (1 - kappa_i d) tangentially and 2 K3 along the
-    normal; all positive while 2 K3 d < 1, so h is strictly convex there.
-    Takes one point (n,) or a stack (N, n).
-    """
-    single, y, nu, d = _strip_projection(domain, x, "barrier")
-    value = -d + k3 * d * d
-    grad = (1.0 - 2.0 * k3 * d)[:, None] * nu  # (-1 + 2 K3 d) Dd with Dd = -nu
-    hess = _barrier_hessian(k3, d, nu, _distance_hessian_at(domain, y, d)[0])
-    if single:
-        return float(value[0]), grad[0], hess[0]
-    return value, grad, hess
 
 
 def _fibonacci_sphere(count: int) -> np.ndarray:
@@ -418,6 +349,10 @@ def mean_curvature_range(domain: DomainSpec) -> tuple[float, float]:
     return float(hs.min()), float(hs.max())
 
 
+# Boundary sample directions the pinching gate checks on an ellipsoid.
+_PINCHING_SAMPLES = 10000
+
+
 @dataclass(frozen=True)
 class PinchingReport:
     """Outcome of the curvature-pinching gate over boundary samples."""
@@ -439,11 +374,12 @@ class PinchingReport:
         )
 
 
-def pinching_check(domain: DomainSpec, count: int = 10000) -> PinchingReport:
+def pinching_check(domain: DomainSpec) -> PinchingReport:
     """Check kappa_max - kappa_min < H / (2(n-1)(n-2)) over the boundary.
 
-    For n = 3 the equivalent form kappa_max < (5/3) kappa_min is evaluated
-    alongside and compared pointwise.
+    An ellipsoid is checked at ``boundary_samples`` of ``_PINCHING_SAMPLES``
+    directions.  For n = 3 the equivalent form kappa_max < (5/3) kappa_min
+    is evaluated alongside and compared pointwise.
     """
     n = domain.n
     if n < 3:
@@ -463,7 +399,7 @@ def pinching_check(domain: DomainSpec, count: int = 10000) -> PinchingReport:
             corollary_agrees=True if n == 3 else None,
         )
         return report
-    pts, kappa, _ = boundary_samples(domain, count)
+    pts, kappa, _ = boundary_samples(domain, _PINCHING_SAMPLES)
     spreads = kappa[:, -1] - kappa[:, 0]
     bounds = np.sum(kappa, axis=1) / denom
     margins = bounds - spreads

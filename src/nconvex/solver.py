@@ -120,10 +120,11 @@ ILU_FILL_FACTOR = 10
 ILU_PERMC = "MMD_AT_PLUS_A"
 
 # The admissibility gate factors M - tau I by Cholesky, tau = GATE_SHIFT
-# tr(H) / n at each point (``_admissible``).  For an admissible H every eigenvalue of M lies in
-# (0, (n-1) tr H], so tau is at least 1e-10 / (n (n-1)) of |M|, some 10^5
-# times the round-off of a Cholesky or of ``batch_eigvalsh``: a factorization
-# that succeeds proves a margin that the eigenvalues read as positive too.
+# tr(H) / n at each point (``_admissible``).  For an admissible H every
+# eigenvalue of M lies in (0, (n-1) tr H], so tau is at least
+# 1e-10 / (n (n-1)) of |M|, some 10^5 times the round-off of a Cholesky or
+# of ``batch_eigvalsh``: a factorization that succeeds proves a margin that
+# the eigenvalues read as positive too.
 GATE_SHIFT = 1e-10
 
 # Newton's step budget at one t, the line search's factor on alpha and the
@@ -182,9 +183,9 @@ class HomotopyState:
     """One point of the homotopy path, built by ``evaluate_state``.
 
     ``admissible`` is whether its ellipticity margin is positive
-    (``_admissible``).  The margin itself, the eigenvalues it is read from
-    and the monitors are None until ``newton_solve`` returns the state, and
-    then all three come from one ``woperator.batch_eigvalsh`` of its stack.
+    (``_admissible``).  The margin itself and the monitors are None until
+    ``newton_solve`` returns the state, and then both read one
+    ``woperator.batch_eigvalsh`` of its stack.
     """
 
     t: float
@@ -195,7 +196,6 @@ class HomotopyState:
     monitors: BoundMonitors | None
     det_w: np.ndarray  # det W(D2u) at every active point of the field
     hessians: np.ndarray  # D2u at every active point of the field (``hessian_batch``)
-    eigenvalues: np.ndarray | None  # woperator.batch_eigvalsh(hessians)
 
     @property
     def residual_norm(self) -> float:
@@ -424,8 +424,8 @@ def bound_monitors(fld: DiscreteField, eigenvalues: np.ndarray, grid: Grid) -> B
 
 def evaluate_state(u: np.ndarray, t: float, grid: Grid,
                    problem: SampledProblem) -> HomotopyState:
-    """The homotopy state of the active values u at t, with no margin,
-    eigenvalues or monitors yet.
+    """The homotopy state of the active values u at t, with no margin or
+    monitors yet.
 
     One Hessian stack of its field ``field_at(u, t)`` gives its det W, read
     by the residual, and whether it is admissible (``_admissible``)."""
@@ -434,7 +434,7 @@ def evaluate_state(u: np.ndarray, t: float, grid: Grid,
     det = woperator.batch_det_w(d2)
     return HomotopyState(t=t, field=fld, residual=interior_residual(fld, grid, problem, t, det),
                          admissible=_admissible(d2), ellipticity_margin=None, monitors=None,
-                         det_w=det, hessians=d2, eigenvalues=None)
+                         det_w=det, hessians=d2)
 
 
 def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
@@ -452,8 +452,7 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
 
     The start state is trusted to describe its field at its t.  The result
     is the last accepted state.  If it carries no monitors, one guarded
-    eigendecomposition of its stack gives its eigenvalues, its margin and
-    its monitors.
+    eigendecomposition of its stack gives its margin and its monitors.
     """
     if not state.admissible:
         raise ValueError("inadmissible start: ellipticity margin "
@@ -485,7 +484,7 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     if state.monitors is None:
         eig = woperator.batch_eigvalsh(state.hessians)
         state = replace(state, ellipticity_margin=ellipticity_margin(state.hessians, eig),
-                        monitors=bound_monitors(state.field, eig, grid), eigenvalues=eig)
+                        monitors=bound_monitors(state.field, eig, grid))
     return state
 
 

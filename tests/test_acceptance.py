@@ -345,8 +345,8 @@ def test_criterion_09_barrier_diagnostics(constant_run_25, manufactured_runs):
 
 def test_criterion_10_domain_gate():
     ball_ok = pinching_check(BALL).passes
-    near = pinching_check(DomainSpec.ellipsoid((1.0, 1.0, 1.05)), count=10000)
-    ecc = pinching_check(DomainSpec.ellipsoid((1.0, 1.0, 3.0)), count=10000)
+    near = pinching_check(DomainSpec.ellipsoid((1.0, 1.0, 1.05)))
+    ecc = pinching_check(DomainSpec.ellipsoid((1.0, 1.0, 3.0)))
     agree = near.corollary_agrees and ecc.corollary_agrees
     ok = ball_ok and near.passes and (not ecc.passes) and bool(agree)
     record(10, ok,

@@ -51,8 +51,13 @@ class TestParams:
         assert params.k3 >= 1.0
         assert params.beta == pytest.approx(4 * 3 * 1.0 + 1.0)
 
-    def test_k3_grows_as_gamma_approaches_one(self, solved25):
+    def test_k3_grows_as_gamma_approaches_one(self, solved25, monkeypatch):
+        # past gamma = 1/2 the recipe's strip, epsilon / (2 K3), holds no
+        # point of the 25^3 grid, and K3 does not depend on it: read the
+        # strip core at gamma = 1/2's width
         grid, problem, state = solved25
+        width = recipe_params(BALL, state, grid, problem).mu
+        monkeypatch.setattr(barriers, "_strip_data", lambda grid, mu: _strip_data(grid, width))
         k3s = [
             recipe_params(BALL, state, grid, problem, gamma=g).k3
             for g in (0.5, 0.9, 0.99, 0.999)
@@ -94,25 +99,21 @@ class TestParams:
                     assert abs(k_min - 1.0 / r) <= np.spacing(1.0 / r)
 
     def test_array_data_is_refused(self, solved25):
-        # without callable data the strip core cannot be read; that is not
-        # a strip below grid resolution, so no boundary estimate stands in
+        # without callable data the strip core cannot be read
         grid, problem, state = solved25
         arrays = SampledProblem(f_active=problem.f_active, phi_colloc=problem.phi_colloc)
         with pytest.raises(ValueError, match="callable problem data"):
             recipe_params(BALL, state, grid, arrays)
 
-    def test_strip_below_grid_resolution_falls_back(self):
+    def test_strip_below_grid_resolution_is_refused(self):
         # at 9^3 every active point is deeper than the recipe's strip
-        # (mu = 0.069 < h / 2), so the residual bound comes from the boundary
+        # (mu = 0.069 < h / 2), so the strip gives no residual bound
         domain, spec, _ = named_case("ball-constant")
         grid = Grid(domain, 9)
         problem = sample_problem(spec, grid)
         state, _ = continuation(problem, grid, SolverConfig())
-        params = recipe_params(domain, state, grid, problem)
-        assert params.mu == pytest.approx(0.069, abs=5e-4)
-        assert not np.any(grid.strip_mask(params.mu))
-        with pytest.raises(ValueError, match="holds no active grid point"):
-            barrier_section(domain, state, grid, problem, params)
+        with pytest.raises(ValueError, match=r"width 0\.06923 holds no active grid point"):
+            recipe_params(domain, state, grid, problem)
 
     def test_empty_strip_is_config_error(self, solved25):
         grid, problem, state = solved25

@@ -925,11 +925,11 @@ class TestStateEvaluation:
             fld = state.field
             assert np.array_equal(state.hessians, hessian_batch(fld, grid))
             assert np.array_equal(state.det_w, woperator.batch_det_w(state.hessians))
-            assert np.array_equal(state.eigenvalues, woperator.batch_eigvalsh(state.hessians))
             assert state.ellipticity_margin == margin_of(fld, grid)
             assert np.array_equal(state.residual, interior_residual(fld, grid, problem, state.t))
             assert state.residual_norm == float(np.max(np.abs(state.residual)))
-            assert state.monitors == bound_monitors(fld, state.eigenvalues, grid)
+            eig = woperator.batch_eigvalsh(state.hessians)
+            assert state.monitors == bound_monitors(fld, eig, grid)
             # a reused state keeps its trace, which still solves the Robin rows at t
             robin = robin_residual(fld, grid, problem, state.t)
             assert np.max(np.abs(robin)) <= SolverConfig().newton_tol
@@ -992,7 +992,7 @@ class TestStateEvaluation:
         else:
             # the seed's state is the start, and the result, of every step
             assert len(decomposed) == 1 and len(report.rows) == 4
-            assert all(out.eigenvalues is accepted[0].eigenvalues for out in accepted)
+            assert all(out.monitors is accepted[0].monitors for out in accepted)
         assert all(out.ellipticity_margin > 0.0 for out in accepted)
 
     def test_exact_path_evaluates_det_w_once(self, grid9, sp9, monkeypatch):
@@ -1178,11 +1178,11 @@ class TestSecantPredictor:
         assert out.t == 0.45 and out.monitors is None
         assert np.max(np.abs(out.field.values - x(0.45))) <= 1e-14 * np.max(np.abs(x(0.45)))
         # the prediction's trace, stack, verdict and det W describe its field;
-        # its eigenvalues and margin are left to the state Newton returns
+        # its margin and monitors are left to the state Newton returns
         assert np.array_equal(out.field.trace,
                               field_at(out.field.values, 0.45, grid9, manufactured9).trace)
         assert np.array_equal(out.hessians, hessian_batch(out.field, grid9))
-        assert out.eigenvalues is None and out.ellipticity_margin is None
+        assert out.ellipticity_margin is None
         assert out.admissible == (margin_of(out.field, grid9) > 0.0)
         assert np.array_equal(out.det_w, woperator.batch_det_w(out.hessians))
         # and its residual is the one at t = 0.45
