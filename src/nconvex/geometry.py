@@ -7,7 +7,9 @@ projects its points once and keeps d and the normal; the strip kernels
 ``_distance_hessian_at`` and ``_barrier_hessian`` turn them into the
 Hessians of d and of the barrier h = -d + K3 d^2 in the principal frame.
 The module also samples boundary curvatures for the curvature-pinching gate
-the solver checks before a run, and bounds the barrier strip's width.
+the solver checks before a run, and bounds the barrier strip's width.  The
+principal frames come from the shape operator, a 2 x 2 matrix at n = 3
+whose spectrum and eigenvectors are closed forms (``_principal_2x2``).
 """
 
 from __future__ import annotations
@@ -226,7 +228,8 @@ def _frame_at(domain: DomainSpec, y: np.ndarray):
     """Principal frames at boundary points y of shape (N, n).
 
     Returns kappa (N, n-1) ascending, the principal directions (N, n-1, n)
-    as rows, and the outward normals (N, n).
+    as rows, and the outward normals (N, n).  At an umbilic point any
+    orthonormal tangent pair is returned.
     """
     z = y - np.asarray(domain.center)
     if domain.is_ball:
@@ -240,8 +243,36 @@ def _frame_at(domain: DomainSpec, y: np.ndarray):
     tang = _tangent_basis(nu)
     # shape operator of a level set: tangential part of Hess(F)/|grad F|
     shape_op = np.einsum("pik,k,pjk->pij", tang, 2.0 / a2, tang) / gnorm[:, None, None]
-    kappa, vecs = np.linalg.eigh(0.5 * (shape_op + np.swapaxes(shape_op, 1, 2)))
-    return kappa, np.swapaxes(vecs, 1, 2) @ tang, nu
+    shape_op = 0.5 * (shape_op + np.swapaxes(shape_op, 1, 2))
+    if domain.n == 3:
+        kappa, rows = _principal_2x2(shape_op)
+    else:
+        kappa, vecs = np.linalg.eigh(shape_op)
+        rows = np.swapaxes(vecs, 1, 2)
+    return kappa, rows @ tang, nu
+
+
+def _principal_2x2(shape_op: np.ndarray):
+    """Ascending eigenvalues (N, 2) and eigenvector rows (N, 2, 2) of symmetric 2 x 2 matrices.
+
+    The eigenvalues are mid -+ hypot(half, off), half = (s00 - s11) / 2 and
+    off = s01.  The eigenvector of the larger is (half + r, off) when
+    half >= 0 and (off, r - half) otherwise, whichever adds no cancellation;
+    the other is its rotation by a right angle.  At an umbilic point, where
+    r = 0 and every direction is principal, the rows are e_2 and e_1.
+    """
+    s00, s01, s11 = shape_op[:, 0, 0], shape_op[:, 0, 1], shape_op[:, 1, 1]
+    mid, half = 0.5 * (s00 + s11), 0.5 * (s00 - s11)
+    rad = np.hypot(half, s01)
+    x = np.where(half >= 0.0, half + rad, s01)
+    y = np.where(half >= 0.0, s01, rad - half)
+    size = np.hypot(x, y)
+    umbilic = size == 0.0
+    size[umbilic] = 1.0
+    x = np.where(umbilic, 1.0, x / size)
+    y /= size
+    kappa = np.stack([mid - rad, mid + rad], axis=1)
+    return kappa, np.stack([np.stack([-y, x], axis=1), np.stack([x, y], axis=1)], axis=1)
 
 
 def _tangent_basis(nu: np.ndarray) -> np.ndarray:

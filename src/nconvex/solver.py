@@ -13,8 +13,8 @@ search enforces alongside plain residual decrease.  Every homotopy state
 residual at its own t and the next Jacobian, and one batched Cholesky
 of M, shifted a little, decides whether its margin is positive
 (``_admissible``).  Only a state that Newton returns is eigen-decomposed:
-one eigendecomposition of its stack gives both its margin and the
-monitors' sup|D2u|.
+one spectrum of its stack (``woperator.batch_eigvalsh``) gives both its
+margin and the monitors' sup|D2u|.
 
 Each Newton step solves S du = -r, S = K E the stencil matrix times the
 map E of u to [values; closure values] with the trace eliminated (constant
@@ -280,7 +280,7 @@ def _admissible(hessians: np.ndarray) -> bool:
     entry over the whole stack at once, says yes when every pivot is
     positive.  It refuses where tr H <= 0, as M - tau I then has no positive
     trace.  When it refuses, either some margin is not positive or every one
-    is but some is within tau; the guarded eigenvalue margin then decides.
+    is but some is within tau; the eigenvalue margin then decides.
     """
     n = hessians.shape[-1]
     # entries first: h[i, j] holds entry (i, j) of every Hessian, contiguous
@@ -451,8 +451,8 @@ def newton_solve(state: HomotopyState, grid: Grid, problem: SampledProblem,
     line-search floor, or the linear solve gives out.
 
     The start state is trusted to describe its field at its t.  The result
-    is the last accepted state.  If it carries no monitors, one guarded
-    eigendecomposition of its stack gives its margin and its monitors.
+    is the last accepted state.  If it carries no monitors, one
+    ``woperator.batch_eigvalsh`` of its stack gives its margin and its monitors.
     """
     if not state.admissible:
         raise ValueError("inadmissible start: ellipticity margin "

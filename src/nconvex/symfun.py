@@ -16,10 +16,11 @@ stack per (p, k) or (p, k, l) group this way, with seed-for-seed identical
 output.  ``check_identities`` runs the p deleted tuples of every row of a
 stack as one ``(p, ..., p)`` stack, in one pass of the recurrence.
 
-One tuple takes a cheaper route where it is called per case: with
-``floats`` on, ``_spectrum`` returns it as a list of Python floats, sorted
-and checked as a stack row is, and ``_esym`` runs the same recurrence on
-that list, so the values are the row's bit for bit.
+One tuple takes a cheaper route where it is called per case, in
+``check_identities`` and ``newton_maclaurin_margin``: with ``floats`` on,
+``_spectrum`` returns it as a list of Python floats, sorted and checked as
+a stack row is, and ``_esym`` and the identity sums run the same
+arithmetic on that list, so the values are the row's bit for bit.
 """
 
 from __future__ import annotations
@@ -69,9 +70,14 @@ def _check_finite(p: int, finite: bool) -> None:
         raise ValueError("eigenvalue tuple must be finite")
 
 
+def _length(vals) -> int:
+    """The tuple length p of a spectrum; a list is one tuple."""
+    return len(vals) if isinstance(vals, list) else vals.shape[-1]
+
+
 def _check_k(vals, k: int, low: int = 0) -> int:
-    """The tuple length p of a spectrum (a list is one tuple), once low <= k <= p is checked."""
-    p = len(vals) if isinstance(vals, list) else vals.shape[-1]
+    """The tuple length p of a spectrum, once low <= k <= p is checked."""
+    p = _length(vals)
     if not low <= k <= p:
         raise ValueError(f"k={k} out of range for a {p}-tuple")
     return p
@@ -181,9 +187,10 @@ def check_identities(lam, k: int) -> IdentityReport:
     sk = _esym(vals, k)[k]
     if isinstance(vals, list):
         passes = [_esym(vals[:i] + [0.0] + vals[i + 1:], k) for i in range(p)]
-        deleted_sk = np.array([e[k] for e in passes])
-        lower = np.array([e[k - 1] for e in passes])
-        cols = np.array(vals)
+        deleted_sk = [e[k] for e in passes]
+        terms = [x * e[k - 1] for x, e in zip(vals, passes)]
+        worst_dec = max(abs(sk - (d + t)) for d, t in zip(deleted_sk, terms))
+        scale = max(abs(sk), max(map(abs, deleted_sk)), max(map(abs, terms)))
     else:
         # the p deleted tuples of every row as one (p, ..., p) stack, tuple i
         # with entry i zeroed; laid out entry-major, so _esym's columns are
@@ -193,18 +200,15 @@ def check_identities(lam, k: int) -> IdentityReport:
         diag = np.arange(p)
         work[diag, diag] = 0.0
         e = _esym(np.moveaxis(work, 0, -1), k)
-        deleted_sk, lower = e[k], e[k - 1]
-    terms = cols * lower
-    weighted = _add_in_order(terms)
-    deleted = _add_in_order(deleted_sk)
-    worst_dec = np.max(np.abs(sk - (deleted_sk + terms)), axis=0)
-    scale = np.maximum(np.abs(sk), np.max(np.abs([deleted_sk, terms]), axis=(0, 1)))
+        deleted_sk, terms = e[k], cols * e[k - 1]
+        worst_dec = np.max(np.abs(sk - (deleted_sk + terms)), axis=0)
+        scale = np.maximum(np.abs(sk), np.max(np.abs([deleted_sk, terms]), axis=(0, 1)))
     return IdentityReport(
         k=k,
         p=p,
         decomposition=worst_dec,
-        weighted_sum=np.abs(weighted - k * sk),
-        deleted_sum=np.abs(deleted - (p - k) * sk),
+        weighted_sum=abs(_add_in_order(terms) - k * sk),
+        deleted_sum=abs(_add_in_order(deleted_sk) - (p - k) * sk),
         scale=scale,
     )
 
@@ -216,20 +220,25 @@ def newton_maclaurin_margin(lam, k: int, l: int) -> float | np.ndarray:
     is responsible for that membership.  A stack gives one gap per tuple
     and is refused whole if any tuple has S_k or S_l <= 0.
     """
-    vals = _spectrum(lam)
-    p = vals.shape[-1]
+    vals = _spectrum(lam, floats=True)
+    p = _length(vals)
     if not 0 <= l < k <= p:
         raise ValueError(f"need 0 <= l < k <= p, got k={k}, l={l}, p={p}")
     e = _esym(vals, k)
     sk = e[k]
-    if np.any(sk <= 0.0):
+    if not _all_positive(sk):
         raise ValueError("S_k must be positive (tuple outside the cone)")
     right = (sk / math.comb(p, k)) ** (1.0 / k)
     if l == 0:
         left = 1.0
     else:
         sl = e[l]
-        if np.any(sl <= 0.0):
+        if not _all_positive(sl):
             raise ValueError("S_l must be positive (tuple outside the cone)")
         left = (sl / math.comb(p, l)) ** (1.0 / l)
     return left - right
+
+
+def _all_positive(values) -> bool:
+    """Whether a Python float, or every entry of an array, is positive."""
+    return values > 0.0 if isinstance(values, float) else bool(np.all(values > 0.0))

@@ -1065,19 +1065,19 @@ class TestStateEvaluation:
 
     def test_each_formed_stack_is_decomposed_at_most_once(self, grid9, manufactured9,
                                                          monkeypatch):
-        decomposed = []
+        lapack = []
         original = np.linalg.eigvalsh
 
         def eigvalsh(a, *args, **kwargs):
-            decomposed.append(a)
+            lapack.append(a)
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        guarded = []
+        spectra = []
         batch_eigvalsh = woperator.batch_eigvalsh
 
         def recording(hessians):
-            guarded.append(hessians)
+            spectra.append(hessians)
             return batch_eigvalsh(hessians)
 
         monkeypatch.setattr(woperator, "batch_eigvalsh", recording)
@@ -1086,21 +1086,22 @@ class TestStateEvaluation:
         monitors = nconvex.solver.bound_monitors
 
         def counting_monitors(*args):
-            before = len(decomposed)
+            before = len(spectra)
             out = monitors(*args)
-            in_monitors.append(len(decomposed) - before)
+            in_monitors.append(len(spectra) - before)
             return out
 
         monkeypatch.setattr(nconvex.solver, "bound_monitors", counting_monitors)
         _, report = continuation(manufactured9, grid9, SolverConfig())
         formed = [d2 for _, d2 in calls]
-        # every decomposition is a guarded one of a stack formed here (the
-        # seed, a path start or a trial), and no stack is decomposed twice
-        assert len(decomposed) == len(guarded)
-        assert all(any(a is d2 for d2 in formed) for a in guarded)
-        assert all(sum(a is d2 for a in guarded) <= 1 for d2 in formed)
+        # at n = 3 every spectrum is batch_eigvalsh's closed form, never LAPACK's
+        assert lapack == []
+        # every decomposition is one of a stack formed here (the seed, a path
+        # start or a trial), and no stack is decomposed twice
+        assert all(any(a is d2 for d2 in formed) for a in spectra)
+        assert all(sum(a is d2 for a in spectra) <= 1 for d2 in formed)
         # only the states Newton returns are decomposed, one per report row
-        assert len(guarded) == len(report.rows) < len(formed)
+        assert len(spectra) == len(report.rows) < len(formed)
         # the monitors read the returned state's eigenvalues and decompose nothing
         assert len(in_monitors) == len(report.rows) and not any(in_monitors)
 
