@@ -5,7 +5,10 @@ strip: the strip function h = -d + K3 d^2 must push the linearized
 operator above gamma kappa0 (1 + trace F), the sub barrier
 P = g (Du.nu + u - phi) - (A + sigma N) h must stay nonnegative, and the
 super barrier P-bar (same with +G) must stay nonpositive.  The reports
-never abort a solve; they attach to the path report.
+never abort a solve; they attach to the path report.  Of the recipe's
+constants only gamma is a setting; sigma and epsilon are fixed.  Each
+entry point refuses a domain other than the grid's, whose geometry the
+strip reads.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from nconvex.geometry import (
     DomainSpec,
     _barrier_hessian,
     _distance_hessian_at,
+    check_gamma,
     mean_curvature_range,
     strip_mu_max,
 )
@@ -62,8 +66,7 @@ class BarrierParams:
             raise ValueError("K3, beta and A must be positive")
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError("sigma must lie in (0, 1]")
-        if not 0.5 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [1/2, 1)")
+        check_gamma(self.gamma)
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 1/2)")
         cap = strip_mu_max(domain, self.k3, self.gamma)
@@ -73,6 +76,12 @@ class BarrierParams:
             raise ValueError("need beta * mu / 2 <= epsilon so that 1 <= g <= 1+epsilon")
 
 
+def _check_domain(domain: DomainSpec, grid: Grid):
+    """Refuse a domain other than the grid's, whose geometry the strip reads."""
+    if domain != grid.domain:
+        raise ValueError(f"domain {domain} is not the grid's domain {grid.domain}")
+
+
 def _kappa0_range(domain: DomainSpec):
     """Range of kappa0 = H / (n-1) over the boundary; on a ball ((n-1)/r)/(n-1),
     which is 1/r when n-1 is a power of two and within one ulp of it otherwise."""
@@ -80,9 +89,14 @@ def _kappa0_range(domain: DomainSpec):
     return h_min / (domain.n - 1), h_max / (domain.n - 1)
 
 
+# sigma in (0, 1] of the double-normal bound sup u_nunu <= C + sigma N, and
+# epsilon in (0, 1/2) of 1 <= g <= 1 + epsilon: fixed once per estimate
+SIGMA = 0.5
+EPSILON = 0.45
+
+
 def recipe_params(domain: DomainSpec, state, grid: Grid, problem: SampledProblem,
-                  gamma: float = 0.5, sigma: float = 0.5,
-                  epsilon: float = 0.45) -> BarrierParams:
+                  gamma: float = 0.5) -> BarrierParams:
     """Barrier constants assembled from the computed solution's norms.
 
     K3 grows like 1/(1 - gamma); beta uses the curvature branch of its
@@ -92,8 +106,12 @@ def recipe_params(domain: DomainSpec, state, grid: Grid, problem: SampledProblem
     constants estimated numerically from the solution.  The residual bound
     reads Du.nu + u - phi_t at the strip's active points
     (``_strip_data``), so a strip that holds none raises ValueError, as
-    does problem data that is not callable.
+    does problem data that is not callable.  sigma and epsilon are the
+    constants ``SIGMA`` and ``EPSILON``.  A gamma outside [1/2, 1) raises
+    ValueError before any of this.
     """
+    check_gamma(gamma)
+    _check_domain(domain, grid)
     n = domain.n
     k0_min, k0_max = _kappa0_range(domain)
     f_min = float(np.min(problem.f_active))
@@ -107,22 +125,22 @@ def recipe_params(domain: DomainSpec, state, grid: Grid, problem: SampledProblem
     beta = 4.0 * n * domain.kappa_max_global + 1.0
     mu = min(
         strip_mu_max(domain, k3, gamma),
-        2.0 * epsilon / beta,
-        epsilon / (2.0 * k3),
+        2.0 * EPSILON / beta,
+        EPSILON / (2.0 * k3),
     )
     mon = state.monitors
     c1 = 1.0 + mon.sup_u + mon.sup_du
-    c2 = (1.0 + mon.sup_u + mon.sup_du) * (1.0 + domain.kappa_max_global) / epsilon
+    c2 = (1.0 + mon.sup_u + mon.sup_du) * (1.0 + domain.kappa_max_global) / EPSILON
     core = _strip_core(state.field, grid, problem, state.t, _strip_data(grid, mu))
-    c3 = (1.0 + epsilon) * float(np.max(np.abs(core)))
+    c3 = (1.0 + EPSILON) * float(np.max(np.abs(core)))
     cap_a = max(
         3.0 * beta * c2,
         (beta * c1 + 2.0 * domain.kappa_max_global * n * f_max) / (gamma * k0_min),
         4.0 * c3 / mu,
         1.0,
     )
-    params = BarrierParams(k3=k3, beta=beta, cap_a=cap_a, sigma=sigma, mu=mu,
-                           gamma=gamma, epsilon=epsilon)
+    params = BarrierParams(k3=k3, beta=beta, cap_a=cap_a, sigma=SIGMA, mu=mu,
+                           gamma=gamma, epsilon=EPSILON)
     params.validate(domain)
     return params
 
@@ -175,6 +193,7 @@ def verify_h_inequality(domain: DomainSpec, state, grid: Grid,
 
     The linearization is read off the state's Hessian stack.
     """
+    _check_domain(domain, grid)
     params.validate(domain)
     mask, _, d, y, nu = _strip_data(grid, params.mu)
     fij = woperator.batch_linearization(state.hessians[mask])
@@ -223,6 +242,7 @@ def _barrier_values(domain, state, grid, problem, params):
 
 def _barrier_reports(domain, state, grid, problem, params):
     """The sub and super `BarrierReport`s from one `_barrier_values` evaluation."""
+    _check_domain(domain, grid)
     params.validate(domain)
     sub_vals, super_vals, bvals, unn = _barrier_values(domain, state, grid, problem, params)
     sup_unn, inf_unn = float(np.max(unn)), float(np.min(unn))

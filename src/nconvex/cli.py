@@ -28,6 +28,7 @@ from nconvex.discretize import (
 )
 from nconvex.geometry import (
     DomainSpec,
+    check_gamma,
     mean_curvature_range,
     pinching_check,
 )
@@ -96,14 +97,12 @@ DEFAULTS = {
     "report": "csv",
     "verify_barriers": False,
     "barrier.gamma": 0.5,
-    "barrier.sigma": 0.5,
-    "barrier.epsilon": 0.45,
     "output": "out",
 }
 
 # The keys without a default and their types; a key with one takes its default's type.
-_UNDEFAULTED_TYPES = {"domain.kind": str, "domain.radius": float, "domain.center": tuple,
-                      "domain.semi_axes": tuple, "f.file": str, "phi.file": str, "force": bool}
+_UNDEFAULTED_TYPES = {"domain.radius": float, "domain.center": tuple, "domain.semi_axes": tuple,
+                      "f.file": str, "phi.file": str, "force": bool}
 _KNOWN_KEYS = set(DEFAULTS) | set(_UNDEFAULTED_TYPES)
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
@@ -154,6 +153,8 @@ def _coerce(key, value):
         return tuple(float(v) for v in value.split(","))
     if key == "report" and value not in REPORT_FORMATS:
         raise ValueError(f"expected {' or '.join(REPORT_FORMATS)}, got {value!r}")
+    if key == "barrier.gamma":
+        return check_gamma(float(value))
     return kind(value)
 
 
@@ -180,30 +181,26 @@ def config_digest(cfg: dict) -> str:
 
 
 def _domain_from_config(cfg) -> DomainSpec:
-    """The config's domain; a domain key the chosen domain would not read is refused."""
-    kind = cfg.get("domain.kind")
+    """The config's domain, its shape read from the size key.
+
+    ``domain.radius`` gives a ball in n dimensions and ``domain.semi_axes``
+    an ellipsoid (equal axes make a ball); without either, the named case's.
+    """
     n = int(cfg["n"])
-    size_keys = {"ball": "domain.radius", "ellipsoid": "domain.semi_axes"}
-    if kind is None:
-        for key in ("domain.center", *size_keys.values()):
-            if key in cfg:
-                raise ValueError(f"{key} needs domain.kind")
-        domain, _, _ = named_case(cfg["case"], n=n)
-        return domain
-    size_key = size_keys.get(kind)
-    if size_key is None:
-        raise ValueError(f"unknown domain.kind {kind!r}")
-    if size_key not in cfg:
-        raise ValueError(f"domain.kind = {kind} needs {size_key}")
-    for key in size_keys.values():
-        if key != size_key and key in cfg:
-            raise ValueError(f"domain.kind = {kind} does not read {key}")
+    if "domain.radius" in cfg and "domain.semi_axes" in cfg:
+        raise ValueError("give domain.radius or domain.semi_axes, not both")
     center = cfg.get("domain.center")
-    if kind == "ball":
-        return DomainSpec.ball(float(cfg[size_key]), center=center, n=n)
-    if len(cfg[size_key]) != n:
-        raise ValueError(f"{size_key} has {len(cfg[size_key])} entries but n = {n}")
-    return DomainSpec.ellipsoid(cfg[size_key], center=center)
+    if "domain.radius" in cfg:
+        return DomainSpec.ball(float(cfg["domain.radius"]), center=center, n=n)
+    if "domain.semi_axes" not in cfg:
+        if center is not None:
+            raise ValueError("domain.center needs a size key: domain.radius for a ball "
+                             "or domain.semi_axes for an ellipsoid")
+        return named_case(cfg["case"], n=n)[0]
+    if len(cfg["domain.semi_axes"]) != n:
+        raise ValueError(f"domain.semi_axes has {len(cfg['domain.semi_axes'])} entries "
+                         f"but n = {n}")
+    return DomainSpec.ellipsoid(cfg["domain.semi_axes"], center=center)
 
 
 # -- dumps and reports ---------------------------------------------------------
@@ -238,21 +235,36 @@ def write_solution_dump(directory, grid: Grid, field: DiscreteField, t: float):
 def load_solution_dump(directory):
     """Rebuild (grid, field, t) from a dump.
 
-    The header counts and the grid arrays of the dump (``active_idx.bin``,
-    ``colloc_y.bin``) must match the rebuilt grid; a mismatch raises a
-    ValueError naming the file.
+    The header must give little-endian data and a t in [0, 1], and its
+    domain kind, n, h and counts and the grid arrays of the dump
+    (``active_idx.bin``, ``colloc_y.bin``) must match the rebuilt grid; a
+    mismatch raises a ValueError naming the file.
     """
     src = Path(directory)
-    header = json.loads((src / "header.json").read_text())
+    path = src / "header.json"
+    header = json.loads(path.read_text())
     if header.get("format") != "nconvex-dump-1":
         raise ValueError(f"unrecognized dump format in {src}")
+    if header.get("byte_order") != "little":
+        raise ValueError(f"{path} gives byte order {header.get('byte_order')!r}; "
+                         "dumps are little-endian")
+    t = float(header["t"])
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"{path} gives t = {t}, outside [0, 1]")
     dom = header["domain"]
     if dom["kind"] not in ("ball", "ellipsoid"):
-        raise ValueError(f"{src / 'header.json'} names unknown domain kind {dom['kind']!r}")
+        raise ValueError(f"{path} names unknown domain kind {dom['kind']!r}")
     domain = DomainSpec.ellipsoid(dom["semi_axes"], center=dom["center"])
+    if dom["kind"] != domain.kind:
+        raise ValueError(f"{path} names domain kind {dom['kind']!r}, but its semi-axes "
+                         f"make a {domain.kind}")
+    if header["n"] != domain.n:
+        raise ValueError(f"{path} gives n = {header['n']} but {domain.n} semi-axes")
     grid = Grid(domain, header["resolution"])
+    if header["h"] != grid.h:
+        raise ValueError(f"{path} gives h = {header['h']}, the rebuilt grid {grid.h}")
     if grid.n_active != header["counts"]["active"] or grid.n_colloc != header["counts"]["colloc"]:
-        raise ValueError("dump counts do not match the rebuilt grid")
+        raise ValueError(f"{path}: dump counts do not match the rebuilt grid")
     for name, dtype, want, tol in (
         ("active_idx.bin", "<i8", grid.active_idx, 0.0),
         ("colloc_y.bin", "<f8", grid.colloc_y, 1e-12 * max(domain.semi_axes)),
@@ -264,7 +276,7 @@ def load_solution_dump(directory):
     trace = np.fromfile(src / "trace.bin", dtype="<f8")
     field = DiscreteField(values=values, trace=trace)
     field.check(grid)
-    return grid, field, float(header["t"])
+    return grid, field, t
 
 
 def _write_report(report, cfg, out_dir: Path):
@@ -359,12 +371,8 @@ def cmd_solve(args) -> int:
                   file=sys.stderr)
         else:
             try:
-                params = recipe_params(
-                    domain, state, grid, problem,
-                    gamma=float(cfg["barrier.gamma"]),
-                    sigma=float(cfg["barrier.sigma"]),
-                    epsilon=float(cfg["barrier.epsilon"]),
-                )
+                params = recipe_params(domain, state, grid, problem,
+                                       gamma=float(cfg["barrier.gamma"]))
                 report.barriers = barrier_section(domain, state, grid, problem, params)
             except ValueError as exc:
                 # diagnostics never abort a finished solve

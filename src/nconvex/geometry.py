@@ -27,6 +27,7 @@ __all__ = [
     "mean_curvature_range",
     "pinching_check",
     "strip_mu_max",
+    "check_gamma",
 ]
 
 
@@ -452,12 +453,18 @@ def pinching_check(domain: DomainSpec) -> PinchingReport:
     )
 
 
+def check_gamma(gamma: float) -> float:
+    """``gamma`` of the strip inequality if it lies in [1/2, 1); ValueError otherwise."""
+    if not 0.5 <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [1/2, 1), got {gamma}")
+    return gamma
+
+
 def strip_mu_max(domain: DomainSpec, k3: float, gamma: float) -> float:
     """Largest admissible strip width for the barrier machinery."""
     if k3 <= 0.0:
         raise ValueError("K3 must be positive")
-    if not 0.5 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [1/2, 1)")
+    check_gamma(gamma)
     return min(
         1.0 / (4.0 * k3),
         (2.0 - gamma) / (2.0 * k3),

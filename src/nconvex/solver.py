@@ -600,7 +600,12 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     (t, dt, message) goes on ``report.rejected_steps``.  When dt falls below
     ``MIN_STEP`` raises ContinuationFailure carrying the last accepted state
     and report; a failure of the t = 0 solve raises it with no state.
+    Problem data sampled on another grid raises ValueError up front.
     """
+    counts = (problem.f_active.size, problem.phi_colloc.size)
+    if counts != (grid.n_active, grid.n_colloc):
+        raise ValueError(f"problem data has {counts[0]} f and {counts[1]} phi values, but the "
+                         f"grid has {grid.n_active} active and {grid.n_colloc} collocation points")
     if not force:
         gate = pinching_check(grid.domain)
         if not gate.passes:

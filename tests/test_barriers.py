@@ -85,6 +85,14 @@ class TestParams:
             with pytest.raises(ValueError, match=r"sigma must lie in \(0, 1\]"):
                 BarrierParams(**{**good, "sigma": sigma}).validate(BALL)
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.4, float("nan")])
+    def test_gamma_outside_its_range_refused_before_any_arithmetic(self, solved25, gamma):
+        # gamma = 1 made delta0 = 0 and the K3 bound divide by it; no state
+        # or data is read before the check
+        grid, _, _ = solved25
+        with pytest.raises(ValueError, match=r"gamma must lie in \[1/2, 1\)"):
+            recipe_params(BALL, None, grid, None, gamma=gamma)
+
     def test_kappa0_on_a_ball_is_one_over_the_radius(self):
         # kappa0 = H / (n-1) with H = (n-1)/r: exact when n-1 is a power of two
         # (n = 3, 5), within one unit in the last place otherwise (here 4-D at
@@ -121,6 +129,26 @@ class TestParams:
                                mu=1e-4, gamma=0.5, epsilon=0.45)
         with pytest.raises(ValueError, match="strip"):
             verify_h_inequality(BALL, state, grid, params)
+
+
+class TestOtherDomain:
+    """Each entry point refuses a domain other than the grid's."""
+
+    EGG = DomainSpec.ellipsoid((1.0, 1.0, 1.2))
+
+    def test_every_entry_point_refuses_it(self, solved25):
+        grid, problem, state = solved25
+        params = recipe_params(BALL, state, grid, problem)
+        calls = [
+            lambda: recipe_params(self.EGG, state, grid, problem),
+            lambda: verify_h_inequality(self.EGG, state, grid, params),
+            lambda: verify_sub_barrier(self.EGG, state, grid, problem, params),
+            lambda: verify_super_barrier(self.EGG, state, grid, problem, params),
+            lambda: barrier_section(self.EGG, state, grid, problem, params),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"domain .*1\.2.* is not the grid's domain"):
+                call()
 
 
 class TestHInequality:
@@ -170,9 +198,10 @@ class TestSubSuperBarriers:
         assert sup.boundary_max_abs < 1e-10
 
     def test_implied_double_normal_bound(self, solved25):
-        # u = |x|^2/2: u_nunu = 1 and N = 1, so C = 1 - sigma N = 1/2
+        # u = |x|^2/2: u_nunu = 1 and N = 1, so C = 1 - SIGMA N = 1/2
         grid, problem, state = solved25
-        params = recipe_params(BALL, state, grid, problem, sigma=0.5)
+        params = recipe_params(BALL, state, grid, problem)
+        assert params.sigma == barriers.SIGMA == 0.5
         sub = verify_sub_barrier(BALL, state, grid, problem, params)
         assert sub.sup_unn == pytest.approx(1.0, abs=1e-8)
         assert sub.sigma_n == pytest.approx(0.5, abs=1e-8)

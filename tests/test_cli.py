@@ -146,7 +146,6 @@ class TestConfig:
 
 # The keys without a default, each with a value of its type.
 UNDEFAULTED = {
-    "domain.kind": "ball",
     "domain.radius": "1.0",
     "domain.center": "0,0,0",
     "domain.semi_axes": "1,1,1.05",
@@ -157,7 +156,7 @@ UNDEFAULTED = {
 
 
 class TestConfigSurface:
-    """The config keys are the defaults plus the seven keys without one."""
+    """The config keys are the defaults plus the six keys without one."""
 
     def test_known_keys_are_the_defaults_and_the_undefaulted(self, tmp_path):
         path = tmp_path / "typo.cfg"
@@ -166,7 +165,7 @@ class TestConfigSurface:
             parse_config(path)
         listed = str(err.value).split("known keys: ", 1)[1].split(", ")
         assert sorted(listed) == sorted(set(DEFAULTS) | set(UNDEFAULTED))
-        assert not set(DEFAULTS) & set(UNDEFAULTED)
+        assert not set(DEFAULTS) & set(UNDEFAULTED) and len(UNDEFAULTED) == 6
 
     def test_every_key_parses_to_its_type(self, tmp_path):
         path = tmp_path / "all.cfg"
@@ -190,6 +189,19 @@ class TestConfigSurface:
         assert main(["solve", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and f"unknown key '{key}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "check-domain"])
+    @pytest.mark.parametrize("key", ["barrier.sigma", "barrier.epsilon"])
+    def test_fixed_barrier_constant_is_an_unknown_key(self, tmp_path, capsys, command, key):
+        # sigma and epsilon are barriers.SIGMA and barriers.EPSILON
+        out = tmp_path / "out"
+        path = tmp_path / "run.cfg"
+        path.write_text(f"resolution = 9\n{key} = 0.5\noutput = {out}\n")
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert f"run.cfg:2: unknown key '{key}'" in err
         assert not out.exists()
 
 
@@ -268,10 +280,11 @@ class TestSolveCommand:
         # the default unit ball spelled three ways, and force = no, are one solve
         plain = self.digest_of(tmp_path, "resolution = 9\n")
         assert self.digest_of(tmp_path, "resolution = 9\nforce = no\n") == plain
-        assert self.digest_of(
-            tmp_path, "resolution = 9\ndomain.kind = ball\ndomain.radius = 1.0\n") == plain
-        assert self.digest_of(tmp_path, "resolution = 9\ndomain.kind = ellipsoid\n"
-                                        "domain.semi_axes = 1, 1, 1\n") == plain
+        assert self.digest_of(tmp_path, "resolution = 9\ndomain.radius = 1.0\n") == plain
+        assert self.digest_of(tmp_path, "resolution = 9\ndomain.semi_axes = 1, 1, 1\n") == plain
+        # a radius gives a ball in n dimensions, the ball that equal semi-axes give
+        assert (self.digest_of(tmp_path, "n = 4\ndomain.radius = 2\n")
+                == self.digest_of(tmp_path, "n = 4\ndomain.semi_axes = 2, 2, 2, 2\n"))
         # --force on a domain the gate passes changes no number, nor the digest
         reports = []
         for flags in ([], ["--force"]):
@@ -287,8 +300,8 @@ class TestSolveCommand:
         "resolution = 11\n",
         "resolution = 9\nnewton_tol = 1e-9\n",
         "resolution = 9\nhomotopy_steps = 5\n",
-        "resolution = 9\ndomain.kind = ball\ndomain.radius = 0.9\n",
-        "resolution = 9\ndomain.kind = ball\ndomain.radius = 1.0\ndomain.center = 0.1, 0, 0\n",
+        "resolution = 9\ndomain.radius = 0.9\n",
+        "resolution = 9\ndomain.radius = 1.0\ndomain.center = 0.1, 0, 0\n",
         "resolution = 9\ncase = ball-manufactured-exp\n",
     ], ids=["resolution", "newton_tol", "homotopy_steps", "radius", "center", "case"])
     def test_digest_follows_what_changes_the_solve(self, tmp_path, change):
@@ -399,7 +412,7 @@ class TestSolveCommand:
     def test_eccentric_domain_refused_without_force(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "case = ball-constant\nn = 3\ndomain.kind = ellipsoid\n"
+            "case = ball-constant\nn = 3\n"
             "domain.semi_axes = 1.0,1.0,3.0\nresolution = 9\n"
             f"output = {tmp_path / 'out'}\n"
         )
@@ -498,36 +511,43 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize("command", ["solve", "check-domain"])
     def test_unknown_domain_kind(self, tmp_path, capsys, command):
+        # the size key names the shape, so domain.kind is not a key at all
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"domain.kind = cube\noutput = {tmp_path / 'out'}\n")
+        cfg.write_text(f"domain.kind = ball\noutput = {tmp_path / 'out'}\n")
         code, err = self.run([command, "--config", str(cfg)], capsys)
         assert code == 2
-        assert "unknown domain.kind 'cube'" in err
+        assert "run.cfg:1: unknown key 'domain.kind'" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["solve", "check-domain"])
     @pytest.mark.parametrize("kind, key", [("ball", "domain.radius"),
                                            ("ellipsoid", "domain.semi_axes")])
-    def test_domain_size_missing(self, tmp_path, capsys, command, kind, key):
+    def test_domain_size_missing(self, tmp_path, capsys, monkeypatch, command, kind, key):
+        # a center without a size key names the size key of each shape
+        work = []
+        monkeypatch.setattr(nconvex.cli, "pinching_check", lambda *a: work.append("gate"))
+        monkeypatch.setattr(nconvex.cli, "Grid", lambda *a: work.append("grid"))
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"domain.kind = {kind}\noutput = {tmp_path / 'out'}\n")
+        cfg.write_text(f"domain.center = 5,5,5\noutput = {tmp_path / 'out'}\n")
         code, err = self.run([command, "--config", str(cfg)], capsys)
         assert code == 2
-        assert err.startswith("configuration error: ") and key in err
+        assert err.startswith("configuration error: domain.center needs a size key")
+        assert f"{key} for a" in err and kind in err
+        assert work == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["solve", "check-domain"])
     @pytest.mark.parametrize("lines, detail", [
-        ("n = 4\ndomain.kind = ellipsoid\ndomain.semi_axes = 1,1,1.05\n",
+        ("n = 4\ndomain.semi_axes = 1,1,1.05\n",
          "domain.semi_axes has 3 entries but n = 4"),
-        ("domain.kind = ellipsoid\ndomain.semi_axes = 1,1,1,1.05\n",
+        ("domain.semi_axes = 1,1,1,1.05\n",
          "domain.semi_axes has 4 entries but n = 3"),
-        ("domain.radius = 2.0\n", "domain.radius needs domain.kind"),
-        ("domain.center = 5,5,5\n", "domain.center needs domain.kind"),
-        ("domain.kind = ellipsoid\ndomain.semi_axes = 1,1,1.05\ndomain.radius = 2.0\n",
-         "domain.kind = ellipsoid does not read domain.radius"),
-        ("domain.kind = ball\ndomain.radius = 1.0\ndomain.semi_axes = 1,1,1.05\n",
-         "domain.kind = ball does not read domain.semi_axes"),
-    ], ids=["axes-short-of-n", "axes-beyond-n", "radius-without-kind",
-            "center-without-kind", "radius-on-ellipsoid", "axes-on-ball"])
+        ("domain.semi_axes = 1,1,1.05\ndomain.radius = 2.0\n",
+         "give domain.radius or domain.semi_axes, not both"),
+        ("domain.center = 5,5,5\n", "domain.center needs a size key"),
+        ("domain.radius = 1.0\ndomain.semi_axes = 1,1,1.05\n",
+         "give domain.radius or domain.semi_axes, not both"),
+    ], ids=["axes-short-of-n", "axes-beyond-n", "radius-on-ellipsoid", "center-without-kind",
+            "axes-on-ball"])
     def test_unread_domain_key_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                        command, lines, detail):
         work = []
@@ -571,11 +591,27 @@ class TestErrorReporting:
         assert err.startswith("configuration error: ") and line.split()[0] in err
         assert work == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["1.0", "0.4", "nan"])
+    def test_gamma_outside_its_range_refused_before_any_work(self, tmp_path, capsys,
+                                                             monkeypatch, value):
+        # barrier.gamma = 1 used to run the whole solve and then divide by zero
+        work = []
+        monkeypatch.setattr(nconvex.cli, "pinching_check", lambda *a: work.append("gate"))
+        monkeypatch.setattr(nconvex.cli, "Grid", lambda *a: work.append("grid"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("case = ball-constant\nresolution = 9\nverify_barriers = true\n"
+                       f"barrier.gamma = {value}\noutput = {tmp_path / 'out'}\n")
+        code, err = self.run(["solve", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("configuration error: ")
+        assert "run.cfg:4: bad value for 'barrier.gamma': gamma must lie in [1/2, 1)" in err
+        assert work == [] and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["solve", "check-domain"])
     @pytest.mark.parametrize("lines, detail", [
-        ("domain.kind = ball\ndomain.radius = nan\n", "semi-axes must be finite"),
-        ("domain.kind = ball\ndomain.radius = inf\n", "semi-axes must be finite"),
-        ("domain.kind = ball\ndomain.radius = 1.0\ndomain.center = 0,nan,0\n",
+        ("domain.radius = nan\n", "semi-axes must be finite"),
+        ("domain.radius = inf\n", "semi-axes must be finite"),
+        ("domain.radius = 1.0\ndomain.center = 0,nan,0\n",
          "center must be finite"),
     ], ids=["nan-radius", "inf-radius", "nan-center"])
     def test_non_finite_domain_is_config_error(self, tmp_path, capsys, command, lines,
@@ -611,7 +647,7 @@ class TestErrorReporting:
         assert err.startswith("configuration error: ") and "no-such.bin" in err
 
     @pytest.mark.parametrize("lines, detail", [
-        ("n = 2\ndomain.kind = ball\ndomain.radius = 1.0\n", "PDE runs need n >= 3, got n = 2"),
+        ("n = 2\ndomain.radius = 1.0\n", "PDE runs need n >= 3, got n = 2"),
         ("resolution = 9\nf.file = f.bin\n", "custom data needs both f.file and phi.file"),
         ("resolution = 9\nphi.file = phi.bin\n", "custom data needs both f.file and phi.file"),
     ], ids=["n-below-3", "lone-f-file", "lone-phi-file"])
@@ -651,7 +687,7 @@ class TestErrorReporting:
         # a 9^3 grid: its boundary collocation stencil is rank deficient
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "case = ball-constant\ndomain.kind = ellipsoid\n"
+            "case = ball-constant\n"
             "domain.semi_axes = 1.0,1.0,3.0\nresolution = 9\n"
             f"output = {tmp_path / 'out'}\n"
         )
@@ -687,8 +723,19 @@ class TestSolutionDump:
     @pytest.mark.parametrize("edit, detail", [
         (lambda header: header.update(format="nconvex-dump-0"), "unrecognized dump format"),
         (lambda header: header["counts"].update(active=header["counts"]["active"] + 1),
-         "dump counts do not match the rebuilt grid"),
-    ], ids=["format", "counts"])
+         r"header\.json: dump counts do not match the rebuilt grid"),
+        (lambda header: header.update(t=2.0), r"header\.json gives t = 2\.0, outside \[0, 1\]"),
+        (lambda header: header.update(t=float("nan")), r"header\.json gives t = nan"),
+        (lambda header: header.update(t=-1), r"header\.json gives t = -1\.0"),
+        (lambda header: header.update(byte_order="big"),
+         r"header\.json gives byte order 'big'; dumps are little-endian"),
+        (lambda header: header["domain"].update(kind="ellipsoid"),
+         r"header\.json names domain kind 'ellipsoid', but its semi-axes make a ball"),
+        (lambda header: header.update(n=7), r"header\.json gives n = 7 but 3 semi-axes"),
+        (lambda header: header.update(h=123),
+         r"header\.json gives h = 123, the rebuilt grid 0\.25"),
+    ], ids=["format", "counts", "t-above-1", "t-nan", "t-negative", "big-endian", "kind", "n",
+            "h"])
     def test_edited_header_rejected(self, tmp_path, edit, detail):
         grid = Grid(DomainSpec.ball(1.0, n=3), 9)
         dump = write_solution_dump(tmp_path / "dump", grid, quadratic_seed(grid), 1.0)
@@ -708,7 +755,7 @@ class TestCheckDomain:
     def test_eccentric_reported(self, tmp_path, capsys):
         cfg = tmp_path / "dom.cfg"
         cfg.write_text(
-            "n = 3\ndomain.kind = ellipsoid\ndomain.semi_axes = 1.0,1.0,3.0\n"
+            "n = 3\ndomain.semi_axes = 1.0,1.0,3.0\n"
         )
         assert main(["check-domain", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
@@ -717,7 +764,7 @@ class TestCheckDomain:
 
     def test_four_axis_ellipsoid_needs_n_4(self, tmp_path, capsys):
         cfg = tmp_path / "dom.cfg"
-        cfg.write_text("n = 4\ndomain.kind = ellipsoid\ndomain.semi_axes = 1,1,1,1.05\n")
+        cfg.write_text("n = 4\ndomain.semi_axes = 1,1,1,1.05\n")
         assert main(["check-domain", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "pinching PASS" in out and "n=3 corollary" not in out

@@ -224,6 +224,13 @@ class TestContinuation:
         assert rows[-1]["N"] == pytest.approx(1.0, abs=1e-9)
         assert rows[-1]["ratio"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_data_from_another_grid_refused_up_front(self, grid9, monkeypatch):
+        # 11^3 data on the 9^3 grid; the gate would be the first work done
+        monkeypatch.setattr(nconvex.solver, "pinching_check", None)
+        with pytest.raises(ValueError, match=r"problem data has 389 f and 410 phi values, but "
+                                             r"the grid has 179 active and 282 collocation"):
+            continuation(quadratic_data(Grid(BALL, 11)), grid9, SolverConfig())
+
     def test_every_accepted_state_admissible(self, grid9, sp9):
         _, report = continuation(sp9, grid9, SolverConfig())
         for row in report.rows:
