@@ -18,15 +18,16 @@ margin and the monitors' sup|D2u|.
 
 Each Newton step solves S du = -r, S = K E the stencil matrix times the
 map E of u to [values; closure values] with the trace eliminated (constant
-for the whole continuation), by GCROT(m,k) preconditioned with one
-incomplete LU of the seed system: the seed's det W gradient is (n-1)^n I,
-so that S is the grid's scaled Laplacian composed with E.  S is applied as
-v -> K (E v) and never formed, except for an ILU: the ILU factors a pruned
-copy of the seed's S, and one recycled Krylov subspace is carried from
-each Newton solve of the continuation to the next.  A step the Krylov solve
-cannot finish forms its own S, replaces the preconditioner with an ILU of
-it, empties the recycled subspace and fails, so it is retried: from u_k if
-it began at the prediction below, else at half the step.
+for the whole continuation), by GCROT(m,k).  The seed's det W gradient is
+(n-1)^n I, so its S is the grid's scaled Laplacian composed with E, and
+every step is preconditioned with one fast Poisson solve on the bounding
+box of the active points (two sine transforms), scaled by the diagonal of
+the step's own K.  S is applied as v -> K (E v) and never formed, and one
+recycled Krylov subspace is carried from each Newton solve of the
+continuation to the next.  A step the Krylov solve cannot finish forms its
+own S, replaces the preconditioner with an incomplete LU of it, empties
+the recycled subspace and fails, so it is retried: from u_k if it began at
+the prediction below, else at half the step.
 
 Once two states are accepted, the continuation starts each Newton solve
 from the polynomial through the last accepted states, in Newton form: the
@@ -99,21 +100,21 @@ REPORT_COLUMNS = ("t", "residual", "margin", "sup_u", "sup_du", "sup_d2u", "N", 
 # al., SIAM J. Sci. Comput. 28 (2006)): the path's systems are close, so the
 # subspace one solve leaves starts the next.  Its C vectors are recomputed
 # from S at each solve, because S changes.  A manufactured-path solve takes
-# 8-13 preconditioner applications at 9^3, 10-17 at 17^3, 16-25 at 25^3 and
-# 32-49 at 49^3, the first solves the most, so the outer cap only bounds the
-# work spent on a stalled solve (about 180 applications) before the step
-# fails.  The tolerance is tested on the true residual and sits above its
-# round-off floor (about 1e-12 at 33^3).
+# 9-14 box-preconditioner applications at 9^3, 12-18 at 17^3, 13-20 at 25^3,
+# 16-23 at 33^3 and 20-28 at 65^3, the first solves the most, so the outer
+# cap only bounds the work spent on a stalled solve (about 180 applications)
+# before the step fails.  The tolerance is tested on the true residual and
+# sits above its round-off floor (about 1e-12 at 33^3).
 KRYLOV_RTOL = 1e-10
 KRYLOV_INNER = 40
 KRYLOV_RECYCLED = 20
 KRYLOV_MAX_OUTER = 4
 
-# The seed ILU factors S without its entries below ILU_PRUNE of their row's
-# largest magnitude (the diagonal stays): the closure rows carry many small
-# MLS weights, and without them the factorization is about three times
-# cheaper to build and to store at 25^3, at the price of more applications,
-# which the recycled subspace keeps few.
+# A stalled step's ILU factors its S without the entries below ILU_PRUNE of
+# their row's largest magnitude (the diagonal stays): the closure rows carry
+# many small MLS weights, and without them the factorization is about three
+# times cheaper to build and to store at 25^3, at the price of more
+# applications, which the recycled subspace keeps few.
 ILU_PRUNE = 3e-2
 ILU_DROP_TOL = 1e-2
 ILU_FILL_FACTOR = 10
@@ -327,20 +328,22 @@ def condensed_map(grid: Grid) -> sp.csr_matrix:
 
 
 class CondensedSolver:
-    """Newton-step solver for one continuation: S du = r, S = K E, one ILU.
+    """Newton-step solver for one continuation: S du = r, S = K E.
 
     ``solve`` takes K (``assemble_jacobian``) and r and returns du; E is
     ``condensed_map``.  At the seed the det W gradient is c0 I (c0 =
-    ``homotopy_constant(n)``), so its S, ``hessian_contraction(c0 I) @ E``,
-    is known from the grid; the first step builds E and an incomplete LU of
-    that S, pruned (``_incomplete_lu``), which preconditions GCROT(m,k) on
-    the S of every step, applied as v -> K (E v) without forming it.  The
-    solver owns the recycled subspace ``recycled`` (scipy's ``CU`` list)
-    that each solve leaves to the next.  A step the Krylov solve does not
-    finish empties it, forms its own S, replaces the ILU with one of that S
-    and raises StepFailure, so the caller retries with a smaller step.
-    Preconditioner applications per solve and rebuilds go on ``report``, a
-    fresh one when none is given.
+    ``homotopy_constant(n)``), so its S is c0 times the grid Laplacian
+    composed with E.  The first step builds E and a fast Poisson solver on
+    the box of the active points (``_BoxPoisson``), and each solve
+    preconditions GCROT(m,k) with v -> R (c0 Lap_box)^-1 R^T (v / s), s the
+    diagonal of its own K over that of the seed's, so 1 at the seed.  S
+    itself is applied as v -> K (E v) without forming it.  The solver owns
+    the recycled subspace ``recycled`` (scipy's ``CU`` list) that each solve
+    leaves to the next.  A step the Krylov solve does not finish empties it,
+    forms its own S, replaces the preconditioner with an ILU of that S
+    (``_incomplete_lu``) for every later solve and raises StepFailure, so the
+    caller retries with a smaller step.  Preconditioner applications per
+    solve and rebuilds go on ``report``, a fresh one when none is given.
     """
 
     def __init__(self, grid: Grid, report: PathReport | None = None):
@@ -348,27 +351,25 @@ class CondensedSolver:
         self.report = PathReport() if report is None else report
         self.recycled = []  # GCROT's (c, u) pairs, carried from one solve to the next
         self._map = None  # E, built by the first step
-        self._ilu = None  # the preconditioner: the seed S's ILU, or a stalled step's
+        self._box = None  # the box Poisson solver, built by the first step
+        self._ilu = None  # a stalled step's ILU, which replaces the box preconditioner
 
     def solve(self, stencil: sp.csr_matrix, rhs: np.ndarray, t: float) -> np.ndarray:
         """Solve S du = rhs for du; raises StepFailure if the Krylov solve stalls."""
         grid = self.grid
         if self._map is None:
             self._map = condensed_map(grid)
-            seed_grad = np.broadcast_to(homotopy_constant(grid.n) * np.eye(grid.n),
-                                        (grid.n_active, grid.n, grid.n))
-            seed_stencil = hessian_contraction(seed_grad, grid)
-            seed_stencil.eliminate_zeros()  # the mixed-derivative weights, times 0
-            self._ilu = _incomplete_lu(seed_stencil @ self._map)
+            self._box = _BoxPoisson(grid)
         emap = self._map
         shape = (grid.n_active, grid.n_active)
         schur = LinearOperator(shape, matvec=lambda v: stencil @ (emap @ v), dtype=float)
+        inverse = self._box.inverse(stencil) if self._ilu is None else self._ilu.solve
         applications = 0
 
         def precondition(v):
             nonlocal applications
             applications += 1
-            return self._ilu.solve(v)
+            return inverse(v)
 
         du, info = gcrotmk(schur, rhs, rtol=KRYLOV_RTOL, atol=0.0, maxiter=KRYLOV_MAX_OUTER,
                            M=LinearOperator(shape, matvec=precondition, dtype=float),
@@ -387,6 +388,59 @@ class CondensedSolver:
             self.report.ilu_rebuilds += 1
             raise StepFailure(f"{stall}; preconditioner rebuilt from this step's system")
         return du
+
+
+class _BoxPoisson:
+    """Fast solve of c0 Lap_box x = b on the bounding box of the active points.
+
+    Lap_box is the 2n+1-point Laplacian with zero Dirichlet values on the
+    layer just outside the box, which lies inside ``Grid.shape`` because
+    ``Grid._classify_points`` keeps every stencil there.  It is diagonal in
+    the type-I sine basis, so ``solve`` scatters the active values into the
+    box (R^T), applies two ``scipy.fft.dstn`` around the inverse symbol and
+    gathers the active values back (R): a fictitious-domain fast Poisson
+    solver (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8 (1971);
+    Borgers & Widlund, SIAM J. Numer. Anal. 27 (1990)).
+    """
+
+    def __init__(self, grid: Grid):
+        # loaded here, not at import: runs that solve nothing never need it
+        from scipy.fft import dstn
+        self._dstn = dstn
+        n = grid.n
+        active_k = np.column_stack(np.unravel_index(grid.active_idx, grid.shape))
+        low = active_k.min(axis=0)
+        self.box_shape = tuple(int(m) for m in active_k.max(axis=0) - low + 1)
+        self.box_low = low
+        self.flat = np.ravel_multi_index(tuple((active_k - low).T), self.box_shape)
+        # the Laplacian's eigenvalues sum_d (2 cos(pi k_d / (m_d + 1)) - 2) / h^2, and
+        # the 2 (m_d + 1) that two unnormalized type-I transforms multiply by
+        symbol = np.zeros(self.box_shape)
+        factor = homotopy_constant(n)
+        for d, m in enumerate(self.box_shape):
+            axis = (2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1)) - 2.0) / grid.h ** 2
+            symbol += axis.reshape((-1,) + (1,) * (n - 1 - d))
+            factor *= 2.0 * (m + 1)
+        self.inverse_symbol = 1.0 / (factor * symbol)
+        # the diagonal of the seed's K, the contraction of c0 I with the centre weight
+        self.seed_diagonal = (homotopy_constant(n) * np.eye(n)).ravel() @ grid.hess_coef[0]
+
+    def scale(self, stencil: sp.csr_matrix) -> np.ndarray:
+        """s = diag(K) / diag(K_seed) at every active point; exactly 1 at the seed."""
+        return stencil.diagonal() / self.seed_diagonal
+
+    def inverse(self, stencil: sp.csr_matrix):
+        """The preconditioner v -> ``solve(v / s)``, s = ``scale(stencil)``."""
+        scale = self.scale(stencil)
+        return lambda v: self.solve(v / scale)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """R (c0 Lap_box)^-1 R^T rhs."""
+        box = np.zeros(self.box_shape)
+        box.ravel()[self.flat] = rhs
+        spectrum = self._dstn(box, type=1, overwrite_x=True)
+        spectrum *= self.inverse_symbol
+        return self._dstn(spectrum, type=1, overwrite_x=True).ravel()[self.flat]
 
 
 def _incomplete_lu(schur: sp.csr_matrix):
@@ -589,8 +643,9 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     it, from the last accepted state (``_tangent_start``).  Only the t and
     active values of the two states before it are kept for the prediction,
     and no earlier Hessian stack.  One CondensedSolver serves every Newton
-    step, so the seed ILU is built at most once per call and only when some
-    step needs a linear solve; a Krylov stall rebuilds it from the stalled step.
+    step, so the box preconditioner is built at most once per call and only
+    when some step needs a linear solve; a Krylov stall replaces it with an
+    ILU of the stalled step's system.
 
     The first step is 1/``config.homotopy_steps``.  After an accepted step
     dt doubles, or quadruples if that step made at most two linear solves

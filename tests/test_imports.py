@@ -4,10 +4,15 @@ The sources are read with ``ast``: a name bound by ``import`` or ``from ...
 import`` must be read somewhere in the module (as a name, as the root of an
 attribute chain, inside a quoted annotation, or as an ``__all__`` entry).
 The only exceptions are import lines marked ``# noqa: F401``, bindings
-that are kept for code outside the module to patch.
+that are kept for code outside the module to patch.  One more check runs
+the package in a fresh interpreter: ``scipy.fft`` stays unloaded until the
+first linear solve needs it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +84,26 @@ def test_scan_finds_an_unused_import(tmp_path):
         "    return x\n"
     )
     assert unused_imports(module) == ["sample.py:1 itertools", "sample.py:3 cKDTree"]
+
+
+def test_fft_is_loaded_by_the_first_linear_solve_only():
+    # scipy.fft's pocketfft extension costs resident memory, and runs that
+    # solve no linear system (verify-only solves, the self-test) never need it
+    script = (
+        "import sys\n"
+        "import nconvex.cli\n"
+        "print('scipy.fft' in sys.modules)\n"
+        "from nconvex.discretize import Grid, manufactured_problem, sample_problem\n"
+        "from nconvex.geometry import DomainSpec\n"
+        "from nconvex.solver import SolverConfig, continuation\n"
+        "ball = DomainSpec.ball(1.0, n=3)\n"
+        "grid = Grid(ball, 9)\n"
+        "problem = sample_problem(manufactured_problem(ball, 0.05)[0], grid)\n"
+        "state, report = continuation(problem, grid, SolverConfig())\n"
+        "print(state.t, len(report.krylov_iters) > 0, 'scipy.fft' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split("\n") == ["False", "1.0 True True", ""]
