@@ -71,10 +71,22 @@ def named_case(name: str, n: int = 3, domain: DomainSpec | None = None):
     return domain, problem, exact
 
 
+def _read_raw(path, dtype="<f8") -> np.ndarray:
+    """Every 8-byte value of the raw file ``path``.
+
+    ``np.fromfile`` drops a trailing partial value without a word, so a
+    byte size that is not a multiple of 8 raises a ValueError naming the file.
+    """
+    size = Path(path).stat().st_size
+    if size % 8:
+        raise ValueError(f"{path} holds {size} bytes, not a whole number of 8-byte values")
+    return np.fromfile(path, dtype=dtype)
+
+
 def _array_problem(grid, f_path, phi_path):
     """Problem data from raw little-endian float64 files matching the grid."""
-    f_vals = np.fromfile(f_path, dtype="<f8")
-    phi_vals = np.fromfile(phi_path, dtype="<f8")
+    f_vals = _read_raw(f_path)
+    phi_vals = _read_raw(phi_path)
     if f_vals.size != grid.n_active:
         raise ValueError(
             f"f array has {f_vals.size} values, grid has {grid.n_active} active points"
@@ -235,10 +247,12 @@ def write_solution_dump(directory, grid: Grid, field: DiscreteField, t: float):
 def load_solution_dump(directory):
     """Rebuild (grid, field, t) from a dump.
 
-    The header must give little-endian data and a t in [0, 1], and its
-    domain kind, n, h and counts and the grid arrays of the dump
-    (``active_idx.bin``, ``colloc_y.bin``) must match the rebuilt grid; a
-    mismatch raises a ValueError naming the file.
+    The header must give every key ``write_solution_dump`` writes,
+    little-endian data and a t in [0, 1], and its domain kind, n, h and
+    counts must match the rebuilt grid.  Each array file must hold as many
+    whole 8-byte values as the rebuilt grid needs, and the grid arrays of
+    the dump (``active_idx.bin``, ``colloc_y.bin``) must match it.  A
+    missing key or a mismatch raises a ValueError naming the file.
     """
     src = Path(directory)
     path = src / "header.json"
@@ -248,6 +262,13 @@ def load_solution_dump(directory):
     if header.get("byte_order") != "little":
         raise ValueError(f"{path} gives byte order {header.get('byte_order')!r}; "
                          "dumps are little-endian")
+    for key in ("t", "n", "resolution", "h", "domain.kind", "domain.center",
+                "domain.semi_axes", "counts.active", "counts.colloc"):
+        node = header
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise ValueError(f"{path} has no key {key!r}")
+            node = node[part]
     t = float(header["t"])
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"{path} gives t = {t}, outside [0, 1]")
@@ -265,16 +286,20 @@ def load_solution_dump(directory):
         raise ValueError(f"{path} gives h = {header['h']}, the rebuilt grid {grid.h}")
     if grid.n_active != header["counts"]["active"] or grid.n_colloc != header["counts"]["colloc"]:
         raise ValueError(f"{path}: dump counts do not match the rebuilt grid")
-    for name, dtype, want, tol in (
-        ("active_idx.bin", "<i8", grid.active_idx, 0.0),
-        ("colloc_y.bin", "<f8", grid.colloc_y, 1e-12 * max(domain.semi_axes)),
-    ):
-        got = np.fromfile(src / name, dtype=dtype)
-        if got.size != want.size or not np.allclose(got, want.ravel(), rtol=0.0, atol=tol):
+    arrays = {}
+    for name, dtype, count in (("active_idx.bin", "<i8", grid.active_idx.size),
+                               ("colloc_y.bin", "<f8", grid.colloc_y.size),
+                               ("values.bin", "<f8", grid.n_active),
+                               ("trace.bin", "<f8", grid.n_colloc)):
+        arrays[name] = _read_raw(src / name, dtype)
+        if arrays[name].size != count:
+            raise ValueError(f"{src / name} holds {arrays[name].size} values, "
+                             f"the rebuilt grid needs {count}")
+    for name, want, tol in (("active_idx.bin", grid.active_idx, 0.0),
+                            ("colloc_y.bin", grid.colloc_y, 1e-12 * max(domain.semi_axes))):
+        if not np.allclose(arrays[name], want.ravel(), rtol=0.0, atol=tol):
             raise ValueError(f"{src / name} does not match the rebuilt grid")
-    values = np.fromfile(src / "values.bin", dtype="<f8")
-    trace = np.fromfile(src / "trace.bin", dtype="<f8")
-    field = DiscreteField(values=values, trace=trace)
+    field = DiscreteField(values=arrays["values.bin"], trace=arrays["trace.bin"])
     field.check(grid)
     return grid, field, t
 

@@ -24,10 +24,10 @@ every step is preconditioned with one fast Poisson solve on the bounding
 box of the active points (two sine transforms), scaled by the diagonal of
 the step's own K.  S is applied as v -> K (E v) and never formed, and one
 recycled Krylov subspace is carried from each Newton solve of the
-continuation to the next.  A step the Krylov solve cannot finish forms its
-own S, replaces the preconditioner with an incomplete LU of it, empties
-the recycled subspace and fails, so it is retried: from u_k if it began at
-the prediction below, else at half the step.
+continuation to the next.  A step the Krylov solve cannot finish empties
+the recycled subspace and fails, so it is retried with the same
+preconditioner: from u_k if it began at the prediction below, else at half
+the step.
 
 Once two states are accepted, the continuation starts each Newton solve
 from the polynomial through the last accepted states, in Newton form: the
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gcrotmk, spilu
+from scipy.sparse.linalg import LinearOperator, gcrotmk
 from scipy.sparse.linalg import splu  # noqa: F401 (unused here; perfbench wraps this binding)
 
 from nconvex import woperator
@@ -109,16 +109,6 @@ KRYLOV_RTOL = 1e-10
 KRYLOV_INNER = 40
 KRYLOV_RECYCLED = 20
 KRYLOV_MAX_OUTER = 4
-
-# A stalled step's ILU factors its S without the entries below ILU_PRUNE of
-# their row's largest magnitude (the diagonal stays): the closure rows carry
-# many small MLS weights, and without them the factorization is about three
-# times cheaper to build and to store at 25^3, at the price of more
-# applications, which the recycled subspace keeps few.
-ILU_PRUNE = 3e-2
-ILU_DROP_TOL = 1e-2
-ILU_FILL_FACTOR = 10
-ILU_PERMC = "MMD_AT_PLUS_A"
 
 # The admissibility gate factors M - tau I by Cholesky, tau = GATE_SHIFT
 # tr(H) / n at each point (``_admissible``).  For an admissible H every
@@ -212,7 +202,6 @@ class PathReport:
     config_digest: str | None = None
     exact_error: float | None = None  # sup |u - reference| when one is known
     krylov_iters: list = field(default_factory=list)  # preconditioner applications per Newton step
-    ilu_rebuilds: int = 0  # Krylov stalls, each answered by an ILU of the stalled step's S
     predicted_starts: int = 0  # accepted steps whose Newton solve began at the prediction
     predictor_fallbacks: int = 0  # predictions refused by the guard or failed, retried from u_k
     # sup-norm residual at the start of each Newton solve begun at a prediction
@@ -245,7 +234,6 @@ class PathReport:
         payload = {
             "rows": self.rows,
             "krylov_iters": self.krylov_iters,
-            "ilu_rebuilds": self.ilu_rebuilds,
             "predicted_starts": self.predicted_starts,
             "predictor_fallbacks": self.predictor_fallbacks,
             "predicted_start_residuals": self.predicted_start_residuals,
@@ -339,11 +327,10 @@ class CondensedSolver:
     diagonal of its own K over that of the seed's, so 1 at the seed.  S
     itself is applied as v -> K (E v) without forming it.  The solver owns
     the recycled subspace ``recycled`` (scipy's ``CU`` list) that each solve
-    leaves to the next.  A step the Krylov solve does not finish empties it,
-    forms its own S, replaces the preconditioner with an ILU of that S
-    (``_incomplete_lu``) for every later solve and raises StepFailure, so the
-    caller retries with a smaller step.  Preconditioner applications per
-    solve and rebuilds go on ``report``, a fresh one when none is given.
+    leaves to the next.  A step the Krylov solve does not finish empties it
+    and raises StepFailure, so the caller retries the step with the same box.
+    Preconditioner applications per solve go on ``report``, a fresh one when
+    none is given.
     """
 
     def __init__(self, grid: Grid, report: PathReport | None = None):
@@ -352,7 +339,6 @@ class CondensedSolver:
         self.recycled = []  # GCROT's (c, u) pairs, carried from one solve to the next
         self._map = None  # E, built by the first step
         self._box = None  # the box Poisson solver, built by the first step
-        self._ilu = None  # a stalled step's ILU, which replaces the box preconditioner
 
     def solve(self, stencil: sp.csr_matrix, rhs: np.ndarray, t: float) -> np.ndarray:
         """Solve S du = rhs for du; raises StepFailure if the Krylov solve stalls."""
@@ -363,7 +349,7 @@ class CondensedSolver:
         emap = self._map
         shape = (grid.n_active, grid.n_active)
         schur = LinearOperator(shape, matvec=lambda v: stencil @ (emap @ v), dtype=float)
-        inverse = self._box.inverse(stencil) if self._ilu is None else self._ilu.solve
+        inverse = self._box.inverse(stencil)
         applications = 0
 
         def precondition(v):
@@ -379,14 +365,8 @@ class CondensedSolver:
         if info != 0 or not np.all(np.isfinite(du)):
             # a stalled solve may have left non-finite vectors in the subspace
             self.recycled.clear()
-            stall = (f"Krylov solve stalled at t={t:.6g} after {applications} "
-                     "preconditioner applications")
-            try:
-                self._ilu = _incomplete_lu(stencil @ emap)
-            except StepFailure as exc:
-                raise StepFailure(f"{stall}; rebuilding the preconditioner: {exc}")
-            self.report.ilu_rebuilds += 1
-            raise StepFailure(f"{stall}; preconditioner rebuilt from this step's system")
+            raise StepFailure(f"Krylov solve stalled at t={t:.6g} after {applications} "
+                              "preconditioner applications")
         return du
 
 
@@ -441,23 +421,6 @@ class _BoxPoisson:
         spectrum = self._dstn(box, type=1, overwrite_x=True)
         spectrum *= self.inverse_symbol
         return self._dstn(spectrum, type=1, overwrite_x=True).ravel()[self.flat]
-
-
-def _incomplete_lu(schur: sp.csr_matrix):
-    """ILU of S without the entries below ``ILU_PRUNE`` of their row's largest
-    magnitude; every diagonal entry is kept.  ``schur`` is CSR."""
-    rows = np.repeat(np.arange(schur.shape[0]), np.diff(schur.indptr))
-    magnitude = np.abs(schur.data)
-    # no row of S is empty, so each reduceat segment is a whole row
-    row_max = np.maximum.reduceat(magnitude, schur.indptr[:-1])
-    keep = (magnitude >= ILU_PRUNE * row_max[rows]) | (schur.indices == rows)
-    indptr = np.concatenate(([0], np.cumsum(keep)))[schur.indptr]
-    pruned = sp.csr_matrix((schur.data[keep], schur.indices[keep], indptr), shape=schur.shape)
-    try:
-        return spilu(pruned.tocsc(), drop_tol=ILU_DROP_TOL,
-                     fill_factor=ILU_FILL_FACTOR, permc_spec=ILU_PERMC)
-    except RuntimeError as exc:
-        raise StepFailure(f"incomplete LU failed: {exc}")
 
 
 def bound_monitors(fld: DiscreteField, eigenvalues: np.ndarray, grid: Grid) -> BoundMonitors:
@@ -644,8 +607,8 @@ def continuation(problem: SampledProblem, grid: Grid, config: SolverConfig,
     active values of the two states before it are kept for the prediction,
     and no earlier Hessian stack.  One CondensedSolver serves every Newton
     step, so the box preconditioner is built at most once per call and only
-    when some step needs a linear solve; a Krylov stall replaces it with an
-    ILU of the stalled step's system.
+    when some step needs a linear solve; a step retried after a Krylov stall
+    uses it too.
 
     The first step is 1/``config.homotopy_steps``.  After an accepted step
     dt doubles, or quadruples if that step made at most two linear solves

@@ -682,6 +682,24 @@ class TestErrorReporting:
         assert code == 2
         assert err == f"configuration error: {detail}\n"
 
+    def test_data_file_with_a_partial_value(self, tmp_path, capsys):
+        # f.bin holds 3 bytes and phi.bin 1 byte past their whole values,
+        # which np.fromfile would drop without a word
+        grid = Grid(DomainSpec.ball(1.0, n=3), 9)
+        (tmp_path / "f.bin").write_bytes(np.full(grid.n_active, 8.0).astype("<f8").tobytes()
+                                         + b"\0\0\0")
+        (tmp_path / "phi.bin").write_bytes(grid.colloc_quad.astype("<f8").tobytes() + b"\0")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"resolution = 9\nf.file = {tmp_path / 'f.bin'}\n"
+            f"phi.file = {tmp_path / 'phi.bin'}\noutput = {tmp_path / 'out'}\n"
+        )
+        code, err = self.run(["solve", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err == (f"configuration error: {tmp_path / 'f.bin'} holds "
+                       f"{8 * grid.n_active + 3} bytes, not a whole number of 8-byte values\n")
+        assert not (tmp_path / "out").exists()
+
     def test_rank_deficient_grid(self, tmp_path, capsys):
         # forced past the pinching gate, the (1, 1, 3) ellipsoid cannot build
         # a 9^3 grid: its boundary collocation stencil is rank deficient
@@ -710,6 +728,20 @@ class TestSolutionDump:
         with pytest.raises(ValueError, match=name):
             load_solution_dump(dump)
 
+    @pytest.mark.parametrize("name, extra, detail", [
+        ("values.bin", b"\0\0", r"values\.bin holds 1434 bytes, not a whole number of 8-byte values"),
+        ("trace.bin", b"\0" * 8, r"trace\.bin holds 283 values, the rebuilt grid needs 282"),
+        ("active_idx.bin", b"\0\0", r"active_idx\.bin holds 1434 bytes"),
+        ("colloc_y.bin", b"\0" * 5, r"colloc_y\.bin holds 6773 bytes"),
+    ], ids=["values-partial", "trace-longer", "active-idx-partial", "colloc-y-partial"])
+    def test_array_file_of_the_wrong_size_rejected(self, tmp_path, name, extra, detail):
+        grid = Grid(DomainSpec.ball(1.0, n=3), 9)
+        dump = write_solution_dump(tmp_path / "dump", grid, quadratic_seed(grid), 1.0)
+        with open(dump / name, "ab") as data:
+            data.write(extra)
+        with pytest.raises(ValueError, match=detail):
+            load_solution_dump(dump)
+
     def test_unknown_domain_kind_rejected(self, tmp_path):
         grid = Grid(DomainSpec.ball(1.0, n=3), 9)
         dump = write_solution_dump(tmp_path / "dump", grid, quadratic_seed(grid), 1.0)
@@ -734,8 +766,15 @@ class TestSolutionDump:
         (lambda header: header.update(n=7), r"header\.json gives n = 7 but 3 semi-axes"),
         (lambda header: header.update(h=123),
          r"header\.json gives h = 123, the rebuilt grid 0\.25"),
+        (lambda header: header.pop("t"), r"header\.json has no key 't'"),
+        (lambda header: header.pop("domain"), r"header\.json has no key 'domain\.kind'"),
+        (lambda header: header["domain"].pop("semi_axes"),
+         r"header\.json has no key 'domain\.semi_axes'"),
+        (lambda header: header.pop("resolution"), r"header\.json has no key 'resolution'"),
+        (lambda header: header["counts"].pop("colloc"),
+         r"header\.json has no key 'counts\.colloc'"),
     ], ids=["format", "counts", "t-above-1", "t-nan", "t-negative", "big-endian", "kind", "n",
-            "h"])
+            "h", "no-t", "no-domain", "no-semi-axes", "no-resolution", "no-colloc-count"])
     def test_edited_header_rejected(self, tmp_path, edit, detail):
         grid = Grid(DomainSpec.ball(1.0, n=3), 9)
         dump = write_solution_dump(tmp_path / "dump", grid, quadratic_seed(grid), 1.0)

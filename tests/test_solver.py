@@ -439,12 +439,9 @@ def record_det_w(monkeypatch):
 
 
 def count_factorizations(monkeypatch):
-    """Matrices handed to ``spilu`` and to ``splu``, kept apart.
-
-    Only a stalled step's ILU calls ``spilu``; the solver calls ``splu`` on no
-    path, so every ``splu`` list must stay empty.
-    """
-    return count_calls(monkeypatch, "spilu"), count_calls(monkeypatch, "splu")
+    """Matrices handed to ``splu``: the solver calls it on no path, so the
+    list must stay empty."""
+    return count_calls(monkeypatch, "splu")
 
 
 def record_boxes(monkeypatch):
@@ -554,15 +551,6 @@ def interior_points(grid):
     return np.all(axes < grid.n_active, axis=0)
 
 
-def pruned(matrix):
-    """``matrix`` without the entries below ILU_PRUNE of their row's largest
-    magnitude, its diagonal kept: what the solver hands ``spilu``."""
-    dense = matrix.toarray()
-    keep = np.abs(dense) >= nconvex.solver.ILU_PRUNE * np.abs(dense).max(axis=1, keepdims=True)
-    np.fill_diagonal(keep, True)
-    return sp.csr_matrix(np.where(keep, dense, 0.0))
-
-
 def seed_and_bumped(grid):
     """Active values of the quadratic seed and of the seed plus a smooth bump."""
     seed = quadratic_seed(grid).values
@@ -574,7 +562,7 @@ def seed_and_bumped(grid):
 
 class TestLinearSolve:
     def test_condensed_step_matches_direct_lu(self, grid9, manufactured9, monkeypatch):
-        seeds, lus = count_factorizations(monkeypatch)
+        lus = count_factorizations(monkeypatch)
         boxes = record_boxes(monkeypatch)
         report = PathReport()
         linear = CondensedSolver(grid9, report)
@@ -586,16 +574,14 @@ class TestLinearSolve:
             assert step.shape == (grid9.n_active,)
             assert np.linalg.norm(step - direct) <= 1e-10 * np.linalg.norm(direct)
         # one box solver serves both steps, and nothing is factorized
-        assert len(boxes) == 1 and seeds == [] and lus == []
+        assert len(boxes) == 1 and lus == []
         assert report.krylov_iters[1] > 1
-        assert report.ilu_rebuilds == 0
 
     @pytest.mark.parametrize("domain", ["ball", "ellipsoid"])
     def test_preconditioner_is_the_seed_operator_whatever_the_first_state(
             self, grid9, egg9, monkeypatch, domain):
         grid = grid9 if domain == "ball" else egg9
         problem = sample_problem(MANUFACTURED, grid)
-        seeds, _ = count_factorizations(monkeypatch)
         boxes = record_boxes(monkeypatch)
         preconditioners = record_preconditioners(monkeypatch)
         stencils = []
@@ -605,7 +591,7 @@ class TestLinearSolve:
             CondensedSolver(grid, PathReport()).solve(stencils[-1], -r, 0.4)
         # a first solve at the bumped field builds the same box solver as one
         # at the seed: it is built from the grid alone
-        assert len(boxes) == 2 and seeds == []
+        assert len(boxes) == 2
         assert boxes[0].box_shape == boxes[1].box_shape
         assert np.array_equal(boxes[0].flat, boxes[1].flat)
         assert np.array_equal(boxes[0].inverse_symbol, boxes[1].inverse_symbol)
@@ -679,41 +665,38 @@ class TestLinearSolve:
     @pytest.mark.parametrize("stalled", ["not-converged", "non-finite"])
     def test_gmres_failure_falls_back_to_direct(self, grid9, manufactured9,
                                                monkeypatch, stalled):
-        # a stalled step replaces the box preconditioner with an ILU of its
-        # own pruned S, which serves every later solve, and is retried: from
+        # a stalled step is retried with the same box preconditioner: from
         # the last accepted state when it began at the path prediction, else
         # at half the step; no splu is called.  A non-finite stall leaves a
         # non-finite recycled vector, which must not reach the retry.
         ref = DiscreteField.from_function(grid9, U_STAR).values
-        seeds, lus = count_factorizations(monkeypatch)
+        lus = count_factorizations(monkeypatch)
         state, report = continuation(manufactured9, grid9, SolverConfig())
         err = np.max(np.abs(state.field.values - ref))
-        assert seeds == [] and lus == []
-        assert report.ilu_rebuilds == 0
+        assert lus == []
 
         # the first solve (t = 0.1, no prediction yet), and the first at t = 1,
         # which starts from the prediction through t = 0, 0.1 and 0.3
         for stall_call, predicted in ((1, False), (6, True)):
             with monkeypatch.context() as patch:
-                built = record_calls(patch, "spilu")
                 lus = count_calls(patch, "splu")
+                boxes = record_boxes(patch)
                 stencils = record_stencils(patch)
                 solved = stall_gmres(patch, lambda call: call == stall_call, stalled)
                 preconditioners = record_preconditioners(patch)
                 state_st, report_st = continuation(manufactured9, grid9, SolverConfig())
             assert state_st.t == 1.0
             assert state_st.residual_norm <= 1e-10
-            assert report_st.ilu_rebuilds == 1
-            # one ILU, of the stalled step's own S; no direct LU
-            assert len(built) == 1 and lus == []
+            # the stalled solve applied its own S; no direct LU
+            assert lus == []
             stencil, emap = stencils[stall_call - 1], condensed_map(grid9)
-            assert abs(built[0][0][0] - pruned(stencil @ emap)).max() == 0.0
             v = np.linspace(-1.0, 1.0, grid9.n_active)
             assert np.array_equal(solved[stall_call - 1] @ v, stencil @ (emap @ v))
-            # every later solve is preconditioned by that ILU
-            ilu = built[0][1]
+            # every later solve is preconditioned by the one box, scaled by its own K
+            (box,) = boxes
             assert len(preconditioners) > stall_call
-            assert all(np.array_equal(m @ v, ilu.solve(v)) for m in preconditioners[stall_call:])
+            assert all(np.array_equal(m @ v, box.solve(v / box.scale(k)))
+                       for m, k in zip(preconditioners[stall_call:], stencils[stall_call:]))
             if predicted:
                 # retried from the last accepted state at the same t: the same rows
                 assert report_st.predictor_fallbacks == 1
@@ -728,28 +711,51 @@ class TestLinearSolve:
     @pytest.mark.parametrize("stall", [False, True])
     def test_newton_steps_form_no_sparse_product(self, grid9, manufactured9, monkeypatch,
                                                  stall):
-        # S = K E is formed only for a stalled step's ILU; every Krylov
+        # S = K E is never formed, not even after a stall; every Krylov
         # solve applies it as K (E v)
         products = record_sparse_products(monkeypatch)
         condensed_map(grid9)
         per_map = len(products)
         products.clear()
-        stencils = record_stencils(monkeypatch)
         if stall:
             stall_gmres(monkeypatch, lambda call: call == 1)
         _, report = continuation(manufactured9, grid9, SolverConfig())
-        assert len(report.krylov_iters) > 5 and report.ilu_rebuilds == stall
-        assert len(products) == per_map + stall
+        assert len(report.krylov_iters) > 5 and len(report.rejected_steps) == stall
+        assert len(products) == per_map
         n = grid9.n_active
-        formed = [(left, right) for left, right, out in products if out.shape == (n, n)]
-        assert len(formed) == stall
-        if stall:
-            assert formed[0][0] is stencils[0]
-        assert all(abs(right - condensed_map(grid9)).max() == 0.0 for _, right in formed)
+        assert [out for _, _, out in products if out.shape == (n, n)] == []
+
+    def test_a_stalled_step_is_retried_with_the_same_box(self, grid9, manufactured9,
+                                                         monkeypatch):
+        # the first solve (t = 0.1) stalls; its retry at half the step, and
+        # every solve after it, is preconditioned by the one box, and the
+        # path ends where the unstalled path does
+        boxes = record_boxes(monkeypatch)
+        stencils = record_stencils(monkeypatch)
+        products = record_sparse_products(monkeypatch)
+        stall_gmres(monkeypatch, lambda call: call == 1)
+        preconditioners = record_preconditioners(monkeypatch)
+        state, report = continuation(manufactured9, grid9, SolverConfig())
+        assert state.t == 1.0
+        ref = DiscreteField.from_function(grid9, U_STAR).values
+        # the sup error of the path with this stall, as the stall-ILU solver gave it
+        assert np.max(np.abs(state.field.values - ref)) == pytest.approx(
+            1.0805633358445532e-03, rel=1e-10)
+        (box,) = boxes
+        v = np.linspace(-1.0, 1.0, grid9.n_active)
+        assert len(preconditioners) == len(stencils) > 2
+        assert all(np.array_equal(m @ v, box.solve(v / box.scale(k)))
+                   for m, k in zip(preconditioners, stencils))
+        n = grid9.n_active
+        assert [out for _, _, out in products if out.shape == (n, n)] == []
+        ((t, dt, reason),) = report.rejected_steps
+        assert (t, dt) == (0.0, 0.1)
+        assert reason.startswith("Krylov solve stalled at t=0.1 after 0 preconditioner applications")
+        assert "ilu_rebuilds" not in json.loads(report.to_json())
 
     def test_gmres_always_stalling_fails_with_the_start_state(self, grid9, manufactured9,
                                                               monkeypatch):
-        seeds, lus = count_factorizations(monkeypatch)
+        lus = count_factorizations(monkeypatch)
         solved = stall_gmres(monkeypatch, lambda call: True)
         with pytest.raises(ContinuationFailure, match="Krylov solve stalled") as info:
             continuation(manufactured9, grid9, SolverConfig())
@@ -757,58 +763,29 @@ class TestLinearSolve:
         assert failure.state.t == 0.0
         assert np.array_equal(failure.state.field.values, quadratic_seed(grid9).values)
         assert [row["t"] for row in failure.report.rows] == [0.0]
-        # dt halves from 1/10 to 1/1280 over eight stalled steps, each rebuilding the ILU
-        assert failure.report.ilu_rebuilds == len(solved) == 8
-        assert json.loads(failure.report.to_json())["ilu_rebuilds"] == 8
-        assert len(seeds) == 8 and lus == []
-
-    def test_failed_rebuild_names_the_stall_and_the_ilu(self, grid9, manufactured9,
-                                                         monkeypatch):
-        # every rebuild after a stall fails in spilu
-        built = []
-
-        def spilu(matrix, **kwargs):
-            built.append(matrix)
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(nconvex.solver, "spilu", spilu)
-        lus = count_calls(monkeypatch, "splu")
-        stencils = record_stencils(monkeypatch)
-        solved = stall_gmres(monkeypatch, lambda call: True)
-        with pytest.raises(ContinuationFailure) as info:
-            continuation(manufactured9, grid9, SolverConfig())
-        failure = info.value
-        assert "Krylov solve stalled at t=0.00078125 after 0 preconditioner applications; " \
-            "rebuilding the preconditioner: incomplete LU failed: Factor is exactly singular" \
-            in str(failure)
-        assert failure.state.t == 0.0
-        assert [row["t"] for row in failure.report.rows] == [0.0]
-        # eight stalled steps, each rebuild attempted on its own S and failed
-        assert failure.report.ilu_rebuilds == 0
-        assert len(built) == len(solved) == len(stencils) == 8
-        emap = condensed_map(grid9)
-        assert all(abs(b - pruned(k @ emap)).max() == 0.0 for b, k in zip(built, stencils))
-        assert lus == []
+        # dt halves from 1/10 to 1/1280 over eight stalled steps
+        assert len(solved) == len(failure.report.rejected_steps) == 8 and lus == []
 
     def test_restart_finishes_a_step_the_first_cycle_leaves(self, monkeypatch):
         # along this direction one step's first GMRES cycle ended with the
         # true residual just above the tolerance; GCROT tests the true
-        # residual, and no ILU rebuild is needed
-        _, lus = count_factorizations(monkeypatch)
+        # residual, and no step stalls
+        lus = count_factorizations(monkeypatch)
         w = np.random.default_rng(1).standard_normal(3)
         w /= np.linalg.norm(w)
         grid = Grid(BALL, 17)
         problem = sample_problem(manufactured_problem(BALL, 0.05, w)[0], grid)
         state, report = continuation(problem, grid, SolverConfig())
         assert state.t == 1.0
-        assert report.ilu_rebuilds == 0 and lus == []
+        assert lus == []
+        assert not any("Krylov solve stalled" in reason for _, _, reason in report.rejected_steps)
 
     def test_exact_case_factorizes_nothing(self, grid9, sp9, monkeypatch):
-        seeds, lus = count_factorizations(monkeypatch)
+        lus = count_factorizations(monkeypatch)
         maps = count_calls(monkeypatch, "condensed_map")
         state, report = continuation(sp9, grid9, SolverConfig())
         assert state.t == 1.0
-        assert seeds == [] and lus == [] and maps == []
+        assert lus == [] and maps == []
         assert report.krylov_iters == []
 
     def test_condensed_map_built_once_per_continuation(self, grid9, manufactured9,
@@ -828,7 +805,6 @@ class TestLinearSolve:
         # preconditioner applications per solve: 9-14 on this path, the first
         # solves the highest, before the recycled subspace fills
         assert all(1 <= k <= 20 for k in payload["krylov_iters"])
-        assert payload["ilu_rebuilds"] == 0
         assert payload["predicted_starts"] == report.predicted_starts > 0
         assert payload["predictor_fallbacks"] == report.predictor_fallbacks == 0
         assert payload["rejected_steps"] == report.rejected_steps == []
@@ -838,49 +814,6 @@ class TestLinearSolve:
         assert all(0.0 < r < 1e-2 for r in report.predicted_start_residuals)
         assert report.to_csv().splitlines()[0] == "t,residual,margin,sup_u,sup_du,sup_d2u,N,ratio"
 
-
-    @pytest.mark.parametrize("domain", ["ball", "ellipsoid"])
-    def test_ilu_factors_the_pruned_system(self, grid9, egg9, monkeypatch, domain):
-        # a step stalled on the seed system factors a copy that keeps exactly
-        # the entries of S at least ILU_PRUNE times their row's largest
-        # magnitude, and every diagonal entry
-        grid = grid9 if domain == "ball" else egg9
-        factored = record_calls(monkeypatch, "spilu")
-        stall_gmres(monkeypatch, lambda call: True)
-        with pytest.raises(StepFailure, match="preconditioner rebuilt"):
-            CondensedSolver(grid).solve(seed_stencil(grid), np.ones(grid.n_active), 0.0)
-        full = seed_operator(grid)
-        built = sp.coo_matrix(factored[0][0][0])
-        row_max = abs(full).max(axis=1).toarray().ravel()
-        coo = sp.coo_matrix(full)
-        big = np.abs(coo.data) >= nconvex.solver.ILU_PRUNE * row_max[coo.row]
-        diagonal = coo.row == coo.col
-        assert set(zip(built.row, built.col)) == set(zip(coo.row[big | diagonal],
-                                                         coo.col[big | diagonal]))
-        assert abs(sp.csr_matrix(built) - full.multiply(built != 0)).max() == 0.0
-        assert np.count_nonzero(diagonal) == grid.n_active
-        assert built.nnz < 0.25 * full.nnz
-
-    def test_ilu_keeps_a_small_diagonal(self, monkeypatch):
-        factored = record_calls(monkeypatch, "spilu")
-        matrix = sp.csr_matrix(np.array([[1e-3, 1.0, 0.0], [1e-3, 1.0, 1e-3], [0.5, 0.0, 1.0]]))
-        nconvex.solver._incomplete_lu(matrix)
-        assert factored[0][0][0].toarray().tolist() == [[1e-3, 1.0, 0.0], [0.0, 1.0, 0.0],
-                                                        [0.5, 0.0, 1.0]]
-
-    @pytest.mark.parametrize("n, res", [(3, 17), (4, 9)])
-    def test_seed_ilu_is_not_fill_capped(self, monkeypatch, n, res):
-        # spilu silently stops filling at ILU_FILL_FACTOR times the entries it
-        # factors; the ILU a step stalled on the seed system builds stays well
-        # below that (3.5-4.3 at 9^3 to 25^3)
-        grid = Grid(DomainSpec.ball(1.0, n=n), res)
-        factored = record_calls(monkeypatch, "spilu")
-        stall_gmres(monkeypatch, lambda call: True)
-        with pytest.raises(StepFailure, match="preconditioner rebuilt"):
-            CondensedSolver(grid).solve(seed_stencil(grid), np.ones(grid.n_active), 0.0)
-        (matrix,), ilu = factored[0][0], factored[0][1]
-        assert nconvex.solver.ILU_FILL_FACTOR == 10
-        assert ilu.L.nnz + ilu.U.nnz < 6 * matrix.nnz
 
     @pytest.mark.parametrize("n, res, axes", [(3, 9, None), (3, 17, None), (3, 9, (1.0, 1.0, 1.05)),
                                               (4, 9, None), (5, 7, None)])
@@ -924,7 +857,7 @@ class TestLinearSolve:
         for res in (9, 17, 25):
             grid = ball_grid(3, res)
             state, report = continuation(sample_problem(MANUFACTURED, grid), grid, SolverConfig())
-            assert state.t == 1.0 and report.ilu_rebuilds == 0
+            assert state.t == 1.0 and report.rejected_steps == []
             assert max(report.krylov_iters) <= 22
 
     @pytest.mark.parametrize("n, res", [(4, 9), (5, 7)])
@@ -932,8 +865,7 @@ class TestLinearSolve:
         grid = ball_grid(n, res)
         problem = sample_problem(manufactured_problem(grid.domain, 0.05)[0], grid)
         state, report = continuation(problem, grid, SolverConfig())
-        assert state.t == 1.0
-        assert report.ilu_rebuilds == 0 and report.rejected_steps == []
+        assert state.t == 1.0 and report.rejected_steps == []
 
     def test_recycled_subspace_carries_a_solve_to_the_next(self, grid9, manufactured9,
                                                            monkeypatch):
@@ -992,7 +924,7 @@ class TestLinearSolve:
         assert linear.recycled
         with pytest.raises(StepFailure, match="Krylov solve stalled"):
             linear.solve(*systems[1], 0.4)
-        assert linear.recycled == [] and linear.report.ilu_rebuilds == 1
+        assert linear.recycled == []
         # the next solve starts clean and converges
         step = linear.solve(*systems[1], 0.4)
         direct = splu(full_jacobian(bumped, 0.4, grid9, manufactured9)).solve(systems[1][1])
